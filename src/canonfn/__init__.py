@@ -13,7 +13,6 @@ from .behaviors import (
     coherence_check,
     enumerate_behaviors,
     realize_behavior,
-    reindex,
 )
 from .canonicity import (
     BackAndForthOracle,

@@ -12,22 +12,14 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import ArityLimitExceeded, PresentationError
-from .fraisse import TupleTypeRecord, arity_limit
+from .fraisse import arity_limit
 from .groups import (
     AutLimit,
     GroupPresentation,
     label_key,
-    orbit_label,
     orbit_labels,
     reindex_label,
 )
-
-
-def reindex(label, sigma: tuple[int, ...]):
-    """Label of the tuple reindexed along sigma (0-based positions)."""
-    if isinstance(label, TupleTypeRecord):
-        return label.reindexed(tuple(sigma))
-    return tuple(reindex(part, sigma) for part in label)
 
 
 class BehaviorTable:
@@ -186,27 +178,12 @@ def realize_behavior(table: BehaviorTable, n: int, target_ratio: int = 8):
     """
     if not isinstance(table.source, AutLimit) or not isinstance(table.target, AutLimit):
         raise PresentationError("realizability search needs aut(limit) presentations")
-    src_limit = table.source.limit
-    tgt_limit = table.target.limit
-    domain = [src_limit.element(i) for i in range(n)]
-    pool = [tgt_limit.element(i) for i in range(n * target_ratio)]
-    images: list = []
-    explored = 0
+    from .canonicity import BehaviorScan
 
-    def ok_with(new_index: int) -> bool:
-        for k in range(1, table.max_arity + 1):
-            for idx in itertools.product(range(new_index + 1), repeat=k):
-                if new_index not in idx:
-                    continue
-                t = tuple(domain[i] for i in idx)
-                src_label = orbit_label(table.source, t)
-                expected = table.get(k, src_label)
-                if expected is None:
-                    return False
-                img = tuple(images[i] for i in idx)
-                if orbit_label(table.target, img) != expected:
-                    return False
-        return True
+    domain = [table.source.limit.element(i) for i in range(n)]
+    pool = [table.target.limit.element(i) for i in range(n * target_ratio)]
+    scan = BehaviorScan(table.source, table.target, table.max_arity, expected=table)
+    explored = 0
 
     def rec(i) -> bool:
         nonlocal explored
@@ -214,12 +191,12 @@ def realize_behavior(table: BehaviorTable, n: int, target_ratio: int = 8):
             return True
         for y in pool:
             explored += 1
-            images.append(y)
-            if ok_with(i) and rec(i + 1):
-                return True
-            images.pop()
+            if scan.push(domain[i], y):
+                if rec(i + 1):
+                    return True
+                scan.pop()
         return False
 
     if rec(0):
-        return tuple(zip(domain, images))
+        return tuple(zip(domain, scan.images))
     return Exhausted(explored)

@@ -4,10 +4,12 @@ A function is canonical when same-orbit tuples have same-orbit images.  At a
 finite horizon this is checked over all tuples of bounded arity drawn from an
 initial segment of the domain: a refutation (two same-label tuples with
 different image labels) is conclusive, a pass is a certificate up to the
-horizon only.  The module also computes induced behavior tables, the local
-equality relation modulo a group, coherent tower witnesses for lifted
-equalities, and a harness comparing the three equivalent formulations of
-canonicity at finite scale.
+horizon only.  BehaviorScan is the one tuple scan behind every such check:
+check_canonical runs it in full, and the embedding search in canonize, the
+realizability search in behaviors and the harness seeds run it point by point.
+The module also computes induced behavior tables, the local equality relation
+modulo a group, coherent tower witnesses for lifted equalities, and a harness
+comparing the three equivalent formulations of canonicity at finite scale.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from fractions import Fraction
 
 from .behaviors import BehaviorTable
 from .errors import DomainGap, NotCanonical, PresentationError
-from .fraisse import DloLimit, LimitStructure
+from .fraisse import DloLimit, LimitStructure, _check_arity
 from .groups import (
     AutLimit,
     GroupPresentation,
@@ -318,8 +320,111 @@ class Counterexample:
 CanonicityVerdict = CanonicalUpTo | Counterexample
 
 
-def _domain_points(g: GroupPresentation, horizon: int) -> list:
-    return [point(g, i) for i in range(horizon)]
+class BehaviorScan:
+    """The tuple scan behind every canonicity check.
+
+    Each visited tuple t of arity k <= arity over the scanned points has its
+    source label under g compared with the label of its image tuple under h:
+    against the expected table's entry when one is given, else against the
+    first image label visited for the same (k, source label).
+
+    Full mode (run) visits every tuple in (arity, lexicographic index) order,
+    so the first conflict is the first counterexample, and calls the oracle
+    on a point only when the scan first reaches it.  Incremental mode
+    (push/pop) visits only the tuples that contain the newest point; a push
+    that conflicts undoes its own entries and leaves the scan as it was.
+    """
+
+    def __init__(self, g: GroupPresentation, h: GroupPresentation | None, arity: int,
+                 expected: BehaviorTable | None = None):
+        self.g = g
+        self.h = h
+        self.arity = arity
+        self.expected = expected
+        self.points: list = []
+        self.images: list = []
+        self._seen: dict = {}        # (k, source label) -> (image label, first tuple)
+        self._pushed: list = []      # keys each push added, for pop
+
+    def labeled(self, points):
+        """(index tuple, tuple, source label) for every tuple over the points,
+        in (arity, lexicographic index) order."""
+        self.points = list(points)
+        for k in range(1, self.arity + 1):
+            for idx in itertools.product(range(len(self.points)), repeat=k):
+                t = tuple(self.points[i] for i in idx)
+                yield idx, t, orbit_label(self.g, t)
+
+    def _known(self, t, src, img, added: list) -> tuple:
+        """(image label, witness) on record for t's source label; an expected
+        table has no witness.  A label met first here records (img, t)."""
+        k = len(t)
+        if self.expected is not None:
+            return self.expected.get(k, src), None
+        key = (k, src)
+        known = self._seen.get(key)
+        if known is None:
+            known = self._seen[key] = (img, t)
+            added.append(key)
+        return known
+
+    def run(self, points, f: FunctionOracle) -> Counterexample | None:
+        """Full mode: the first tuple whose image label conflicts, or None."""
+        images: dict[int, object] = {}
+
+        def image(i: int):
+            if i not in images:
+                p = self.points[i]
+                if not f.defined_at(p):
+                    raise DomainGap(f"oracle undefined at {p}")
+                images[i] = f(p)
+            return images[i]
+
+        added: list = []
+        for idx, t, src in self.labeled(points):
+            img = orbit_label(self.h, tuple(image(i) for i in idx))
+            img0, t0 = self._known(t, src, img, added)
+            if img0 != img:
+                return Counterexample(len(t), t0, t, src, img0, img)
+        return None
+
+    def _touching(self, new: int):
+        """Index tuples over 0..new that contain new, in lexicographic order."""
+        n = new + 1
+        for k in range(1, self.arity + 1):
+            for prefix in itertools.product(range(n), repeat=k - 1):
+                if new in prefix:
+                    for last in range(n):
+                        yield prefix + (last,)
+                else:
+                    yield prefix + (new,)
+
+    def push(self, p, image) -> bool:
+        """Incremental mode: add a point and its image; False, with nothing
+        added, when a tuple containing it conflicts."""
+        self.points.append(p)
+        self.images.append(image)
+        added: list = []
+        self._pushed.append(added)
+        for idx in self._touching(len(self.points) - 1):
+            t = tuple(self.points[i] for i in idx)
+            src = orbit_label(self.g, t)
+            img = orbit_label(self.h, tuple(self.images[i] for i in idx))
+            if self._known(t, src, img, added)[0] != img:
+                self.pop()
+                return False
+        return True
+
+    def pop(self) -> None:
+        """Undo the last push."""
+        for key in self._pushed.pop():
+            del self._seen[key]
+        self.points.pop()
+        self.images.pop()
+
+    def behavior(self) -> BehaviorTable:
+        entries = [(k, src, img) for (k, src), (img, _) in self._seen.items()]
+        return BehaviorTable(self.g, self.h, self.arity, entries)
 
 
 def check_canonical(f: FunctionOracle, g: GroupPresentation, h: GroupPresentation,
@@ -328,34 +433,16 @@ def check_canonical(f: FunctionOracle, g: GroupPresentation, h: GroupPresentatio
     (or an explicit point list); return the lexicographically first pair of
     same-source-label tuples with different image labels, else a certificate
     carrying the observed behavior table."""
-    pts = list(points) if points is not None else _domain_points(g, horizon)
-    cache: dict[int, tuple] = {}
-
-    def image(i: int):
-        if i not in cache:
-            p = pts[i]
-            if not f.defined_at(p):
-                raise DomainGap(f"oracle undefined at {p}")
-            cache[i] = f(p)
-        return cache[i]
-
-    seen: dict = {}
-    entries = []
-    for k in range(1, arity + 1):
-        for idx in itertools.product(range(len(pts)), repeat=k):
-            t = tuple(pts[i] for i in idx)
-            src = orbit_label(g, t)
-            img = orbit_label(h, tuple(image(i) for i in idx))
-            key = (k, label_key(src))
-            if key not in seen:
-                seen[key] = (src, img, t)
-                entries.append((k, src, img))
-            else:
-                _, img0, t0 = seen[key]
-                if img0 != img:
-                    return Counterexample(k, t0, t, src, img0, img)
-    behavior = BehaviorTable(g, h, arity, entries)
-    return CanonicalUpTo(len(pts), arity, behavior)
+    if points is None:
+        _check_arity(arity)
+        if horizon < 1:
+            raise ValueError("horizon must be positive")
+        points = [point(g, i) for i in range(horizon)]
+    scan = BehaviorScan(g, h, arity)
+    found = scan.run(points, f)
+    if found is not None:
+        return found
+    return CanonicalUpTo(len(scan.points), arity, scan.behavior())
 
 
 def behavior_of(f: FunctionOracle, g: GroupPresentation, h: GroupPresentation,
@@ -524,18 +611,12 @@ def _same_label_seeds(g: GroupPresentation, horizon: int, arity: int, cap: int):
     """Ordered pairs of distinct same-label tuples over the first horizon
     elements, in lexicographic index order, capped deterministically."""
     limit = domain_limit(g)
-    elements = [limit.element(i) for i in range(horizon)]
     by_label: dict = {}
-    tuples = []
-    for k in range(1, arity + 1):
-        for idx in itertools.product(range(horizon), repeat=k):
-            t = tuple(elements[i] for i in idx)
-            tuples.append((k, idx, t, label_key(orbit_label(g, t))))
+    scan = BehaviorScan(g, None, arity)
+    for idx, t, src in scan.labeled(limit.element(i) for i in range(horizon)):
+        by_label.setdefault((len(t), src), []).append((idx, t))
     seeds = []
-    for k, idx, t, key in tuples:
-        bucket = by_label.setdefault((k, key), [])
-        bucket.append((idx, t))
-    for (k, key), bucket in sorted(by_label.items()):
+    for _, bucket in sorted(by_label.items(), key=lambda kv: (kv[0][0], label_key(kv[0][1]))):
         for (idx_s, s), (idx_t, t) in itertools.product(bucket, repeat=2):
             if idx_s != idx_t:
                 seeds.append((s, t))

@@ -2,11 +2,13 @@
 
 The search grows a nested family of type-preserving partial self-embeddings
 of the source, level by level over the enumerated domain points, keeping the
-induced behavior of the composed sample conflict-free up to a bounded arity.
-Backtracking explores images in enumeration order, so the first tower found
-is the enumeration-lexicographically least one; exhausting the horizon is
-inconclusive.  A pair-coloring Ramsey search over finite tables backs the
-arity-2 picture.
+induced behavior of the composed sample conflict-free up to a bounded arity:
+each committed point is pushed onto a canonicity.BehaviorScan, and the
+candidate images of a column are those LimitStructure.admissible_image
+accepts.  Backtracking explores images in enumeration order, so the first
+tower found is the enumeration-lexicographically least one; exhausting the
+horizon is inconclusive.  A pair-coloring Ramsey search over finite tables
+backs the arity-2 picture.
 """
 
 from __future__ import annotations
@@ -16,20 +18,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .canonicity import (
+    BehaviorScan,
     CanonicalUpTo,
     FunctionOracle,
     TableOracle,
     check_canonical,
 )
 from .errors import PresentationError
-from .fraisse import DloLimit, LimitStructure
+from .fraisse import LimitStructure
 from .groups import (
     AutLimit,
     GroupPresentation,
     PowerGroup,
     StabilizerGroup,
-    label_key,
-    orbit_label,
     point,
 )
 
@@ -72,17 +73,6 @@ class HorizonExhausted:
         return False
 
 
-def _admissible_image(limit: LimitStructure, committed, x, y) -> bool:
-    if isinstance(limit, DloLimit):
-        for a, b in committed:
-            if (x < a) != (y < b) or (a < x) != (b < y):
-                return False
-        return True
-    dom = tuple(a for a, _ in committed) + (x,)
-    rng = tuple(b for _, b in committed) + (y,)
-    return limit.qf_type(dom) == limit.qf_type(rng)
-
-
 def _run_search(f: FunctionOracle, g_src: GroupPresentation, h_tgt: GroupPresentation,
                 source_limit: LimitStructure, m: int, fixed_cols, seed_points,
                 arity: int, depth: int, horizon: int):
@@ -95,56 +85,14 @@ def _run_search(f: FunctionOracle, g_src: GroupPresentation, h_tgt: GroupPresent
     col_map = [dict(fc) for fc in fixed_cols]
     col_committed = [list(fc.items()) for fc in fixed_cols]
 
-    assigned: list = []
-    sample: dict = {}
-    behavior_map: dict = {}
+    scan = BehaviorScan(g_src, h_tgt, arity)
     nodes = 0
     deepest = 0
-
-    def record_new() -> list | None:
-        """Check all bounded-arity tuples touching the newest point; extend
-        the behavior bookkeeping or report a conflict by returning None."""
-        added = []
-        n = len(assigned)
-        new = n - 1
-        for k in range(1, arity + 1):
-            for idx in itertools.product(range(n), repeat=k):
-                if new not in idx:
-                    continue
-                t = tuple(assigned[i] for i in idx)
-                src = orbit_label(g_src, t)
-                img = orbit_label(h_tgt, tuple(sample[assigned[i]] for i in idx))
-                key = (k, label_key(src))
-                known = behavior_map.get(key)
-                if known is None:
-                    behavior_map[key] = (src, img)
-                    added.append(key)
-                elif known[1] != img:
-                    for a in added:
-                        del behavior_map[a]
-                    return None
-        return added
-
-    def push_point(p, image_point) -> list | None:
-        assigned.append(p)
-        sample[p] = f(image_point)
-        added = record_new()
-        if added is None:
-            assigned.pop()
-            del sample[p]
-        return added
-
-    def pop_point(p, added) -> None:
-        for key in added:
-            del behavior_map[key]
-        assigned.pop()
-        del sample[p]
 
     # Constants enter the sample first; their columns are pre-committed, so
     # the composed sample agrees with f on them by construction.
     for c in seed_points:
-        added = push_point(c, c)
-        if added is None:
+        if not scan.push(c, f(c)):
             raise PresentationError("constant points conflict with each other")
 
     towers: list = []
@@ -155,14 +103,14 @@ def _run_search(f: FunctionOracle, g_src: GroupPresentation, h_tgt: GroupPresent
         if level == depth:
             return True
         p = points[level]
-        if p in sample:
+        if p in scan.points:
             # A constant point reappearing in the enumeration: its image and
             # its tuples are committed already.
             return rec(level + 1)
         cols = (p,) if m == 1 else p
         free = [i for i in range(m) if cols[i] not in col_map[i]]
         cand_lists = [
-            [y for y in pool if _admissible_image(source_limit, col_committed[i], cols[i], y)]
+            [y for y in pool if source_limit.admissible_image(col_committed[i], cols[i], y)]
             for i in free
         ]
         for combo in itertools.product(*cand_lists):
@@ -174,13 +122,12 @@ def _run_search(f: FunctionOracle, g_src: GroupPresentation, h_tgt: GroupPresent
                 image_point = col_map[0][p]
             else:
                 image_point = tuple(col_map[i][cols[i]] for i in range(m))
-            added = push_point(p, image_point)
-            if added is not None:
+            if scan.push(p, f(image_point)):
                 towers.append((p, image_point))
                 if rec(level + 1):
                     return True
                 towers.pop()
-                pop_point(p, added)
+                scan.pop()
             for i, y in zip(free, combo):
                 del col_map[i][cols[i]]
                 col_committed[i].pop()
@@ -189,9 +136,9 @@ def _run_search(f: FunctionOracle, g_src: GroupPresentation, h_tgt: GroupPresent
     if not rec(0):
         return HorizonExhausted(deepest, nodes)
     tower = EmbeddingTower(tuple((c, c) for c in seed_points), tuple(towers))
-    oracle = TableOracle(source_limit, f.target, dict(sample), m=m)
-    certificate = check_canonical(oracle, g_src, h_tgt, len(assigned), arity,
-                                  points=list(assigned))
+    oracle = TableOracle(source_limit, f.target, dict(zip(scan.points, scan.images)), m=m)
+    certificate = check_canonical(oracle, g_src, h_tgt, len(scan.points), arity,
+                                  points=scan.points)
     if not isinstance(certificate, CanonicalUpTo):
         raise AssertionError("search invariant broken: sample not canonical")
     return CanonicalApproximation(certificate.behavior, tower, oracle, certificate)

@@ -39,6 +39,7 @@ from .groups import (
     GroupPresentation,
     PowerGroup,
     StabilizerGroup,
+    _split_top,
     format_label,
     parse_label,
     validate_presentation,
@@ -169,22 +170,6 @@ def _format_point(p) -> str:
     return str(p)
 
 
-def _split_top(text: str, sep: str) -> list[str]:
-    parts, depth, cur = [], 0, []
-    for ch in text:
-        if ch in "([":
-            depth += 1
-        elif ch in ")]":
-            depth -= 1
-        if ch == sep and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    parts.append("".join(cur))
-    return [p.strip() for p in parts]
-
-
 def parse_group_spec(text: str, structures: dict[str, LimitStructure] | None = None,
                      lineno: int = 0) -> GroupPresentation:
     """Grammar: aut(<structure>) | power(<group>,m) | stab(<group>; pt,pt,...)."""
@@ -220,25 +205,14 @@ def _parse_group_spec(text: str, structures: dict[str, LimitStructure],
         return PowerGroup(base, m)
     if text.startswith("stab(") and text.endswith(")"):
         inner = text[5:-1]
-        head, sep, tail = _partition_top(inner, ";")
-        if not sep:
+        parts = _split_top(inner, ";", maxsplit=1)
+        if len(parts) < 2:
             raise FormatError(lineno, f"stab needs `; constants`: {text!r}")
+        head, tail = parts
         base = _parse_group_spec(head, structures, lineno)
         constants = tuple(_parse_point(p, lineno) for p in _split_top(tail, ",") if p)
         return StabilizerGroup(base, constants)
     raise FormatError(lineno, f"bad group spec {text!r}")
-
-
-def _partition_top(text: str, sep: str):
-    depth = 0
-    for i, ch in enumerate(text):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == sep and depth == 0:
-            return text[:i], sep, text[i + 1:]
-    return text, "", ""
 
 
 def _parse_point(text: str, lineno: int = 0):

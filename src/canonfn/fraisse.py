@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator
 
 from .errors import AmalgamationFailure, ArityLimitExceeded
-from .rationals import index_of_rational, rational_of_index
+from .rationals import index_of_rational, least_enum_in_interval, rational_of_index
 
 DEFAULT_ARITY_LIMIT = 6
 
@@ -553,6 +553,23 @@ class LimitStructure:
                     atoms.add((sym.name, t))
         return TupleTypeRecord(self.age.signature, k, pattern, frozenset(atoms))
 
+    def admissible_image(self, committed, x, y) -> bool:
+        """Whether type-preserving pairs stay so with (x, y) added."""
+        dom = tuple(a for a, _ in committed) + (x,)
+        rng = tuple(b for _, b in committed) + (y,)
+        return self.qf_type(dom) == self.qf_type(rng)
+
+    def least_image(self, pairs, x, probe_cap: int):
+        """Enumeration-least admissible image of x under type-preserving
+        pairs; None when none is among the first probe_cap elements."""
+        dom_type = self.qf_type(tuple(a for a, _ in pairs) + (x,))
+        rng = tuple(b for _, b in pairs)
+        for i in range(probe_cap):
+            y = self.element(i)
+            if self.qf_type(rng + (y,)) == dom_type:
+                return y
+        return None
+
     def __repr__(self):
         return f"<limit {self.name}>"
 
@@ -576,6 +593,25 @@ class DloLimit(LimitStructure):
             raise KeyError(name)
         a, b = elements
         return a < b
+
+    # A type over Q is an order pattern, so images are found by comparing
+    # positions: the least image is the enumeration-least rational between
+    # the images of the nearest committed neighbors (no probe cap needed).
+
+    def admissible_image(self, committed, x, y) -> bool:
+        for a, b in committed:
+            if (x < a) != (y < b) or (a < x) != (b < y):
+                return False
+        return True
+
+    def least_image(self, pairs, x, probe_cap: int):
+        lo = hi = None
+        for a, b in pairs:
+            if a < x and (lo is None or b > lo):
+                lo = b
+            if a > x and (hi is None or b < hi):
+                hi = b
+        return least_enum_in_interval(lo, hi)
 
 
 class PureSetLimit(LimitStructure):

@@ -193,14 +193,16 @@ def format_label(label) -> str:
     return "(" + " * ".join(format_label(part) for part in label) + ")"
 
 
-def _split_power_parts(text: str) -> list[str]:
+def _split_top(text: str, sep: str, maxsplit: int = -1) -> list[str]:
+    """Split at separators outside parentheses and brackets, stripping the
+    parts; at most maxsplit splits when it is not negative."""
     parts, depth, cur = [], 0, []
     for ch in text:
-        if ch == "(":
+        if ch in "([":
             depth += 1
-        elif ch == ")":
+        elif ch in ")]":
             depth -= 1
-        if ch == "*" and depth == 0:
+        if ch == sep and depth == 0 and len(parts) != maxsplit:
             parts.append("".join(cur))
             cur = []
         else:
@@ -217,7 +219,7 @@ def parse_label(g: GroupPresentation, text: str):
     if isinstance(g, PowerGroup):
         if not (text.startswith("(") and text.endswith(")")):
             raise ValueError(f"expected a parenthesized power label: {text!r}")
-        parts = _split_power_parts(text[1:-1])
+        parts = _split_top(text[1:-1], "*")
         if len(parts) != g.m:
             raise ValueError(f"expected {g.m} columns in {text!r}")
         return tuple(parse_label(g.base, part) for part in parts)
@@ -231,8 +233,10 @@ def parse_label(g: GroupPresentation, text: str):
 class PartialAutomorphism:
     """A finite type-preserving partial map of a limit, extendable on demand.
 
-    Extension commits the enumeration-least admissible image, so the germ is
-    deterministic given its seed pairs.
+    Extension commits the enumeration-least admissible image, which the
+    limit's least_image finds (DloLimit by order position, other limits by
+    probing the enumeration), so the germ is deterministic given its seed
+    pairs.
     """
 
     def __init__(self, limit: LimitStructure, pairs: Iterable[tuple] = (), probe_cap: int = 1 << 21):
@@ -265,39 +269,15 @@ class PartialAutomorphism:
     def defined_at(self, x) -> bool:
         return x in self._map
 
-    def _dlo_least_image(self, x):
-        # For the rational order the type is the order pattern, so the least
-        # admissible image is the enumeration-least rational between the
-        # images of the committed neighbors of x.
-        from .rationals import least_enum_in_interval
-
-        lo = hi = None
-        for a, b in self._pairs:
-            if a < x and (lo is None or b > lo):
-                lo = b
-            if a > x and (hi is None or b < hi):
-                hi = b
-        return least_enum_in_interval(lo, hi)
-
     def extend(self, x):
         """Image of x, committing the enumeration-least admissible value."""
         if x in self._map:
             return self._map[x]
-        if self.limit.name == "dlo":
-            y = self._dlo_least_image(x)
-            if y is None:
-                raise PresentationError(f"no admissible image for {x}")
-            self._commit(x, y)
-            return y
-        dom = tuple(p[0] for p in self._pairs) + (x,)
-        dom_type = self.limit.qf_type(dom)
-        rng = tuple(p[1] for p in self._pairs)
-        for i in range(self._probe_cap):
-            y = self.limit.element(i)
-            if self.limit.qf_type(rng + (y,)) == dom_type:
-                self._commit(x, y)
-                return y
-        raise PresentationError(f"no admissible image for {x} within the probe cap")
+        y = self.limit.least_image(self._pairs, x, self._probe_cap)
+        if y is None:
+            raise PresentationError(f"no admissible image for {x} within the probe cap")
+        self._commit(x, y)
+        return y
 
     def __call__(self, x):
         return self.extend(x)

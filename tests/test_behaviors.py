@@ -14,8 +14,8 @@ from canonfn import (
     orbit_labels,
     qf_type,
     realize_behavior,
-    reindex,
 )
+from canonfn.groups import reindex_label
 
 
 def table_entry_strings(table, arity=None):
@@ -37,19 +37,20 @@ class TestReindex:
     def test_swap(self, dlo):
         lt = qf_type(dlo, (F(0), F(1)))
         gt = qf_type(dlo, (F(1), F(0)))
-        assert reindex(lt, (1, 0)) == gt
+        assert reindex_label(AutLimit(dlo), lt, (1, 0)) == gt
 
     def test_duplicate(self, dlo):
         lt = qf_type(dlo, (F(0), F(1)))
         eq = qf_type(dlo, (F(0), F(0)))
-        assert reindex(lt, (0, 0)) == eq
+        assert reindex_label(AutLimit(dlo), lt, (0, 0)) == eq
 
     def test_projection(self, dlo):
         chain = qf_type(dlo, (F(0), F(1), F(2)))
         lt = qf_type(dlo, (F(0), F(1)))
-        assert reindex(chain, (0, 2)) == lt
+        assert reindex_label(AutLimit(dlo), chain, (0, 2)) == lt
 
     def test_functorial(self, dlo):
+        aut = AutLimit(dlo)
         record = qf_type(dlo, (F(0), F(1), F(0), F(-2)))
         sigmas = [(0, 1), (2, 0, 1), (3, 3), (1,), (0, 1, 2, 3)]
         rhos = [(0,), (1, 0), (0, 0)]
@@ -58,7 +59,8 @@ class TestReindex:
                 if any(i >= len(sigma) for i in rho):
                     continue
                 composed = tuple(sigma[i] for i in rho)
-                assert reindex(reindex(record, sigma), rho) == reindex(record, composed)
+                assert (reindex_label(aut, reindex_label(aut, record, sigma), rho)
+                        == reindex_label(aut, record, composed))
 
 
 class TestCoherence:

@@ -154,6 +154,27 @@ class TestRun:
         assert report.startswith("fragment: size 5;")
 
 
+class TestScanSizeGuard:
+    CHECK = ["check", "--f", "neg", "--source", "aut(dlo)", "--target", "aut(dlo)"]
+    HARNESS = ["harness", "--f", "neg", "--source", "aut(dlo)", "--target", "aut(dlo)"]
+
+    def test_check_arity_zero_is_error(self):
+        code, report = run_argv(self.CHECK + ["--horizon", "8", "--arity", "0"])
+        assert (code, report) == (1, "error: ValueError: arity must be positive\n")
+
+    def test_check_negative_horizon_is_error(self):
+        code, report = run_argv(self.CHECK + ["--horizon", "-3", "--arity", "2"])
+        assert (code, report) == (1, "error: ValueError: horizon must be positive\n")
+
+    def test_harness_arity_zero_is_error(self):
+        code, report = run_argv(self.HARNESS + ["--horizon", "6", "--arity", "0"])
+        assert (code, report) == (1, "error: ValueError: arity must be positive\n")
+
+    def test_check_arity_above_limit_is_error(self):
+        code, report = run_argv(self.CHECK + ["--horizon", "40", "--arity", "7"])
+        assert (code, report) == (1, "error: ArityLimitExceeded: arity 7 exceeds limit 6\n")
+
+
 class TestDeterminismAndRecords:
     def test_reports_byte_identical(self):
         argv = ["canonize", "--f", "pieces:[(-inf,0):x*-1; [0,inf):x]",

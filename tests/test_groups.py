@@ -5,6 +5,7 @@ import pytest
 
 from canonfn import (
     AutLimit,
+    PartialAutomorphism,
     PowerGroup,
     PresentationError,
     StabilizerGroup,
@@ -19,6 +20,7 @@ from canonfn import (
     qf_type,
     same_orbit,
 )
+from canonfn.formats import load_structures
 from canonfn.groups import label_key, reindex_label, validate_presentation
 
 
@@ -127,6 +129,22 @@ class TestPartialAutomorphisms:
         dom = tuple(p[0] for p in germ.pairs)
         rng = tuple(p[1] for p in germ.pairs)
         assert qf_type(dlo, dom) == qf_type(dlo, rng)
+
+    def test_extension_follows_the_limit_not_its_name(self):
+        # A structures file may call a generic limit `dlo`; its germs still
+        # extend by probing the enumeration for the type, never by rational
+        # order.
+        triangle_free = (
+            "size 1; edge(0,0)\n"
+            "size 2; edge(0,1)\n"
+            "size 3; edge(0,1); edge(1,0); edge(0,2); edge(2,0); edge(1,2); edge(2,1)\n"
+        )
+        limits = load_structures("structure dlo = forbidden:tf\nstructure tf = forbidden:tf\n",
+                                 read_file=lambda _: triangle_free)
+        for limit in limits.values():
+            germ = PartialAutomorphism(limit, [(0, 1)])
+            assert germ.extend(2) == 4
+            assert germ.verify()
 
     def test_rejects_non_aut_presentation(self, aut_dlo):
         with pytest.raises(PresentationError):
