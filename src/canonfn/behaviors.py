@@ -4,6 +4,11 @@ A table is coherent when it commutes with every index map (permutations,
 projections, duplications) between tuple positions; coherence is necessary
 for the maps to come from a single function, and enumeration searches the
 coherent tables directly.
+
+enumerate_behaviors and coherence_check work on groups.LabelSpace ids: slots,
+candidates and coherence links are ints, and reindexing is a memoized lookup.
+Ids turn back into labels (TupleTypeRecords or tuples of them) only where a
+BehaviorTable or a Violation is built, so the public API sees labels only.
 """
 
 from __future__ import annotations
@@ -16,9 +21,9 @@ from .fraisse import arity_limit
 from .groups import (
     AutLimit,
     GroupPresentation,
+    LabelSpace,
     label_key,
     orbit_labels,
-    reindex_label,
 )
 
 
@@ -92,19 +97,26 @@ def _sigmas(j: int, k: int):
 def coherence_check(table: BehaviorTable) -> Violation | None:
     """First violation of B_j(reindex(tau, sigma)) = reindex(B_k(tau), sigma),
     scanning (k, j, sigma, tau) lexicographically; None when coherent."""
-    src, tgt = table.source, table.target
-    for k in range(1, table.max_arity + 1):
-        for j in range(1, table.max_arity + 1):
+    arities = range(1, table.max_arity + 1)
+    # The spaces list only the labels met here: listing all orbit labels
+    # would cost more than the memoized reindexing saves on one table.
+    src = LabelSpace(table.source, {k: [] for k in arities})
+    tgt = LabelSpace(table.target, {k: [] for k in arities})
+    # Per arity: (source id, image id, source label) in label_key order.
+    entries = {k: [(src.id_of(k, tau), tgt.id_of(k, image), tau)
+                   for _, (tau, image) in sorted(table._maps[k].items())]
+               for k in arities}
+    image_of = {k: {i: t for i, t, _ in entries[k]} for k in arities}
+    for k in arities:
+        for j in arities:
             for sigma in _sigmas(j, k):
-                for key in sorted(table._maps[k]):
-                    tau, image = table._maps[k][key]
-                    tau_re = reindex_label(src, tau, sigma)
-                    lhs = table.get(j, tau_re)
+                for i, t, tau in entries[k]:
+                    lhs = image_of[j].get(src.reindex(k, i, sigma))
                     if lhs is None:
                         continue
-                    rhs = reindex_label(tgt, image, sigma)
+                    rhs = tgt.reindex(k, t, sigma)
                     if lhs != rhs:
-                        return Violation(k, sigma, tau, rhs, lhs)
+                        return Violation(k, sigma, tau, tgt.labels[j][rhs], tgt.labels[j][lhs])
     return None
 
 
@@ -113,50 +125,50 @@ def enumerate_behaviors(source: GroupPresentation, target: GroupPresentation,
     """All coherent total tables up to the given arity, ordered by map graph."""
     if max_arity > arity_limit():
         raise ArityLimitExceeded(f"arity {max_arity} exceeds limit {arity_limit()}")
-    src_labels = {k: orbit_labels(source, k) for k in range(1, max_arity + 1)}
-    tgt_labels = {k: orbit_labels(target, k) for k in range(1, max_arity + 1)}
-    slots = [(k, tau) for k in range(1, max_arity + 1) for tau in src_labels[k]]
-    slot_index = {(k, label_key(tau)): i for i, (k, tau) in enumerate(slots)}
+    src = LabelSpace.admissible(source, max_arity)
+    tgt = LabelSpace.admissible(target, max_arity)
+    arities = range(1, max_arity + 1)
+    slots = [(k, i) for k in arities for i in range(len(src.labels[k]))]
+    first = {k: sum(len(src.labels[j]) for j in arities if j < k) for k in arities}
 
-    # Coherence links: assigning slot i forces slot j through sigma.
-    outgoing: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in slots]
-    incoming: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in slots]
-    for i, (k, tau) in enumerate(slots):
-        for j_ar in range(1, max_arity + 1):
-            for sigma in _sigmas(j_ar, k):
-                tau_re = reindex_label(source, tau, sigma)
-                j = slot_index[(j_ar, label_key(tau_re))]
-                outgoing[i].append((j, sigma))
-                incoming[j].append((i, sigma))
+    # Coherence links: slot s forces slot r = reindex(s, sigma) through the
+    # target reindexing row of sigma, image[r] == row[image[s]].  Slots are
+    # filled in order, so each link is checked at the later of its two slots:
+    # forward[s] holds (r, row) with r <= s, backward[r] holds (s, row), s < r.
+    rows = {(k, sigma): [tgt.reindex(k, t, sigma) for t in range(len(tgt.labels[k]))]
+            for k in arities for j in arities for sigma in _sigmas(j, k)}
+    forward: list[list] = [[] for _ in slots]
+    backward: list[list] = [[] for _ in slots]
+    for s, (k, i) in enumerate(slots):
+        for j in arities:
+            for sigma in _sigmas(j, k):
+                r = first[j] + src.reindex(k, i, sigma)
+                if r <= s:
+                    forward[s].append((r, rows[(k, sigma)]))
+                else:
+                    backward[r].append((s, rows[(k, sigma)]))
 
-    assignment: list = [None] * len(slots)
-    results: list[BehaviorTable] = []
+    image: list[int] = [0] * len(slots)
+    found: list[tuple] = []
 
-    def consistent(i) -> bool:
-        image = assignment[i]
-        for j, sigma in outgoing[i]:
-            if assignment[j] is not None and assignment[j] != reindex_label(target, image, sigma):
-                return False
-        for j, sigma in incoming[i]:
-            if assignment[j] is not None and image != reindex_label(target, assignment[j], sigma):
-                return False
-        return True
-
-    def rec(i):
-        if i == len(slots):
-            entries = [(k, tau, assignment[idx]) for idx, (k, tau) in enumerate(slots)]
-            results.append(BehaviorTable(source, target, max_arity, entries))
+    def rec(s):
+        if s == len(slots):
+            found.append(tuple(image))
             return
-        k, tau = slots[i]
-        for candidate in tgt_labels[k]:
-            assignment[i] = candidate
-            if consistent(i):
-                rec(i + 1)
-            assignment[i] = None
+        for a in range(len(tgt.labels[slots[s][0]])):
+            image[s] = a
+            if (all(image[r] == row[a] for r, row in forward[s])
+                    and all(a == row[image[r]] for r, row in backward[s])):
+                rec(s + 1)
 
     rec(0)
-    results.sort(key=BehaviorTable.graph_key)
-    return results
+    # Candidates are tried in id order, so the tables come out sorted by
+    # their target-id tuples: graph_key order, since every table has the
+    # same slots and ids follow label_key.
+    return [BehaviorTable(source, target, max_arity,
+                          [(k, src.labels[k][i], tgt.labels[k][a])
+                           for (k, i), a in zip(slots, ids)])
+            for ids in found]
 
 
 @dataclass(frozen=True)

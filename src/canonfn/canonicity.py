@@ -271,6 +271,8 @@ class MaxOracle(FunctionOracle):
 
 class ProjectionOracle(FunctionOracle):
     def __init__(self, limit: LimitStructure, m: int, coordinate: int):
+        if not 0 <= coordinate < m:
+            raise ValueError(f"projection coordinate {coordinate + 1} outside 1..{m}")
         super().__init__(limit, limit)
         self.m = m
         self.coordinate = coordinate

@@ -25,7 +25,7 @@ from .canonicity import (
     check_canonical,
 )
 from .errors import PresentationError
-from .fraisse import LimitStructure
+from .fraisse import LimitStructure, _check_arity
 from .groups import (
     AutLimit,
     GroupPresentation,
@@ -76,6 +76,11 @@ class HorizonExhausted:
 def _run_search(f: FunctionOracle, g_src: GroupPresentation, h_tgt: GroupPresentation,
                 source_limit: LimitStructure, m: int, fixed_cols, seed_points,
                 arity: int, depth: int, horizon: int):
+    _check_arity(arity)
+    if depth < 1:
+        raise ValueError("depth must be positive")
+    if horizon < 1:
+        raise ValueError("horizon must be positive")
     pool = [source_limit.element(i) for i in range(horizon)]
     if m == 1:
         points = [source_limit.element(i) for i in range(depth)]

@@ -28,7 +28,7 @@ from .errors import (
     CanonFnError,
     UsageError,
 )
-from .groups import format_label
+from .groups import LabelTexts, domain_limit, format_label, point_arity
 from .rationals import format_rational, parse_rational
 
 VERBS = (
@@ -135,7 +135,7 @@ def parse_command(argv) -> CommandSpec:
         raw = argv[i + 1]
         try:
             options[key] = schema[key](raw)
-        except (ValueError, ZeroDivisionError):
+        except ValueError:
             raise UsageError(
                 f"bad value {raw!r} for {token}", token=raw, position=i + 1,
                 expected=(getattr(schema[key], "__name__", "value"),),
@@ -190,11 +190,19 @@ def _age_from_options(options):
     return fraisse.builtin_age(options["age"])
 
 
+def _oracle_on(options, source):
+    """The --f oracle, built on the source's domain; its points must have as
+    many columns as the source's points."""
+    f = formats.parse_oracle_spec(options["f"], domain_limit(source))
+    columns = point_arity(source)
+    if f.m != columns:
+        raise ValueError(f"oracle {options['f']} takes {f.m}-column points; "
+                         f"{options['source']} acts on {columns}-column points")
+    return f
+
+
 def _behavior_lines(table) -> list[str]:
-    lines = ["behavior:"]
-    for k, src, tgt in table.entries():
-        lines.append(f"{k}: {format_label(src)} -> {format_label(tgt)}")
-    return lines
+    return ["behavior:"] + formats.behavior_lines(table, LabelTexts())
 
 
 def _verdict_lines(verdict) -> list[str]:
@@ -233,15 +241,15 @@ def _run_behaviors(options):
     source = formats.parse_group_spec(options["source"], structures)
     target = formats.parse_group_spec(options["target"], structures)
     tables = behaviors_mod.enumerate_behaviors(source, target, options["arity"])
+    texts = LabelTexts()
     lines = [f"behaviors: {len(tables)}"]
     for i, table in enumerate(tables):
         lines.append(f"table {i}:")
-        for k, src, tgt in table.entries():
-            lines.append(f"{k}: {format_label(src)} -> {format_label(tgt)}")
+        lines.extend(formats.behavior_lines(table, texts))
     if "out" in options:
         import pathlib
 
-        text = "\n---\n".join(formats.dump_behavior(t) for t in tables)
+        text = "\n---\n".join(formats.dump_behavior(t, texts) for t in tables)
         pathlib.Path(options["out"]).write_text(text)
         lines.append(f"saved: {options['out']}")
     return 0, lines
@@ -253,13 +261,18 @@ def _run_check(options):
     structures = _load_structures(options)
     source = formats.parse_group_spec(options["source"], structures)
     target = formats.parse_group_spec(options["target"], structures)
-    f = formats.parse_oracle_spec(options["f"])
+    f = _oracle_on(options, source)
     verdict = check_canonical(f, source, target, options["horizon"], options["arity"])
     return 0, _verdict_lines(verdict)
 
 
 def _run_canonize(options):
-    f = formats.parse_oracle_spec(options["f"])
+    structures = _load_structures(options)
+    source = formats.parse_group_spec(options.get("source", "aut(dlo)"), structures)
+    if "source" in options:
+        f = _oracle_on(options, source)
+    else:  # an m-ary oracle then acts on power(aut(dlo), m)
+        f = formats.parse_oracle_spec(options["f"])
     if "constants" in options or f.m > 1:
         consts = []
         if "constants" in options:
@@ -277,8 +290,6 @@ def _run_canonize(options):
             f, consts, options["arity"], options["depth"], options["horizon"]
         )
     else:
-        structures = _load_structures(options)
-        source = formats.parse_group_spec(options.get("source", "aut(dlo)"), structures)
         target = formats.parse_group_spec(options.get("target", "aut(dlo)"), structures)
         result = canonize(
             f, source, target, options["arity"], options["depth"], options["horizon"]
@@ -340,7 +351,7 @@ def _run_harness(options):
     structures = _load_structures(options)
     source = formats.parse_group_spec(options["source"], structures)
     target = formats.parse_group_spec(options["target"], structures)
-    f = formats.parse_oracle_spec(options["f"])
+    f = _oracle_on(options, source)
     report = proposition_harness(f, source, target, options["horizon"], options["arity"])
     canonical = bool(report.verdict)
     local_ok = all(r.local_pass for r in report.seed_results)
@@ -362,6 +373,8 @@ def _run_harness(options):
 def _run_iso(options):
     source = symbolic.dense_set_by_name(options["source"])
     target = symbolic.dense_set_by_name(options["target"])
+    if options["points"] < 1:
+        raise ValueError("points must be positive")
     mapping = symbolic.canonical_iso(source, target)
     while len(mapping.committed) < options["points"]:
         mapping.run_stages(1)

@@ -27,6 +27,7 @@ from .canonicity import (
 )
 from .errors import FormatError
 from .fraisse import (
+    DloLimit,
     FiniteStructure,
     ForbiddenSubstructuresAge,
     LimitStructure,
@@ -38,9 +39,9 @@ from .groups import (
     AutLimit,
     GroupPresentation,
     PowerGroup,
+    LabelTexts,
     StabilizerGroup,
     _split_top,
-    format_label,
     parse_label,
     validate_presentation,
 )
@@ -292,6 +293,9 @@ def parse_oracle_spec(text: str, limit: LimitStructure | None = None,
     read_file = read_file or (lambda p: pathlib.Path(p).read_text())
     text = text.strip()
     limit = limit or builtin_limit("dlo")
+    rational = text == "pham" or text.startswith(("const:", "pieces:"))
+    if rational and not isinstance(limit, DloLimit):
+        raise ValueError(f"oracle {text} maps rationals; {limit.name} is not the rational order")
     if text == "id":
         return IdentityOracle(limit, limit)
     if text == "neg":
@@ -372,14 +376,19 @@ def load_function_table(text: str, limit: LimitStructure | None = None) -> Table
 # behavior tables
 
 
-def dump_behavior(table: BehaviorTable) -> str:
+def behavior_lines(table: BehaviorTable, texts: LabelTexts) -> list[str]:
+    """One `k: source -> target` line per entry, labels formatted through the
+    command's texts."""
+    return [f"{k}: {texts[src]} -> {texts[tgt]}" for k, src, tgt in table.entries()]
+
+
+def dump_behavior(table: BehaviorTable, texts: LabelTexts | None = None) -> str:
     lines = [
         f"source: {format_group_spec(table.source)}",
         f"target: {format_group_spec(table.target)}",
         f"arity: {table.max_arity}",
     ]
-    for k, src, tgt in table.entries():
-        lines.append(f"{k}: {format_label(src)} -> {format_label(tgt)}")
+    lines.extend(behavior_lines(table, LabelTexts() if texts is None else texts))
     return "\n".join(lines) + "\n"
 
 

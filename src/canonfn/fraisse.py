@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import os
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator
@@ -646,8 +645,7 @@ class GenericLimit(LimitStructure):
     """Demand-driven limit of an arbitrary age.
 
     Elements are enumeration indices.  The fragment grows monotonically and
-    deterministically; growth is serialized under a lock so concurrent readers
-    observe consistent prefixes.
+    deterministically.  Not thread-safe: reads can grow the fragment.
     """
 
     def __init__(self, age: AgeOracle, name: str | None = None):
@@ -657,7 +655,6 @@ class GenericLimit(LimitStructure):
         self._size = 0
         self._log: list[DemandLogEntry] = []
         self._schedule = self._diagonal_pairs()
-        self._lock = threading.Lock()
 
     @staticmethod
     def _diagonal_pairs():
@@ -698,9 +695,8 @@ class GenericLimit(LimitStructure):
         return (name, tuple(int(e) for e in elements)) in self._atoms
 
     def ensure_size(self, n: int) -> None:
-        with self._lock:
-            while self._size < n:
-                self._step()
+        while self._size < n:
+            self._step()
 
     def _seed(self) -> None:
         first = nth_extension(self.age, empty_structure(self.age.signature), 0)

@@ -5,6 +5,13 @@ finite powers acting componentwise on column tuples, and pointwise
 stabilizers.  Orbit equivalence is decided through labels (type records and
 tuples thereof), never through explicit group elements; for the built-in
 homogeneous limits this is sound and complete.
+
+A LabelSpace interns the labels of one presentation as int ids per arity,
+with memoized reindexing; LabelSpace.admissible lists all orbit labels, so
+ids follow label_key.  The behavior-table layer (enumerate_behaviors,
+coherence_check) works on these ids for one call and turns them back into
+labels only where it builds a BehaviorTable or a Violation.  LabelTexts
+formats each distinct label once per command.
 """
 
 from __future__ import annotations
@@ -191,6 +198,55 @@ def format_label(label) -> str:
     if isinstance(label, TupleTypeRecord):
         return format_type(label)
     return "(" + " * ".join(format_label(part) for part in label) + ")"
+
+
+class LabelSpace:
+    """Labels of one presentation, interned per arity as int ids.
+
+    labels[k] lists the arity-k labels by id.  In LabelSpace.admissible(g, n)
+    labels[k] is orbit_labels(g, k), so ids follow label_key order.  reindex
+    is memoized, so reindex_label runs at most once for each (label, sigma).
+    A space lives for one call (enumerate_behaviors, coherence_check); its
+    callers turn ids back into labels through labels[k][i].
+    """
+
+    def __init__(self, g: GroupPresentation, labels: dict[int, list]):
+        self.g = g
+        self.labels = {k: list(ls) for k, ls in labels.items()}
+        self._ids = {k: {label: i for i, label in enumerate(ls)}
+                     for k, ls in self.labels.items()}
+        self._reindexed: dict = {}
+
+    @classmethod
+    def admissible(cls, g: GroupPresentation, max_arity: int) -> "LabelSpace":
+        return cls(g, {k: orbit_labels(g, k) for k in range(1, max_arity + 1)})
+
+    def id_of(self, k: int, label) -> int:
+        """Id of an arity-k label; a label not yet listed takes the next id."""
+        ids = self._ids[k]
+        i = ids.get(label)
+        if i is None:
+            i = ids[label] = len(self.labels[k])
+            self.labels[k].append(label)
+        return i
+
+    def reindex(self, k: int, i: int, sigma: tuple[int, ...]) -> int:
+        """Id of reindex_label(g, labels[k][i], sigma), of arity len(sigma)."""
+        key = (k, i, sigma)
+        j = self._reindexed.get(key)
+        if j is None:
+            label = reindex_label(self.g, self.labels[k][i], sigma)
+            j = self._reindexed[key] = self.id_of(len(sigma), label)
+        return j
+
+
+class LabelTexts(dict):
+    """format_label memoized for one command: texts[label] formats each
+    distinct label once."""
+
+    def __missing__(self, label) -> str:
+        text = self[label] = format_label(label)
+        return text
 
 
 def _split_top(text: str, sep: str, maxsplit: int = -1) -> list[str]:

@@ -137,6 +137,8 @@ def parse_rational(text: str) -> Fraction:
     if not text:
         raise ValueError("empty rational literal")
     if "/" in text:
-        num, _, den = text.partition("/")
-        return Fraction(int(num), int(den))
+        num, den = (int(part) for part in text.split("/", 1))
+        if den == 0:
+            raise ValueError(f"zero denominator in {text!r}")
+        return Fraction(num, den)
     return Fraction(int(text))

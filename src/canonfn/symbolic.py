@@ -81,18 +81,14 @@ class BackAndForthMap:
     commits the least-enumerated uncommitted element on its side to the
     enumeration-least admissible partner.  The construction is deterministic
     given the two sets and the optional seed pairs, and every committed stage
-    is a finite order isomorphism.
+    is a finite order isomorphism.  Not thread-safe: evaluation commits stages.
     """
 
     def __init__(self, source: ComputableDenseSet, target: ComputableDenseSet,
                  seeds=(), probe_cap: int = 1 << 22):
-        import threading
-
         self.source = source
         self.target = target
         self.name = f"iso({source.name},{target.name})"
-        # Commitments are append-only; evaluation behaves as if serialized.
-        self._lock = threading.RLock()
         self._pairs: list[tuple[Fraction, Fraction]] = []
         # Commitments sorted by source value; the aligned target column is
         # sorted as well since every stage preserves order.
@@ -165,35 +161,32 @@ class BackAndForthMap:
         self._forth_turn = not self._forth_turn
 
     def run_stages(self, count: int) -> None:
-        with self._lock:
-            for _ in range(count):
-                self._stage()
+        for _ in range(count):
+            self._stage()
 
     def eval(self, x) -> Fraction:
         x = Fraction(x)
         if not self.source.contains(x):
             raise ValueError(f"{x} is not in {self.source.name}")
-        with self._lock:
-            guard = 0
-            while x not in self._fwd:
-                self._stage()
-                guard += 1
-                if guard > self._probe_cap:
-                    raise BudgetExhausted("back-and-forth did not reach the requested point")
-            return self._fwd[x]
+        guard = 0
+        while x not in self._fwd:
+            self._stage()
+            guard += 1
+            if guard > self._probe_cap:
+                raise BudgetExhausted("back-and-forth did not reach the requested point")
+        return self._fwd[x]
 
     def inverse(self, y) -> Fraction:
         y = Fraction(y)
         if not self.target.contains(y):
             raise ValueError(f"{y} is not in {self.target.name}")
-        with self._lock:
-            guard = 0
-            while y not in self._bwd:
-                self._stage()
-                guard += 1
-                if guard > self._probe_cap:
-                    raise BudgetExhausted("back-and-forth did not reach the requested point")
-            return self._bwd[y]
+        guard = 0
+        while y not in self._bwd:
+            self._stage()
+            guard += 1
+            if guard > self._probe_cap:
+                raise BudgetExhausted("back-and-forth did not reach the requested point")
+        return self._bwd[y]
 
     def __call__(self, x):
         return self.eval(x)

@@ -175,6 +175,56 @@ class TestScanSizeGuard:
         assert (code, report) == (1, "error: ArityLimitExceeded: arity 7 exceeds limit 6\n")
 
 
+class TestCanonizeSizeGuard:
+    CANONIZE = ["canonize", "--f", "neg", "--source", "aut(dlo)", "--target", "aut(dlo)"]
+
+    def test_negative_depth_is_error(self):
+        code, report = run_argv(self.CANONIZE + ["--arity", "2", "--depth", "-2",
+                                                 "--horizon", "0"])
+        assert (code, report) == (1, "error: ValueError: depth must be positive\n")
+
+    def test_arity_zero_is_error(self):
+        code, report = run_argv(self.CANONIZE + ["--arity", "0", "--depth", "3",
+                                                 "--horizon", "8"])
+        assert (code, report) == (1, "error: ValueError: arity must be positive\n")
+
+    def test_zero_horizon_with_constants_is_error(self):
+        code, report = run_argv(["canonize", "--f", "min", "--arity", "2", "--depth", "3",
+                                 "--horizon", "0"])
+        assert (code, report) == (1, "error: ValueError: horizon must be positive\n")
+
+
+class TestOracleFitsSource:
+    def check(self, spec, source="aut(dlo)", target="aut(dlo)"):
+        return run_argv(["check", "--f", spec, "--source", source, "--target", target,
+                         "--horizon", "6", "--arity", "2"])
+
+    def test_zero_denominator_is_error(self):
+        assert self.check("const:1/0") == (
+            1, "error: ValueError: zero denominator in '1/0'\n")
+
+    def test_projection_coordinate_out_of_range_is_error(self):
+        assert self.check("proj:3/2", source="power(aut(dlo),2)") == (
+            1, "error: ValueError: projection coordinate 3 outside 1..2\n")
+
+    def test_binary_oracle_on_unary_source_is_error(self):
+        assert self.check("min") == (
+            1, "error: ValueError: oracle min takes 2-column points; "
+               "aut(dlo) acts on 1-column points\n")
+
+    def test_rational_oracle_on_rado_is_error(self):
+        assert self.check("neg", "aut(rado)", "aut(rado)") == (
+            1, "error: ValueError: negation is a dlo oracle\n")
+        assert self.check("const:1/2", "aut(rado)", "aut(rado)") == (
+            1, "error: ValueError: oracle const:1/2 maps rationals; "
+               "rado is not the rational order\n")
+
+
+def test_iso_nonpositive_points_is_error():
+    code, report = run_argv(["iso", "--source", "q", "--target", "q", "--points", "-1"])
+    assert (code, report) == (1, "error: ValueError: points must be positive\n")
+
+
 class TestDeterminismAndRecords:
     def test_reports_byte_identical(self):
         argv = ["canonize", "--f", "pieces:[(-inf,0):x*-1; [0,inf):x]",
