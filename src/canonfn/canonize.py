@@ -1,14 +1,18 @@
 """Extraction of canonical functions by incremental embedding search.
 
-The search grows a nested family of type-preserving partial self-embeddings
-of the source, level by level over the enumerated domain points, keeping the
-induced behavior of the composed sample conflict-free up to a bounded arity:
-each committed point is pushed onto a canonicity.BehaviorScan, and the
-candidate images of a column are those LimitStructure.admissible_image
-accepts.  Backtracking explores images in enumeration order, so the first
-tower found is the enumeration-lexicographically least one; exhausting the
-horizon is inconclusive.  A pair-coloring Ramsey search over finite tables
-backs the arity-2 picture.
+canonize is the one search entry point, for every source shape: aut(limit),
+power(aut(limit), m), and stabilizers of either (constants fixed).  It
+grows one type-preserving partial self-embedding of the limit per column of
+the source's points, level by level over the enumerated domain points,
+keeping the induced behavior of the composed sample conflict-free up to a
+bounded arity: each committed point is pushed onto a canonicity.BehaviorScan,
+and the candidate images of a column are those
+LimitStructure.admissible_image accepts.  Backtracking explores images in
+enumeration order, so the first tower found is the
+enumeration-lexicographically least one; exhausting the horizon is
+inconclusive.  canonize_with_constants only builds the stabilized
+presentations and calls canonize.  A pair-coloring Ramsey search over finite
+tables backs the arity-2 picture.
 """
 
 from __future__ import annotations
@@ -25,13 +29,17 @@ from .canonicity import (
     check_canonical,
 )
 from .errors import PresentationError
-from .fraisse import LimitStructure, _check_arity
+from .fraisse import _check_arity
 from .groups import (
     AutLimit,
     GroupPresentation,
     PowerGroup,
     StabilizerGroup,
+    domain_limit,
     point,
+    point_arity,
+    stabilized,
+    validate_presentation,
 )
 
 
@@ -42,12 +50,6 @@ class EmbeddingTower:
 
     seeds: tuple
     pairs: tuple
-
-    def as_map(self) -> dict:
-        return dict(self.seeds + self.pairs)
-
-    def level(self, n: int) -> tuple:
-        return self.seeds + self.pairs[:n]
 
     @property
     def depth(self) -> int:
@@ -73,30 +75,36 @@ class HorizonExhausted:
         return False
 
 
-def _run_search(f: FunctionOracle, g_src: GroupPresentation, h_tgt: GroupPresentation,
-                source_limit: LimitStructure, m: int, fixed_cols, seed_points,
-                arity: int, depth: int, horizon: int):
+def _run_search(f: FunctionOracle, g: GroupPresentation, h: GroupPresentation,
+                arity: int, depth: int, horizon: int, seeds: tuple):
     _check_arity(arity)
     if depth < 1:
         raise ValueError("depth must be positive")
     if horizon < 1:
         raise ValueError("horizon must be positive")
-    pool = [source_limit.element(i) for i in range(horizon)]
-    if m == 1:
-        points = [source_limit.element(i) for i in range(depth)]
-    else:
-        pg = PowerGroup(AutLimit(source_limit), m)
-        points = [point(pg, i) for i in range(depth)]
-    col_map = [dict(fc) for fc in fixed_cols]
-    col_committed = [list(fc.items()) for fc in fixed_cols]
+    limit = domain_limit(g)
+    m = point_arity(g)
+    pool = [limit.element(i) for i in range(horizon)]
+    points = [point(g, i) for i in range(depth)]
 
-    scan = BehaviorScan(g_src, h_tgt, arity)
+    def columns(p) -> tuple:
+        return p if m > 1 else (p,)
+
+    # One type-preserving partial embedding per column; the seeds' columns
+    # are fixed pointwise up front.
+    col_map: list[dict] = [{} for _ in range(m)]
+    for c in seeds:
+        for i, v in enumerate(columns(c)):
+            col_map[i][v] = v
+    col_committed = [list(cm.items()) for cm in col_map]
+
+    scan = BehaviorScan(g, h, arity)
     nodes = 0
     deepest = 0
 
     # Constants enter the sample first; their columns are pre-committed, so
     # the composed sample agrees with f on them by construction.
-    for c in seed_points:
+    for c in seeds:
         if not scan.push(c, f(c)):
             raise PresentationError("constant points conflict with each other")
 
@@ -112,10 +120,10 @@ def _run_search(f: FunctionOracle, g_src: GroupPresentation, h_tgt: GroupPresent
             # A constant point reappearing in the enumeration: its image and
             # its tuples are committed already.
             return rec(level + 1)
-        cols = (p,) if m == 1 else p
+        cols = columns(p)
         free = [i for i in range(m) if cols[i] not in col_map[i]]
         cand_lists = [
-            [y for y in pool if source_limit.admissible_image(col_committed[i], cols[i], y)]
+            [y for y in pool if limit.admissible_image(col_committed[i], cols[i], y)]
             for i in free
         ]
         for combo in itertools.product(*cand_lists):
@@ -123,10 +131,8 @@ def _run_search(f: FunctionOracle, g_src: GroupPresentation, h_tgt: GroupPresent
             for i, y in zip(free, combo):
                 col_map[i][cols[i]] = y
                 col_committed[i].append((cols[i], y))
-            if m == 1:
-                image_point = col_map[0][p]
-            else:
-                image_point = tuple(col_map[i][cols[i]] for i in range(m))
+            image = tuple(col_map[i][cols[i]] for i in range(m))
+            image_point = image if m > 1 else image[0]
             if scan.push(p, f(image_point)):
                 towers.append((p, image_point))
                 if rec(level + 1):
@@ -140,9 +146,9 @@ def _run_search(f: FunctionOracle, g_src: GroupPresentation, h_tgt: GroupPresent
 
     if not rec(0):
         return HorizonExhausted(deepest, nodes)
-    tower = EmbeddingTower(tuple((c, c) for c in seed_points), tuple(towers))
-    oracle = TableOracle(source_limit, f.target, dict(zip(scan.points, scan.images)), m=m)
-    certificate = check_canonical(oracle, g_src, h_tgt, len(scan.points), arity,
+    tower = EmbeddingTower(tuple((c, c) for c in seeds), tuple(towers))
+    oracle = TableOracle(limit, f.target, dict(zip(scan.points, scan.images)), m=m)
+    certificate = check_canonical(oracle, g, h, len(scan.points), arity,
                                   points=scan.points)
     if not isinstance(certificate, CanonicalUpTo):
         raise AssertionError("search invariant broken: sample not canonical")
@@ -153,65 +159,36 @@ def canonize(f: FunctionOracle, g: GroupPresentation, h: GroupPresentation,
              arity: int, depth: int, horizon: int):
     """Search the closure of H f G for a canonical sample of the given depth.
 
-    g must present the source limit (aut or a stabilizer of aut); images are
-    drawn from the first horizon source elements.  Returns the first tower in
-    depth-first enumeration order, or HorizonExhausted (never a nonexistence
-    claim).
+    g presents the source: aut(limit), power(aut(limit), m), or a stabilizer
+    of either.  f takes points with as many columns as g's points; each
+    column grows its own type-preserving embedding of the limit, and a
+    stabilizer's constants enter the sample first, fixed pointwise, so the
+    sample agrees with f on them.  Images are drawn from the first horizon
+    elements of the limit.  Returns the first tower in depth-first
+    enumeration order, or HorizonExhausted (never a nonexistence claim).
     """
-    if f.m != 1:
-        raise PresentationError("canonize takes unary oracles; see canonize_with_constants")
-    if isinstance(g, AutLimit):
-        source_limit, seeds = g.limit, ()
-    elif isinstance(g, StabilizerGroup) and isinstance(g.base, AutLimit):
-        source_limit, seeds = g.base.limit, tuple(g.constants)
-    else:
-        raise PresentationError("canonize needs aut or stab(aut) on the source side")
-    fixed = [{c: c for c in seeds}]
-    return _run_search(f, g, h, source_limit, 1, fixed, seeds, arity, depth, horizon)
-
-
-def _normalize_constants(constants, m: int) -> tuple:
-    out = []
-    for c in constants:
-        if m == 1:
-            out.append(Fraction(c) if not isinstance(c, tuple) else Fraction(c[0]))
-        else:
-            c = tuple(Fraction(v) for v in c)
-            if len(c) != m:
-                raise ValueError(f"constant {c} does not match arity {m}")
-            out.append(c)
-    return tuple(out)
+    validate_presentation(g)
+    validate_presentation(h)
+    if f.m != point_arity(g):
+        raise PresentationError(f"oracle takes {f.m}-column points; "
+                                f"{g!r} acts on {point_arity(g)}-column points")
+    seeds = tuple(g.constants) if isinstance(g, StabilizerGroup) else ()
+    return _run_search(f, g, h, arity, depth, horizon, seeds)
 
 
 def canonize_with_constants(f: FunctionOracle, constants, arity: int,
                             depth: int, horizon: int):
-    """Canonize an m-ary oracle over the rational order while agreeing with it
-    on the given constant tuples.
+    """Canonize an m-ary oracle over its source limit while agreeing with it
+    on the given constant points.
 
-    The source is the m-th power of aut(dlo) stabilized at the constants (each
-    column embedding fixes the relevant coordinates pointwise), the target is
-    aut(dlo) stabilized at the f-images of the constants; the returned sample
-    contains the constants, so agreement holds by construction.
+    The source is aut(f.source), or its m-th power, stabilized at the
+    constants; the target is aut(f.target) stabilized at the f-images of the
+    constants (see groups.stabilized).  canonize does the search.
     """
-    m = f.m
-    source_limit = f.source
-    consts = _normalize_constants(constants, m)
-    aut = AutLimit(source_limit)
-    if m == 1:
-        base: GroupPresentation = aut
-    else:
-        base = PowerGroup(aut, m)
-    if consts:
-        g: GroupPresentation = StabilizerGroup(base, consts)
-        h: GroupPresentation = StabilizerGroup(AutLimit(f.target),
-                                               tuple(f(c) for c in consts))
-    else:
-        g, h = base, AutLimit(f.target)
-    if m == 1:
-        fixed = [{c: c for c in consts}]
-    else:
-        fixed = [{c[i]: c[i] for c in consts} for i in range(m)]
-    return _run_search(f, g, h, source_limit, m, fixed, consts, arity, depth, horizon)
+    aut = AutLimit(f.source)
+    g: GroupPresentation = aut if f.m == 1 else PowerGroup(aut, f.m)
+    g, h = stabilized(g, AutLimit(f.target), constants, f)
+    return canonize(f, g, h, arity, depth, horizon)
 
 
 # ---------------------------------------------------------------------------

@@ -22,13 +22,21 @@ from .canonicity import (
     Counterexample,
     proposition_harness,
 )
-from .canonize import HorizonExhausted, canonize, canonize_with_constants
+from .canonize import HorizonExhausted, canonize
 from .errors import (
     BudgetExhausted,
     CanonFnError,
     UsageError,
 )
-from .groups import LabelTexts, domain_limit, format_label, point_arity
+from .groups import (
+    AutLimit,
+    LabelTexts,
+    PowerGroup,
+    domain_limit,
+    format_label,
+    point_arity,
+    stabilized,
+)
 from .rationals import format_rational, parse_rational
 
 VERBS = (
@@ -190,15 +198,34 @@ def _age_from_options(options):
     return fraisse.builtin_age(options["age"])
 
 
-def _oracle_on(options, source):
-    """The --f oracle, built on the source's domain; its points must have as
-    many columns as the source's points."""
-    f = formats.parse_oracle_spec(options["f"], domain_limit(source))
-    columns = point_arity(source)
-    if f.m != columns:
-        raise ValueError(f"oracle {options['f']} takes {f.m}-column points; "
-                         f"{options['source']} acts on {columns}-column points")
-    return f
+def _presentations(options):
+    """The --f oracle and the source and target presentations of check,
+    harness and canonize; the oracle is built on the source's domain.
+
+    Only canonize leaves --source and --target out: the source is then
+    aut(dlo), or power(aut(dlo), m) for an m-ary oracle, and the target
+    aut(dlo).  The oracle must take the source's points and give single
+    points of the target's structure; otherwise ValueError.
+    """
+    structures = _load_structures(options)
+    source = None
+    if "source" in options:
+        source = formats.parse_group_spec(options["source"], structures)
+    target = formats.parse_group_spec(options.get("target", "aut(dlo)"), structures)
+    spec = options["f"]
+    f = formats.parse_oracle_spec(spec, domain_limit(source) if source else None)
+    if source is None:
+        source = AutLimit(f.source) if f.m == 1 else PowerGroup(AutLimit(f.source), f.m)
+    for g, verb, columns in ((source, "takes", f.m), (target, "gives", 1)):
+        if point_arity(g) != columns:
+            raise ValueError(f"oracle {spec} {verb} {columns}-column points; "
+                             f"{formats.format_group_spec(g)} acts on "
+                             f"{point_arity(g)}-column points")
+    values = domain_limit(target)
+    if type(values) is not type(f.target) or values.name != f.target.name:
+        raise ValueError(f"oracle {spec} gives values in {f.target.name}; "
+                         f"{formats.format_group_spec(target)} acts on {values.name}")
+    return f, source, target
 
 
 def _behavior_lines(table) -> list[str]:
@@ -258,42 +285,23 @@ def _run_behaviors(options):
 def _run_check(options):
     from .canonicity import check_canonical
 
-    structures = _load_structures(options)
-    source = formats.parse_group_spec(options["source"], structures)
-    target = formats.parse_group_spec(options["target"], structures)
-    f = _oracle_on(options, source)
+    f, source, target = _presentations(options)
     verdict = check_canonical(f, source, target, options["horizon"], options["arity"])
     return 0, _verdict_lines(verdict)
 
 
 def _run_canonize(options):
-    structures = _load_structures(options)
-    source = formats.parse_group_spec(options.get("source", "aut(dlo)"), structures)
-    if "source" in options:
-        f = _oracle_on(options, source)
-    else:  # an m-ary oracle then acts on power(aut(dlo), m)
-        f = formats.parse_oracle_spec(options["f"])
-    if "constants" in options or f.m > 1:
-        consts = []
-        if "constants" in options:
-            import pathlib
+    f, source, target = _presentations(options)
+    if "constants" in options:
+        import pathlib
 
-            for lineno, line in formats._content_lines(
-                pathlib.Path(options["constants"]).read_text()
-            ):
-                consts.append(formats._parse_point(line, lineno))
-            consts = [
-                c if isinstance(c, tuple) or f.m == 1 else (c,)
-                for c in consts
-            ]
-        result = canonize_with_constants(
-            f, consts, options["arity"], options["depth"], options["horizon"]
-        )
-    else:
-        target = formats.parse_group_spec(options.get("target", "aut(dlo)"), structures)
-        result = canonize(
-            f, source, target, options["arity"], options["depth"], options["horizon"]
-        )
+        text = pathlib.Path(options["constants"]).read_text()
+        consts = [formats._parse_point(line, lineno)
+                  for lineno, line in formats._content_lines(text)]
+        source, target = stabilized(source, target, consts, f)
+    result = canonize(
+        f, source, target, options["arity"], options["depth"], options["horizon"]
+    )
     if isinstance(result, HorizonExhausted):
         return 2, ["result: horizon-exhausted", f"nodes: {result.nodes}"]
     lines = ["result: canonical-approximation"]
@@ -348,10 +356,7 @@ def _run_verify_age(options):
 
 
 def _run_harness(options):
-    structures = _load_structures(options)
-    source = formats.parse_group_spec(options["source"], structures)
-    target = formats.parse_group_spec(options["target"], structures)
-    f = _oracle_on(options, source)
+    f, source, target = _presentations(options)
     report = proposition_harness(f, source, target, options["horizon"], options["arity"])
     canonical = bool(report.verdict)
     local_ok = all(r.local_pass for r in report.seed_results)

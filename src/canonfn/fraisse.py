@@ -22,9 +22,9 @@ from .rationals import index_of_rational, least_enum_in_interval, rational_of_in
 
 DEFAULT_ARITY_LIMIT = 6
 
-# Full labeled enumeration in verify_amalgamation is exact up to this size;
-# beyond it members are grown from smaller members, which presumes
-# hereditariness below the bound.
+# Labeled enumeration in verify_amalgamation (pruned by the age's step_ok,
+# filtered by contains) is exact up to this size; beyond it members are grown
+# from smaller members, which presumes hereditariness below the bound.
 _FULL_ENUM_MAX = 4
 
 
@@ -849,20 +849,6 @@ class AmalgamationReport:
         return f"{self.failure_kind} violation: {self.detail}"
 
 
-def _all_structures(age: AgeOracle, size: int) -> Iterator[FiniteStructure]:
-    sig = age.signature
-    candidates = _all_atoms(sig, range(size), size)
-
-    # No membership filtering here: enumerate every labeled structure.
-    class _Everything(AgeOracle):
-        signature = sig
-
-        def contains(self, s):
-            return True
-
-    yield from _table_dfs(_Everything(), size, frozenset(), candidates)
-
-
 def _members_by_size(age: AgeOracle, bound: int) -> tuple[dict[int, list[FiniteStructure]], str]:
     members: dict[int, list[FiniteStructure]] = {0: []}
     empty = empty_structure(age.signature)
@@ -871,7 +857,8 @@ def _members_by_size(age: AgeOracle, bound: int) -> tuple[dict[int, list[FiniteS
     note = ""
     for s in range(1, bound + 1):
         if s <= _FULL_ENUM_MAX:
-            members[s] = [st for st in _all_structures(age, s) if age.contains(st)]
+            candidates = _all_atoms(age.signature, range(s), s)
+            members[s] = list(_table_dfs(age, s, frozenset(), candidates))
         else:
             grown = []
             seen = set()

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable
 
 from .errors import PresentationError, TypeMismatch
@@ -96,6 +97,28 @@ def point_arity(g: GroupPresentation) -> int:
     if isinstance(g, PowerGroup):
         return g.m * point_arity(g.base)
     return point_arity(g.base)
+
+
+def stabilized(g: GroupPresentation, h: GroupPresentation, constants, image):
+    """stab(g; constants) and stab(h; their images under image), or (g, h)
+    when there are no constants.
+
+    Each constant becomes a point of g: exact rationals, one per column of
+    g's points (a bare value for one column); a constant with another
+    number of columns is a ValueError.
+    """
+    m = point_arity(g)
+    consts = []
+    for c in constants:
+        cols = tuple(Fraction(v) for v in (c if isinstance(c, tuple) else (c,)))
+        if len(cols) != m:
+            raise ValueError(f"constant ({', '.join(map(str, cols))}) does not fit "
+                             f"{g!r}, which acts on {m}-column points")
+        consts.append(cols if m > 1 else cols[0])
+    if not consts:
+        return g, h
+    return (StabilizerGroup(g, tuple(consts)),
+            StabilizerGroup(h, tuple(image(c) for c in consts)))
 
 
 def _index_tuples(m: int):
@@ -292,7 +315,8 @@ class PartialAutomorphism:
     Extension commits the enumeration-least admissible image, which the
     limit's least_image finds (DloLimit by order position, other limits by
     probing the enumeration), so the germ is deterministic given its seed
-    pairs.
+    pairs.  Each committed pair is tested with the limit's admissible_image;
+    verify() recomputes the types from scratch.
     """
 
     def __init__(self, limit: LimitStructure, pairs: Iterable[tuple] = (), probe_cap: int = 1 << 21):
@@ -308,9 +332,7 @@ class PartialAutomorphism:
             if self._map[x] != y:
                 raise TypeMismatch(f"conflicting images for {x}")
             return
-        dom = tuple(p[0] for p in self._pairs) + (x,)
-        rng = tuple(p[1] for p in self._pairs) + (y,)
-        if self.limit.qf_type(dom) != self.limit.qf_type(rng):
+        if not self.limit.admissible_image(self._pairs, x, y):
             raise TypeMismatch(f"pair {x} -> {y} breaks the type of the germ")
         self._pairs.append((x, y))
         self._map[x] = y
@@ -318,12 +340,6 @@ class PartialAutomorphism:
     @property
     def pairs(self) -> tuple:
         return tuple(self._pairs)
-
-    def domain(self) -> tuple:
-        return tuple(p[0] for p in self._pairs)
-
-    def defined_at(self, x) -> bool:
-        return x in self._map
 
     def extend(self, x):
         """Image of x, committing the enumeration-least admissible value."""

@@ -12,6 +12,7 @@ from canonfn import (
     IdentityOracle,
     MinOracle,
     NegationOracle,
+    PowerGroup,
     PresentationError,
     StabilizerGroup,
     TableOracle,
@@ -91,6 +92,29 @@ class TestCanonize:
             canonize(MinOracle(dlo, dlo), aut_dlo, aut_dlo, 2, 4, 16)
 
 
+@pytest.fixture(scope="module")
+def min_result(dlo):
+    return canonize_with_constants(MinOracle(dlo, dlo), [], 2, 6, 64)
+
+
+class TestOneSearchForEverySourceShape:
+    def test_power_source(self, dlo, aut_dlo, min_result):
+        result = canonize(MinOracle(dlo, dlo), PowerGroup(aut_dlo, 2), aut_dlo, 2, 6, 64)
+        assert result.tower == min_result.tower
+        assert result.behavior.graph_key() == min_result.behavior.graph_key()
+
+    def test_stabilized_power_source(self, dlo, aut_dlo):
+        c = (F(0), F(1))
+        f = MinOracle(dlo, dlo)
+        g = StabilizerGroup(PowerGroup(aut_dlo, 2), (c,))
+        h = StabilizerGroup(aut_dlo, (F(0),))
+        result = canonize(f, g, h, 2, 6, 64)
+        expected = canonize_with_constants(f, [c], 2, 6, 64)
+        assert result.tower.seeds == ((c, c),)
+        assert result.tower == expected.tower
+        assert result.behavior.graph_key() == expected.behavior.graph_key()
+
+
 class TestCanonizeWithConstants:
     def test_identity_fixing_zero(self, dlo):
         result = canonize_with_constants(IdentityOracle(dlo, dlo), [F(0)], 2, 6, 64)
@@ -108,21 +132,19 @@ class TestCanonizeWithConstants:
         assert result.behavior.get(1, pos) == neg_img
         assert result.behavior.get(1, neg_img) == pos
 
-    def test_min_finds_projection(self, dlo):
-        result = canonize_with_constants(MinOracle(dlo, dlo), [], 2, 6, 64)
-        assert isinstance(result, CanonicalApproximation)
-        entries = result.behavior.entries()
+    def test_min_finds_projection(self, min_result):
+        assert isinstance(min_result, CanonicalApproximation)
+        entries = min_result.behavior.entries()
         column = None
         for i in (0, 1):
             if all(label_key(s[i]) == label_key(t) for _, s, t in entries):
                 column = i
         assert column is not None
 
-    def test_min_certificate(self, dlo):
-        result = canonize_with_constants(MinOracle(dlo, dlo), [], 2, 6, 64)
-        assert isinstance(result.certificate, CanonicalUpTo)
-        for x, y in result.tower.pairs:
-            assert result.sample(x) == min(y)
+    def test_min_certificate(self, min_result):
+        assert isinstance(min_result.certificate, CanonicalUpTo)
+        for x, y in min_result.tower.pairs:
+            assert min_result.sample(x) == min(y)
 
 
 class TestMonoSubset:

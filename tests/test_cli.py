@@ -219,6 +219,77 @@ class TestOracleFitsSource:
             1, "error: ValueError: oracle const:1/2 maps rationals; "
                "rado is not the rational order\n")
 
+    def test_target_with_other_point_arity_is_error(self):
+        assert self.check("neg", target="power(aut(dlo),2)") == (
+            1, "error: ValueError: oracle neg gives 1-column points; "
+               "power(aut(dlo),2) acts on 2-column points\n")
+
+    def test_target_on_other_structure_is_error(self):
+        error = (1, "error: ValueError: oracle id gives values in dlo; aut(rado) acts on rado\n")
+        assert self.check("id", target="aut(rado)") == error
+        assert run_argv(["harness", "--f", "id", "--source", "aut(dlo)", "--target", "aut(rado)",
+                         "--horizon", "5", "--arity", "2"]) == error
+
+
+class TestCanonizeSources:
+    SIZES = ["--arity", "2", "--depth", "3", "--horizon", "8"]
+    STAB = "stab(power(aut(dlo),2); (0,1))"
+
+    def canonize(self, spec, *options):
+        return run_argv(["canonize", "--f", spec, *options, *self.SIZES])
+
+    def test_stabilized_power_source_is_honored(self):
+        code, report = self.canonize("min", "--source", self.STAB)
+        assert code == 0
+        assert report == (
+            "result: canonical-approximation\n"
+            "behavior:\n"
+            "1: (1=2 * 1=2) -> 1\n"
+            "1: (1=2 * 1<2) -> 1\n"
+            "1: (2<1 * 1<2) -> 1\n"
+            "2: (1=2=3 * 1=2=3) -> 1=2\n"
+            "2: (1=2=3 * 1=2<3) -> 1=2\n"
+            "2: (1=2=3 * 2<1=3) -> 1=2\n"
+            "2: (1=2=3 * 1<2=3) -> 1=2\n"
+            "2: (3<1=2 * 1=2<3) -> 1=2\n"
+            "2: (1=3<2 * 1=2<3) -> 1=2\n"
+            "2: (1=3<2 * 2<1=3) -> 1=2\n"
+            "2: (2=3<1 * 1=2<3) -> 1=2\n"
+            "2: (2=3<1 * 1<2=3) -> 1=2\n"
+            "fixed:\n"
+            "(0, 1) -> (0, 1)\n"
+            "tower:\n"
+            "(0, 0) -> (0, 0)\n"
+            "(1, 0) -> (1, 0)\n"
+        )
+
+    def test_constants_stabilize_source_and_target(self, tmp_path):
+        consts = tmp_path / "consts.txt"
+        consts.write_text("(0,1)\n")
+        code, report = self.canonize("min", "--constants", str(consts))
+        assert code == 0
+        lines = report.splitlines()
+        assert lines[2] == "1: (1=2 * 1=2) -> 1=2"
+        assert lines[-5:] == ["fixed:", "(0, 1) -> (0, 1)", "tower:",
+                              "(0, 0) -> (0, 0)", "(1, 0) -> (1, 0)"]
+
+    def test_constants_with_stabilizer_source_is_error(self, tmp_path):
+        consts = tmp_path / "consts.txt"
+        consts.write_text("(0,1)\n")
+        assert self.canonize("min", "--source", self.STAB, "--constants", str(consts)) == (
+            1, "error: PresentationError: stabilizer base must be aut or power(aut)\n")
+
+    def test_constant_with_wrong_column_count_is_error(self, tmp_path):
+        zero, pair = tmp_path / "zero.txt", tmp_path / "pair.txt"
+        zero.write_text("0\n")
+        pair.write_text("(0,1)\n")
+        assert self.canonize("min", "--constants", str(zero)) == (
+            1, "error: ValueError: constant (0) does not fit power(aut(dlo),2), "
+               "which acts on 2-column points\n")
+        assert self.canonize("neg", "--constants", str(pair)) == (
+            1, "error: ValueError: constant (0, 1) does not fit aut(dlo), "
+               "which acts on 1-column points\n")
+
 
 def test_iso_nonpositive_points_is_error():
     code, report = run_argv(["iso", "--source", "q", "--target", "q", "--points", "-1"])

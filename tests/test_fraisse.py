@@ -2,6 +2,7 @@ import itertools
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from canonfn import (
     AmalgamationFailure,
@@ -22,7 +23,14 @@ from canonfn import (
     qf_type,
     verify_amalgamation,
 )
-from canonfn.fraisse import GRAPH_SIG, empty_structure, format_type, parse_type
+from canonfn.fraisse import (
+    GRAPH_SIG,
+    LimitStructure,
+    _all_atoms,
+    empty_structure,
+    format_type,
+    parse_type,
+)
 
 from oracles import (
     count_set_partitions,
@@ -297,3 +305,63 @@ class TestVerifyAmalgamation:
         for m in (1, 2, 3):
             for e in range(2 ** m):
                 assert (m, e) in seen
+
+
+# ---------------------------------------------------------------------------
+# fast paths against the definitional code
+
+HYPOTHESIS = settings(max_examples=150, deadline=None, derandomize=True)
+DLO = builtin_limit("dlo")
+RATIONALS = st.integers(0, 24).map(DLO.element)
+
+
+@st.composite
+def order_preserving_pairs(draw):
+    """Type-preserving pairs over Q: two equal-size sets of rationals matched
+    in order, listed in a drawn order."""
+    dom = draw(st.lists(RATIONALS, unique=True, max_size=4))
+    rng = draw(st.lists(RATIONALS, unique=True, min_size=len(dom), max_size=len(dom)))
+    return draw(st.permutations(list(zip(sorted(dom), sorted(rng)))))
+
+
+@HYPOTHESIS
+@given(order_preserving_pairs(), RATIONALS, RATIONALS)
+def test_dlo_image_fast_paths_match_generic(pairs, x, y):
+    generic = LimitStructure
+    assert DLO.admissible_image(pairs, x, y) == generic.admissible_image(DLO, pairs, x, y)
+    if x not in {a for a, _ in pairs}:
+        cap = 1 << 16
+        assert DLO.least_image(pairs, x, cap) == generic.least_image(DLO, pairs, x, cap)
+
+
+@st.composite
+def age_members(draw):
+    """A builtin age and one of its members on 1 to 4 points: a drawn linear
+    order and a drawn graph, each kept where the signature has it."""
+    age = builtin_age(draw(st.sampled_from(
+        ["linear-orders", "graphs", "ordered-graphs", "pure-sets"])))
+    n = draw(st.integers(1, 4))
+    order = draw(st.permutations(range(n)))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = [p for p, keep in zip(pairs, draw(st.lists(
+        st.booleans(), min_size=len(pairs), max_size=len(pairs)))) if keep]
+    atoms = set()
+    if "<" in age.signature:
+        atoms |= {("<", (order[i], order[j])) for i, j in pairs}
+    if "edge" in age.signature:
+        atoms |= {("edge", t) for a, b in edges for t in ((a, b), (b, a))}
+    return age, FiniteStructure(age.signature, n, frozenset(atoms))
+
+
+@HYPOTHESIS
+@given(age_members())
+def test_step_ok_never_rejects_a_member(member):
+    # Replays the member's path through the pruned enumeration (_table_dfs):
+    # every step on the way to it must pass step_ok.
+    age, s = member
+    assert age.contains(s)
+    present, absent = set(), set()
+    for atom in _all_atoms(age.signature, range(s.size), s.size):
+        is_present = atom in s.atoms
+        (present if is_present else absent).add(atom)
+        assert age.step_ok(s.size, present, absent, atom, is_present)
