@@ -16,8 +16,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import ArityLimitExceeded, PresentationError
-from .fraisse import arity_limit
+from .errors import PresentationError
+from .fraisse import _check_arity
 from .groups import (
     AutLimit,
     GroupPresentation,
@@ -123,8 +123,7 @@ def coherence_check(table: BehaviorTable) -> Violation | None:
 def enumerate_behaviors(source: GroupPresentation, target: GroupPresentation,
                         max_arity: int) -> list[BehaviorTable]:
     """All coherent total tables up to the given arity, ordered by map graph."""
-    if max_arity > arity_limit():
-        raise ArityLimitExceeded(f"arity {max_arity} exceeds limit {arity_limit()}")
+    _check_arity(max_arity)
     src = LabelSpace.admissible(source, max_arity)
     tgt = LabelSpace.admissible(target, max_arity)
     arities = range(1, max_arity + 1)

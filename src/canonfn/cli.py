@@ -8,6 +8,7 @@ search, 1 an error.
 from __future__ import annotations
 
 import hashlib
+import pathlib
 import sys
 import time
 from dataclasses import dataclass, field
@@ -175,10 +176,19 @@ def _format_tuple(t) -> str:
     return "(" + ", ".join(_format_point(p) for p in t) + ")"
 
 
+class _WriteFailed(Exception):
+    """An output file (--out, --record) could not be written."""
+
+
+def _write_file(path: str, text: str) -> None:
+    try:
+        pathlib.Path(path).write_text(text)
+    except OSError as exc:
+        raise _WriteFailed(f"cannot write {path}: {exc.strerror}") from None
+
+
 def _load_structures(options) -> dict:
     if "structures" in options:
-        import pathlib
-
         return formats.load_structures(pathlib.Path(options["structures"]).read_text())
     return {}
 
@@ -191,8 +201,6 @@ def _limit_by_name(name: str, structures: dict):
 
 def _age_from_options(options):
     if options.get("age") == "forbidden" or "forbidden" in options:
-        import pathlib
-
         text = pathlib.Path(options["forbidden"]).read_text()
         return formats.load_forbidden_age(text)
     return fraisse.builtin_age(options["age"])
@@ -274,10 +282,8 @@ def _run_behaviors(options):
         lines.append(f"table {i}:")
         lines.extend(formats.behavior_lines(table, texts))
     if "out" in options:
-        import pathlib
-
         text = "\n---\n".join(formats.dump_behavior(t, texts) for t in tables)
-        pathlib.Path(options["out"]).write_text(text)
+        _write_file(options["out"], text)
         lines.append(f"saved: {options['out']}")
     return 0, lines
 
@@ -293,8 +299,6 @@ def _run_check(options):
 def _run_canonize(options):
     f, source, target = _presentations(options)
     if "constants" in options:
-        import pathlib
-
         text = pathlib.Path(options["constants"]).read_text()
         consts = [formats._parse_point(line, lineno)
                   for lineno, line in formats._content_lines(text)]
@@ -403,7 +407,11 @@ _HANDLERS = {
 
 
 def run(spec: CommandSpec) -> tuple[int, str]:
-    """Dispatch a parsed command; returns (exit code, report text)."""
+    """Dispatch a parsed command; returns (exit code, report text).
+
+    Every failure is one `error:` line with exit code 1: package errors,
+    bad values, unreadable inputs and unwritable outputs alike.
+    """
     started = time.monotonic()
     try:
         code, lines = _HANDLERS[spec.verb](spec.options)
@@ -411,12 +419,14 @@ def run(spec: CommandSpec) -> tuple[int, str]:
         code, lines = 1, [f"error: {type(exc).__name__}: {exc}"]
     except ValueError as exc:
         code, lines = 1, [f"error: ValueError: {exc}"]
+    except _WriteFailed as exc:
+        code, lines = 1, [f"error: {exc}"]
     except FileNotFoundError as exc:
         code, lines = 1, [f"error: missing file: {exc.filename}"]
+    except OSError as exc:
+        code, lines = 1, [f"error: cannot read {exc.filename}: {exc.strerror}"]
     report = "\n".join(lines) + "\n"
     if "record" in spec.options:
-        import pathlib
-
         digest = hashlib.sha256(report.encode()).hexdigest()
         record = RunRecord(
             command=spec.command_line(),
@@ -425,7 +435,10 @@ def run(spec: CommandSpec) -> tuple[int, str]:
             wall_time_ms=int((time.monotonic() - started) * 1000),
             digest=f"sha256:{digest}",
         )
-        pathlib.Path(spec.options["record"]).write_text(record.as_text())
+        try:
+            _write_file(spec.options["record"], record.as_text())
+        except _WriteFailed as exc:
+            return 1, f"error: {exc}\n"
     return code, report
 
 

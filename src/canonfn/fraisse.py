@@ -6,7 +6,9 @@ of one-point-extension demands is processed in diagonal order, each demand
 either witnessed by an existing element or satisfied by adjoining a fresh
 one with the lexicographically least admissible relation table.  Tuples are
 classified by quantifier-free type records, the computable stand-in for
-orbits of the automorphism group.
+orbits of the automorphism group.  Restricting a structure, reindexing a
+record and spreading a diagram over a pattern all pull atoms back along an
+index map through the one `_pullback`.
 """
 
 from __future__ import annotations
@@ -84,6 +86,24 @@ EMPTY_SIG = Signature(())
 Atom = tuple[str, tuple[int, ...]]
 
 
+def _pullback(atoms: Iterable[Atom], sigma: tuple[int, ...]) -> frozenset[Atom]:
+    """The atoms (name, t) with (name, sigma∘t) among the given atoms: the
+    one way atoms move along an index map (restricting, reindexing, spreading
+    blocks over positions).  Each atom expands into the product of its
+    indices' preimages; one with an index outside sigma's image is skipped."""
+    preimages: dict[int, list[int]] = {}
+    for i, s in enumerate(sigma):
+        preimages.setdefault(s, []).append(i)
+    out = []
+    for name, t in atoms:
+        choices = [preimages.get(s) for s in t]
+        if None in choices:
+            continue
+        for u in itertools.product(*choices):
+            out.append((name, u))
+    return frozenset(out)
+
+
 @dataclass(frozen=True)
 class FiniteStructure:
     """A finite relational structure on points 0..size-1, stored as an atom set."""
@@ -108,14 +128,9 @@ class FiniteStructure:
         return frozenset(t for n, t in self.atoms if n == name)
 
     def substructure(self, points: tuple[int, ...]) -> "FiniteStructure":
-        """Induced structure on the given points, reindexed in the given order."""
-        position = {p: i for i, p in enumerate(points)}
-        kept = frozenset(
-            (name, tuple(position[i] for i in t))
-            for name, t in self.atoms
-            if all(i in position for i in t)
-        )
-        return FiniteStructure(self.signature, len(points), kept)
+        """Induced structure on the given distinct points; point i of the
+        result is points[i]."""
+        return FiniteStructure(self.signature, len(points), _pullback(self.atoms, points))
 
     def sort_key(self):
         return (self.size, tuple(sorted(self.atoms)))
@@ -304,14 +319,18 @@ def _all_atoms(signature: Signature, points: Iterable[int], size: int) -> list[A
     return out
 
 
-def _table_dfs(age, size, base_atoms, candidates, base_absent=()):
-    """Yield structures base_atoms + subset-of-candidates in lexicographic order.
+def _table_dfs(age, size, present, candidates):
+    """Yield structures present + subset-of-candidates in lexicographic order.
 
-    The order is lexicographic on presence vectors over the sorted candidate
-    list, absent before present, so the all-absent table comes first.
+    Every other atom over 0..size-1 is absent.  The order is lexicographic on
+    presence vectors over the sorted candidate list, absent before present,
+    so the all-absent table comes first.
     """
-    present = set(base_atoms)
-    absent = set(base_absent)
+    present = set(present)
+    absent = {(sym.name, t) for sym in age.signature.symbols
+              for t in itertools.product(range(size), repeat=sym.arity)}
+    absent -= present
+    absent.difference_update(candidates)
 
     def rec(i):
         if i == len(candidates):
@@ -335,12 +354,7 @@ def _table_dfs(age, size, base_atoms, candidates, base_absent=()):
 def _extension_stream(age: AgeOracle, base: FiniteStructure) -> Iterator[FiniteStructure]:
     size = base.size + 1
     candidates = _all_atoms(age.signature, [base.size], size)
-    old_atoms = set()
-    for sym in age.signature.symbols:
-        for t in itertools.product(range(base.size), repeat=sym.arity):
-            old_atoms.add((sym.name, t))
-    base_absent = old_atoms - set(base.atoms)
-    yield from _table_dfs(age, size, base.atoms, candidates, base_absent)
+    yield from _table_dfs(age, size, base.atoms, candidates)
 
 
 def one_point_extensions(age: AgeOracle, base: FiniteStructure) -> list[FiniteStructure]:
@@ -415,38 +429,25 @@ class TupleTypeRecord:
         if any(i < 0 or i >= self.arity for i in sigma):
             raise ValueError("reindexing map out of range")
         pattern = pattern_of(tuple(self.pattern[i] for i in sigma))
-        atoms = set()
-        for sym in self.signature.symbols:
-            for t in itertools.product(range(len(sigma)), repeat=sym.arity):
-                if (sym.name, tuple(sigma[i] for i in t)) in self.atoms:
-                    atoms.add((sym.name, t))
-        return TupleTypeRecord(self.signature, len(sigma), pattern, frozenset(atoms))
+        return TupleTypeRecord(self.signature, len(sigma), pattern,
+                               _pullback(self.atoms, sigma))
 
     def __str__(self):
         return format_type(self)
 
 
-def _record_from_diagram(signature, k, pattern, diagram: FiniteStructure) -> TupleTypeRecord:
-    by_block: list[list[int]] = [[] for _ in range(diagram.size)]
-    for pos, b in enumerate(pattern):
-        by_block[b].append(pos)
-    atoms = set()
-    for name, bt in diagram.atoms:
-        for pt in itertools.product(*(by_block[b] for b in bt)):
-            atoms.add((name, pt))
-    return TupleTypeRecord(signature, k, pattern, frozenset(atoms))
-
-
 def enumerate_types(limit: "LimitStructure", k: int) -> list[TupleTypeRecord]:
-    """All admissible type records of arity k, sorted canonically."""
+    """All admissible type records of arity k, sorted canonically: each
+    age member on a pattern's blocks, pulled back to the k positions."""
     _check_arity(k)
     age = limit.age
     out = []
     for pattern in canonical_partitions(k):
         b = max(pattern) + 1
         candidates = _all_atoms(age.signature, range(b), b)
-        for diagram in _table_dfs(age, b, frozenset(), candidates):
-            out.append(_record_from_diagram(age.signature, k, pattern, diagram))
+        for diagram in _table_dfs(age, b, (), candidates):
+            out.append(TupleTypeRecord(age.signature, k, pattern,
+                                       _pullback(diagram.atoms, pattern)))
     out.sort(key=TupleTypeRecord.sort_key)
     return out
 
@@ -454,20 +455,16 @@ def enumerate_types(limit: "LimitStructure", k: int) -> list[TupleTypeRecord]:
 def format_type(record: TupleTypeRecord) -> str:
     """Canonical pattern string: weak-order form (`2<1=3`) on the order
     signature, generic block form (`1=3|2;edge(1,2),edge(2,1)`) otherwise."""
-    if record.signature == ORDER_SIG:
-        diagram = record.diagram()
-        table = diagram.table("<")
-        if _linear_order_ok(table, diagram.size):
-            by_block = [[] for _ in range(diagram.size)]
-            for pos, b in enumerate(record.pattern):
-                by_block[b].append(pos + 1)
-            rank = lambda b: sum((c, b) in table for c in range(diagram.size))
-            order = sorted(range(diagram.size), key=rank)
-            return "<".join("=".join(str(p) for p in by_block[b]) for b in order)
     by_block = [[] for _ in range(record.blocks())]
     for pos, b in enumerate(record.pattern):
-        by_block[b].append(pos + 1)
-    blocks = "|".join("=".join(str(p) for p in blk) for blk in by_block)
+        by_block[b].append(str(pos + 1))
+    if record.signature == ORDER_SIG:
+        table = record.diagram().table("<")
+        if _linear_order_ok(table, len(by_block)):
+            rank = lambda b: sum((c, b) in table for c in range(len(by_block)))
+            order = sorted(range(len(by_block)), key=rank)
+            return "<".join("=".join(by_block[b]) for b in order)
+    blocks = "|".join("=".join(blk) for blk in by_block)
     if not record.atoms:
         return blocks
     atoms = ",".join(
@@ -476,34 +473,28 @@ def format_type(record: TupleTypeRecord) -> str:
     return f"{blocks};{atoms}"
 
 
+def _groups_of(groups: list[str], text: str) -> tuple[int, ...]:
+    """Group number of each position 1..k, from `=`-joined position groups."""
+    positions = {int(p): g for g, group in enumerate(groups) for p in group.split("=")}
+    k = len(positions)
+    if sorted(positions) != list(range(1, k + 1)):
+        raise ValueError(f"bad position set in type {text!r}")
+    return tuple(positions[i + 1] for i in range(k))
+
+
 def parse_type(text: str, signature: Signature) -> TupleTypeRecord:
     """Inverse of format_type for the given signature."""
     text = text.strip()
     if signature == ORDER_SIG and "|" not in text and ";" not in text:
-        groups = [part.split("=") for part in text.split("<")]
-        positions = {}
-        for rank, group in enumerate(groups):
-            for p in group:
-                positions[int(p)] = rank
-        k = len(positions)
-        if sorted(positions) != list(range(1, k + 1)):
-            raise ValueError(f"bad position set in type {text!r}")
-        ranks = [positions[i + 1] for i in range(k)]
-        pattern = pattern_of(tuple(ranks))
+        ranks = _groups_of(text.split("<"), text)
+        k = len(ranks)
         atoms = frozenset(
             ("<", (i, j)) for i in range(k) for j in range(k) if ranks[i] < ranks[j]
         )
-        return TupleTypeRecord(signature, k, pattern, atoms)
+        return TupleTypeRecord(signature, k, pattern_of(ranks), atoms)
     blocks_part, _, atoms_part = text.partition(";")
-    positions = {}
-    for b, group in enumerate(blocks_part.split("|")):
-        for p in group.split("="):
-            positions[int(p)] = b
-    k = len(positions)
-    if sorted(positions) != list(range(1, k + 1)):
-        raise ValueError(f"bad position set in type {text!r}")
-    pattern_raw = tuple(positions[i + 1] for i in range(k))
-    pattern = pattern_of(pattern_raw)
+    pattern = pattern_of(_groups_of(blocks_part.split("|"), text))
+    k = len(pattern)
     atoms = set()
     if atoms_part:
         for chunk in atoms_part.split("),"):
@@ -644,15 +635,16 @@ class DemandLogEntry:
 class GenericLimit(LimitStructure):
     """Demand-driven limit of an arbitrary age.
 
-    Elements are enumeration indices.  The fragment grows monotonically and
-    deterministically.  Not thread-safe: reads can grow the fragment.
+    Elements are enumeration indices.  The fragment materialized so far is
+    one FiniteStructure; it grows monotonically and deterministically, and
+    every restriction of it (a prefix, a demand's witness test) is a
+    substructure.  Not thread-safe: reads can grow the fragment.
     """
 
     def __init__(self, age: AgeOracle, name: str | None = None):
         self.age = age
         self.name = name or f"limit({age.name})"
-        self._atoms: set[Atom] = set()
-        self._size = 0
+        self._whole = empty_structure(age.signature)
         self._log: list[DemandLogEntry] = []
         self._schedule = self._diagonal_pairs()
 
@@ -666,7 +658,7 @@ class GenericLimit(LimitStructure):
 
     @property
     def size(self) -> int:
-        return self._size
+        return self._whole.size
 
     @property
     def demand_log(self) -> tuple[DemandLogEntry, ...]:
@@ -674,12 +666,9 @@ class GenericLimit(LimitStructure):
 
     def fragment(self, n: int | None = None) -> FiniteStructure:
         if n is None:
-            n = self._size
+            n = self.size
         self.ensure_size(n)
-        atoms = frozenset(
-            (name, t) for name, t in self._atoms if all(i < n for i in t)
-        )
-        return FiniteStructure(self.age.signature, n, atoms)
+        return self._whole.substructure(tuple(range(n)))
 
     def element(self, n: int) -> int:
         self.ensure_size(n + 1)
@@ -692,34 +681,28 @@ class GenericLimit(LimitStructure):
         if name not in self.age.signature:
             raise KeyError(name)
         self.ensure_size(max(elements) + 1)
-        return (name, tuple(int(e) for e in elements)) in self._atoms
+        return (name, tuple(int(e) for e in elements)) in self._whole.atoms
 
     def ensure_size(self, n: int) -> None:
-        while self._size < n:
+        while self.size < n:
             self._step()
 
     def _seed(self) -> None:
         first = nth_extension(self.age, empty_structure(self.age.signature), 0)
         if first is None:
             raise AmalgamationFailure("age admits no one-point structure")
-        self._atoms.update(first.atoms)
-        self._size = 1
-
-    def _prefix(self, m: int) -> FiniteStructure:
-        atoms = frozenset((n, t) for n, t in self._atoms if all(i < m for i in t))
-        return FiniteStructure(self.age.signature, m, atoms)
+        self._whole = first
 
     def _step(self) -> None:
-        if self._size == 0:
+        if self.size == 0:
             self._seed()
             return
         m, e = next(self._schedule)
-        if m > self._size:
+        if m > self.size:
             raise AssertionError("schedule outpaced the fragment")
-        prefix = self._prefix(m)
-        ext = nth_extension(self.age, prefix, e)
+        ext = nth_extension(self.age, self._whole.substructure(tuple(range(m))), e)
         if ext is None:
-            if e == 0 and m == self._size:
+            if e == 0 and m == self.size:
                 raise AmalgamationFailure(
                     f"no one-point extension of the full fragment at size {m}"
                 )
@@ -732,53 +715,29 @@ class GenericLimit(LimitStructure):
 
     def _find_witness(self, m: int, ext: FiniteStructure) -> int | None:
         points = tuple(range(m))
-        for z in range(m, self._size):
-            full = FiniteStructure(
-                self.age.signature,
-                m + 1,
-                frozenset(
-                    (name, tuple(m if i == z else i for i in t))
-                    for name, t in self._atoms
-                    if all(i in points or i == z for i in t)
-                ),
-            )
-            if full == ext:
-                return z
-        return None
+        return next((z for z in range(m, self.size)
+                     if self._whole.substructure(points + (z,)) == ext), None)
 
     def _adjoin(self, m: int, e: int, ext: FiniteStructure) -> None:
-        z = self._size
+        z = self.size
         new_size = z + 1
-        sig = self.age.signature
         # Atoms dictated by the chosen extension (its new point becomes z).
-        seeded = set(self._atoms)
+        seeded = set(self._whole.atoms)
         for name, t in ext.atoms:
             if ext.size - 1 in t:
                 seeded.add((name, tuple(z if i == ext.size - 1 else i for i in t)))
         # Remaining freedom: atoms joining z to elements outside the prefix.
         candidates = [
             (name, t)
-            for name, t in _all_atoms(sig, [z], new_size)
+            for name, t in _all_atoms(self.age.signature, [z], new_size)
             if any(m <= i < z for i in t)
         ]
-        candidate_set = set(candidates)
-        decided = set()
-        for sym in sig.symbols:
-            for t in itertools.product(range(new_size), repeat=sym.arity):
-                atom = (sym.name, t)
-                if atom not in candidate_set:
-                    decided.add(atom)
-        base_absent = decided - seeded
-        completion = next(
-            _table_dfs(self.age, new_size, frozenset(seeded), candidates, base_absent),
-            None,
-        )
+        completion = next(_table_dfs(self.age, new_size, seeded, candidates), None)
         if completion is None:
             raise AmalgamationFailure(
                 f"demand (prefix={m}, extension={e}) admits no completion at size {z}"
             )
-        self._atoms = set(completion.atoms)
-        self._size = new_size
+        self._whole = completion
         self._log.append(DemandLogEntry(m, e, z, True))
 
 

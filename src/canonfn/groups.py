@@ -74,11 +74,17 @@ def validate_presentation(g: GroupPresentation) -> None:
     if isinstance(g, StabilizerGroup):
         if not g.constants:
             raise PresentationError("stabilizer needs at least one constant")
-        if isinstance(g.base, AutLimit):
-            return
-        if isinstance(g.base, PowerGroup) and isinstance(g.base.base, AutLimit):
-            return
-        raise PresentationError("stabilizer base must be aut or power(aut)")
+        if not isinstance(g.base, AutLimit) and not (
+            isinstance(g.base, PowerGroup) and isinstance(g.base.base, AutLimit)
+        ):
+            raise PresentationError("stabilizer base must be aut or power(aut)")
+        m = point_arity(g.base)
+        for c in g.constants:
+            cols = c if isinstance(c, tuple) else (c,)
+            if len(cols) != m:
+                raise PresentationError(f"constant ({', '.join(map(str, cols))}) does not "
+                                        f"fit {g.base!r}, which acts on {m}-column points")
+        return
     raise PresentationError(f"unsupported presentation {g!r}")
 
 

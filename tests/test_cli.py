@@ -291,6 +291,114 @@ class TestCanonizeSources:
                "which acts on 1-column points\n")
 
 
+class TestStabilizerConstantsFitBase:
+    PAIR = "stab(aut(dlo); (0,1))"
+    BARE = "stab(power(aut(dlo),2); 0)"
+    PAIR_ERROR = ("error: PresentationError: constant (0, 1) does not fit aut(dlo), "
+                  "which acts on 1-column points\n")
+    BARE_ERROR = ("error: PresentationError: constant (0) does not fit "
+                  "power(aut(dlo),2), which acts on 2-column points\n")
+
+    def test_check_with_pair_constant_on_aut(self):
+        assert run_argv(["check", "--f", "neg", "--source", self.PAIR, "--target", "aut(dlo)",
+                         "--horizon", "4", "--arity", "2"]) == (1, self.PAIR_ERROR)
+
+    def test_check_with_bare_constant_on_power(self):
+        assert run_argv(["check", "--f", "min", "--source", self.BARE, "--target", "aut(dlo)",
+                         "--horizon", "4", "--arity", "2"]) == (1, self.BARE_ERROR)
+
+    def test_canonize_with_pair_constant_on_aut(self):
+        assert run_argv(["canonize", "--f", "neg", "--source", self.PAIR, "--target", "aut(dlo)",
+                         "--arity", "2", "--depth", "3", "--horizon", "8"]) == (1, self.PAIR_ERROR)
+
+    def test_behaviors_with_pair_constant_on_aut(self):
+        assert run_argv(["behaviors", "--source", self.PAIR, "--target", "aut(dlo)",
+                         "--arity", "1"]) == (1, self.PAIR_ERROR)
+
+    def test_fitting_constants_are_accepted(self):
+        code, _ = run_argv(["behaviors", "--source", "stab(power(aut(dlo),2); (0,1))",
+                            "--target", "aut(dlo)", "--arity", "1"])
+        assert code == 0
+
+
+@pytest.mark.parametrize("arity", ["0", "-2"])
+def test_behaviors_nonpositive_arity_is_error(arity):
+    assert run_argv(["behaviors", "--source", "aut(dlo)", "--target", "aut(dlo)",
+                     "--arity", arity]) == (1, "error: ValueError: arity must be positive\n")
+
+
+def test_behaviors_arity_above_limit_keeps_its_message(monkeypatch):
+    monkeypatch.setenv("CANONFN_ARITY_LIMIT", "2")
+    assert run_argv(["behaviors", "--source", "aut(dlo)", "--target", "aut(dlo)",
+                     "--arity", "3"]) == (1, "error: ArityLimitExceeded: arity 3 exceeds limit 2\n")
+
+
+class TestFileErrors:
+    """Unreadable inputs and unwritable outputs end in one `error:` line."""
+
+    NEG = ["--source", "aut(dlo)", "--target", "aut(dlo)", "--horizon", "4", "--arity", "1"]
+
+    @pytest.mark.parametrize("argv", [
+        ["orbits", "dlo", "--arity", "2", "--structures", "{path}"],
+        ["limit", "--age", "forbidden", "--size", "3", "--forbidden", "{path}"],
+        ["verify-age", "--age", "forbidden", "--forbidden", "{path}"],
+        ["check", "--f", "table:{path}", *NEG],
+        ["canonize", "--f", "neg", "--arity", "2", "--depth", "2", "--horizon", "4",
+         "--constants", "{path}"],
+    ], ids=["structures", "forbidden", "verify-forbidden", "table", "constants"])
+    def test_input_is_a_directory(self, tmp_path, argv):
+        path = str(tmp_path)
+        argv = [a.replace("{path}", path) for a in argv]
+        assert run_argv(argv) == (1, f"error: cannot read {path}: Is a directory\n")
+
+    def test_input_without_permission(self, tmp_path, monkeypatch):
+        path = tmp_path / "structures.txt"
+        path.write_text("structure d = builtin:dlo\n")
+
+        def refuse(self, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(self))
+
+        monkeypatch.setattr(type(path), "read_text", refuse)
+        assert run_argv(["orbits", "d", "--arity", "2", "--structures", str(path)]) == (
+            1, f"error: cannot read {path}: Permission denied\n")
+
+    def test_missing_input_keeps_its_message(self, tmp_path):
+        path = str(tmp_path / "absent.txt")
+        assert run_argv(["orbits", "dlo", "--arity", "2", "--structures", path]) == (
+            1, f"error: missing file: {path}\n")
+
+    def test_out_is_a_directory(self, tmp_path):
+        assert run_argv(["behaviors", "--source", "aut(dlo)", "--target", "aut(dlo)",
+                         "--arity", "1", "--out", str(tmp_path)]) == (
+            1, f"error: cannot write {tmp_path}: Is a directory\n")
+
+    def test_out_in_missing_directory(self, tmp_path):
+        path = tmp_path / "no" / "tables.txt"
+        assert run_argv(["behaviors", "--source", "aut(dlo)", "--target", "aut(dlo)",
+                         "--arity", "1", "--out", str(path)]) == (
+            1, f"error: cannot write {path}: No such file or directory\n")
+
+    def test_record_in_missing_directory(self, tmp_path):
+        path = tmp_path / "no" / "r.txt"
+        assert run_argv(["orbits", "dlo", "--arity", "2", "--record", str(path)]) == (
+            1, f"error: cannot write {path}: No such file or directory\n")
+
+    def test_record_without_permission(self, tmp_path, monkeypatch):
+        path = tmp_path / "r.txt"
+
+        def refuse(self, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(self))
+
+        monkeypatch.setattr(type(path), "write_text", refuse)
+        assert run_argv(["orbits", "dlo", "--arity", "2", "--record", str(path)]) == (
+            1, f"error: cannot write {path}: Permission denied\n")
+
+    def test_record_of_an_error_report_is_written(self, tmp_path):
+        path = tmp_path / "r.txt"
+        code, _ = run_argv(["orbits", "dlo", "--arity", "0", "--record", str(path)])
+        assert code == 1 and "digest: sha256:" in path.read_text()
+
+
 def test_iso_nonpositive_points_is_error():
     code, report = run_argv(["iso", "--source", "q", "--target", "q", "--points", "-1"])
     assert (code, report) == (1, "error: ValueError: points must be positive\n")

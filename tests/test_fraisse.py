@@ -25,6 +25,7 @@ from canonfn import (
 )
 from canonfn.fraisse import (
     GRAPH_SIG,
+    ORDERED_GRAPH_SIG,
     LimitStructure,
     _all_atoms,
     empty_structure,
@@ -206,15 +207,19 @@ class TestTypeOrbitSoundness:
 
 
 class TestReindexingIdentity:
-    def test_reindex_matches_direct_type(self, dlo):
-        values = (F(0), F(1), F(-1), F(1, 2))
-        for k in (2, 3, 4):
-            t = values[:k]
-            record = qf_type(dlo, t)
+    # Element indices of the reindexed tuples; some repeat an element.
+    TUPLES = ((0, 1), (0, 1, 2), (0, 1, 2, 3), (2, 0, 2), (3, 1, 3, 0), (5, 5), (4, 1, 5, 1))
+
+    @pytest.mark.parametrize("name", ["dlo", "rado", "ordered-rado", "pureset"])
+    def test_reindex_matches_direct_type(self, name):
+        limit = builtin_limit(name)
+        for indices in self.TUPLES:
+            t = tuple(limit.element(i) for i in indices)
+            record = qf_type(limit, t)
             for j in (1, 2, 3):
-                for sigma in itertools.product(range(k), repeat=j):
+                for sigma in itertools.product(range(len(t)), repeat=j):
                     reindexed = tuple(t[i] for i in sigma)
-                    assert qf_type(dlo, reindexed) == record.reindexed(sigma)
+                    assert qf_type(limit, reindexed) == record.reindexed(sigma)
 
 
 class TestCountOrbits:
@@ -365,3 +370,29 @@ def test_step_ok_never_rejects_a_member(member):
         is_present = atom in s.atoms
         (present if is_present else absent).add(atom)
         assert age.step_ok(s.size, present, absent, atom, is_present)
+
+
+@st.composite
+def structures_and_points(draw):
+    """A graph or ordered graph with arbitrary atoms on 1 to 6 points, and a
+    drawn list of distinct points of it."""
+    signature = draw(st.sampled_from([GRAPH_SIG, ORDERED_GRAPH_SIG]))
+    n = draw(st.integers(1, 6))
+    atoms = [(sym.name, t) for sym in signature.symbols
+             for t in itertools.product(range(n), repeat=2)]
+    keep = draw(st.lists(st.booleans(), min_size=len(atoms), max_size=len(atoms)))
+    s = FiniteStructure(signature, n, frozenset(a for a, k in zip(atoms, keep) if k))
+    return s, tuple(draw(st.lists(st.integers(0, n - 1), unique=True)))
+
+
+@HYPOTHESIS
+@given(structures_and_points())
+def test_substructure_is_the_position_map_restriction(case):
+    s, points = case
+    position = {p: i for i, p in enumerate(points)}
+    expected = frozenset(
+        (name, tuple(position[i] for i in t))
+        for name, t in s.atoms
+        if all(i in position for i in t)
+    )
+    assert s.substructure(points) == FiniteStructure(s.signature, len(points), expected)
