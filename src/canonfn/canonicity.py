@@ -7,6 +7,8 @@ different image labels) is conclusive, a pass is a certificate up to the
 horizon only.  BehaviorScan is the one tuple scan behind every such check:
 check_canonical runs it in full, and the embedding search in canonize, the
 realizability search in behaviors and the harness seeds run it point by point.
+It labels tuples by int ids on point indices (groups.PointLabels), so a
+label record is built once per distinct label, not once per tuple.
 The module also computes induced behavior tables, the local equality relation
 modulo a group, coherent tower witnesses for lifted equalities, and a harness
 comparing the three equivalent formulations of canonicity at finite scale.
@@ -25,6 +27,7 @@ from .groups import (
     AutLimit,
     GroupPresentation,
     PartialAutomorphism,
+    PointLabels,
     automorphism_extending,
     domain_limit,
     label_key,
@@ -325,10 +328,13 @@ CanonicityVerdict = CanonicalUpTo | Counterexample
 class BehaviorScan:
     """The tuple scan behind every canonicity check.
 
-    Each visited tuple t of arity k <= arity over the scanned points has its
+    Each visited tuple of arity k <= arity over the scanned points has its
     source label under g compared with the label of its image tuple under h:
     against the expected table's entry when one is given, else against the
-    first image label visited for the same (k, source label).
+    first image label visited for the same (k, source label).  Labels are
+    the int ids of one groups.PointLabels per side, taken on point indices;
+    they turn back into labels only for a Counterexample, a BehaviorTable or
+    the expected table's lookup.
 
     Full mode (run) visits every tuple in (arity, lexicographic index) order,
     so the first conflict is the first counterexample, and calls the oracle
@@ -343,51 +349,60 @@ class BehaviorScan:
         self.h = h
         self.arity = arity
         self.expected = expected
-        self.points: list = []
-        self.images: list = []
-        self._seen: dict = {}        # (k, source label) -> (image label, first tuple)
+        self.source = PointLabels(g)
+        self.target = PointLabels(h) if h is not None else None
+        self._seen: dict = {}        # (k, source id) -> (image id, first tuple)
+        self._expected: dict = {}    # (k, source id) -> expected image id or None
         self._pushed: list = []      # keys each push added, for pop
 
+    @property
+    def points(self) -> list:
+        return self.source.points
+
+    @property
+    def images(self) -> list:
+        return self.target.points
+
     def labeled(self, points):
-        """(index tuple, tuple, source label) for every tuple over the points,
-        in (arity, lexicographic index) order."""
-        self.points = list(points)
+        """(index tuple, source id) for every tuple over the points, in
+        (arity, lexicographic index) order."""
+        for p in points:
+            self.source.append(p)
         for k in range(1, self.arity + 1):
             for idx in itertools.product(range(len(self.points)), repeat=k):
-                t = tuple(self.points[i] for i in idx)
-                yield idx, t, orbit_label(self.g, t)
+                yield idx, self.source.id_of(idx)
 
-    def _known(self, t, src, img, added: list) -> tuple:
-        """(image label, witness) on record for t's source label; an expected
-        table has no witness.  A label met first here records (img, t)."""
-        k = len(t)
+    def _known(self, idx: tuple, src: int, img: int, added: list) -> tuple:
+        """(image id, witness) on record for the source id; an expected
+        table's entry has no witness.  An id met first here records (img, t)."""
+        key = (len(idx), src)
         if self.expected is not None:
-            return self.expected.get(k, src), None
-        key = (k, src)
+            if key not in self._expected:
+                label = self.expected.get(len(idx), self.source.labels[src])
+                self._expected[key] = None if label is None else self.target.id_of_label(label)
+            return self._expected[key], None
         known = self._seen.get(key)
         if known is None:
-            known = self._seen[key] = (img, t)
+            known = self._seen[key] = (img, tuple(self.points[i] for i in idx))
             added.append(key)
         return known
 
     def run(self, points, f: FunctionOracle) -> Counterexample | None:
         """Full mode: the first tuple whose image label conflicts, or None."""
-        images: dict[int, object] = {}
-
-        def image(i: int):
-            if i not in images:
-                p = self.points[i]
+        added: list = []
+        for idx, src in self.labeled(points):
+            while len(self.images) <= max(idx):
+                p = self.points[len(self.images)]
                 if not f.defined_at(p):
                     raise DomainGap(f"oracle undefined at {p}")
-                images[i] = f(p)
-            return images[i]
-
-        added: list = []
-        for idx, t, src in self.labeled(points):
-            img = orbit_label(self.h, tuple(image(i) for i in idx))
-            img0, t0 = self._known(t, src, img, added)
+                self.target.append(f(p))
+            img = self.target.id_of(idx)
+            img0, t0 = self._known(idx, src, img, added)
             if img0 != img:
-                return Counterexample(len(t), t0, t, src, img0, img)
+                labels = self.target.labels
+                return Counterexample(len(idx), t0, tuple(self.points[i] for i in idx),
+                                      self.source.labels[src],
+                                      None if img0 is None else labels[img0], labels[img])
         return None
 
     def _touching(self, new: int):
@@ -404,15 +419,13 @@ class BehaviorScan:
     def push(self, p, image) -> bool:
         """Incremental mode: add a point and its image; False, with nothing
         added, when a tuple containing it conflicts."""
-        self.points.append(p)
-        self.images.append(image)
+        self.source.append(p)
+        self.target.append(image)
         added: list = []
         self._pushed.append(added)
         for idx in self._touching(len(self.points) - 1):
-            t = tuple(self.points[i] for i in idx)
-            src = orbit_label(self.g, t)
-            img = orbit_label(self.h, tuple(self.images[i] for i in idx))
-            if self._known(t, src, img, added)[0] != img:
+            img = self.target.id_of(idx)
+            if self._known(idx, self.source.id_of(idx), img, added)[0] != img:
                 self.pop()
                 return False
         return True
@@ -421,11 +434,12 @@ class BehaviorScan:
         """Undo the last push."""
         for key in self._pushed.pop():
             del self._seen[key]
-        self.points.pop()
-        self.images.pop()
+        self.source.pop()
+        self.target.pop()
 
     def behavior(self) -> BehaviorTable:
-        entries = [(k, src, img) for (k, src), (img, _) in self._seen.items()]
+        src, img = self.source.labels, self.target.labels
+        entries = [(k, src[s], img[i]) for (k, s), (i, _) in self._seen.items()]
         return BehaviorTable(self.g, self.h, self.arity, entries)
 
 
@@ -615,10 +629,13 @@ def _same_label_seeds(g: GroupPresentation, horizon: int, arity: int, cap: int):
     limit = domain_limit(g)
     by_label: dict = {}
     scan = BehaviorScan(g, None, arity)
-    for idx, t, src in scan.labeled(limit.element(i) for i in range(horizon)):
-        by_label.setdefault((len(t), src), []).append((idx, t))
+    for idx, src in scan.labeled(limit.element(i) for i in range(horizon)):
+        t = tuple(scan.points[i] for i in idx)
+        by_label.setdefault((len(idx), src), []).append((idx, t))
+    labels = scan.source.labels
     seeds = []
-    for _, bucket in sorted(by_label.items(), key=lambda kv: (kv[0][0], label_key(kv[0][1]))):
+    for _, bucket in sorted(by_label.items(),
+                            key=lambda kv: (kv[0][0], label_key(labels[kv[0][1]]))):
         for (idx_s, s), (idx_t, t) in itertools.product(bucket, repeat=2):
             if idx_s != idx_t:
                 seeds.append((s, t))

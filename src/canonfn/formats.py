@@ -159,11 +159,13 @@ def format_group_spec(g: GroupPresentation) -> str:
         return f"aut({g.limit.name})"
     if isinstance(g, PowerGroup):
         return f"power({format_group_spec(g.base)},{g.m})"
-    consts = ",".join(_format_point(c) for c in g.constants)
+    consts = ",".join(_spec_point(c) for c in g.constants)
     return f"stab({format_group_spec(g.base)}; {consts})"
 
 
-def _format_point(p) -> str:
+def _spec_point(p) -> str:
+    """A point as group specs and function tables write it: `(a,b)` columns
+    without spaces (the CLI's reports write `(a, b)`)."""
     if isinstance(p, tuple):
         return "(" + ",".join(format_rational(v) for v in p) + ")"
     if isinstance(p, Fraction):
@@ -336,7 +338,7 @@ def parse_oracle_spec(text: str, limit: LimitStructure | None = None,
 def dump_function_table(oracle: TableOracle) -> str:
     lines = []
     for p, v in sorted(oracle.mapping.items(), key=lambda kv: _point_key(kv[0])):
-        lines.append(f"{_format_point(p)} -> {format_rational(v)}")
+        lines.append(f"{_spec_point(p)} -> {format_rational(v)}")
     return "\n".join(lines) + "\n"
 
 
@@ -365,7 +367,7 @@ def load_function_table(text: str, limit: LimitStructure | None = None) -> Table
         except ValueError:
             raise FormatError(lineno, f"bad rational {right!r}") from None
         if p in mapping:
-            raise FormatError(lineno, f"duplicate map entry for {_format_point(p)}")
+            raise FormatError(lineno, f"duplicate map entry for {_spec_point(p)}")
         mapping[p] = v
     if not mapping:
         raise FormatError(0, "empty function table")

@@ -531,6 +531,11 @@ class LimitStructure:
     def element_index(self, element) -> int:
         raise NotImplementedError
 
+    def is_element(self, x) -> bool:
+        """Whether x is an element; elements are their enumeration indices
+        unless a subclass says otherwise."""
+        return isinstance(x, (int, Fraction)) and x >= 0 and x == int(x)
+
     def qf_type(self, elements: tuple) -> TupleTypeRecord:
         if not elements:
             raise ValueError("qf_type needs a nonempty tuple")
@@ -577,6 +582,9 @@ class DloLimit(LimitStructure):
 
     def element_index(self, element) -> int:
         return index_of_rational(element)
+
+    def is_element(self, x) -> bool:
+        return isinstance(x, (int, Fraction))
 
     def eval_relation(self, name: str, elements: tuple) -> bool:
         if name != "<":

@@ -10,8 +10,11 @@ A LabelSpace interns the labels of one presentation as int ids per arity,
 with memoized reindexing; LabelSpace.admissible lists all orbit labels, so
 ids follow label_key.  The behavior-table layer (enumerate_behaviors,
 coherence_check) works on these ids for one call and turns them back into
-labels only where it builds a BehaviorTable or a Violation.  LabelTexts
-formats each distinct label once per command.
+labels only where it builds a BehaviorTable or a Violation.  A PointLabels
+interns the labels of tuples of concrete points for the tuple scan: it
+reads each pair of point indices once through eval_relation, keys a tuple
+by the int codes of its pairs, and calls orbit_label once per new key.
+LabelTexts formats each distinct label once per command.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import Iterable
 
 from .errors import PresentationError, TypeMismatch
@@ -79,11 +83,15 @@ def validate_presentation(g: GroupPresentation) -> None:
         ):
             raise PresentationError("stabilizer base must be aut or power(aut)")
         m = point_arity(g.base)
+        limit = domain_limit(g.base)
         for c in g.constants:
             cols = c if isinstance(c, tuple) else (c,)
             if len(cols) != m:
                 raise PresentationError(f"constant ({', '.join(map(str, cols))}) does not "
                                         f"fit {g.base!r}, which acts on {m}-column points")
+            for v in cols:
+                if not limit.is_element(v):
+                    raise PresentationError(f"constant {v} is not an element of {limit.name}")
         return
     raise PresentationError(f"unsupported presentation {g!r}")
 
@@ -127,14 +135,25 @@ def stabilized(g: GroupPresentation, h: GroupPresentation, constants, image):
             StabilizerGroup(h, tuple(image(c) for c in consts)))
 
 
-def _index_tuples(m: int):
-    """Diagonal enumeration of N^m: by coordinate sum, then lexicographic."""
-    total = 0
-    while True:
-        for combo in itertools.product(range(total + 1), repeat=m):
-            if sum(combo) == total:
-                yield combo
-        total += 1
+def _diagonal_unrank(m: int, n: int) -> tuple[int, ...]:
+    """The n-th m-tuple of naturals in diagonal order: by coordinate sum,
+    then lexicographic.  Diagonal t holds C(t+m-1, m-1) tuples, so the
+    tuples of sum below t number C(t+m-1, m)."""
+    t = 0
+    while comb(t + m, m) <= n:
+        t += 1
+    n -= comb(t + m - 1, m)
+    out = []
+    for rest in range(m - 1, 0, -1):
+        # C(t-a+rest-1, rest-1) tuples of the diagonal start with a here.
+        a = 0
+        while n >= comb(t - a + rest - 1, rest - 1):
+            n -= comb(t - a + rest - 1, rest - 1)
+            a += 1
+        out.append(a)
+        t -= a
+    out.append(t)
+    return tuple(out)
 
 
 def point(g: GroupPresentation, n: int):
@@ -143,8 +162,7 @@ def point(g: GroupPresentation, n: int):
         return g.limit.element(n)
     if isinstance(g, StabilizerGroup):
         return point(g.base, n)
-    combo = next(itertools.islice(_index_tuples(g.m), n, None))
-    return tuple(point(g.base, i) for i in combo)
+    return tuple(point(g.base, i) for i in _diagonal_unrank(g.m, n))
 
 
 def _column(tuples: tuple, i: int) -> tuple:
@@ -267,6 +285,115 @@ class LabelSpace:
             label = reindex_label(self.g, self.labels[k][i], sigma)
             j = self._reindexed[key] = self.id_of(len(sigma), label)
         return j
+
+
+class PointLabels:
+    """Orbit labels of tuples over a growing list of points, as int ids.
+
+    points lists the scanned points by index; a stabilizer's constants sit
+    before them, and each of the point_arity(g) columns keeps its own values.
+    On a signature of unary and binary symbols a tuple's label is fixed by
+    its pair codes: per column, for each ordered pair of positions of the
+    tuple extended by the constants, one equality bit and one bit per
+    symbol, read through the limit's eval_relation once per pair of point
+    indices, on first need.  A popped point's codes stay until another
+    point takes its index.  The codes are the tuple's key; each new key
+    takes the next id, and labels[id] is orbit_label of the first tuple met
+    with that key.  A symbol of arity > 2 makes orbit_label itself the key.
+    Labels and ids correspond one to one, so id_of_label finds a label's id.
+    """
+
+    def __init__(self, g: GroupPresentation):
+        self.g = g
+        self.points: list = []
+        self.labels: list = []
+        self._limit = domain_limit(g)
+        constants = tuple(g.constants) if isinstance(g, StabilizerGroup) else ()
+        self._shift = len(constants)
+        self._anchor = tuple(range(len(constants)))
+        symbols = self._limit.age.signature.symbols
+        self._binary = all(1 <= s.arity <= 2 for s in symbols)
+        self._unary = [s.name for s in symbols if s.arity == 1]
+        self._pair = [s.name for s in symbols if s.arity == 2]
+        m = point_arity(g)
+        self._columns: list[list] = [[] for _ in range(m)]
+        self._codes: list[list[dict]] = [[] for _ in range(m)]  # [column][i][j]
+        self._ids: dict = {}
+        self._label_ids: dict = {}
+        for k, c in enumerate(constants):
+            self._put(k, c)
+
+    def _put(self, k: int, p) -> None:
+        """Store point p at index k.  A column whose value there equals p's
+        keeps its codes; another value drops the rows from index k on.  A
+        code (i, j) left in a lower row is rewritten before it is read: a
+        key reads (j, i) too, which is missing, and _fill writes both."""
+        cols = p if len(self._columns) > 1 else (p,)
+        for values, codes, v in zip(self._columns, self._codes, cols):
+            if k < len(values):
+                if values[k] == v:
+                    continue
+                del values[k:], codes[k:]
+            values.append(v)
+            codes.append({})
+
+    def append(self, p) -> None:
+        self._put(self._shift + len(self.points), p)
+        self.points.append(p)
+
+    def pop(self) -> None:
+        """Drop the last point; pushing it back reads no relation again."""
+        self.points.pop()
+
+    def _fill(self, values: list, codes: list, i: int, j: int) -> None:
+        """Read the codes of the pairs (i, j) and (j, i) of one column."""
+        x, y = values[i], values[j]
+        there = back = int(x == y)
+        bit = 2
+        for name in self._unary:
+            if i == j and self._limit.eval_relation(name, (x,)):
+                there |= bit
+            bit <<= 1
+        for name in self._pair:
+            if self._limit.eval_relation(name, (x, y)):
+                there |= bit
+            if i != j and self._limit.eval_relation(name, (y, x)):
+                back |= bit
+            bit <<= 1
+        codes[j][i] = back
+        codes[i][j] = there    # on the diagonal, this write wins
+
+    def _key(self, idx: tuple) -> tuple:
+        ext = tuple(i + self._shift for i in idx) + self._anchor if self._shift else idx
+        try:
+            return tuple([codes[i][j] for codes in self._codes for i in ext for j in ext])
+        except KeyError:
+            for values, codes in zip(self._columns, self._codes):
+                for i in ext:
+                    row = codes[i]
+                    for j in ext:
+                        if j not in row:
+                            self._fill(values, codes, i, j)
+            return tuple([codes[i][j] for codes in self._codes for i in ext for j in ext])
+
+    def id_of(self, idx: tuple) -> int:
+        """Id of the label of the tuple of points at the indices idx."""
+        if not self._binary:
+            return self.id_of_label(orbit_label(self.g, tuple(self.points[i] for i in idx)))
+        key = self._key(idx)
+        found = self._ids.get(key)
+        if found is None:
+            label = orbit_label(self.g, tuple(self.points[i] for i in idx))
+            found = self._ids[key] = self.id_of_label(label)
+        return found
+
+    def id_of_label(self, label) -> int:
+        """Id of a label; a label not met yet takes the next id."""
+        i = self._label_ids.get(label)
+        if i is None:
+            i = self._label_ids[label] = len(self.labels)
+            self.labels.append(label)
+        return i
 
 
 class LabelTexts(dict):

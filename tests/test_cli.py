@@ -321,6 +321,13 @@ class TestStabilizerConstantsFitBase:
         assert code == 0
 
 
+@pytest.mark.parametrize("constant", ["-1", "1/2"])
+def test_stabilizer_constant_must_be_an_element(constant):
+    assert run_argv(["behaviors", "--source", f"stab(aut(rado);{constant})",
+                     "--target", "aut(rado)", "--arity", "1"]) == (
+        1, f"error: PresentationError: constant {constant} is not an element of rado\n")
+
+
 @pytest.mark.parametrize("arity", ["0", "-2"])
 def test_behaviors_nonpositive_arity_is_error(arity):
     assert run_argv(["behaviors", "--source", "aut(dlo)", "--target", "aut(dlo)",

@@ -21,7 +21,7 @@ from canonfn import (
     same_orbit,
 )
 from canonfn.formats import load_structures
-from canonfn.groups import label_key, reindex_label, validate_presentation
+from canonfn.groups import label_key, point, reindex_label, validate_presentation
 
 
 class TestOrbitLabels:
@@ -181,3 +181,34 @@ class TestLabelStrings:
         label = orbit_label(g, (0, 1, 0))
         assert format_label(label) == "1=3|2"
         assert parse_label(g, "1=3|2") == label
+
+
+def diagonal_tuples(m):
+    """Reference diagonal enumeration of N^m: by coordinate sum, then
+    lexicographic, filtering all of range(total+1)^m per diagonal."""
+    total = 0
+    while True:
+        for combo in itertools.product(range(total + 1), repeat=m):
+            if sum(combo) == total:
+                yield combo
+        total += 1
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_power_points_follow_the_diagonal_enumeration(dlo, aut_dlo, m):
+    power = PowerGroup(aut_dlo, m)
+    expected = itertools.islice(diagonal_tuples(m), 2000)
+    assert [point(power, n) for n in range(2000)] == [
+        tuple(dlo.element(i) for i in combo) for combo in expected]
+
+
+class TestStabilizerConstantsAreElements:
+    @pytest.mark.parametrize("c", [F(-1), F(1, 2)])
+    def test_index_limits_take_nonnegative_integers(self, c):
+        rado = load_structures("structure r = builtin:rado\n")["r"]
+        with pytest.raises(PresentationError, match="not an element of rado"):
+            validate_presentation(StabilizerGroup(AutLimit(rado), (c,)))
+        validate_presentation(StabilizerGroup(AutLimit(rado), (F(3),)))
+
+    def test_every_rational_is_a_dlo_element(self, aut_dlo):
+        validate_presentation(StabilizerGroup(aut_dlo, (F(-1, 2),)))

@@ -1,0 +1,90 @@
+"""Differential tests of the scan's label ids: PointLabels, which labels
+tuples of points by pair codes on point indices, against orbit_label on the
+tuples themselves, over every presentation shape and through pushes and
+pops."""
+
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from canonfn import AutLimit, PowerGroup, StabilizerGroup, builtin_limit
+from canonfn.formats import load_forbidden_age
+from canonfn.fraisse import GenericLimit
+from canonfn.groups import PointLabels, orbit_label, point
+
+SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+DLO = AutLimit(builtin_limit("dlo"))
+RADO = AutLimit(builtin_limit("rado"))
+
+PRESENTATIONS = {
+    "aut(dlo)": DLO,
+    "aut(rado)": RADO,
+    "aut(ordered-rado)": AutLimit(builtin_limit("ordered-rado")),
+    "aut(pureset)": AutLimit(builtin_limit("pureset")),
+    # Both constants are among the first points, so constants and scanned
+    # points meet in the equality bit.
+    "stab(aut(dlo); 1/2, 0)": StabilizerGroup(DLO, (F(1, 2), F(0))),
+    "stab(aut(rado); 0)": StabilizerGroup(RADO, (F(0),)),
+    "power(aut(dlo),2)": PowerGroup(DLO, 2),
+    "stab(power(aut(dlo),2); (0,1))": StabilizerGroup(PowerGroup(DLO, 2), ((F(0), F(1)),)),
+    # A unary symbol next to a binary one: colored loopless digraphs.
+    "forbidden P/1, E/2": AutLimit(GenericLimit(
+        load_forbidden_age("size 1; E(0,0)\nsize 1; P(0); E(0,0)\n"), name="pe")),
+    # A ternary symbol: the one fallback, orbit_label as the key.
+    "forbidden R/3": AutLimit(GenericLimit(
+        load_forbidden_age("size 1; R(0,0,0)\n"), name="r3")),
+}
+
+POINTS = 12
+
+
+@pytest.mark.parametrize("name", PRESENTATIONS)
+@SETTINGS
+@given(data=st.data())
+def test_ids_are_orbit_labels(name, data):
+    g = PRESENTATIONS[name]
+    pool = [point(g, i) for i in range(POINTS)]
+    labels = PointLabels(g)
+    by_id: dict = {}
+    by_label: dict = {}
+    # An int pushes that point of the pool, None pops the last point.
+    ops = data.draw(st.lists(st.one_of(st.integers(0, POINTS - 1), st.none()),
+                             min_size=1, max_size=16))
+    for op in ops:
+        if op is None:
+            if labels.points:
+                labels.pop()
+            continue
+        labels.append(pool[op])
+        n = len(labels.points)
+        tuples = data.draw(st.lists(st.lists(st.integers(0, n - 1), min_size=1, max_size=4),
+                                    min_size=1, max_size=6))
+        for idx in map(tuple, tuples):
+            i = labels.id_of(idx)
+            label = orbit_label(g, tuple(labels.points[j] for j in idx))
+            assert labels.labels[i] == label
+            # Equal ids exactly when equal labels, over the whole history.
+            assert by_id.setdefault(i, label) == label
+            assert by_label.setdefault(label, i) == i
+
+
+@pytest.mark.parametrize("name", PRESENTATIONS)
+def test_a_popped_index_is_read_again(name):
+    # Label every pair, pop back to the first point, push the others in
+    # reverse order so each later index holds another point, and label every
+    # pair again: codes of the first point with a popped index are stale.
+    g = PRESENTATIONS[name]
+    pool = [point(g, i) for i in range(POINTS)]
+    labels = PointLabels(g)
+    for order in (pool, pool[:1] + pool[:0:-1]):
+        while len(labels.points) > 1:
+            labels.pop()
+        for p in order[len(labels.points):]:
+            labels.append(p)
+        for i in range(POINTS):
+            for j in range(POINTS):
+                t = (order[i], order[j])
+                assert labels.labels[labels.id_of((i, j))] == orbit_label(g, t)

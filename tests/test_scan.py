@@ -13,6 +13,7 @@ from canonfn import (
     Counterexample,
     MaxOracle,
     MinOracle,
+    NegationOracle,
     PiecewiseAffineOracle,
     PowerGroup,
     ProjectionOracle,
@@ -20,8 +21,10 @@ from canonfn import (
     TableOracle,
     builtin_limit,
     check_canonical,
+    count_orbits,
 )
 from canonfn.canonicity import AffinePiece, BehaviorScan, Interval
+from canonfn.fraisse import DloLimit, LimitStructure
 from canonfn.groups import point
 
 DLO = builtin_limit("dlo")
@@ -106,3 +109,33 @@ def test_images_are_computed_only_when_reached(images, arity):
     verdict = check_canonical(table, stab, stab, 9, arity)
     assert isinstance(verdict, Counterexample)
     assert (verdict.arity, verdict.witness_s, verdict.witness_t) == (1, (pts[i],), (pts[j],))
+
+
+def _count_calls(monkeypatch, cls, name) -> list:
+    """Patch cls.name to record its calls; the list fills as it is called."""
+    calls: list = []
+    original = getattr(cls, name)
+
+    def counted(self, *args):
+        calls.append(args)
+        return original(self, *args)
+
+    monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
+def test_scan_types_each_label_once(monkeypatch):
+    # neg is canonical on aut(dlo), so the scan meets every dlo type of arity
+    # <= 3 on each side; a label id is typed on the first tuple with its key.
+    calls = _count_calls(monkeypatch, LimitStructure, "qf_type")
+    assert check_canonical(NegationOracle(DLO), AUT, AUT, 24, 3)
+    assert len(calls) <= 2 * sum(count_orbits(DLO, k) for k in (1, 2, 3)) == 2 * 17
+
+
+def test_arity_one_scan_reads_linearly_many_relations(monkeypatch):
+    # Pair codes are read on first need: an arity-1 scan reads the pairs
+    # (i, i) only, never the n^2 matrix.
+    n = 2000
+    calls = _count_calls(monkeypatch, DloLimit, "eval_relation")
+    assert check_canonical(NegationOracle(DLO), AUT, AUT, n, 1)
+    assert len(calls) <= 4 * n
