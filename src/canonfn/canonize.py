@@ -5,10 +5,12 @@ power(aut(limit), m), and stabilizers of either (constants fixed).  It
 grows one type-preserving partial self-embedding of the limit per column of
 the source's points, level by level over the enumerated domain points,
 keeping the induced behavior of the composed sample conflict-free up to a
-bounded arity: each committed point is pushed onto a canonicity.BehaviorScan,
-and the candidate images of a column are those
-LimitStructure.admissible_image accepts.  Backtracking explores images in
-enumeration order, so the first tower found is the
+bounded arity: each candidate point is pushed onto a canonicity.BehaviorScan,
+and its columns are committed only when the push succeeds.  A column's
+candidates are the pool elements LimitStructure.admissible_images returns,
+listed once per level visit (on DloLimit, the pool elements strictly
+between the images of the nearest committed neighbors).  Backtracking
+explores images in enumeration order, so the first tower found is the
 enumeration-lexicographically least one; exhausting the horizon is
 inconclusive.  canonize_with_constants only builds the stabilized
 presentations and calls canonize.  A pair-coloring Ramsey search over finite
@@ -116,30 +118,33 @@ def _run_search(f: FunctionOracle, g: GroupPresentation, h: GroupPresentation,
         if level == depth:
             return True
         p = points[level]
-        if p in scan.points:
-            # A constant point reappearing in the enumeration: its image and
-            # its tuples are committed already.
+        if p in seeds:
+            # A constant point reappearing in the enumeration (the enumerated
+            # points are distinct, so nothing else recurs): its image and its
+            # tuples are committed already.
             return rec(level + 1)
         cols = columns(p)
         free = [i for i in range(m) if cols[i] not in col_map[i]]
-        cand_lists = [
-            [y for y in pool if limit.admissible_image(col_committed[i], cols[i], y)]
-            for i in free
-        ]
+        image = [col_map[i].get(cols[i]) for i in range(m)]
+        cand_lists = [limit.admissible_images(col_committed[i], cols[i], pool) for i in free]
         for combo in itertools.product(*cand_lists):
             nodes += 1
             for i, y in zip(free, combo):
+                image[i] = y
+            image_point = tuple(image) if m > 1 else image[0]
+            if not scan.push(p, f(image_point)):
+                continue
+            # Most pushes fail, so the columns are committed only after one
+            # succeeds; this level's candidate lists are already built.
+            for i, y in zip(free, combo):
                 col_map[i][cols[i]] = y
                 col_committed[i].append((cols[i], y))
-            image = tuple(col_map[i][cols[i]] for i in range(m))
-            image_point = image if m > 1 else image[0]
-            if scan.push(p, f(image_point)):
-                towers.append((p, image_point))
-                if rec(level + 1):
-                    return True
-                towers.pop()
-                scan.pop()
-            for i, y in zip(free, combo):
+            towers.append((p, image_point))
+            if rec(level + 1):
+                return True
+            towers.pop()
+            scan.pop()
+            for i in free:
                 del col_map[i][cols[i]]
                 col_committed[i].pop()
         return False

@@ -548,22 +548,25 @@ class LimitStructure:
                     atoms.add((sym.name, t))
         return TupleTypeRecord(self.age.signature, k, pattern, frozenset(atoms))
 
+    def _images(self, committed, x, candidates):
+        """The candidates y, lazily and in order, with which type-preserving
+        pairs stay so when (x, y) is added; x's type is computed once."""
+        dom_type = self.qf_type(tuple(a for a, _ in committed) + (x,))
+        rng = tuple(b for _, b in committed)
+        return (y for y in candidates if self.qf_type(rng + (y,)) == dom_type)
+
     def admissible_image(self, committed, x, y) -> bool:
         """Whether type-preserving pairs stay so with (x, y) added."""
-        dom = tuple(a for a, _ in committed) + (x,)
-        rng = tuple(b for _, b in committed) + (y,)
-        return self.qf_type(dom) == self.qf_type(rng)
+        return bool(self.admissible_images(committed, x, (y,)))
+
+    def admissible_images(self, committed, x, pool) -> list:
+        """The y in pool, in pool order, that admissible_image accepts."""
+        return list(self._images(committed, x, pool))
 
     def least_image(self, pairs, x, probe_cap: int):
         """Enumeration-least admissible image of x under type-preserving
         pairs; None when none is among the first probe_cap elements."""
-        dom_type = self.qf_type(tuple(a for a, _ in pairs) + (x,))
-        rng = tuple(b for _, b in pairs)
-        for i in range(probe_cap):
-            y = self.element(i)
-            if self.qf_type(rng + (y,)) == dom_type:
-                return y
-        return None
+        return next(self._images(pairs, x, map(self.element, range(probe_cap))), None)
 
     def __repr__(self):
         return f"<limit {self.name}>"
@@ -593,8 +596,9 @@ class DloLimit(LimitStructure):
         return a < b
 
     # A type over Q is an order pattern, so images are found by comparing
-    # positions: the least image is the enumeration-least rational between
-    # the images of the nearest committed neighbors (no probe cap needed).
+    # positions: the admissible images of an uncommitted x are the rationals
+    # strictly between the images of its nearest committed neighbors, and
+    # the least image is the enumeration-least of them (no probe cap needed).
 
     def admissible_image(self, committed, x, y) -> bool:
         for a, b in committed:
@@ -602,14 +606,31 @@ class DloLimit(LimitStructure):
                 return False
         return True
 
-    def least_image(self, pairs, x, probe_cap: int):
+    @staticmethod
+    def _bounds(committed, x):
+        """(lo, hi): the images of x's nearest committed neighbors below and
+        above, None where there is none; (b, b) when x itself maps to b."""
         lo = hi = None
-        for a, b in pairs:
-            if a < x and (lo is None or b > lo):
-                lo = b
-            if a > x and (hi is None or b < hi):
-                hi = b
-        return least_enum_in_interval(lo, hi)
+        for a, b in committed:
+            if a < x:
+                if lo is None or b > lo:
+                    lo = b
+            elif x < a:
+                if hi is None or b < hi:
+                    hi = b
+            else:
+                return b, b
+        return lo, hi
+
+    def admissible_images(self, committed, x, pool) -> list:
+        lo, hi = self._bounds(committed, x)
+        if lo is not None and lo == hi:
+            return [y for y in pool if y == lo]
+        return [y for y in pool if (lo is None or lo < y) and (hi is None or y < hi)]
+
+    def least_image(self, pairs, x, probe_cap: int):
+        lo, hi = self._bounds(pairs, x)
+        return lo if lo is not None and lo == hi else least_enum_in_interval(lo, hi)
 
 
 class PureSetLimit(LimitStructure):

@@ -1,19 +1,24 @@
 import itertools
+import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from canonfn import (
     AutLimit,
     CanonicalApproximation,
     CanonicalUpTo,
+    ComposeOracle,
     ConstantOracle,
     HorizonExhausted,
     IdentityOracle,
+    MaxOracle,
     MinOracle,
     NegationOracle,
     PowerGroup,
     PresentationError,
+    ProjectionOracle,
     StabilizerGroup,
     TableOracle,
     canonize,
@@ -24,7 +29,10 @@ from canonfn import (
     pair_coloring,
     qf_type,
 )
-from canonfn.groups import label_key, orbit_label
+from canonfn.canonicity import BehaviorScan, FunctionOracle
+from canonfn.canonize import EmbeddingTower
+from canonfn.groups import domain_limit, label_key, orbit_label, point, point_arity
+from test_scan import piecewise_map
 
 
 def entry_strings(table, arity):
@@ -145,6 +153,130 @@ class TestCanonizeWithConstants:
         assert isinstance(min_result.certificate, CanonicalUpTo)
         for x, y in min_result.tower.pairs:
             assert min_result.sample(x) == min(y)
+
+
+# ---------------------------------------------------------------------------
+# the search against its reference loop
+
+
+def reference_search(f, g, h, arity, depth, horizon):
+    """The embedding search written plainly: each column's candidates are the
+    whole pool filtered by admissible_image, and a node's columns are
+    committed before its push.  (tower, sample table) or HorizonExhausted."""
+    seeds = tuple(g.constants) if isinstance(g, StabilizerGroup) else ()
+    limit = domain_limit(g)
+    m = point_arity(g)
+    pool = [limit.element(i) for i in range(horizon)]
+    points = [point(g, i) for i in range(depth)]
+
+    def columns(p):
+        return p if m > 1 else (p,)
+
+    col_map = [{} for _ in range(m)]
+    for c in seeds:
+        for i, v in enumerate(columns(c)):
+            col_map[i][v] = v
+    col_committed = [list(cm.items()) for cm in col_map]
+    scan = BehaviorScan(g, h, arity)
+    for c in seeds:
+        assert scan.push(c, f(c))
+    towers = []
+    nodes = deepest = 0
+
+    def rec(level):
+        nonlocal nodes, deepest
+        deepest = max(deepest, level)
+        if level == depth:
+            return True
+        p = points[level]
+        if p in scan.points:
+            return rec(level + 1)
+        cols = columns(p)
+        free = [i for i in range(m) if cols[i] not in col_map[i]]
+        cand_lists = [
+            [y for y in pool if limit.admissible_image(col_committed[i], cols[i], y)]
+            for i in free
+        ]
+        for combo in itertools.product(*cand_lists):
+            nodes += 1
+            for i, y in zip(free, combo):
+                col_map[i][cols[i]] = y
+                col_committed[i].append((cols[i], y))
+            image = tuple(col_map[i][cols[i]] for i in range(m))
+            image_point = image if m > 1 else image[0]
+            if scan.push(p, f(image_point)):
+                towers.append((p, image_point))
+                if rec(level + 1):
+                    return True
+                towers.pop()
+                scan.pop()
+            for i, y in zip(free, combo):
+                del col_map[i][cols[i]]
+                col_committed[i].pop()
+        return False
+
+    if not rec(0):
+        return HorizonExhausted(deepest, nodes)
+    tower = EmbeddingTower(tuple((c, c) for c in seeds), tuple(towers))
+    return tower, dict(zip(scan.points, scan.images))
+
+
+def search_case(dlo, seed: int):
+    """(oracle, source, arity, depth, horizon) drawn from one seed: a
+    piecewise-affine map over aut(dlo) or stab(aut(dlo); c), or min, max or
+    a projection followed by one over power(aut(dlo), 2)."""
+    rng = random.Random(seed)
+    aut = AutLimit(dlo)
+    f = piecewise_map(rng)
+    shape = rng.choice(["aut", "stab", "power"])
+    if shape == "aut":
+        g = aut
+    elif shape == "stab":
+        g = StabilizerGroup(aut, (F(rng.randint(-6, 6), 2),))
+    else:
+        inner = rng.choice([MinOracle(dlo, dlo), MaxOracle(dlo, dlo),
+                            ProjectionOracle(dlo, 2, 0), ProjectionOracle(dlo, 2, 1)])
+        f, g = ComposeOracle(f, inner), PowerGroup(aut, 2)
+    return f, g, rng.randint(1, 2), rng.randint(1, 5), rng.randint(1, 16)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 2**32))
+def test_search_matches_reference_loop(dlo, seed):
+    f, g, arity, depth, horizon = search_case(dlo, seed)
+    h = AutLimit(f.target)
+    result = canonize(f, g, h, arity, depth, horizon)
+    expected = reference_search(f, g, h, arity, depth, horizon)
+    if isinstance(expected, HorizonExhausted):
+        assert result == expected
+    else:
+        assert (result.tower, result.sample.mapping) == expected
+
+
+class CountingOracle(FunctionOracle):
+    """Another oracle's values, counting the calls."""
+
+    def __init__(self, inner: FunctionOracle):
+        super().__init__(inner.source, inner.target)
+        self.m = inner.m
+        self.inner = inner
+        self.calls = 0
+
+    def __call__(self, p):
+        self.calls += 1
+        return self.inner(p)
+
+
+@pytest.mark.parametrize("constants", [(), (F(1, 2),)])
+def test_one_oracle_call_per_node(dlo, aut_dlo, mixed_map, constants):
+    # perfbench counts canonize's search nodes as the oracle calls the
+    # search makes, less one per constant.
+    f = CountingOracle(mixed_map)
+    g = StabilizerGroup(aut_dlo, constants) if constants else aut_dlo
+    result = canonize(f, g, aut_dlo, 2, 6, 8)
+    assert isinstance(result, HorizonExhausted)
+    assert f.calls == result.nodes + len(constants)
 
 
 class TestMonoSubset:

@@ -1,3 +1,8 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from canonfn import UsageError
@@ -438,3 +443,14 @@ class TestDeterminismAndRecords:
         code = main(["orbits", "--bogus", "x"])
         assert code == 1
         assert "usage error" in capsys.readouterr().err
+
+
+def test_python_dash_m_runs_the_cli():
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    argv = ["orbits", "dlo", "--arity", "2"]
+    done = subprocess.run([sys.executable, "-m", "canonfn", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == run_argv(argv)[1]

@@ -334,9 +334,33 @@ def order_preserving_pairs(draw):
 def test_dlo_image_fast_paths_match_generic(pairs, x, y):
     generic = LimitStructure
     assert DLO.admissible_image(pairs, x, y) == generic.admissible_image(DLO, pairs, x, y)
-    if x not in {a for a, _ in pairs}:
-        cap = 1 << 16
-        assert DLO.least_image(pairs, x, cap) == generic.least_image(DLO, pairs, x, cap)
+    cap = 1 << 16
+    assert DLO.least_image(pairs, x, cap) == generic.least_image(DLO, pairs, x, cap)
+
+
+@st.composite
+def image_queries(draw):
+    """(pairs, x, pool): type-preserving pairs whose images may lie outside
+    the pool, as stabilizer constants' do; x new or a committed source point."""
+    pairs = draw(order_preserving_pairs())
+    if pairs and draw(st.booleans()):
+        x = draw(st.sampled_from([a for a, _ in pairs]))
+    else:
+        x = draw(RATIONALS)
+    pool = draw(st.lists(RATIONALS, unique=True, max_size=12))
+    return pairs, x, pool
+
+
+@HYPOTHESIS
+@given(image_queries())
+def test_admissible_images_filter_the_pool(query):
+    pairs, x, pool = query
+    dom_type = DLO.qf_type(tuple(a for a, _ in pairs) + (x,))
+    expected = [y for y in pool
+                if DLO.qf_type(tuple(b for _, b in pairs) + (y,)) == dom_type]
+    assert expected == [y for y in pool if DLO.admissible_image(pairs, x, y)]
+    assert DLO.admissible_images(pairs, x, pool) == expected
+    assert LimitStructure.admissible_images(DLO, pairs, x, pool) == expected
 
 
 @st.composite
