@@ -170,6 +170,9 @@ def enumerate_behaviors(source: GroupPresentation, target: GroupPresentation,
             for ids in found]
 
 
+_TARGET_RATIO = 8
+
+
 @dataclass(frozen=True)
 class Exhausted:
     """Inconclusive outcome of a realizability search."""
@@ -180,20 +183,23 @@ class Exhausted:
         return False
 
 
-def realize_behavior(table: BehaviorTable, n: int, target_ratio: int = 8):
+def realize_behavior(table: BehaviorTable, n: int):
     """Search for a finite witness of the table on the first n source elements.
 
     Returns the enumeration-lexicographically least mapping into the first
-    n*target_ratio target elements whose induced labels match the table on
-    all tuples of arity <= max_arity, or Exhausted.
+    n*_TARGET_RATIO target elements whose induced labels match the table on
+    all tuples of arity <= max_arity, or Exhausted.  A candidate is kept when
+    its push succeeds and the table agrees on each label the push recorded first.
     """
     if not isinstance(table.source, AutLimit) or not isinstance(table.target, AutLimit):
         raise PresentationError("realizability search needs aut(limit) presentations")
+    if n < 1:
+        raise ValueError("witness size must be positive")
     from .canonicity import BehaviorScan
 
     domain = [table.source.limit.element(i) for i in range(n)]
-    pool = [table.target.limit.element(i) for i in range(n * target_ratio)]
-    scan = BehaviorScan(table.source, table.target, table.max_arity, expected=table)
+    pool = [table.target.limit.element(i) for i in range(n * _TARGET_RATIO)]
+    scan = BehaviorScan(table.source, table.target, table.max_arity)
     explored = 0
 
     def rec(i) -> bool:
@@ -203,7 +209,8 @@ def realize_behavior(table: BehaviorTable, n: int, target_ratio: int = 8):
         for y in pool:
             explored += 1
             if scan.push(domain[i], y):
-                if rec(i + 1):
+                if (all(table.get(k, src) == tgt for k, src, tgt in scan.recorded())
+                        and rec(i + 1)):
                     return True
                 scan.pop()
         return False

@@ -5,10 +5,10 @@ finite horizon this is checked over all tuples of bounded arity drawn from an
 initial segment of the domain: a refutation (two same-label tuples with
 different image labels) is conclusive, a pass is a certificate up to the
 horizon only.  BehaviorScan is the one tuple scan behind every such check:
-check_canonical runs it in full, and the embedding search in canonize, the
-realizability search in behaviors and the harness seeds run it point by point.
-It labels tuples by int ids on point indices (groups.PointLabels), so a
-label record is built once per distinct label, not once per tuple.
+check_canonical runs it in full, and the embedding search in canonize and
+the realizability search in behaviors run it point by point.  It labels
+tuples by int ids on point indices (groups.PointLabels), so a label record
+is built once per distinct label, not once per tuple.
 The module also computes induced behavior tables, the local equality relation
 modulo a group, coherent tower witnesses for lifted equalities, and a harness
 comparing the three equivalent formulations of canonicity at finite scale.
@@ -28,13 +28,15 @@ from .groups import (
     GroupPresentation,
     PartialAutomorphism,
     PointLabels,
+    aut_power,
     automorphism_extending,
-    domain_limit,
     label_key,
     orbit_label,
     point,
     reindex_label,
 )
+
+_SEED_CAP = 64    # same-label tuple pairs the harness samples by default
 
 # ---------------------------------------------------------------------------
 # function oracles
@@ -326,15 +328,15 @@ CanonicityVerdict = CanonicalUpTo | Counterexample
 
 
 class BehaviorScan:
-    """The tuple scan behind every canonicity check.
+    """The tuple scan behind every canonicity check: it discovers the
+    behavior table of the points it is given.
 
-    Each visited tuple of arity k <= arity over the scanned points has its
-    source label under g compared with the label of its image tuple under h:
-    against the expected table's entry when one is given, else against the
-    first image label visited for the same (k, source label).  Labels are
-    the int ids of one groups.PointLabels per side, taken on point indices;
-    they turn back into labels only for a Counterexample, a BehaviorTable or
-    the expected table's lookup.
+    Each visited tuple of arity k <= arity over the scanned points has the
+    label of its image tuple under h compared with the image label first
+    visited for the same source label under g.  Labels are the int ids of
+    one groups.PointLabels per side, taken on point indices; an id fixes its
+    label's arity, so the first image is kept by source id alone.  Ids turn
+    back into labels only for a Counterexample, a BehaviorTable or recorded.
 
     Full mode (run) visits every tuple in (arity, lexicographic index) order,
     so the first conflict is the first counterexample, and calls the oracle
@@ -343,17 +345,12 @@ class BehaviorScan:
     that conflicts undoes its own entries and leaves the scan as it was.
     """
 
-    def __init__(self, g: GroupPresentation, h: GroupPresentation | None, arity: int,
-                 expected: BehaviorTable | None = None):
-        self.g = g
-        self.h = h
+    def __init__(self, g: GroupPresentation, h: GroupPresentation, arity: int):
         self.arity = arity
-        self.expected = expected
         self.source = PointLabels(g)
-        self.target = PointLabels(h) if h is not None else None
-        self._seen: dict = {}        # (k, source id) -> (image id, first tuple)
-        self._expected: dict = {}    # (k, source id) -> expected image id or None
-        self._pushed: list = []      # keys each push added, for pop
+        self.target = PointLabels(h)
+        self._seen: dict = {}        # source id -> (image id, first tuple)
+        self._pushed: list = []      # source ids each push recorded, for pop
 
     @property
     def points(self) -> list:
@@ -363,46 +360,33 @@ class BehaviorScan:
     def images(self) -> list:
         return self.target.points
 
-    def labeled(self, points):
-        """(index tuple, source id) for every tuple over the points, in
-        (arity, lexicographic index) order."""
-        for p in points:
-            self.source.append(p)
-        for k in range(1, self.arity + 1):
-            for idx in itertools.product(range(len(self.points)), repeat=k):
-                yield idx, self.source.id_of(idx)
-
     def _known(self, idx: tuple, src: int, img: int, added: list) -> tuple:
-        """(image id, witness) on record for the source id; an expected
-        table's entry has no witness.  An id met first here records (img, t)."""
-        key = (len(idx), src)
-        if self.expected is not None:
-            if key not in self._expected:
-                label = self.expected.get(len(idx), self.source.labels[src])
-                self._expected[key] = None if label is None else self.target.id_of_label(label)
-            return self._expected[key], None
-        known = self._seen.get(key)
+        """(image id, first tuple) on record for the source id; an id met
+        first here records (img, its tuple) and joins added."""
+        known = self._seen.get(src)
         if known is None:
-            known = self._seen[key] = (img, tuple(self.points[i] for i in idx))
-            added.append(key)
+            known = self._seen[src] = (img, tuple(self.points[i] for i in idx))
+            added.append(src)
         return known
 
     def run(self, points, f: FunctionOracle) -> Counterexample | None:
         """Full mode: the first tuple whose image label conflicts, or None."""
+        for p in points:
+            self.source.append(p)
         added: list = []
-        for idx, src in self.labeled(points):
-            while len(self.images) <= max(idx):
-                p = self.points[len(self.images)]
-                if not f.defined_at(p):
-                    raise DomainGap(f"oracle undefined at {p}")
-                self.target.append(f(p))
-            img = self.target.id_of(idx)
-            img0, t0 = self._known(idx, src, img, added)
-            if img0 != img:
-                labels = self.target.labels
-                return Counterexample(len(idx), t0, tuple(self.points[i] for i in idx),
-                                      self.source.labels[src],
-                                      None if img0 is None else labels[img0], labels[img])
+        for k in range(1, self.arity + 1):
+            for idx in itertools.product(range(len(self.points)), repeat=k):
+                while len(self.images) <= max(idx):
+                    p = self.points[len(self.images)]
+                    if not f.defined_at(p):
+                        raise DomainGap(f"oracle undefined at {p}")
+                    self.target.append(f(p))
+                src, img = self.source.id_of(idx), self.target.id_of(idx)
+                img0, t0 = self._known(idx, src, img, added)
+                if img0 != img:
+                    labels = self.target.labels
+                    return Counterexample(k, t0, tuple(self.points[i] for i in idx),
+                                          self.source.labels[src], labels[img0], labels[img])
         return None
 
     def _touching(self, new: int):
@@ -432,15 +416,23 @@ class BehaviorScan:
 
     def pop(self) -> None:
         """Undo the last push."""
-        for key in self._pushed.pop():
-            del self._seen[key]
+        for src in self._pushed.pop():
+            del self._seen[src]
         self.source.pop()
         self.target.pop()
 
+    def _entry(self, src: int) -> tuple:
+        img, t = self._seen[src]
+        return len(t), self.source.labels[src], self.target.labels[img]
+
+    def recorded(self) -> list:
+        """(k, source label, image label) of each source label that the
+        last push met first, in the order it met them."""
+        return [self._entry(src) for src in self._pushed[-1]]
+
     def behavior(self) -> BehaviorTable:
-        src, img = self.source.labels, self.target.labels
-        entries = [(k, src[s], img[i]) for (k, s), (i, _) in self._seen.items()]
-        return BehaviorTable(self.g, self.h, self.arity, entries)
+        return BehaviorTable(self.source.g, self.target.g, self.arity,
+                             [self._entry(src) for src in self._seen])
 
 
 def check_canonical(f: FunctionOracle, g: GroupPresentation, h: GroupPresentation,
@@ -511,20 +503,12 @@ def type_tower(f: FunctionOracle, h: GroupPresentation, sizes) -> TypeTower:
     sizes = tuple(sizes)
     if any(b <= a for a, b in zip(sizes, sizes[1:])) or not sizes:
         raise ValueError("sizes must be strictly increasing and nonempty")
+    g = aut_power(f.source, f.m)
     labels = []
     for n in sizes:
-        pts = [point_of_oracle(f, i) for i in range(n)]
-        labels.append(orbit_label(h, apply_tuple(f, tuple(pts))))
+        pts = tuple(point(g, i) for i in range(n))
+        labels.append(orbit_label(h, apply_tuple(f, pts)))
     return TypeTower(sizes, tuple(labels))
-
-
-def point_of_oracle(f: FunctionOracle, i: int):
-    """i-th domain point of an oracle (column tuples for m-ary oracles)."""
-    if f.m == 1:
-        return f.source.element(i)
-    from .groups import PowerGroup
-
-    return point(PowerGroup(AutLimit(f.source), f.m), i)
 
 
 @dataclass(frozen=True)
@@ -584,11 +568,12 @@ def tower_witness(pairs, h: GroupPresentation, depth: int):
     stops with the first failing pair and fragment.
     """
     pairs = list(pairs)
+    sources = [aut_power(f_i.source, f_i.m) for f_i, _ in pairs]
     levels = []
     for level in range(1, depth + 1):
         joint: list = []
         for i, (f_i, g_i) in enumerate(pairs):
-            fragment = tuple(point_of_oracle(f_i, j) for j in range(level))
+            fragment = tuple(point(sources[i], j) for j in range(level))
             if not local_equal(f_i, g_i, fragment, h):
                 return LocalFailure(i, fragment)
             joint.extend(apply_tuple(f_i, fragment))
@@ -626,27 +611,27 @@ class HarnessReport:
 def _same_label_seeds(g: GroupPresentation, horizon: int, arity: int, cap: int):
     """Ordered pairs of distinct same-label tuples over the first horizon
     elements, in lexicographic index order, capped deterministically."""
-    limit = domain_limit(g)
-    by_label: dict = {}
-    scan = BehaviorScan(g, None, arity)
-    for idx, src in scan.labeled(limit.element(i) for i in range(horizon)):
-        t = tuple(scan.points[i] for i in idx)
-        by_label.setdefault((len(idx), src), []).append((idx, t))
-    labels = scan.source.labels
+    labels = PointLabels(g)
+    for i in range(horizon):
+        labels.append(point(g, i))
     seeds = []
-    for _, bucket in sorted(by_label.items(),
-                            key=lambda kv: (kv[0][0], label_key(labels[kv[0][1]]))):
-        for (idx_s, s), (idx_t, t) in itertools.product(bucket, repeat=2):
-            if idx_s != idx_t:
-                seeds.append((s, t))
-                if len(seeds) >= cap:
-                    return seeds
+    for k in range(1, arity + 1):
+        by_label: dict = {}
+        for idx in itertools.product(range(horizon), repeat=k):
+            t = tuple(labels.points[i] for i in idx)
+            by_label.setdefault(labels.id_of(idx), []).append(t)
+        for src in sorted(by_label, key=lambda i: label_key(labels.labels[i])):
+            for (i, s), (j, t) in itertools.product(enumerate(by_label[src]), repeat=2):
+                if i != j:
+                    seeds.append((s, t))
+                    if len(seeds) >= cap:
+                        return seeds
     return seeds
 
 
 def proposition_harness(f: FunctionOracle, g: GroupPresentation,
                         h: GroupPresentation, horizon: int, arity: int,
-                        seeds=None, seed_cap: int = 64) -> HarnessReport:
+                        seeds=None) -> HarnessReport:
     """Compare the three finite-scale formulations of canonicity.
 
     (1) the tuple-pair scan of check_canonical; (2) for automorphism germs
@@ -659,7 +644,7 @@ def proposition_harness(f: FunctionOracle, g: GroupPresentation,
         raise PresentationError("the harness samples germs of aut(limit) sources")
     verdict = check_canonical(f, g, h, horizon, arity)
     if seeds is None:
-        seeds = _same_label_seeds(g, horizon, arity, seed_cap)
+        seeds = _same_label_seeds(g, horizon, arity, _SEED_CAP)
         if isinstance(verdict, Counterexample):
             seeds = list(seeds) + [(verdict.witness_s, verdict.witness_t)]
     limit = g.limit

@@ -35,8 +35,8 @@ from .fraisse import _check_arity
 from .groups import (
     AutLimit,
     GroupPresentation,
-    PowerGroup,
     StabilizerGroup,
+    aut_power,
     domain_limit,
     point,
     point_arity,
@@ -93,12 +93,11 @@ def _run_search(f: FunctionOracle, g: GroupPresentation, h: GroupPresentation,
         return p if m > 1 else (p,)
 
     # One type-preserving partial embedding per column; the seeds' columns
-    # are fixed pointwise up front.
+    # are fixed pointwise up front.  Each dict keeps its pairs in commit order.
     col_map: list[dict] = [{} for _ in range(m)]
     for c in seeds:
         for i, v in enumerate(columns(c)):
             col_map[i][v] = v
-    col_committed = [list(cm.items()) for cm in col_map]
 
     scan = BehaviorScan(g, h, arity)
     nodes = 0
@@ -126,7 +125,7 @@ def _run_search(f: FunctionOracle, g: GroupPresentation, h: GroupPresentation,
         cols = columns(p)
         free = [i for i in range(m) if cols[i] not in col_map[i]]
         image = [col_map[i].get(cols[i]) for i in range(m)]
-        cand_lists = [limit.admissible_images(col_committed[i], cols[i], pool) for i in free]
+        cand_lists = [limit.admissible_images(col_map[i].items(), cols[i], pool) for i in free]
         for combo in itertools.product(*cand_lists):
             nodes += 1
             for i, y in zip(free, combo):
@@ -138,7 +137,6 @@ def _run_search(f: FunctionOracle, g: GroupPresentation, h: GroupPresentation,
             # succeeds; this level's candidate lists are already built.
             for i, y in zip(free, combo):
                 col_map[i][cols[i]] = y
-                col_committed[i].append((cols[i], y))
             towers.append((p, image_point))
             if rec(level + 1):
                 return True
@@ -146,7 +144,6 @@ def _run_search(f: FunctionOracle, g: GroupPresentation, h: GroupPresentation,
             scan.pop()
             for i in free:
                 del col_map[i][cols[i]]
-                col_committed[i].pop()
         return False
 
     if not rec(0):
@@ -190,9 +187,7 @@ def canonize_with_constants(f: FunctionOracle, constants, arity: int,
     constants; the target is aut(f.target) stabilized at the f-images of the
     constants (see groups.stabilized).  canonize does the search.
     """
-    aut = AutLimit(f.source)
-    g: GroupPresentation = aut if f.m == 1 else PowerGroup(aut, f.m)
-    g, h = stabilized(g, AutLimit(f.target), constants, f)
+    g, h = stabilized(aut_power(f.source, f.m), AutLimit(f.target), constants, f)
     return canonize(f, g, h, arity, depth, horizon)
 
 

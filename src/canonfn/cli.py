@@ -30,9 +30,8 @@ from .errors import (
     UsageError,
 )
 from .groups import (
-    AutLimit,
     LabelTexts,
-    PowerGroup,
+    aut_power,
     domain_limit,
     format_label,
     point_arity,
@@ -223,7 +222,7 @@ def _presentations(options):
     spec = options["f"]
     f = formats.parse_oracle_spec(spec, domain_limit(source) if source else None)
     if source is None:
-        source = AutLimit(f.source) if f.m == 1 else PowerGroup(AutLimit(f.source), f.m)
+        source = aut_power(f.source, f.m)
     for g, verb, columns in ((source, "takes", f.m), (target, "gives", 1)):
         if point_arity(g) != columns:
             raise ValueError(f"oracle {spec} {verb} {columns}-column points; "
@@ -385,10 +384,9 @@ def _run_iso(options):
     if options["points"] < 1:
         raise ValueError("points must be positive")
     mapping = symbolic.canonical_iso(source, target)
-    while len(mapping.committed) < options["points"]:
-        mapping.run_stages(1)
+    mapping.run_stages(options["points"])    # one committed pair per stage
     lines = [f"iso: {mapping.name}"]
-    for x, y in mapping.committed[: options["points"]]:
+    for x, y in mapping.committed:
         lines.append(f"{format_rational(x)} -> {format_rational(y)}")
     return 0, lines
 

@@ -600,12 +600,6 @@ class DloLimit(LimitStructure):
     # strictly between the images of its nearest committed neighbors, and
     # the least image is the enumeration-least of them (no probe cap needed).
 
-    def admissible_image(self, committed, x, y) -> bool:
-        for a, b in committed:
-            if (x < a) != (y < b) or (a < x) != (b < y):
-                return False
-        return True
-
     @staticmethod
     def _bounds(committed, x):
         """(lo, hi): the images of x's nearest committed neighbors below and

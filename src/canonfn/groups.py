@@ -64,6 +64,11 @@ class StabilizerGroup:
 GroupPresentation = AutLimit | PowerGroup | StabilizerGroup
 
 
+def aut_power(limit: LimitStructure, m: int) -> GroupPresentation:
+    """aut(limit), or its m-th power: the default source of m-column oracles."""
+    return AutLimit(limit) if m == 1 else PowerGroup(AutLimit(limit), m)
+
+
 def validate_presentation(g: GroupPresentation) -> None:
     """Allow exactly the shapes needed downstream: aut, power(aut),
     stab(aut), stab(power(aut))."""
@@ -441,22 +446,22 @@ def parse_label(g: GroupPresentation, text: str):
 # ---------------------------------------------------------------------------
 # partial automorphisms
 
+_PROBE_CAP = 1 << 21
+
 
 class PartialAutomorphism:
     """A finite type-preserving partial map of a limit, extendable on demand.
 
     Extension commits the enumeration-least admissible image, which the
     limit's least_image finds (DloLimit by order position, other limits by
-    probing the enumeration), so the germ is deterministic given its seed
-    pairs.  Each committed pair is tested with the limit's admissible_image;
-    verify() recomputes the types from scratch.
+    probing the first _PROBE_CAP elements), so the germ is deterministic
+    given its seed pairs.  Each committed pair is tested with the limit's
+    admissible_image; verify() recomputes the types from scratch.
     """
 
-    def __init__(self, limit: LimitStructure, pairs: Iterable[tuple] = (), probe_cap: int = 1 << 21):
+    def __init__(self, limit: LimitStructure, pairs: Iterable[tuple] = ()):
         self.limit = limit
-        self._pairs: list[tuple] = []
-        self._map: dict = {}
-        self._probe_cap = probe_cap
+        self._map: dict = {}    # x -> image, in commit order
         for x, y in pairs:
             self._commit(x, y)
 
@@ -465,20 +470,19 @@ class PartialAutomorphism:
             if self._map[x] != y:
                 raise TypeMismatch(f"conflicting images for {x}")
             return
-        if not self.limit.admissible_image(self._pairs, x, y):
+        if not self.limit.admissible_image(self._map.items(), x, y):
             raise TypeMismatch(f"pair {x} -> {y} breaks the type of the germ")
-        self._pairs.append((x, y))
         self._map[x] = y
 
     @property
     def pairs(self) -> tuple:
-        return tuple(self._pairs)
+        return tuple(self._map.items())
 
     def extend(self, x):
         """Image of x, committing the enumeration-least admissible value."""
         if x in self._map:
             return self._map[x]
-        y = self.limit.least_image(self._pairs, x, self._probe_cap)
+        y = self.limit.least_image(self._map.items(), x, _PROBE_CAP)
         if y is None:
             raise PresentationError(f"no admissible image for {x} within the probe cap")
         self._commit(x, y)
@@ -488,11 +492,10 @@ class PartialAutomorphism:
         return self.extend(x)
 
     def verify(self) -> bool:
-        dom = tuple(p[0] for p in self._pairs)
-        rng = tuple(p[1] for p in self._pairs)
-        if not dom:
+        if not self._map:
             return True
-        return self.limit.qf_type(dom) == self.limit.qf_type(rng)
+        qf_type = self.limit.qf_type
+        return qf_type(tuple(self._map)) == qf_type(tuple(self._map.values()))
 
 
 def automorphism_extending(g: GroupPresentation, mapping) -> PartialAutomorphism:

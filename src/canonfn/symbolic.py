@@ -74,6 +74,10 @@ def check_dense(s: ComputableDenseSet, samples: int = 8, budget: int = 4096) -> 
         raise DensityProbeFailure(f"{s.name}: no member below {bottom}")
 
 
+# Members a partner search probes, and stages eval and inverse run, at most.
+_PROBE_CAP = 1 << 22
+
+
 class BackAndForthMap:
     """The canonical order isomorphism between two dense subsets of Q.
 
@@ -85,21 +89,19 @@ class BackAndForthMap:
     """
 
     def __init__(self, source: ComputableDenseSet, target: ComputableDenseSet,
-                 seeds=(), probe_cap: int = 1 << 22):
+                 seeds=()):
         self.source = source
         self.target = target
         self.name = f"iso({source.name},{target.name})"
-        self._pairs: list[tuple[Fraction, Fraction]] = []
         # Commitments sorted by source value; the aligned target column is
         # sorted as well since every stage preserves order.
         self._src_sorted: list[Fraction] = []
         self._tgt_sorted: list[Fraction] = []
-        self._fwd: dict[Fraction, Fraction] = {}
+        self._fwd: dict[Fraction, Fraction] = {}    # in commit order
         self._bwd: dict[Fraction, Fraction] = {}
         self._next_source = 0
         self._next_target = 0
         self._forth_turn = True
-        self._probe_cap = probe_cap
         for x, y in seeds:
             x, y = Fraction(x), Fraction(y)
             if not (source.contains(x) and target.contains(y)):
@@ -108,7 +110,7 @@ class BackAndForthMap:
 
     @property
     def committed(self) -> tuple:
-        return tuple(self._pairs)
+        return tuple(self._fwd.items())
 
     def _commit(self, x: Fraction, y: Fraction) -> None:
         pos = bisect.bisect_left(self._src_sorted, x)
@@ -119,7 +121,6 @@ class BackAndForthMap:
             raise ValueError(f"commitment ({x},{y}) breaks order preservation")
         self._src_sorted.insert(pos, x)
         self._tgt_sorted.insert(pos, y)
-        self._pairs.append((x, y))
         self._fwd[x] = y
         self._bwd[y] = x
 
@@ -135,7 +136,7 @@ class BackAndForthMap:
             if y is None:
                 raise BudgetExhausted("empty partner interval")
             return y
-        for i in range(self._probe_cap):
+        for i in range(_PROBE_CAP):
             y = partner_set.enumerate_member(i)
             if (lo is None or y > lo) and (hi is None or y < hi):
                 return y
@@ -172,7 +173,7 @@ class BackAndForthMap:
         while x not in self._fwd:
             self._stage()
             guard += 1
-            if guard > self._probe_cap:
+            if guard > _PROBE_CAP:
                 raise BudgetExhausted("back-and-forth did not reach the requested point")
         return self._fwd[x]
 
@@ -184,7 +185,7 @@ class BackAndForthMap:
         while y not in self._bwd:
             self._stage()
             guard += 1
-            if guard > self._probe_cap:
+            if guard > _PROBE_CAP:
                 raise BudgetExhausted("back-and-forth did not reach the requested point")
         return self._bwd[y]
 
@@ -192,11 +193,10 @@ class BackAndForthMap:
         return self.eval(x)
 
 
-def canonical_iso(source: ComputableDenseSet, target: ComputableDenseSet,
-                  probe_budget: int = 4096) -> BackAndForthMap:
+def canonical_iso(source: ComputableDenseSet, target: ComputableDenseSet) -> BackAndForthMap:
     """The deterministic back-and-forth isomorphism, after density sampling."""
-    check_dense(source, budget=probe_budget)
-    check_dense(target, budget=probe_budget)
+    check_dense(source)
+    check_dense(target)
     return BackAndForthMap(source, target)
 
 
@@ -361,6 +361,8 @@ def pham_refute(epsilon, budget: int = 4096) -> ObstructionCertificate:
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
+    if budget < 1:
+        raise ValueError("budget must be positive")
     f = canonical_iso(rationals_set(), punctured_rationals())
     a = b = None
     for i in range(budget):

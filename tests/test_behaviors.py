@@ -1,6 +1,8 @@
 import itertools
 from fractions import Fraction as F
 
+import pytest
+
 from canonfn import (
     AutLimit,
     BehaviorTable,
@@ -8,9 +10,11 @@ from canonfn import (
     TableOracle,
     Violation,
     behavior_of,
+    builtin_limit,
     coherence_check,
     enumerate_behaviors,
     format_label,
+    orbit_label,
     orbit_labels,
     qf_type,
     realize_behavior,
@@ -167,3 +171,61 @@ class TestRealize:
                                    points=[x for x, _ in witness])
             for k, src, tgt in observed.entries():
                 assert table.get(k, src) == tgt
+
+
+def definitional_realize(table, n):
+    """The realizability search written plainly: candidates from the first
+    8n target elements in enumeration order, each kept when every tuple over
+    the prefix has the image label the table gives its source label."""
+    g, h = table.source, table.target
+    domain = [g.limit.element(i) for i in range(n)]
+    pool = [h.limit.element(i) for i in range(8 * n)]
+    images = []
+    explored = 0
+
+    def fits():
+        for k in range(1, table.max_arity + 1):
+            for idx in itertools.product(range(len(images)), repeat=k):
+                s = tuple(domain[i] for i in idx)
+                image = tuple(images[i] for i in idx)
+                if table.get(k, orbit_label(g, s)) != orbit_label(h, image):
+                    return False
+        return True
+
+    def rec(i):
+        nonlocal explored
+        if i == n:
+            return True
+        for y in pool:
+            explored += 1
+            images.append(y)
+            if fits() and rec(i + 1):
+                return True
+            images.pop()
+        return False
+
+    return tuple(zip(domain, images)) if rec(0) else Exhausted(explored)
+
+
+REALIZE_CASES = [("dlo", "dlo", 1), ("dlo", "dlo", 2), ("dlo", "pureset", 2), ("rado", "dlo", 2)]
+
+
+@pytest.mark.parametrize("source,target,arity", REALIZE_CASES)
+def test_realize_matches_definitional_search(source, target, arity):
+    """Same witness and same explored count on every enumerated table, and on
+    each table with any one entry dropped (a partial table)."""
+    g, h = AutLimit(builtin_limit(source)), AutLimit(builtin_limit(target))
+    for table in enumerate_behaviors(g, h, arity):
+        entries = table.entries()
+        partial = [BehaviorTable(g, h, arity, entries[:i] + entries[i + 1:])
+                   for i in range(len(entries))]
+        for t in [table] + partial:
+            for n in range(1, 5):
+                assert realize_behavior(t, n) == definitional_realize(t, n)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_realize_nonpositive_size_is_error(aut_dlo, n):
+    table = enumerate_behaviors(aut_dlo, aut_dlo, 2)[0]
+    with pytest.raises(ValueError, match="witness size must be positive"):
+        realize_behavior(table, n)

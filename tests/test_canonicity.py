@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from canonfn import (
+    AutLimit,
     BackAndForthOracle,
     CanonicalUpTo,
     ComposeOracle,
@@ -20,9 +21,11 @@ from canonfn import (
     automorphism_extending,
     automorphism_moving,
     behavior_of,
+    builtin_limit,
     canonical_iso,
     check_canonical,
     local_equal,
+    orbit_label,
     proposition_harness,
     punctured_rationals,
     qf_type,
@@ -30,7 +33,8 @@ from canonfn import (
     tower_witness,
     type_tower,
 )
-from canonfn.canonicity import AffinePiece, AutomorphismOracle, Interval
+from canonfn.canonicity import AffinePiece, AutomorphismOracle, Interval, _same_label_seeds
+from canonfn.groups import label_key
 
 
 def behavior_strings(table, arity):
@@ -214,6 +218,30 @@ class TestHarness:
             refuted = isinstance(report.verdict, Counterexample)
             local_fail = any(not r.local_pass for r in report.seed_results)
             assert refuted == local_fail
+
+
+def definitional_seeds(g, horizon, arity, cap):
+    """The first cap ordered pairs of distinct same-label tuples over the
+    first horizon elements: buckets by orbit_label, in (arity, label_key)
+    order, each bucket's pairs in index order."""
+    buckets = {}
+    for k in range(1, arity + 1):
+        for idx in itertools.product(range(horizon), repeat=k):
+            t = tuple(g.limit.element(i) for i in idx)
+            buckets.setdefault(orbit_label(g, t), []).append(t)
+    pairs = [(s, t)
+             for label in sorted(buckets, key=lambda l: (l.arity, label_key(l)))
+             for s, t in itertools.product(buckets[label], repeat=2) if s != t]
+    return pairs[:cap]
+
+
+@pytest.mark.parametrize("name", ["dlo", "rado", "ordered-rado"])
+def test_same_label_seeds_match_definitional_buckets(name):
+    g = AutLimit(builtin_limit(name))
+    for arity, horizon in itertools.product(range(1, 4), range(1, 6)):
+        for cap in (1, 7, 64):
+            assert (_same_label_seeds(g, horizon, arity, cap)
+                    == definitional_seeds(g, horizon, arity, cap))
 
 
 class TestComposedOracles:

@@ -99,6 +99,11 @@ class TestRun:
         assert "certificate: pham-obstruction" in report
         assert "verified: true" in report
 
+    @pytest.mark.parametrize("budget", ["0", "-3"])
+    def test_pham_nonpositive_budget_is_error(self, budget):
+        code, report = run_argv(["pham", "--epsilon", "1/8", "--budget", budget])
+        assert (code, report) == (1, "error: ValueError: budget must be positive\n")
+
     def test_pham_budget_exhausted_exit_two(self):
         code, report = run_argv(["pham", "--epsilon", "1/8", "--budget", "4"])
         assert code == 2
