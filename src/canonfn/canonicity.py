@@ -239,6 +239,9 @@ class BackAndForthOracle(FunctionOracle):
 
 class ComposeOracle(FunctionOracle):
     def __init__(self, outer: FunctionOracle, inner: FunctionOracle):
+        if outer.m != 1:
+            raise ValueError(f"compose needs a 1-column outer oracle; "
+                             f"{outer.spec_str()} takes {outer.m}-column points")
         super().__init__(inner.source, outer.target)
         self.m = inner.m
         self.outer = outer
@@ -276,6 +279,8 @@ class MaxOracle(FunctionOracle):
 
 class ProjectionOracle(FunctionOracle):
     def __init__(self, limit: LimitStructure, m: int, coordinate: int):
+        if m < 2:
+            raise ValueError(f"projection needs at least 2 columns, not {m}")
         if not 0 <= coordinate < m:
             raise ValueError(f"projection coordinate {coordinate + 1} outside 1..{m}")
         super().__init__(limit, limit)

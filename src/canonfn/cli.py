@@ -3,6 +3,15 @@
 Reports are deterministic machine-readable text blocks; exit code 0 means a
 definite result (count, table, verdict, certificate), 2 an inconclusive
 search, 1 an error.
+
+The grammar is one table, `_VERBS`: verb -> (handler, {option: (parser,
+default)}), with verbs and options in the order usage errors list them.
+`parse_command` turns each `--option value` into `parser(value)`, fills in
+the defaults, and refuses a command that lacks an option whose default is
+`_NEEDED`; an option whose default is None stays out of the options when
+it is not given.  `--record` and `--structures` (`_COMMON_OPTIONS`) follow
+every verb's own options.  A handler takes the options and returns the
+exit code and the report lines.
 """
 
 from __future__ import annotations
@@ -37,44 +46,7 @@ from .groups import (
     point_arity,
     stabilized,
 )
-from .rationals import format_rational, parse_rational
-
-VERBS = (
-    "orbits", "behaviors", "check", "canonize", "pham",
-    "limit", "verify-age", "harness", "iso",
-)
-
-_COMMON_OPTIONS = {"record": str, "structures": str}
-
-_SCHEMAS: dict[str, dict] = {
-    "orbits": {"structure": str, "arity": int},
-    "behaviors": {"source": str, "target": str, "arity": int, "out": str},
-    "check": {"f": str, "source": str, "target": str, "horizon": int, "arity": int},
-    "canonize": {"f": str, "source": str, "target": str, "arity": int,
-                 "depth": int, "horizon": int, "constants": str},
-    "pham": {"epsilon": parse_rational, "budget": int},
-    "limit": {"age": str, "size": int, "forbidden": str},
-    "verify-age": {"age": str, "bound": int, "forbidden": str},
-    "harness": {"f": str, "source": str, "target": str, "horizon": int, "arity": int},
-    "iso": {"source": str, "target": str, "points": int},
-}
-
-_REQUIRED: dict[str, tuple] = {
-    "orbits": ("structure", "arity"),
-    "behaviors": ("source", "target", "arity"),
-    "check": ("f", "source", "target", "horizon", "arity"),
-    "canonize": ("f", "arity", "depth", "horizon"),
-    "pham": (),
-    "limit": ("age", "size"),
-    "verify-age": ("age",),
-    "harness": ("f", "source", "target", "horizon", "arity"),
-    "iso": ("source", "target", "points"),
-}
-
-_DEFAULTS: dict[str, dict] = {
-    "pham": {"epsilon": Fraction(1, 8), "budget": 4096},
-    "verify-age": {"bound": 3},
-}
+from .rationals import parse_rational
 
 
 @dataclass
@@ -83,38 +55,17 @@ class CommandSpec:
     options: dict = field(default_factory=dict)
     argv: tuple = ()
 
-    def command_line(self) -> str:
-        return " ".join(self.argv)
-
-
-@dataclass(frozen=True)
-class RunRecord:
-    command: str
-    determinism: str
-    version: str
-    wall_time_ms: int
-    digest: str
-
-    def as_text(self) -> str:
-        return (
-            f"command: {self.command}\n"
-            f"determinism: {self.determinism}\n"
-            f"version: {self.version}\n"
-            f"wall_time_ms: {self.wall_time_ms}\n"
-            f"digest: {self.digest}\n"
-        )
-
 
 def parse_command(argv) -> CommandSpec:
     argv = list(argv)
     if not argv:
-        raise UsageError("missing verb", token=None, position=0, expected=VERBS)
+        raise UsageError("missing verb", token=None, position=0, expected=tuple(_VERBS))
     verb = argv[0]
-    if verb not in VERBS:
-        raise UsageError(f"unknown verb {verb!r}", token=verb, position=0, expected=VERBS)
-    schema = dict(_SCHEMAS[verb])
-    schema.update(_COMMON_OPTIONS)
-    options = dict(_DEFAULTS.get(verb, {}))
+    if verb not in _VERBS:
+        raise UsageError(f"unknown verb {verb!r}", token=verb, position=0,
+                         expected=tuple(_VERBS))
+    schema = {**_VERBS[verb][1], **_COMMON_OPTIONS}
+    options = {k: d for k, (_, d) in schema.items() if d is not None and d is not _NEEDED}
     i = 1
     saw_positional = False
     while i < len(argv):
@@ -141,15 +92,16 @@ def parse_command(argv) -> CommandSpec:
             raise UsageError(f"option {token!r} needs a value", token=token,
                              position=i, expected=("<value>",))
         raw = argv[i + 1]
+        parser = schema[key][0]
         try:
-            options[key] = schema[key](raw)
+            options[key] = parser(raw)
         except ValueError:
             raise UsageError(
                 f"bad value {raw!r} for {token}", token=raw, position=i + 1,
-                expected=(getattr(schema[key], "__name__", "value"),),
+                expected=(parser.__name__,),
             ) from None
         i += 2
-    missing = [k for k in _REQUIRED[verb] if k not in options]
+    missing = [k for k, (_, d) in schema.items() if d is _NEEDED and k not in options]
     if missing:
         raise UsageError(
             f"missing required options for {verb}: {', '.join('--' + k for k in missing)}",
@@ -161,18 +113,6 @@ def parse_command(argv) -> CommandSpec:
 
 # ---------------------------------------------------------------------------
 # helpers
-
-
-def _format_point(p) -> str:
-    if isinstance(p, tuple):
-        return "(" + ", ".join(_format_point(v) for v in p) + ")"
-    if isinstance(p, Fraction):
-        return format_rational(p)
-    return str(p)
-
-
-def _format_tuple(t) -> str:
-    return "(" + ", ".join(_format_point(p) for p in t) + ")"
 
 
 class _WriteFailed(Exception):
@@ -192,16 +132,11 @@ def _load_structures(options) -> dict:
     return {}
 
 
-def _limit_by_name(name: str, structures: dict):
-    if name in structures:
-        return structures[name]
-    return fraisse.builtin_limit(name)
-
-
 def _age_from_options(options):
-    if options.get("age") == "forbidden" or "forbidden" in options:
-        text = pathlib.Path(options["forbidden"]).read_text()
-        return formats.load_forbidden_age(text)
+    if "forbidden" in options:
+        return formats.load_forbidden_age(pathlib.Path(options["forbidden"]).read_text())
+    if options["age"] == "forbidden":
+        raise ValueError("--age forbidden needs --forbidden <file>")
     return fraisse.builtin_age(options["age"])
 
 
@@ -239,6 +174,11 @@ def _behavior_lines(table) -> list[str]:
     return ["behavior:"] + formats.behavior_lines(table, LabelTexts())
 
 
+def _pair_lines(pairs) -> list[str]:
+    return [f"{formats.format_point(x, ', ')} -> {formats.format_point(y, ', ')}"
+            for x, y in pairs]
+
+
 def _verdict_lines(verdict) -> list[str]:
     if isinstance(verdict, CanonicalUpTo):
         lines = [
@@ -251,8 +191,8 @@ def _verdict_lines(verdict) -> list[str]:
     return [
         "verdict: counterexample",
         f"arity: {verdict.arity}",
-        f"witness_s: {_format_tuple(verdict.witness_s)}",
-        f"witness_t: {_format_tuple(verdict.witness_t)}",
+        f"witness_s: {formats.format_point(verdict.witness_s, ', ')}",
+        f"witness_t: {formats.format_point(verdict.witness_t, ', ')}",
         f"source_label: {format_label(verdict.source_label)}",
         f"image_label_s: {format_label(verdict.image_label_s)}",
         f"image_label_t: {format_label(verdict.image_label_t)}",
@@ -264,8 +204,7 @@ def _verdict_lines(verdict) -> list[str]:
 
 
 def _run_orbits(options):
-    structures = _load_structures(options)
-    limit = _limit_by_name(options["structure"], structures)
+    limit = formats.limit_by_name(options["structure"], _load_structures(options))
     n = fraisse.count_orbits(limit, options["arity"])
     return 0, [f"orbits: {n}"]
 
@@ -298,9 +237,7 @@ def _run_check(options):
 def _run_canonize(options):
     f, source, target = _presentations(options)
     if "constants" in options:
-        text = pathlib.Path(options["constants"]).read_text()
-        consts = [formats._parse_point(line, lineno)
-                  for lineno, line in formats._content_lines(text)]
+        consts = formats.load_points(pathlib.Path(options["constants"]).read_text())
         source, target = stabilized(source, target, consts, f)
     result = canonize(
         f, source, target, options["arity"], options["depth"], options["horizon"]
@@ -311,11 +248,9 @@ def _run_canonize(options):
     lines.extend(_behavior_lines(result.behavior))
     if result.tower.seeds:
         lines.append("fixed:")
-        for x, y in result.tower.seeds:
-            lines.append(f"{_format_point(x)} -> {_format_point(y)}")
+        lines.extend(_pair_lines(result.tower.seeds))
     lines.append("tower:")
-    for x, y in result.tower.pairs:
-        lines.append(f"{_format_point(x)} -> {_format_point(y)}")
+    lines.extend(_pair_lines(result.tower.pairs))
     return 0, lines
 
 
@@ -385,23 +320,34 @@ def _run_iso(options):
         raise ValueError("points must be positive")
     mapping = symbolic.canonical_iso(source, target)
     mapping.run_stages(options["points"])    # one committed pair per stage
-    lines = [f"iso: {mapping.name}"]
-    for x, y in mapping.committed:
-        lines.append(f"{format_rational(x)} -> {format_rational(y)}")
-    return 0, lines
+    return 0, [f"iso: {mapping.name}"] + _pair_lines(mapping.committed)
 
 
-_HANDLERS = {
-    "orbits": _run_orbits,
-    "behaviors": _run_behaviors,
-    "check": _run_check,
-    "canonize": _run_canonize,
-    "pham": _run_pham,
-    "limit": _run_limit,
-    "verify-age": _run_verify_age,
-    "harness": _run_harness,
-    "iso": _run_iso,
+_NEEDED = object()    # the default of a required option
+
+_SCAN_OPTIONS = {"f": (str, _NEEDED), "source": (str, _NEEDED), "target": (str, _NEEDED),
+                 "horizon": (int, _NEEDED), "arity": (int, _NEEDED)}
+
+_VERBS = {
+    "orbits": (_run_orbits, {"structure": (str, _NEEDED), "arity": (int, _NEEDED)}),
+    "behaviors": (_run_behaviors, {"source": (str, _NEEDED), "target": (str, _NEEDED),
+                                   "arity": (int, _NEEDED), "out": (str, None)}),
+    "check": (_run_check, _SCAN_OPTIONS),
+    "canonize": (_run_canonize, {"f": (str, _NEEDED), "source": (str, None),
+                                 "target": (str, None), "arity": (int, _NEEDED),
+                                 "depth": (int, _NEEDED), "horizon": (int, _NEEDED),
+                                 "constants": (str, None)}),
+    "pham": (_run_pham, {"epsilon": (parse_rational, Fraction(1, 8)), "budget": (int, 4096)}),
+    "limit": (_run_limit, {"age": (str, _NEEDED), "size": (int, _NEEDED),
+                           "forbidden": (str, None)}),
+    "verify-age": (_run_verify_age, {"age": (str, _NEEDED), "bound": (int, 3),
+                                     "forbidden": (str, None)}),
+    "harness": (_run_harness, _SCAN_OPTIONS),
+    "iso": (_run_iso, {"source": (str, _NEEDED), "target": (str, _NEEDED),
+                       "points": (int, _NEEDED)}),
 }
+
+_COMMON_OPTIONS = {"record": (str, None), "structures": (str, None)}
 
 
 def run(spec: CommandSpec) -> tuple[int, str]:
@@ -412,7 +358,7 @@ def run(spec: CommandSpec) -> tuple[int, str]:
     """
     started = time.monotonic()
     try:
-        code, lines = _HANDLERS[spec.verb](spec.options)
+        code, lines = _VERBS[spec.verb][0](spec.options)
     except CanonFnError as exc:
         code, lines = 1, [f"error: {type(exc).__name__}: {exc}"]
     except ValueError as exc:
@@ -426,15 +372,15 @@ def run(spec: CommandSpec) -> tuple[int, str]:
     report = "\n".join(lines) + "\n"
     if "record" in spec.options:
         digest = hashlib.sha256(report.encode()).hexdigest()
-        record = RunRecord(
-            command=spec.command_line(),
-            determinism="seedless; the report depends only on the command",
-            version=f"canonfn 0.1.0, python {sys.version_info.major}.{sys.version_info.minor}",
-            wall_time_ms=int((time.monotonic() - started) * 1000),
-            digest=f"sha256:{digest}",
+        record = (
+            f"command: {' '.join(spec.argv)}\n"
+            "determinism: seedless; the report depends only on the command\n"
+            f"version: canonfn 0.1.0, python {sys.version_info.major}.{sys.version_info.minor}\n"
+            f"wall_time_ms: {int((time.monotonic() - started) * 1000)}\n"
+            f"digest: sha256:{digest}\n"
         )
         try:
-            _write_file(spec.options["record"], record.as_text())
+            _write_file(spec.options["record"], record)
         except _WriteFailed as exc:
             return 1, f"error: {exc}\n"
     return code, report

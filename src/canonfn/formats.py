@@ -6,6 +6,7 @@ reports failures with line numbers.  Lines starting with # are comments.
 
 from __future__ import annotations
 
+import pathlib
 import re
 from fractions import Fraction
 
@@ -49,11 +50,33 @@ from .rationals import format_rational, parse_rational
 from .symbolic import ObstructionCertificate, canonical_iso, punctured_rationals, rationals_set
 
 
+def _read_file(path: str) -> str:
+    return pathlib.Path(path).read_text()
+
+
 def _content_lines(text: str):
     for i, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if line:
             yield i, line
+
+
+def format_point(p, sep: str = ",") -> str:
+    """A point as specs and function tables write it, `(a,b)` for a tuple;
+    the CLI's reports pass sep=", " and write `(a, b)`."""
+    if isinstance(p, tuple):
+        return "(" + sep.join(format_point(v, sep) for v in p) + ")"
+    if isinstance(p, Fraction):
+        return format_rational(p)
+    return str(p)
+
+
+def limit_by_name(name: str, structures: dict[str, LimitStructure]) -> LimitStructure:
+    """A --structures entry, else the builtin limit of that name; ValueError
+    if there is neither."""
+    if name in structures:
+        return structures[name]
+    return builtin_limit(name)
 
 
 # ---------------------------------------------------------------------------
@@ -123,12 +146,9 @@ def load_forbidden_age(text: str, signature: Signature | None = None,
     return ForbiddenSubstructuresAge(signature, structures, name=name)
 
 
-def load_structures(text: str, read_file=None) -> dict[str, LimitStructure]:
+def load_structures(text: str, read_file=_read_file) -> dict[str, LimitStructure]:
     """Structure spec files: `structure <name> = builtin:<kind>` or
     `structure <name> = forbidden:<file>` directives, one per line."""
-    import pathlib
-
-    read_file = read_file or (lambda p: pathlib.Path(p).read_text())
     out: dict[str, LimitStructure] = {}
     for lineno, line in _content_lines(text):
         match = re.fullmatch(r"structure\s+([\w-]+)\s*=\s*(builtin|forbidden):(\S+)", line)
@@ -159,18 +179,8 @@ def format_group_spec(g: GroupPresentation) -> str:
         return f"aut({g.limit.name})"
     if isinstance(g, PowerGroup):
         return f"power({format_group_spec(g.base)},{g.m})"
-    consts = ",".join(_spec_point(c) for c in g.constants)
+    consts = ",".join(format_point(c) for c in g.constants)
     return f"stab({format_group_spec(g.base)}; {consts})"
-
-
-def _spec_point(p) -> str:
-    """A point as group specs and function tables write it: `(a,b)` columns
-    without spaces (the CLI's reports write `(a, b)`)."""
-    if isinstance(p, tuple):
-        return "(" + ",".join(format_rational(v) for v in p) + ")"
-    if isinstance(p, Fraction):
-        return format_rational(p)
-    return str(p)
 
 
 def parse_group_spec(text: str, structures: dict[str, LimitStructure] | None = None,
@@ -184,17 +194,13 @@ def parse_group_spec(text: str, structures: dict[str, LimitStructure] | None = N
 def _parse_group_spec(text: str, structures: dict[str, LimitStructure],
                       lineno: int) -> GroupPresentation:
     text = text.strip()
-
-    def limit_by_name(name: str) -> LimitStructure:
-        if name in structures:
-            return structures[name]
+    if text.startswith("aut(") and text.endswith(")"):
+        name = text[4:-1].strip()
         try:
-            return builtin_limit(name)
+            limit = limit_by_name(name, structures)
         except ValueError:
             raise FormatError(lineno, f"unknown structure {name!r}") from None
-
-    if text.startswith("aut(") and text.endswith(")"):
-        return AutLimit(limit_by_name(text[4:-1].strip()))
+        return AutLimit(limit)
     if text.startswith("power(") and text.endswith(")"):
         inner = text[6:-1]
         parts = _split_top(inner, ",")
@@ -220,13 +226,18 @@ def _parse_group_spec(text: str, structures: dict[str, LimitStructure],
 
 def _parse_point(text: str, lineno: int = 0):
     text = text.strip()
-    if text.startswith("(") and text.endswith(")"):
-        vals = tuple(parse_rational(v) for v in text[1:-1].split(","))
-        return vals if len(vals) > 1 else vals[0]
     try:
+        if text.startswith("(") and text.endswith(")"):
+            vals = tuple(parse_rational(v) for v in text[1:-1].split(","))
+            return vals if len(vals) > 1 else vals[0]
         return parse_rational(text)
     except ValueError:
         raise FormatError(lineno, f"bad point literal {text!r}") from None
+
+
+def load_points(text: str) -> list:
+    """One point literal per line, as canonize's --constants files hold them."""
+    return [_parse_point(line, lineno) for lineno, line in _content_lines(text)]
 
 
 # ---------------------------------------------------------------------------
@@ -287,12 +298,9 @@ def parse_pieces(body: str, limit: LimitStructure, lineno: int = 0) -> Piecewise
 
 
 def parse_oracle_spec(text: str, limit: LimitStructure | None = None,
-                      read_file=None, lineno: int = 0) -> FunctionOracle:
+                      read_file=_read_file, lineno: int = 0) -> FunctionOracle:
     """Grammar: id | neg | const:p/q | pieces:[...] | pham | min | max |
     proj:i/m | table:<file> | compose(a,b)."""
-    import pathlib
-
-    read_file = read_file or (lambda p: pathlib.Path(p).read_text())
     text = text.strip()
     limit = limit or builtin_limit("dlo")
     rational = text == "pham" or text.startswith(("const:", "pieces:"))
@@ -338,7 +346,7 @@ def parse_oracle_spec(text: str, limit: LimitStructure | None = None,
 def dump_function_table(oracle: TableOracle) -> str:
     lines = []
     for p, v in sorted(oracle.mapping.items(), key=lambda kv: _point_key(kv[0])):
-        lines.append(f"{_spec_point(p)} -> {format_rational(v)}")
+        lines.append(f"{format_point(p)} -> {format_rational(v)}")
     return "\n".join(lines) + "\n"
 
 
@@ -367,7 +375,7 @@ def load_function_table(text: str, limit: LimitStructure | None = None) -> Table
         except ValueError:
             raise FormatError(lineno, f"bad rational {right!r}") from None
         if p in mapping:
-            raise FormatError(lineno, f"duplicate map entry for {_spec_point(p)}")
+            raise FormatError(lineno, f"duplicate map entry for {format_point(p)}")
         mapping[p] = v
     if not mapping:
         raise FormatError(0, "empty function table")

@@ -75,18 +75,17 @@ def validate_presentation(g: GroupPresentation) -> None:
     if isinstance(g, AutLimit):
         return
     if isinstance(g, PowerGroup):
-        if g.m < 1:
-            raise PresentationError("power arity must be positive")
+        if g.m < 2:
+            raise PresentationError("power arity must be at least 2")
         if not isinstance(g.base, AutLimit):
             raise PresentationError("power base must be an automorphism group")
         return
     if isinstance(g, StabilizerGroup):
         if not g.constants:
             raise PresentationError("stabilizer needs at least one constant")
-        if not isinstance(g.base, AutLimit) and not (
-            isinstance(g.base, PowerGroup) and isinstance(g.base.base, AutLimit)
-        ):
+        if not isinstance(g.base, (AutLimit, PowerGroup)):
             raise PresentationError("stabilizer base must be aut or power(aut)")
+        validate_presentation(g.base)
         m = point_arity(g.base)
         limit = domain_limit(g.base)
         for c in g.constants:

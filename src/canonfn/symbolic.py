@@ -58,19 +58,24 @@ def dense_set_by_name(name: str) -> ComputableDenseSet:
         raise ValueError(f"unknown dense set {name!r}") from None
 
 
-def check_dense(s: ComputableDenseSet, samples: int = 8, budget: int = 4096) -> None:
+# Members check_dense samples, and members it probes for each witness.
+_DENSE_SAMPLES = 8
+_DENSE_PROBES = 4096
+
+
+def check_dense(s: ComputableDenseSet) -> None:
     """Sample density and unboundedness; raises DensityProbeFailure."""
-    members = [s.enumerate_member(i) for i in range(samples)]
+    members = [s.enumerate_member(i) for i in range(_DENSE_SAMPLES)]
     for x in members:
         if not s.contains(x):
             raise DensityProbeFailure(f"{s.name}: enumerated non-member {x}")
     for a, b in itertools.combinations(sorted(set(members)), 2):
-        if not any(a < s.enumerate_member(i) < b for i in range(budget)):
+        if not any(a < s.enumerate_member(i) < b for i in range(_DENSE_PROBES)):
             raise DensityProbeFailure(f"{s.name}: no member found in ({a},{b})")
     top, bottom = max(members), min(members)
-    if not any(s.enumerate_member(i) > top for i in range(budget)):
+    if not any(s.enumerate_member(i) > top for i in range(_DENSE_PROBES)):
         raise DensityProbeFailure(f"{s.name}: no member above {top}")
-    if not any(s.enumerate_member(i) < bottom for i in range(budget)):
+    if not any(s.enumerate_member(i) < bottom for i in range(_DENSE_PROBES)):
         raise DensityProbeFailure(f"{s.name}: no member below {bottom}")
 
 

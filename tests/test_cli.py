@@ -331,6 +331,64 @@ class TestStabilizerConstantsFitBase:
         assert code == 0
 
 
+POWER_1_ERROR = (1, "error: PresentationError: power arity must be at least 2\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--f", "id", "--source", "stab(power(aut(dlo),1); 0)", "--target", "aut(dlo)",
+     "--horizon", "4", "--arity", "2"],
+    ["check", "--f", "id", "--source", "aut(dlo)", "--target", "power(aut(dlo),1)",
+     "--horizon", "4", "--arity", "2"],
+    ["canonize", "--f", "proj:1/1", "--source", "power(aut(dlo),1)", "--arity", "1",
+     "--depth", "2", "--horizon", "4"],
+], ids=["stab-source", "target", "canonize-source"])
+def test_power_of_one_column_is_error(argv):
+    assert run_argv(argv) == POWER_1_ERROR
+
+
+class TestOraclesThatCannotFit:
+    SCAN = ["--source", "aut(dlo)", "--target", "aut(dlo)", "--horizon", "4", "--arity", "1"]
+    PROJ_ERROR = (1, "error: ValueError: projection needs at least 2 columns, not 1\n")
+
+    @pytest.mark.parametrize("verb", ["check", "harness"])
+    def test_one_column_projection(self, verb):
+        assert run_argv([verb, "--f", "proj:1/1", *self.SCAN]) == self.PROJ_ERROR
+
+    def test_one_column_projection_in_canonize(self):
+        assert run_argv(["canonize", "--f", "proj:1/1", "--arity", "1", "--depth", "2",
+                         "--horizon", "4"]) == self.PROJ_ERROR
+
+    def test_compose_with_binary_outer_oracle(self):
+        assert run_argv(["check", "--f", "compose(min,min)", "--source", "power(aut(dlo),2)",
+                         "--target", "aut(dlo)", "--horizon", "4", "--arity", "1"]) == (
+            1, "error: ValueError: compose needs a 1-column outer oracle; "
+               "min takes 2-column points\n")
+
+
+@pytest.mark.parametrize("literal", ["(1,x)", "(1,)", "x"])
+def test_bad_point_literal_is_format_error(literal):
+    assert run_argv(["behaviors", "--source", f"stab(aut(dlo); {literal})",
+                     "--target", "aut(dlo)", "--arity", "1"]) == (
+        1, f"error: FormatError: line 0: bad point literal {literal!r}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["limit", "--age", "forbidden", "--size", "3"],
+    ["verify-age", "--age", "forbidden"],
+], ids=["limit", "verify-age"])
+def test_forbidden_age_without_file_is_error(argv):
+    assert run_argv(argv) == (
+        1, "error: ValueError: --age forbidden needs --forbidden <file>\n")
+
+
+def test_bad_constant_reports_its_line(tmp_path):
+    consts = tmp_path / "consts.txt"
+    consts.write_text("# pairs\n(0,1)\n(1,x)\n")
+    assert run_argv(["canonize", "--f", "min", "--arity", "2", "--depth", "2", "--horizon", "4",
+                     "--constants", str(consts)]) == (
+        1, "error: FormatError: line 3: bad point literal '(1,x)'\n")
+
+
 @pytest.mark.parametrize("constant", ["-1", "1/2"])
 def test_stabilizer_constant_must_be_an_element(constant):
     assert run_argv(["behaviors", "--source", f"stab(aut(rado);{constant})",

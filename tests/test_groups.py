@@ -161,8 +161,9 @@ class TestPresentations:
     def test_rejected_shapes(self, aut_dlo):
         with pytest.raises(PresentationError):
             validate_presentation(PowerGroup(PowerGroup(aut_dlo, 2), 2))
-        with pytest.raises(PresentationError):
-            validate_presentation(PowerGroup(aut_dlo, 0))
+        for m in (0, 1):
+            with pytest.raises(PresentationError, match="power arity must be at least 2"):
+                validate_presentation(PowerGroup(aut_dlo, m))
 
 
 class TestLabelStrings:

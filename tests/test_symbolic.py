@@ -33,7 +33,7 @@ class TestDenseSets:
         integers = ComputableDenseSet("z", lambda x: x.denominator == 1,
                                       lambda n: F(n // 2) if n % 2 == 0 else F(-(n + 1) // 2))
         with pytest.raises(DensityProbeFailure):
-            check_dense(integers, budget=512)
+            check_dense(integers)
 
 
 class TestCanonicalIso:
