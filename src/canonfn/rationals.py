@@ -25,33 +25,33 @@ def calkin_wilf(n: int) -> Fraction:
 _DEPTH_CAP = 1 << 20
 
 
-def _cw_up_bits(q: Fraction) -> list[int]:
-    """Tree path of a positive rational, leaf to root, division-accelerated."""
-    a, b = q.numerator, q.denominator
-    if a <= 0:
-        raise ValueError("expected a positive rational")
-    bits: list[int] = []
-    while (a, b) != (1, 1):
-        if a < b:
-            k, r = divmod(b, a)
-            bits.extend([0] * (k - 1 if r == 0 else k))
-            b = a if r == 0 else r
+def _cw_index(a: int, b: int) -> int:
+    """Calkin-Wilf index of the positive rational a/b in lowest terms.
+
+    The tree path, read leaf to root, is one run of equal bits per
+    continued-fraction term; each run costs one division.
+    """
+    n, d = a, b
+    path = depth = 0
+    while n != d:
+        k, r = divmod(n, d) if n > d else divmod(d, n)
+        k -= r == 0
+        if depth + k > _DEPTH_CAP:
+            raise ValueError(f"rational {Fraction(a, b)} is too deep in the enumeration")
+        if n > d:
+            path |= ((1 << k) - 1) << depth
+            n = r or d
         else:
-            k, r = divmod(a, b)
-            bits.extend([1] * (k - 1 if r == 0 else k))
-            a = b if r == 0 else r
-        if len(bits) > _DEPTH_CAP:
-            raise ValueError(f"rational {q} is too deep in the enumeration")
-    return bits
+            d = r or n
+        depth += k
+    return (1 << depth | path) - 1
 
 
 def calkin_wilf_index(q: Fraction) -> int:
     """Inverse of calkin_wilf for positive rationals."""
-    bits = _cw_up_bits(q)
-    index = 1
-    for bit in reversed(bits):
-        index = 2 * index + bit
-    return index - 1
+    if q.numerator <= 0:
+        raise ValueError("expected a positive rational")
+    return _cw_index(q.numerator, q.denominator)
 
 
 def rational_of_index(n: int) -> Fraction:
@@ -71,28 +71,43 @@ def index_of_rational(q: Fraction) -> int:
     return 2 * k + 1 if q > 0 else 2 * k + 2
 
 
-def simplest_in(lo: Fraction | None, hi: Fraction | None, cap: int = 200000) -> Fraction:
+def _simplest(a: int, b: int, c: int, d: int) -> tuple[int, int]:
+    """Stern-Brocot simplest rational strictly between a/b >= 0 and c/d.
+
+    d == 0 (with c == 1) stands for +infinity.  The descent keeps the bounds
+    ln/ld <= a/b and hn/hd >= c/d and moves one of them per division: the
+    mediants at or below a/b form a run of right steps, those at or above
+    c/d a run of left steps, and the first mediant strictly inside is the
+    answer.  Runs alternate, so the loop turns once per continued-fraction
+    term of the answer.  Returns (numerator, denominator) in lowest terms.
+    """
+    ln, ld, hn, hd = 0, 1, 1, 0
+    while True:
+        mn, md = ln + hn, ld + hd
+        if mn * b <= a * md:
+            k = (a * ld - ln * b) // (hn * b - a * hd)
+            ln, ld = ln + k * hn, ld + k * hd
+        elif mn * d >= c * md:
+            k = (hn * d - c * hd) // (c * ld - ln * d)
+            hn, hd = hn + k * ln, hd + k * ld
+        else:
+            return mn, md
+
+
+def simplest_in(lo: Fraction | None, hi: Fraction | None) -> Fraction:
     """Stern-Brocot simplest positive rational in the open interval (lo, hi).
 
     lo may be None or any rational below the interval (treated as 0 when
     negative); hi None means unbounded above.  The simplest rational is also
     the Calkin-Wilf-least one: any other rational in the interval sits deeper
-    in the tree, hence later in breadth-first order.
+    in the tree, hence later in breadth-first order.  The descent runs on
+    numerators and denominators, one division per continued-fraction term.
     """
-    if lo is not None and lo < 0:
-        lo = Fraction(0)
-    if lo is not None and hi is not None and lo >= hi:
+    a, b = (0, 1) if lo is None or lo.numerator < 0 else (lo.numerator, lo.denominator)
+    c, d = (1, 0) if hi is None else (hi.numerator, hi.denominator)
+    if a * d >= c * b:
         raise ValueError("empty interval")
-    ln, ld, hn, hd = 0, 1, 1, 0
-    for _ in range(cap):
-        mn, md = ln + hn, ld + hd
-        if lo is not None and mn * lo.denominator <= lo.numerator * md:
-            ln, ld = mn, md
-        elif hi is not None and mn * hi.denominator >= hi.numerator * md:
-            hn, hd = mn, md
-        else:
-            return Fraction(mn, md)
-    raise ValueError("interval too deep for the descent cap")
+    return Fraction(*_simplest(a, b, c, d))
 
 
 def least_enum_in_interval(lo: Fraction | None, hi: Fraction | None,
@@ -101,26 +116,26 @@ def least_enum_in_interval(lo: Fraction | None, hi: Fraction | None,
 
     None bounds are infinite.  With exclude_zero the enumeration of Q minus 0
     is used; the relative order of nonzero rationals is the same.
+
+    The bounds are taken apart into numerators and denominators once, with
+    -1/0 and 1/0 for the infinite ones.  The positive side is the simplest
+    rational in (max(lo, 0), hi), the negative side the mirror of the
+    simplest one in (max(-hi, 0), -lo), both by the integer Stern-Brocot
+    descent; when both exist the Calkin-Wilf index decides.  The answer is
+    the only Fraction built.
     """
-    if lo is not None and hi is not None and lo >= hi:
+    a, b = (-1, 0) if lo is None else (lo.numerator, lo.denominator)
+    c, d = (1, 0) if hi is None else (hi.numerator, hi.denominator)
+    if b and d and a * d >= c * b:
         return None
-    zero_inside = (lo is None or lo < 0) and (hi is None or hi > 0)
-    if zero_inside and not exclude_zero:
+    if a < 0 < c and not exclude_zero:
         return Fraction(0)
-    pos = neg = None
-    pos_lo = Fraction(0) if lo is None else max(lo, Fraction(0))
-    if hi is None or hi > pos_lo:
-        pos = simplest_in(pos_lo, hi)
-    q_lo = Fraction(0) if hi is None else max(-hi, Fraction(0))
-    q_hi = None if lo is None else -lo
-    if (lo is None or lo < 0) and (q_hi is None or q_hi > q_lo):
-        neg = -simplest_in(q_lo, q_hi)
-    if pos is None:
-        return neg
-    if neg is None:
-        return pos
+    pos = _simplest(max(a, 0), b if a > 0 else 1, c, d) if c > 0 else None
+    neg = _simplest(max(-c, 0), d if c < 0 else 1, -a, b) if a < 0 else None
     # Positive rationals precede their negatives at equal tree position.
-    return pos if calkin_wilf_index(pos) <= calkin_wilf_index(-neg) else neg
+    if neg is None or pos is not None and _cw_index(*pos) <= _cw_index(*neg):
+        return Fraction(*pos)
+    return Fraction(-neg[0], neg[1])
 
 
 def format_rational(q: Fraction) -> str:

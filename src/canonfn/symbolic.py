@@ -111,26 +111,29 @@ class BackAndForthMap:
             x, y = Fraction(x), Fraction(y)
             if not (source.contains(x) and target.contains(y)):
                 raise ValueError(f"seed pair ({x},{y}) leaves the sets")
-            self._commit(x, y)
+            self._commit(x, y, bisect.bisect_left(self._src_sorted, x))
 
     @property
     def committed(self) -> tuple:
         return tuple(self._fwd.items())
 
-    def _commit(self, x: Fraction, y: Fraction) -> None:
-        pos = bisect.bisect_left(self._src_sorted, x)
-        if pos < len(self._src_sorted):
-            if x == self._src_sorted[pos] or y >= self._tgt_sorted[pos]:
-                raise ValueError(f"commitment ({x},{y}) breaks order preservation")
-        if pos > 0 and y <= self._tgt_sorted[pos - 1]:
+    def _commit(self, x: Fraction, y: Fraction, pos: int) -> None:
+        """Insert (x, y) at index pos of both sorted columns, after checking
+        that the pair lies strictly between its neighbours on both sides."""
+        src, tgt = self._src_sorted, self._tgt_sorted
+        if pos < len(src) and (x >= src[pos] or y >= tgt[pos]):
             raise ValueError(f"commitment ({x},{y}) breaks order preservation")
-        self._src_sorted.insert(pos, x)
-        self._tgt_sorted.insert(pos, y)
+        if pos > 0 and (x <= src[pos - 1] or y <= tgt[pos - 1]):
+            raise ValueError(f"commitment ({x},{y}) breaks order preservation")
+        src.insert(pos, x)
+        tgt.insert(pos, y)
         self._fwd[x] = y
         self._bwd[y] = x
 
     def _least_partner(self, value: Fraction, partner_set: ComputableDenseSet,
-                       flip: bool) -> Fraction:
+                       flip: bool) -> tuple[Fraction, int]:
+        """The enumeration-least partner of value, and the index at which
+        order preservation puts the new pair in both sorted columns."""
         known, image = (self._tgt_sorted, self._src_sorted) if flip else (
             self._src_sorted, self._tgt_sorted)
         pos = bisect.bisect_left(known, value)
@@ -140,11 +143,11 @@ class BackAndForthMap:
             y = partner_set.least_in(lo, hi)
             if y is None:
                 raise BudgetExhausted("empty partner interval")
-            return y
+            return y, pos
         for i in range(_PROBE_CAP):
             y = partner_set.enumerate_member(i)
             if (lo is None or y > lo) and (hi is None or y < hi):
-                return y
+                return y, pos
         raise BudgetExhausted("back-and-forth probe cap reached")
 
     def _stage(self) -> None:
@@ -154,16 +157,15 @@ class BackAndForthMap:
                 self._next_source += 1
                 if x not in self._fwd:
                     break
-            y = self._least_partner(x, self.target, flip=False)
-            self._commit(x, y)
+            y, pos = self._least_partner(x, self.target, flip=False)
         else:
             while True:
                 y = self.target.enumerate_member(self._next_target)
                 self._next_target += 1
                 if y not in self._bwd:
                     break
-            x = self._least_partner(y, self.source, flip=True)
-            self._commit(x, y)
+            x, pos = self._least_partner(y, self.source, flip=True)
+        self._commit(x, y, pos)
         self._forth_turn = not self._forth_turn
 
     def run_stages(self, count: int) -> None:

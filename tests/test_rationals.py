@@ -1,6 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from canonfn.rationals import (
     calkin_wilf,
@@ -62,6 +63,59 @@ def test_least_enum_agrees_with_scan():
         found = least_enum_in_interval(lo, hi)
         scan = next(r for r in map(rational_of_index, range(100000)) if lo < r < hi)
         assert found == scan
+
+
+def test_deep_intervals_descend_by_division():
+    # A million same-side Stern-Brocot steps: one division each way.
+    assert simplest_in(F(0), F(1, 10**6)) == F(1, 1000001)
+    assert least_enum_in_interval(F(1, 1000001), F(1, 1000000)) == F(2, 2000001)
+    assert least_enum_in_interval(F(-1, 1000000), F(-1, 1000001)) == F(-2, 2000001)
+
+
+PREFIX = [rational_of_index(i) for i in range(2048)]
+
+bounds = st.none() | st.builds(F, st.integers(-12, 12), st.integers(1, 9))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(bounds, bounds, st.booleans())
+def test_least_enum_is_first_enumerated_hit(lo, hi, exclude_zero):
+    got = least_enum_in_interval(lo, hi, exclude_zero=exclude_zero)
+    if lo is not None and hi is not None and lo >= hi:
+        assert got is None
+        return
+    inside = lambda r: (lo is None or lo < r) and (hi is None or r < hi)
+    hit = next((r for r in PREFIX if inside(r) and not (exclude_zero and r == 0)), None)
+    if hit is not None:
+        assert got == hit
+    else:
+        assert got is not None and inside(got) and got != 0
+        assert index_of_rational(got) >= len(PREFIX)
+
+
+def _simplest_by_mediants(lo, hi):
+    """The Stern-Brocot descent one mediant per step, as simplest_in once was."""
+    if lo is not None and lo < 0:
+        lo = F(0)
+    ln, ld, hn, hd = 0, 1, 1, 0
+    while True:
+        mn, md = ln + hn, ld + hd
+        if lo is not None and mn * lo.denominator <= lo.numerator * md:
+            ln, ld = mn, md
+        elif hi is not None and mn * hi.denominator >= hi.numerator * md:
+            hn, hd = mn, md
+        else:
+            return F(mn, md)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(bounds, st.none() | st.builds(F, st.integers(-400, 400), st.integers(1, 400)))
+def test_simplest_in_matches_mediant_walk(lo, hi):
+    if hi is not None and hi <= max(lo or 0, 0):
+        with pytest.raises(ValueError):
+            simplest_in(lo, hi)
+    else:
+        assert simplest_in(lo, hi) == _simplest_by_mediants(lo, hi)
 
 
 def test_format_parse_round_trip():

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction as F
 
 import pytest
@@ -113,6 +114,43 @@ class TestAutomorphismMoving:
     def test_bad_seed_rejected(self):
         with pytest.raises(ValueError):
             BackAndForthMap(rationals_set(), punctured_rationals(), seeds=((F(0), F(0)),))
+
+    @pytest.mark.parametrize("seeds", [
+        ((F(0), F(1)), (F(1), F(0))),
+        ((F(0), F(1)), (F(0), F(2))),
+        ((F(0), F(1)), (F(2), F(1))),
+        ((F(0), F(0)), (F(-1), F(1))),
+    ])
+    def test_order_breaking_seeds_rejected(self, seeds):
+        with pytest.raises(ValueError, match="order preservation"):
+            BackAndForthMap(rationals_set(), rationals_set(), seeds=seeds)
+
+
+def _probing(s):
+    """The same set without least_in: partners come from the enumeration probe."""
+    return dataclasses.replace(s, least_in=None)
+
+
+class TestPartnerSearchDifferential:
+    STAGES = 320
+
+    @pytest.mark.parametrize("source", [rationals_set, punctured_rationals])
+    @pytest.mark.parametrize("target", [rationals_set, punctured_rationals])
+    def test_pairings_match_probe(self, source, target):
+        fast = BackAndForthMap(source(), target())
+        slow = BackAndForthMap(_probing(source()), _probing(target()))
+        fast.run_stages(self.STAGES)
+        slow.run_stages(self.STAGES)
+        assert fast.committed == slow.committed
+
+    @pytest.mark.parametrize("a, b", [(0, 0), (-1, 1), (1, -1), (F(1, 2), 3), (-2, F(-1, 3))])
+    def test_seeded_automorphisms_match_probe(self, a, b):
+        fast = automorphism_moving(a, b)
+        q = _probing(rationals_set())
+        slow = BackAndForthMap(q, q, seeds=((F(a), F(b)),))
+        fast.run_stages(self.STAGES)
+        slow.run_stages(self.STAGES)
+        assert fast.committed == slow.committed
 
 
 class TestForcedCut:
