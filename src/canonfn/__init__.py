@@ -31,13 +31,10 @@ from .canonicity import (
     ProjectionOracle,
     TableOracle,
     TowerWitness,
-    TypeTower,
-    behavior_of,
     check_canonical,
     local_equal,
     proposition_harness,
     tower_witness,
-    type_tower,
 )
 from .canonize import (
     CanonicalApproximation,
@@ -46,7 +43,6 @@ from .canonize import (
     canonize,
     canonize_with_constants,
     mono_subset,
-    pair_coloring,
 )
 from .errors import (
     AmalgamationFailure,
@@ -56,7 +52,6 @@ from .errors import (
     DensityProbeFailure,
     DomainGap,
     FormatError,
-    NotCanonical,
     PresentationError,
     TypeMismatch,
     UsageError,
@@ -64,7 +59,6 @@ from .errors import (
 from .fraisse import (
     AgeOracle,
     AmalgamationReport,
-    CallableAge,
     DemandLogEntry,
     FiniteStructure,
     ForbiddenSubstructuresAge,
@@ -98,8 +92,6 @@ from .groups import (
     format_label,
     orbit_label,
     orbit_labels,
-    parse_label,
-    same_orbit,
 )
 from .symbolic import (
     BackAndForthMap,

@@ -23,7 +23,6 @@ from .groups import (
     GroupPresentation,
     LabelSpace,
     label_key,
-    orbit_labels,
 )
 
 
@@ -68,13 +67,6 @@ class BehaviorTable:
     def __repr__(self):
         n = sum(len(m) for m in self._maps.values())
         return f"<behavior table, {n} entries up to arity {self.max_arity}>"
-
-    def is_total(self) -> bool:
-        for k in range(1, self.max_arity + 1):
-            admissible = orbit_labels(self.source, k)
-            if len(self._maps[k]) != len(admissible):
-                return False
-        return True
 
 
 @dataclass(frozen=True)

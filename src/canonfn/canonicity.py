@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .behaviors import BehaviorTable
-from .errors import DomainGap, NotCanonical, PresentationError
+from .errors import DomainGap, PresentationError
 from .fraisse import DloLimit, LimitStructure, _check_arity
 from .groups import (
     AutLimit,
@@ -458,15 +458,6 @@ def check_canonical(f: FunctionOracle, g: GroupPresentation, h: GroupPresentatio
     return CanonicalUpTo(len(scan.points), arity, scan.behavior())
 
 
-def behavior_of(f: FunctionOracle, g: GroupPresentation, h: GroupPresentation,
-                horizon: int, arity: int, points=None) -> BehaviorTable:
-    """Induced behavior table on labels realized within the horizon."""
-    verdict = check_canonical(f, g, h, horizon, arity, points=points)
-    if isinstance(verdict, Counterexample):
-        raise NotCanonical(verdict)
-    return verdict.behavior
-
-
 # ---------------------------------------------------------------------------
 # local equality and towers
 
@@ -486,34 +477,6 @@ def local_equal(f: FunctionOracle, g_fn: FunctionOracle, fragment,
         if not f.defined_at(p) or not g_fn.defined_at(p):
             raise DomainGap(f"oracle undefined on fragment point {p}")
     return orbit_label(h, apply_tuple(f, t)) == orbit_label(h, apply_tuple(g_fn, t))
-
-
-@dataclass(frozen=True)
-class TypeTower:
-    """Labels of image tuples over nested fragments; a point of the compact
-    quotient of functions modulo local equality, at finite depth."""
-
-    sizes: tuple[int, ...]
-    labels: tuple
-
-    def check_coherence(self, h: GroupPresentation) -> bool:
-        for (n1, l1), (n2, l2) in zip(zip(self.sizes, self.labels),
-                                      zip(self.sizes[1:], self.labels[1:])):
-            if reindex_label(h, l2, tuple(range(n1))) != l1:
-                return False
-        return True
-
-
-def type_tower(f: FunctionOracle, h: GroupPresentation, sizes) -> TypeTower:
-    sizes = tuple(sizes)
-    if any(b <= a for a, b in zip(sizes, sizes[1:])) or not sizes:
-        raise ValueError("sizes must be strictly increasing and nonempty")
-    g = aut_power(f.source, f.m)
-    labels = []
-    for n in sizes:
-        pts = tuple(point(g, i) for i in range(n))
-        labels.append(orbit_label(h, apply_tuple(f, pts)))
-    return TypeTower(sizes, tuple(labels))
 
 
 @dataclass(frozen=True)
@@ -606,11 +569,6 @@ class HarnessReport:
     seed_results: tuple[SeedResult, ...]
     agreement: bool
     discrepancy: str | None
-
-    def all_pass(self) -> bool:
-        return bool(self.verdict) and all(
-            r.local_pass and r.tower_pass for r in self.seed_results
-        )
 
 
 def _same_label_seeds(g: GroupPresentation, horizon: int, arity: int, cap: int):

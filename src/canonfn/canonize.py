@@ -13,15 +13,13 @@ between the images of the nearest committed neighbors).  Backtracking
 explores images in enumeration order, so the first tower found is the
 enumeration-lexicographically least one; exhausting the horizon is
 inconclusive.  canonize_with_constants only builds the stabilized
-presentations and calls canonize.  A pair-coloring Ramsey search over finite
-tables backs the arity-2 picture.
+presentations and calls canonize.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .canonicity import (
     BehaviorScan,
@@ -195,7 +193,7 @@ def canonize_with_constants(f: FunctionOracle, constants, arity: int,
 # the Ramsey engine
 
 
-def mono_subset(coloring, size: int, points=None):
+def mono_subset(coloring, size: int):
     """Lexicographically least subset of the given size all of whose pairs
     share one color; None when no such subset exists.
 
@@ -208,10 +206,7 @@ def mono_subset(coloring, size: int, points=None):
         if a == b:
             raise ValueError("colorings are over 2-subsets")
         colors[(a, b)] = c
-    if points is None:
-        points = sorted({v for pair in colors for v in pair})
-    else:
-        points = sorted(points)
+    points = sorted({v for pair in colors for v in pair})
     if size < 1:
         raise ValueError("subset size must be positive")
     if size == 1:
@@ -237,19 +232,3 @@ def mono_subset(coloring, size: int, points=None):
         return None
 
     return rec([], 0, None)
-
-
-def pair_coloring(f, points) -> dict:
-    """Color the pairs of a finite rational set by the local behavior of f:
-    increasing, decreasing, or constant."""
-    points = sorted(Fraction(p) for p in points)
-    out = {}
-    for a, b in itertools.combinations(points, 2):
-        fa, fb = f(a), f(b)
-        if fa < fb:
-            out[(a, b)] = "increasing"
-        elif fa > fb:
-            out[(a, b)] = "decreasing"
-        else:
-            out[(a, b)] = "constant"
-    return out

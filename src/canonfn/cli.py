@@ -259,8 +259,7 @@ def _run_pham(options):
         cert = symbolic.pham_refute(options["epsilon"], options["budget"])
     except BudgetExhausted as exc:
         return 2, ["result: budget-exhausted", f"reason: {exc}"]
-    lines = ["certificate: pham-obstruction"]
-    lines.extend(cert.as_lines())
+    lines = formats.dump_certificate(cert).splitlines()
     lines.append(f"verified: {'true' if cert.verify() else 'false'}")
     return 0, lines
 

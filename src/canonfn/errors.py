@@ -21,14 +21,6 @@ class DomainGap(CanonFnError):
     """A partial function oracle was probed outside its domain."""
 
 
-class NotCanonical(CanonFnError):
-    """Raised when a behavior table is requested for a non-canonical function."""
-
-    def __init__(self, counterexample):
-        super().__init__(f"function refuted: {counterexample}")
-        self.counterexample = counterexample
-
-
 class DensityProbeFailure(CanonFnError):
     """Sampling refuted density or unboundedness of a computable dense set."""
 

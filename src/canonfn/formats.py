@@ -1,7 +1,8 @@
 """Line-oriented text formats and the group/oracle spec-string grammars.
 
-Every artifact round-trips bit-exactly; loading validates invariants and
-reports failures with line numbers.  Lines starting with # are comments.
+Function tables and certificates round-trip bit-exactly; loading validates
+invariants and reports failures with line numbers.  Behavior files are only
+written.  Lines starting with # are comments.
 """
 
 from __future__ import annotations
@@ -42,8 +43,6 @@ from .groups import (
     PowerGroup,
     LabelTexts,
     StabilizerGroup,
-    _split_top,
-    parse_label,
     validate_presentation,
 )
 from .rationals import format_rational, parse_rational
@@ -59,6 +58,24 @@ def _content_lines(text: str):
         line = raw.split("#", 1)[0].strip()
         if line:
             yield i, line
+
+
+def _split_top(text: str, sep: str, maxsplit: int = -1) -> list[str]:
+    """Split at separators outside parentheses and brackets, stripping the
+    parts; at most maxsplit splits when it is not negative."""
+    parts, depth, cur = [], 0, []
+    for ch in text:
+        if ch in "([":
+            depth += 1
+        elif ch in ")]":
+            depth -= 1
+        if ch == sep and depth == 0 and len(parts) != maxsplit:
+            parts.append("".join(cur))
+            cur = []
+        else:
+            cur.append(ch)
+    parts.append("".join(cur))
+    return [p.strip() for p in parts]
 
 
 def format_point(p, sep: str = ",") -> str:
@@ -92,8 +109,7 @@ def format_structure(s: FiniteStructure) -> str:
     return "; ".join(parts)
 
 
-def parse_structure(line: str, lineno: int = 0,
-                    signature: Signature | None = None) -> FiniteStructure:
+def parse_structure(line: str, lineno: int = 0) -> FiniteStructure:
     chunks = [c.strip() for c in line.split(";") if c.strip()]
     if not chunks or not chunks[0].startswith("size"):
         raise FormatError(lineno, "structure block must start with `size k`")
@@ -117,32 +133,25 @@ def parse_structure(line: str, lineno: int = 0,
         if (name, t) in atoms:
             raise FormatError(lineno, f"duplicate atom {chunk!r}")
         atoms.add((name, t))
-    if signature is None:
-        signature = Signature(tuple(RelationSymbol(n, a) for n, a in sorted(arities.items())))
-    else:
-        for name, a in arities.items():
-            if name not in signature or signature.arity_of(name) != a:
-                raise FormatError(lineno, f"symbol {name}/{a} not in the signature")
+    signature = Signature(tuple(RelationSymbol(n, a) for n, a in sorted(arities.items())))
     return FiniteStructure(signature, size, frozenset(atoms))
 
 
-def load_forbidden_age(text: str, signature: Signature | None = None,
-                       name: str = "forbidden") -> ForbiddenSubstructuresAge:
+def load_forbidden_age(text: str, name: str = "forbidden") -> ForbiddenSubstructuresAge:
     """One forbidden structure block per line."""
     structures = []
     for lineno, line in _content_lines(text):
-        structures.append(parse_structure(line, lineno, signature))
+        structures.append(parse_structure(line, lineno))
     if not structures:
         raise FormatError(0, "no forbidden structures given")
-    if signature is None:
-        merged: dict[str, int] = {}
-        for s in structures:
-            for sym in s.signature.symbols:
-                merged[sym.name] = sym.arity
-        signature = Signature(tuple(RelationSymbol(n, a) for n, a in sorted(merged.items())))
-        structures = [
-            FiniteStructure(signature, s.size, s.atoms) for s in structures
-        ]
+    merged: dict[str, int] = {}
+    for s in structures:
+        for sym in s.signature.symbols:
+            merged[sym.name] = sym.arity
+    signature = Signature(tuple(RelationSymbol(n, a) for n, a in sorted(merged.items())))
+    structures = [
+        FiniteStructure(signature, s.size, s.atoms) for s in structures
+    ]
     return ForbiddenSubstructuresAge(signature, structures, name=name)
 
 
@@ -183,45 +192,44 @@ def format_group_spec(g: GroupPresentation) -> str:
     return f"stab({format_group_spec(g.base)}; {consts})"
 
 
-def parse_group_spec(text: str, structures: dict[str, LimitStructure] | None = None,
-                     lineno: int = 0) -> GroupPresentation:
+def parse_group_spec(text: str,
+                     structures: dict[str, LimitStructure] | None = None) -> GroupPresentation:
     """Grammar: aut(<structure>) | power(<group>,m) | stab(<group>; pt,pt,...)."""
-    g = _parse_group_spec(text, structures or {}, lineno)
+    g = _parse_group_spec(text, structures or {})
     validate_presentation(g)
     return g
 
 
-def _parse_group_spec(text: str, structures: dict[str, LimitStructure],
-                      lineno: int) -> GroupPresentation:
+def _parse_group_spec(text: str, structures: dict[str, LimitStructure]) -> GroupPresentation:
     text = text.strip()
     if text.startswith("aut(") and text.endswith(")"):
         name = text[4:-1].strip()
         try:
             limit = limit_by_name(name, structures)
         except ValueError:
-            raise FormatError(lineno, f"unknown structure {name!r}") from None
+            raise FormatError(0, f"unknown structure {name!r}") from None
         return AutLimit(limit)
     if text.startswith("power(") and text.endswith(")"):
         inner = text[6:-1]
         parts = _split_top(inner, ",")
         if len(parts) < 2:
-            raise FormatError(lineno, f"power needs a base and an arity: {text!r}")
-        base = _parse_group_spec(",".join(parts[:-1]), structures, lineno)
+            raise FormatError(0, f"power needs a base and an arity: {text!r}")
+        base = _parse_group_spec(",".join(parts[:-1]), structures)
         try:
             m = int(parts[-1])
         except ValueError:
-            raise FormatError(lineno, f"bad power arity {parts[-1]!r}") from None
+            raise FormatError(0, f"bad power arity {parts[-1]!r}") from None
         return PowerGroup(base, m)
     if text.startswith("stab(") and text.endswith(")"):
         inner = text[5:-1]
         parts = _split_top(inner, ";", maxsplit=1)
         if len(parts) < 2:
-            raise FormatError(lineno, f"stab needs `; constants`: {text!r}")
+            raise FormatError(0, f"stab needs `; constants`: {text!r}")
         head, tail = parts
-        base = _parse_group_spec(head, structures, lineno)
-        constants = tuple(_parse_point(p, lineno) for p in _split_top(tail, ",") if p)
+        base = _parse_group_spec(head, structures)
+        constants = tuple(_parse_point(p) for p in _split_top(tail, ",") if p)
         return StabilizerGroup(base, constants)
-    raise FormatError(lineno, f"bad group spec {text!r}")
+    raise FormatError(0, f"bad group spec {text!r}")
 
 
 def _parse_point(text: str, lineno: int = 0):
@@ -392,57 +400,14 @@ def behavior_lines(table: BehaviorTable, texts: LabelTexts) -> list[str]:
     return [f"{k}: {texts[src]} -> {texts[tgt]}" for k, src, tgt in table.entries()]
 
 
-def dump_behavior(table: BehaviorTable, texts: LabelTexts | None = None) -> str:
+def dump_behavior(table: BehaviorTable, texts: LabelTexts) -> str:
     lines = [
         f"source: {format_group_spec(table.source)}",
         f"target: {format_group_spec(table.target)}",
         f"arity: {table.max_arity}",
     ]
-    lines.extend(behavior_lines(table, LabelTexts() if texts is None else texts))
+    lines.extend(behavior_lines(table, texts))
     return "\n".join(lines) + "\n"
-
-
-def load_behavior(text: str, structures: dict[str, LimitStructure] | None = None) -> BehaviorTable:
-    source = target = None
-    max_arity = None
-    entries = []
-    seen = set()
-    for lineno, line in _content_lines(text):
-        key, sep, rest = line.partition(":")
-        if not sep:
-            raise FormatError(lineno, f"missing colon in {line!r}")
-        key, rest = key.strip(), rest.strip()
-        if key == "source":
-            source = parse_group_spec(rest, structures, lineno)
-        elif key == "target":
-            target = parse_group_spec(rest, structures, lineno)
-        elif key == "arity":
-            max_arity = int(rest)
-        else:
-            try:
-                k = int(key)
-            except ValueError:
-                raise FormatError(lineno, f"bad entry arity {key!r}") from None
-            if source is None or target is None or max_arity is None:
-                raise FormatError(lineno, "entries before the source/target/arity header")
-            left, sep2, right = rest.partition("->")
-            if not sep2:
-                raise FormatError(lineno, f"missing -> in {line!r}")
-            try:
-                src = parse_label(source, left.strip())
-                tgt = parse_label(target, right.strip())
-            except ValueError as exc:
-                raise FormatError(lineno, str(exc)) from None
-            if (k, left.strip()) in seen:
-                raise FormatError(lineno, f"duplicate map entry {left.strip()!r}")
-            seen.add((k, left.strip()))
-            entries.append((k, src, tgt))
-    if source is None or target is None or max_arity is None:
-        raise FormatError(0, "behavior table needs source, target and arity headers")
-    try:
-        return BehaviorTable(source, target, max_arity, entries)
-    except ValueError as exc:
-        raise FormatError(0, str(exc)) from None
 
 
 # ---------------------------------------------------------------------------

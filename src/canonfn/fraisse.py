@@ -14,15 +14,14 @@ index map through the one `_pullback`.
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .errors import AmalgamationFailure, ArityLimitExceeded
 from .rationals import index_of_rational, least_enum_in_interval, rational_of_index
 
-DEFAULT_ARITY_LIMIT = 6
+ARITY_LIMIT = 6    # the tuple-arity guardrail of every check and search
 
 # Labeled enumeration in verify_amalgamation (pruned by the age's step_ok,
 # filtered by contains) is exact up to this size; beyond it members are grown
@@ -30,15 +29,9 @@ DEFAULT_ARITY_LIMIT = 6
 _FULL_ENUM_MAX = 4
 
 
-def arity_limit() -> int:
-    """Global tuple-arity guardrail, overridable via CANONFN_ARITY_LIMIT."""
-    return int(os.environ.get("CANONFN_ARITY_LIMIT", DEFAULT_ARITY_LIMIT))
-
-
 def _check_arity(k: int) -> None:
-    limit = arity_limit()
-    if k > limit:
-        raise ArityLimitExceeded(f"arity {k} exceeds limit {limit}")
+    if k > ARITY_LIMIT:
+        raise ArityLimitExceeded(f"arity {k} exceeds limit {ARITY_LIMIT}")
     if k < 1:
         raise ValueError("arity must be positive")
 
@@ -70,9 +63,6 @@ class Signature:
             if s.name == name:
                 return s.arity
         raise KeyError(name)
-
-    def names(self) -> tuple[str, ...]:
-        return tuple(s.name for s in self.symbols)
 
     def __contains__(self, name: str) -> bool:
         return any(s.name == name for s in self.symbols)
@@ -277,18 +267,6 @@ class ForbiddenSubstructuresAge(AgeOracle):
         return True
 
 
-class CallableAge(AgeOracle):
-    """User-supplied membership test; trusted, no pruning."""
-
-    def __init__(self, signature: Signature, test: Callable[[FiniteStructure], bool], name="custom"):
-        self.signature = signature
-        self._test = test
-        self.name = name
-
-    def contains(self, s: FiniteStructure) -> bool:
-        return bool(self._test(s))
-
-
 _BUILTIN_AGES = {
     "linear-orders": LinearOrdersAge,
     "graphs": GraphsAge,
@@ -473,47 +451,8 @@ def format_type(record: TupleTypeRecord) -> str:
     return f"{blocks};{atoms}"
 
 
-def _groups_of(groups: list[str], text: str) -> tuple[int, ...]:
-    """Group number of each position 1..k, from `=`-joined position groups."""
-    positions = {int(p): g for g, group in enumerate(groups) for p in group.split("=")}
-    k = len(positions)
-    if sorted(positions) != list(range(1, k + 1)):
-        raise ValueError(f"bad position set in type {text!r}")
-    return tuple(positions[i + 1] for i in range(k))
-
-
-def parse_type(text: str, signature: Signature) -> TupleTypeRecord:
-    """Inverse of format_type for the given signature."""
-    text = text.strip()
-    if signature == ORDER_SIG and "|" not in text and ";" not in text:
-        ranks = _groups_of(text.split("<"), text)
-        k = len(ranks)
-        atoms = frozenset(
-            ("<", (i, j)) for i in range(k) for j in range(k) if ranks[i] < ranks[j]
-        )
-        return TupleTypeRecord(signature, k, pattern_of(ranks), atoms)
-    blocks_part, _, atoms_part = text.partition(";")
-    pattern = pattern_of(_groups_of(blocks_part.split("|"), text))
-    k = len(pattern)
-    atoms = set()
-    if atoms_part:
-        for chunk in atoms_part.split("),"):
-            chunk = chunk.strip()
-            if not chunk.endswith(")"):
-                chunk += ")"
-            name, _, args = chunk.partition("(")
-            args = args.rstrip(")")
-            t = tuple(int(a) - 1 for a in args.split(","))
-            if name not in signature:
-                raise ValueError(f"unknown symbol {name!r} in type {text!r}")
-            atoms.add((name, t))
-    return TupleTypeRecord(signature, k, pattern, frozenset(atoms))
-
-
 # ---------------------------------------------------------------------------
 # limit structures
-
-Element = object  # Fraction for the dense linear order, int index otherwise
 
 
 class LimitStructure:
@@ -762,9 +701,6 @@ class GenericLimit(LimitStructure):
             )
         self._whole = completion
         self._log.append(DemandLogEntry(m, e, z, True))
-
-
-_BUILTIN_LIMITS = {"dlo", "rado", "ordered-rado", "pureset"}
 
 
 def builtin_limit(kind: str) -> LimitStructure:

@@ -31,7 +31,6 @@ from .fraisse import (
     TupleTypeRecord,
     enumerate_types,
     format_type,
-    parse_type,
 )
 
 
@@ -186,12 +185,6 @@ def orbit_label(g: GroupPresentation, t: tuple):
     if isinstance(g, PowerGroup):
         return tuple(orbit_label(g.base, _column(t, i)) for i in range(g.m))
     return orbit_label(g.base, tuple(t) + tuple(g.constants))
-
-
-def same_orbit(g: GroupPresentation, s: tuple, t: tuple) -> bool:
-    if len(s) != len(t):
-        raise ValueError("tuples must have equal length")
-    return orbit_label(g, s) == orbit_label(g, t)
 
 
 def label_key(label):
@@ -407,39 +400,6 @@ class LabelTexts(dict):
     def __missing__(self, label) -> str:
         text = self[label] = format_label(label)
         return text
-
-
-def _split_top(text: str, sep: str, maxsplit: int = -1) -> list[str]:
-    """Split at separators outside parentheses and brackets, stripping the
-    parts; at most maxsplit splits when it is not negative."""
-    parts, depth, cur = [], 0, []
-    for ch in text:
-        if ch in "([":
-            depth += 1
-        elif ch in ")]":
-            depth -= 1
-        if ch == sep and depth == 0 and len(parts) != maxsplit:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    parts.append("".join(cur))
-    return [p.strip() for p in parts]
-
-
-def parse_label(g: GroupPresentation, text: str):
-    """Inverse of format_label against a fixed presentation shape."""
-    text = text.strip()
-    if isinstance(g, AutLimit):
-        return parse_type(text, g.limit.age.signature)
-    if isinstance(g, PowerGroup):
-        if not (text.startswith("(") and text.endswith(")")):
-            raise ValueError(f"expected a parenthesized power label: {text!r}")
-        parts = _split_top(text[1:-1], "*")
-        if len(parts) != g.m:
-            raise ValueError(f"expected {g.m} columns in {text!r}")
-        return tuple(parse_label(g.base, part) for part in parts)
-    return parse_label(g.base, text)
 
 
 # ---------------------------------------------------------------------------

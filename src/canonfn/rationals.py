@@ -94,22 +94,6 @@ def _simplest(a: int, b: int, c: int, d: int) -> tuple[int, int]:
             return mn, md
 
 
-def simplest_in(lo: Fraction | None, hi: Fraction | None) -> Fraction:
-    """Stern-Brocot simplest positive rational in the open interval (lo, hi).
-
-    lo may be None or any rational below the interval (treated as 0 when
-    negative); hi None means unbounded above.  The simplest rational is also
-    the Calkin-Wilf-least one: any other rational in the interval sits deeper
-    in the tree, hence later in breadth-first order.  The descent runs on
-    numerators and denominators, one division per continued-fraction term.
-    """
-    a, b = (0, 1) if lo is None or lo.numerator < 0 else (lo.numerator, lo.denominator)
-    c, d = (1, 0) if hi is None else (hi.numerator, hi.denominator)
-    if a * d >= c * b:
-        raise ValueError("empty interval")
-    return Fraction(*_simplest(a, b, c, d))
-
-
 def least_enum_in_interval(lo: Fraction | None, hi: Fraction | None,
                            exclude_zero: bool = False) -> Fraction | None:
     """Enumeration-least rational strictly inside (lo, hi).

@@ -228,9 +228,6 @@ class CutBracket:
     hi_witness: Fraction
     probes: int
 
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
 
 @dataclass(frozen=True)
 class Inconclusive:
@@ -244,7 +241,7 @@ class Inconclusive:
         return False
 
 
-def forced_cut(f: Callable, g: Callable, cut, epsilon, budget: int = 256):
+def forced_cut(f: Callable, g: Callable, cut, epsilon, budget: int):
     """Bracket the value any order-preserving e with e(f(x)) = g(x) must take
     at the cut: the supremum of g over f(x) below the cut against the infimum
     above, probing domain points in enumeration order until the bracket is

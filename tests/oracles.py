@@ -3,9 +3,13 @@
 Nothing here shares code with the package paths under test: weak orders are
 counted as raw binary relations, partitions by canonicalizing assignment
 vectors, and isomorphisms by exhaustive backtracking over index maps.
+PredicateAge only fills in the age interface for a membership test a
+test writes itself.
 """
 
 import itertools
+
+from canonfn.fraisse import AgeOracle
 
 
 def count_weak_orders(k: int) -> int:
@@ -111,3 +115,15 @@ def mono_triple_exists(colors: dict) -> bool:
         if colors[(a, b)] == colors[(b, c)] == colors[(a, c)]:
             return True
     return False
+
+
+class PredicateAge(AgeOracle):
+    """The age of the structures a predicate accepts: trusted, no pruning."""
+
+    def __init__(self, signature, test, name="predicate"):
+        self.signature = signature
+        self.name = name
+        self._test = test
+
+    def contains(self, s) -> bool:
+        return bool(self._test(s))

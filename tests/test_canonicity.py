@@ -14,13 +14,11 @@ from canonfn import (
     IdentityOracle,
     LocalFailure,
     NegationOracle,
-    NotCanonical,
     PiecewiseAffineOracle,
     TableOracle,
     TowerWitness,
     automorphism_extending,
     automorphism_moving,
-    behavior_of,
     builtin_limit,
     canonical_iso,
     check_canonical,
@@ -31,7 +29,6 @@ from canonfn import (
     qf_type,
     rationals_set,
     tower_witness,
-    type_tower,
 )
 from canonfn.canonicity import AffinePiece, AutomorphismOracle, Interval, _same_label_seeds
 from canonfn.groups import label_key
@@ -115,16 +112,15 @@ class TestCheckCanonical:
 
 class TestBehaviorOf:
     def test_negation_decreasing(self, dlo, aut_dlo, neg):
-        table = behavior_of(neg, aut_dlo, aut_dlo, 8, 2)
+        table = check_canonical(neg, aut_dlo, aut_dlo, 8, 2).behavior
         assert behavior_strings(table, 2) == ["1<2->2<1", "1=2->1=2", "2<1->1<2"]
 
     def test_constant_table(self, dlo, aut_dlo):
-        table = behavior_of(ConstantOracle(dlo, F(0)), aut_dlo, aut_dlo, 8, 2)
+        table = check_canonical(ConstantOracle(dlo, F(0)), aut_dlo, aut_dlo, 8, 2).behavior
         assert behavior_strings(table, 2) == ["1<2->1=2", "1=2->1=2", "2<1->1=2"]
 
-    def test_mixed_raises(self, aut_dlo, mixed_map):
-        with pytest.raises(NotCanonical):
-            behavior_of(mixed_map, aut_dlo, aut_dlo, 8, 2)
+    def test_mixed_has_no_table(self, aut_dlo, mixed_map):
+        assert isinstance(check_canonical(mixed_map, aut_dlo, aut_dlo, 8, 2), Counterexample)
 
 
 class TestLocalEqual:
@@ -183,24 +179,16 @@ class TestTowerWitness:
         assert witness.check(pairs, aut_dlo)
 
 
-class TestTypeTower:
-    def test_levels_cohere(self, dlo, aut_dlo, neg):
-        tower = type_tower(neg, aut_dlo, (2, 4, 6))
-        assert tower.check_coherence(aut_dlo)
-
-    def test_bad_sizes_rejected(self, dlo, aut_dlo, neg):
-        with pytest.raises(ValueError):
-            type_tower(neg, aut_dlo, (4, 2))
-
-
 class TestHarness:
     def test_negation_all_pass(self, dlo, aut_dlo, neg):
         report = proposition_harness(neg, aut_dlo, aut_dlo, 8, 2)
-        assert report.agreement and report.all_pass()
+        assert report.agreement and report.verdict
+        assert all(r.local_pass and r.tower_pass for r in report.seed_results)
 
     def test_identity_small(self, dlo, aut_dlo):
         report = proposition_harness(IdentityOracle(dlo, dlo), aut_dlo, aut_dlo, 4, 2)
-        assert report.agreement and report.all_pass()
+        assert report.agreement and report.verdict
+        assert all(r.local_pass and r.tower_pass for r in report.seed_results)
 
     def test_mixed_all_fail_with_matching_witnesses(self, aut_dlo, mixed_map):
         report = proposition_harness(mixed_map, aut_dlo, aut_dlo, 8, 2)

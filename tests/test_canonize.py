@@ -26,7 +26,6 @@ from canonfn import (
     check_canonical,
     format_label,
     mono_subset,
-    pair_coloring,
     qf_type,
 )
 from canonfn.canonicity import BehaviorScan, FunctionOracle
@@ -315,7 +314,11 @@ class TestRamseyConsistency:
         points = [F(i) for i in (-3, -1, 0, 2, 5)]
         table = {F(-3): F(9), F(-1): F(4), F(0): F(1), F(2): F(0), F(5): F(-2)}
         oracle = TableOracle(dlo, dlo, table)
-        coloring = pair_coloring(oracle, points)
+        coloring = {
+            (a, b): "increasing" if oracle(a) < oracle(b)
+            else "decreasing" if oracle(a) > oracle(b) else "constant"
+            for a, b in itertools.combinations(points, 2)
+        }
         subset = mono_subset(coloring, 3)
         assert subset is not None
         color = coloring[(subset[0], subset[1])]

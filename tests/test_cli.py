@@ -402,10 +402,9 @@ def test_behaviors_nonpositive_arity_is_error(arity):
                      "--arity", arity]) == (1, "error: ValueError: arity must be positive\n")
 
 
-def test_behaviors_arity_above_limit_keeps_its_message(monkeypatch):
-    monkeypatch.setenv("CANONFN_ARITY_LIMIT", "2")
+def test_behaviors_arity_above_limit_keeps_its_message():
     assert run_argv(["behaviors", "--source", "aut(dlo)", "--target", "aut(dlo)",
-                     "--arity", "3"]) == (1, "error: ArityLimitExceeded: arity 3 exceeds limit 2\n")
+                     "--arity", "7"]) == (1, "error: ArityLimitExceeded: arity 7 exceeds limit 6\n")
 
 
 class TestFileErrors:

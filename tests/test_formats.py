@@ -17,7 +17,6 @@ from canonfn.formats import (
     dump_function_table,
     format_group_spec,
     format_structure,
-    load_behavior,
     load_certificate,
     load_forbidden_age,
     load_function_table,
@@ -26,13 +25,15 @@ from canonfn.formats import (
     parse_oracle_spec,
     parse_structure,
 )
+from canonfn.cli import parse_command, run
 from canonfn.fraisse import GRAPH_SIG
+from canonfn.groups import LabelTexts
 
 
 class TestStructureFormat:
     def test_round_trip(self):
         s = FiniteStructure(GRAPH_SIG, 4, frozenset({("edge", (0, 2)), ("edge", (2, 0))}))
-        assert parse_structure(format_structure(s), signature=GRAPH_SIG) == s
+        assert parse_structure(format_structure(s)) == s
 
     def test_signature_inference(self):
         s = parse_structure("size 3; edge(0,1); edge(1,0)")
@@ -179,33 +180,21 @@ class TestFunctionTables:
 
 
 class TestBehaviorFiles:
-    def test_round_trip_exact(self, dlo, aut_dlo):
+    def test_behaviors_out_holds_the_report_tables(self, tmp_path, aut_dlo):
+        path = tmp_path / "dlo.beh"
+        code, report = run(parse_command([
+            "behaviors", "--source", "aut(dlo)", "--target", "aut(dlo)", "--arity", "2",
+            "--out", str(path)]))
+        assert code == 0 and report.endswith(f"\nsaved: {path}\n")
+        blocks = path.read_text().split("\n---\n")
         tables = enumerate_behaviors(aut_dlo, aut_dlo, 2)
-        for table in tables:
-            text = dump_behavior(table)
-            again = load_behavior(text)
-            assert again.graph_key() == table.graph_key()
-            assert dump_behavior(again) == text
-
-    def test_tampered_duplicate_entry(self, aut_dlo):
-        table = enumerate_behaviors(aut_dlo, aut_dlo, 2)[0]
-        text = dump_behavior(table)
-        line = next(l for l in text.splitlines() if l.startswith("2:"))
-        with pytest.raises(FormatError):
-            load_behavior(text + line + "\n")
-
-    def test_missing_header(self):
-        with pytest.raises(FormatError):
-            load_behavior("1: 1 -> 1\n")
-
-    def test_stabilized_power_behavior_round_trip(self, dlo):
-        from canonfn import MinOracle, canonize_with_constants
-
-        result = canonize_with_constants(MinOracle(dlo, dlo), [(F(0), F(1))], 2, 5, 64)
-        text = dump_behavior(result.behavior)
-        again = load_behavior(text)
-        assert again.graph_key() == result.behavior.graph_key()
-        assert dump_behavior(again) == text
+        assert blocks == [dump_behavior(t, LabelTexts()) for t in tables]
+        listed = report.split("\nsaved:")[0].split("\ntable ")[1:]
+        assert len(listed) == len(blocks) == 3
+        for i, (entries, block) in enumerate(zip(listed, blocks)):
+            head = block.splitlines()[:3]
+            assert head == ["source: aut(dlo)", "target: aut(dlo)", "arity: 2"]
+            assert entries.splitlines() == [f"{i}:"] + block.splitlines()[3:]
 
 
 class TestCertificateFiles:
@@ -215,6 +204,14 @@ class TestCertificateFiles:
         again = load_certificate(text)
         assert again == cert
         assert dump_certificate(again) == text
+
+    def test_pham_report_block_reads_back(self):
+        code, report = run(parse_command(["pham", "--epsilon", "1/8", "--budget", "512"]))
+        block, sep, rest = report.partition("verified:")
+        assert code == 0 and sep and rest == " true\n"
+        cert = load_certificate(block)
+        assert cert.verify()
+        assert dump_certificate(cert) == block
 
     def test_wrong_fields(self):
         with pytest.raises(FormatError):

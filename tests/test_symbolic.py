@@ -158,7 +158,7 @@ class TestForcedCut:
         bracket = forced_cut(lambda x: x, lambda x: x, 0, F(1, 4), 1024)
         assert isinstance(bracket, CutBracket)
         assert F(-1, 4) < bracket.lo < 0 < bracket.hi < F(1, 4)
-        assert bracket.width() < F(1, 4)
+        assert bracket.hi - bracket.lo < F(1, 4)
 
     def test_shift_forced_at_one(self):
         bracket = forced_cut(lambda x: x, lambda x: x + 1, 0, F(1, 4), 1024)
@@ -174,7 +174,7 @@ class TestForcedCut:
         alpha = automorphism_moving(F(-1), F(0))
         bracket = forced_cut(f.eval, lambda x: f.eval(alpha.eval(x)), 0, F(1, 8), 256)
         assert isinstance(bracket, CutBracket)
-        assert bracket.width() < F(1, 8)
+        assert bracket.hi - bracket.lo < F(1, 8)
         assert bracket.lo > 0
 
 
