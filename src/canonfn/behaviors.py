@@ -5,8 +5,11 @@ projections, duplications) between tuple positions; coherence is necessary
 for the maps to come from a single function, and enumeration searches the
 coherent tables directly.
 
-enumerate_behaviors and coherence_check work on groups.LabelSpace ids: slots,
-candidates and coherence links are ints, and reindexing is a memoized lookup.
+enumerate_behaviors and coherence_check work on groups.PointLabels ids, one
+interner per side: slots, candidates and coherence links are ints, and
+reindexing is a memoized lookup.  The slot search is a loop with one
+candidate cursor per slot, and realize_behavior's search one with a pool
+cursor per domain element, so neither grows the Python stack with depth.
 Ids turn back into labels (TupleTypeRecords or tuples of them) only where a
 BehaviorTable or a Violation is built, so the public API sees labels only.
 """
@@ -21,8 +24,9 @@ from .fraisse import _check_arity
 from .groups import (
     AutLimit,
     GroupPresentation,
-    LabelSpace,
+    PointLabels,
     label_key,
+    orbit_labels,
 )
 
 
@@ -90,25 +94,26 @@ def coherence_check(table: BehaviorTable) -> Violation | None:
     """First violation of B_j(reindex(tau, sigma)) = reindex(B_k(tau), sigma),
     scanning (k, j, sigma, tau) lexicographically; None when coherent."""
     arities = range(1, table.max_arity + 1)
-    # The spaces list only the labels met here: listing all orbit labels
+    # The interners list only the labels met here: listing all orbit labels
     # would cost more than the memoized reindexing saves on one table.
-    src = LabelSpace(table.source, {k: [] for k in arities})
-    tgt = LabelSpace(table.target, {k: [] for k in arities})
+    src, tgt = PointLabels(table.source), PointLabels(table.target)
     # Per arity: (source id, image id, source label) in label_key order.
-    entries = {k: [(src.id_of(k, tau), tgt.id_of(k, image), tau)
-                   for _, (tau, image) in sorted(table._maps[k].items())]
-               for k in arities}
-    image_of = {k: {i: t for i, t, _ in entries[k]} for k in arities}
+    entries: dict[int, list] = {k: [] for k in arities}
+    image_of: dict[int, int] = {}
+    for k, tau, image in table.entries():
+        i, t = src.id_of_label(tau), tgt.id_of_label(image)
+        entries[k].append((i, t, tau))
+        image_of[i] = t
     for k in arities:
         for j in arities:
             for sigma in _sigmas(j, k):
                 for i, t, tau in entries[k]:
-                    lhs = image_of[j].get(src.reindex(k, i, sigma))
+                    lhs = image_of.get(src.reindex(i, sigma))
                     if lhs is None:
                         continue
-                    rhs = tgt.reindex(k, t, sigma)
+                    rhs = tgt.reindex(t, sigma)
                     if lhs != rhs:
-                        return Violation(k, sigma, tau, tgt.labels[j][rhs], tgt.labels[j][lhs])
+                        return Violation(k, sigma, tau, tgt.labels[rhs], tgt.labels[lhs])
     return None
 
 
@@ -116,24 +121,32 @@ def enumerate_behaviors(source: GroupPresentation, target: GroupPresentation,
                         max_arity: int) -> list[BehaviorTable]:
     """All coherent total tables up to the given arity, ordered by map graph."""
     _check_arity(max_arity)
-    src = LabelSpace.admissible(source, max_arity)
-    tgt = LabelSpace.admissible(target, max_arity)
+    src, tgt = PointLabels(source), PointLabels(target)
     arities = range(1, max_arity + 1)
-    slots = [(k, i) for k in arities for i in range(len(src.labels[k]))]
-    first = {k: sum(len(src.labels[j]) for j in arities if j < k) for k in arities}
+    # Interned arity by arity, the source ids are the slots, in label_key
+    # order per arity; a slot's candidates are the target ids of its arity.
+    slots: list[tuple] = []   # per source id: (arity, candidate target ids)
+    for k in arities:
+        first = len(tgt.labels)
+        for label in orbit_labels(target, k):
+            tgt.id_of_label(label)
+        for label in orbit_labels(source, k):
+            src.id_of_label(label)
+            slots.append((k, range(first, len(tgt.labels))))
 
     # Coherence links: slot s forces slot r = reindex(s, sigma) through the
     # target reindexing row of sigma, image[r] == row[image[s]].  Slots are
     # filled in order, so each link is checked at the later of its two slots:
     # forward[s] holds (r, row) with r <= s, backward[r] holds (s, row), s < r.
-    rows = {(k, sigma): [tgt.reindex(k, t, sigma) for t in range(len(tgt.labels[k]))]
-            for k in arities for j in arities for sigma in _sigmas(j, k)}
+    rows = {(k, sigma): {t: tgt.reindex(t, sigma) for t in cands}
+            for k, cands in dict(slots).items()
+            for j in arities for sigma in _sigmas(j, k)}
     forward: list[list] = [[] for _ in slots]
     backward: list[list] = [[] for _ in slots]
-    for s, (k, i) in enumerate(slots):
+    for s, (k, _) in enumerate(slots):
         for j in arities:
             for sigma in _sigmas(j, k):
-                r = first[j] + src.reindex(k, i, sigma)
+                r = src.reindex(s, sigma)
                 if r <= s:
                     forward[s].append((r, rows[(k, sigma)]))
                 else:
@@ -141,24 +154,27 @@ def enumerate_behaviors(source: GroupPresentation, target: GroupPresentation,
 
     image: list[int] = [0] * len(slots)
     found: list[tuple] = []
-
-    def rec(s):
-        if s == len(slots):
-            found.append(tuple(image))
-            return
-        for a in range(len(tgt.labels[slots[s][0]])):
+    cursors = [iter(slots[0][1])]   # cursors[s] walks slot s's candidates
+    while cursors:
+        s = len(cursors) - 1
+        for a in cursors[s]:
             image[s] = a
             if (all(image[r] == row[a] for r, row in forward[s])
                     and all(a == row[image[r]] for r, row in backward[s])):
-                rec(s + 1)
-
-    rec(0)
+                break
+        else:
+            cursors.pop()
+            continue
+        if s + 1 < len(slots):
+            cursors.append(iter(slots[s + 1][1]))
+        else:
+            found.append(tuple(image))
     # Candidates are tried in id order, so the tables come out sorted by
     # their target-id tuples: graph_key order, since every table has the
     # same slots and ids follow label_key.
     return [BehaviorTable(source, target, max_arity,
-                          [(k, src.labels[k][i], tgt.labels[k][a])
-                           for (k, i), a in zip(slots, ids)])
+                          [(k, label, tgt.labels[a])
+                           for (k, _), label, a in zip(slots, src.labels, ids)])
             for ids in found]
 
 
@@ -193,20 +209,20 @@ def realize_behavior(table: BehaviorTable, n: int):
     pool = [table.target.limit.element(i) for i in range(n * _TARGET_RATIO)]
     scan = BehaviorScan(table.source, table.target, table.max_arity)
     explored = 0
-
-    def rec(i) -> bool:
-        nonlocal explored
-        if i == n:
-            return True
-        for y in pool:
+    cursors = [iter(pool)]   # cursors[i] walks the pool for domain[i]
+    while cursors:
+        for y in cursors[-1]:
             explored += 1
-            if scan.push(domain[i], y):
-                if (all(table.get(k, src) == tgt for k, src, tgt in scan.recorded())
-                        and rec(i + 1)):
-                    return True
+            if scan.push(domain[len(cursors) - 1], y):
+                if all(table.get(k, src) == tgt for k, src, tgt in scan.recorded()):
+                    break
                 scan.pop()
-        return False
-
-    if rec(0):
-        return tuple(zip(domain, scan.images))
+        else:
+            cursors.pop()
+            if cursors:
+                scan.pop()
+            continue
+        if len(cursors) == n:
+            return tuple(zip(domain, scan.images))
+        cursors.append(iter(pool))
     return Exhausted(explored)

@@ -9,11 +9,12 @@ bounded arity: each candidate point is pushed onto a canonicity.BehaviorScan,
 and its columns are committed only when the push succeeds.  A column's
 candidates are the pool elements LimitStructure.admissible_images returns,
 listed once per level visit (on DloLimit, the pool elements strictly
-between the images of the nearest committed neighbors).  Backtracking
-explores images in enumeration order, so the first tower found is the
-enumeration-lexicographically least one; exhausting the horizon is
-inconclusive.  canonize_with_constants only builds the stabilized
-presentations and calls canonize.
+between the images of the nearest committed neighbors).  The search is a
+loop over a stack of level frames, so the recursion limit does not bound
+its depth.  Backtracking explores images in enumeration order, so the
+first tower found is the enumeration-lexicographically least one;
+exhausting the horizon is inconclusive.  canonize_with_constants only
+builds the stabilized presentations and calls canonize.
 """
 
 from __future__ import annotations
@@ -108,44 +109,52 @@ def _run_search(f: FunctionOracle, g: GroupPresentation, h: GroupPresentation,
             raise PresentationError("constant points conflict with each other")
 
     towers: list = []
-
-    def rec(level: int) -> bool:
-        nonlocal nodes, deepest
+    # One frame per entered level, constants aside: (level, columns, free
+    # columns, image columns, candidate combos).  A frame whose level is
+    # committed and is entered again undoes its commit first.
+    frames: list = []
+    level = 0
+    while True:
+        # A constant point reappearing in the enumeration (the enumerated
+        # points are distinct, so nothing else recurs): its image and its
+        # tuples are committed already.
+        while level < depth and points[level] in seeds:
+            level += 1
         deepest = max(deepest, level)
         if level == depth:
-            return True
-        p = points[level]
-        if p in seeds:
-            # A constant point reappearing in the enumeration (the enumerated
-            # points are distinct, so nothing else recurs): its image and its
-            # tuples are committed already.
-            return rec(level + 1)
-        cols = columns(p)
+            break
+        cols = columns(points[level])
         free = [i for i in range(m) if cols[i] not in col_map[i]]
         image = [col_map[i].get(cols[i]) for i in range(m)]
         cand_lists = [limit.admissible_images(col_map[i].items(), cols[i], pool) for i in free]
-        for combo in itertools.product(*cand_lists):
-            nodes += 1
-            for i, y in zip(free, combo):
-                image[i] = y
-            image_point = tuple(image) if m > 1 else image[0]
-            if not scan.push(p, f(image_point)):
+        frames.append((level, cols, free, image, itertools.product(*cand_lists)))
+        while frames:
+            level, cols, free, image, combos = frames[-1]
+            if len(towers) == len(frames):
+                towers.pop()
+                scan.pop()
+                for i in free:
+                    del col_map[i][cols[i]]
+            for combo in combos:
+                nodes += 1
+                for i, y in zip(free, combo):
+                    image[i] = y
+                image_point = tuple(image) if m > 1 else image[0]
+                if scan.push(points[level], f(image_point)):
+                    break
+            else:
+                frames.pop()
                 continue
             # Most pushes fail, so the columns are committed only after one
             # succeeds; this level's candidate lists are already built.
             for i, y in zip(free, combo):
                 col_map[i][cols[i]] = y
-            towers.append((p, image_point))
-            if rec(level + 1):
-                return True
-            towers.pop()
-            scan.pop()
-            for i in free:
-                del col_map[i][cols[i]]
-        return False
+            towers.append((points[level], image_point))
+            break
+        else:
+            return HorizonExhausted(deepest, nodes)
+        level += 1
 
-    if not rec(0):
-        return HorizonExhausted(deepest, nodes)
     tower = EmbeddingTower(tuple((c, c) for c in seeds), tuple(towers))
     oracle = TableOracle(limit, f.target, dict(zip(scan.points, scan.images)), m=m)
     certificate = check_canonical(oracle, g, h, len(scan.points), arity,

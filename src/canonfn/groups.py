@@ -6,14 +6,14 @@ stabilizers.  Orbit equivalence is decided through labels (type records and
 tuples thereof), never through explicit group elements; for the built-in
 homogeneous limits this is sound and complete.
 
-A LabelSpace interns the labels of one presentation as int ids per arity,
-with memoized reindexing; LabelSpace.admissible lists all orbit labels, so
-ids follow label_key.  The behavior-table layer (enumerate_behaviors,
-coherence_check) works on these ids for one call and turns them back into
-labels only where it builds a BehaviorTable or a Violation.  A PointLabels
-interns the labels of tuples of concrete points for the tuple scan: it
-reads each pair of point indices once through eval_relation, keys a tuple
-by the int codes of its pairs, and calls orbit_label once per new key.
+A PointLabels is the one label interner: each distinct label of one
+presentation takes the next int id, and reindex maps ids through
+reindex_label once per (label, sigma).  The tuple scan interns the labels
+of tuples of concrete points: it reads each pair of point indices once
+through eval_relation, keys a tuple by the int codes of its pairs, and
+calls orbit_label once per new key.  The behavior-table layer
+(enumerate_behaviors, coherence_check) interns labels directly and turns
+ids back into labels only where it builds a BehaviorTable or a Violation.
 LabelTexts formats each distinct label once per command.
 """
 
@@ -244,51 +244,17 @@ def format_label(label) -> str:
     return "(" + " * ".join(format_label(part) for part in label) + ")"
 
 
-class LabelSpace:
-    """Labels of one presentation, interned per arity as int ids.
-
-    labels[k] lists the arity-k labels by id.  In LabelSpace.admissible(g, n)
-    labels[k] is orbit_labels(g, k), so ids follow label_key order.  reindex
-    is memoized, so reindex_label runs at most once for each (label, sigma).
-    A space lives for one call (enumerate_behaviors, coherence_check); its
-    callers turn ids back into labels through labels[k][i].
-    """
-
-    def __init__(self, g: GroupPresentation, labels: dict[int, list]):
-        self.g = g
-        self.labels = {k: list(ls) for k, ls in labels.items()}
-        self._ids = {k: {label: i for i, label in enumerate(ls)}
-                     for k, ls in self.labels.items()}
-        self._reindexed: dict = {}
-
-    @classmethod
-    def admissible(cls, g: GroupPresentation, max_arity: int) -> "LabelSpace":
-        return cls(g, {k: orbit_labels(g, k) for k in range(1, max_arity + 1)})
-
-    def id_of(self, k: int, label) -> int:
-        """Id of an arity-k label; a label not yet listed takes the next id."""
-        ids = self._ids[k]
-        i = ids.get(label)
-        if i is None:
-            i = ids[label] = len(self.labels[k])
-            self.labels[k].append(label)
-        return i
-
-    def reindex(self, k: int, i: int, sigma: tuple[int, ...]) -> int:
-        """Id of reindex_label(g, labels[k][i], sigma), of arity len(sigma)."""
-        key = (k, i, sigma)
-        j = self._reindexed.get(key)
-        if j is None:
-            label = reindex_label(self.g, self.labels[k][i], sigma)
-            j = self._reindexed[key] = self.id_of(len(sigma), label)
-        return j
-
-
 class PointLabels:
-    """Orbit labels of tuples over a growing list of points, as int ids.
+    """The orbit labels of one presentation, interned as int ids.
 
-    points lists the scanned points by index; a stabilizer's constants sit
-    before them, and each of the point_arity(g) columns keeps its own values.
+    Labels and ids correspond one to one: labels[id] is an id's label,
+    id_of_label a label's id, and reindex maps ids as reindex_label maps
+    labels.  The behavior-table layer interns labels arity by arity in
+    label_key order, so its ids follow that order.
+
+    The tuple scan interns the labels of tuples of scanned points: points
+    lists them by index; a stabilizer's constants sit before them, and each
+    of the point_arity(g) columns keeps its own values.
     On a signature of unary and binary symbols a tuple's label is fixed by
     its pair codes: per column, for each ordered pair of positions of the
     tuple extended by the constants, one equality bit and one bit per
@@ -297,7 +263,6 @@ class PointLabels:
     point takes its index.  The codes are the tuple's key; each new key
     takes the next id, and labels[id] is orbit_label of the first tuple met
     with that key.  A symbol of arity > 2 makes orbit_label itself the key.
-    Labels and ids correspond one to one, so id_of_label finds a label's id.
     """
 
     def __init__(self, g: GroupPresentation):
@@ -317,6 +282,7 @@ class PointLabels:
         self._codes: list[list[dict]] = [[] for _ in range(m)]  # [column][i][j]
         self._ids: dict = {}
         self._label_ids: dict = {}
+        self._reindexed: dict = {}
         for k, c in enumerate(constants):
             self._put(k, c)
 
@@ -391,6 +357,15 @@ class PointLabels:
             i = self._label_ids[label] = len(self.labels)
             self.labels.append(label)
         return i
+
+    def reindex(self, i: int, sigma: tuple[int, ...]) -> int:
+        """Id of reindex_label(g, labels[i], sigma), memoized: reindex_label
+        runs at most once for each (label, sigma)."""
+        j = self._reindexed.get((i, sigma))
+        if j is None:
+            label = reindex_label(self.g, self.labels[i], sigma)
+            j = self._reindexed[i, sigma] = self.id_of_label(label)
+        return j
 
 
 class LabelTexts(dict):

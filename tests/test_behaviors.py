@@ -1,4 +1,6 @@
+import inspect
 import itertools
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -135,6 +137,16 @@ class TestEnumeration:
         keys = [t.graph_key() for t in tables]
         assert keys == sorted(keys)
 
+    def test_slot_search_does_not_recurse_per_slot(self, aut_dlo):
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 60)
+        try:
+            tables = enumerate_behaviors(aut_dlo, aut_dlo, 4)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert len(tables) == 3
+        assert {len(t.entries()) for t in tables} == {1 + 3 + 13 + 75}
+
 
 class TestRealize:
     def test_decreasing_witness(self, dlo, aut_dlo):
@@ -162,6 +174,16 @@ class TestRealize:
             (2, labels["1=2"], labels["1<2"]),
         ])
         assert isinstance(realize_behavior(table, 2), Exhausted)
+
+    def test_search_does_not_recurse_per_element(self, aut_dlo):
+        table, = enumerate_behaviors(aut_dlo, aut_dlo, 1)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 60)
+        try:
+            witness = realize_behavior(table, 200)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert len(witness) == 200
 
     def test_witness_behavior_reproduces_table(self, dlo, aut_dlo):
         tables = enumerate_behaviors(aut_dlo, aut_dlo, 2)

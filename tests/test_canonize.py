@@ -1,5 +1,7 @@
+import inspect
 import itertools
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -97,6 +99,16 @@ class TestCanonize:
     def test_rejects_m_ary_oracle(self, dlo, aut_dlo):
         with pytest.raises(PresentationError):
             canonize(MinOracle(dlo, dlo), aut_dlo, aut_dlo, 2, 4, 16)
+
+    def test_search_does_not_recurse_per_level(self, dlo, aut_dlo):
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 60)
+        try:
+            result = canonize(IdentityOracle(dlo, dlo), aut_dlo, aut_dlo, 1, 300, 300)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert isinstance(result, CanonicalApproximation)
+        assert result.tower.depth == 300
 
 
 @pytest.fixture(scope="module")

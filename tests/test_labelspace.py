@@ -1,7 +1,7 @@
-"""Differential tests of the interned label spaces: LabelSpace ids and their
-memoized reindexing against the label definitions, and the id-based
-enumerate_behaviors and coherence_check against definitional versions that
-work on labels throughout."""
+"""Differential tests of the label interner behind the behavior tables:
+PointLabels ids of orbit labels and their memoized reindexing against the
+label definitions, and the id-based enumerate_behaviors and coherence_check
+against definitional versions that work on labels throughout."""
 
 import itertools
 
@@ -11,7 +11,7 @@ from canonfn import BehaviorTable, Violation, coherence_check, enumerate_behavio
 from canonfn import groups
 from canonfn.formats import parse_group_spec
 from canonfn.fraisse import ORDER_SIG, TupleTypeRecord
-from canonfn.groups import LabelSpace, label_key, orbit_labels, reindex_label
+from canonfn.groups import PointLabels, label_key, orbit_labels, reindex_label
 
 
 def sigmas(j, k):
@@ -81,28 +81,32 @@ SPACES = [(spec, k) for spec in ("aut(dlo)", "aut(rado)", "aut(ordered-rado)",
 @pytest.mark.parametrize("spec,max_arity", SPACES)
 def test_ids_follow_label_key_and_reindex_matches_labels(spec, max_arity):
     g = parse_group_spec(spec)
-    space = LabelSpace.admissible(g, max_arity)
+    space = PointLabels(g)
     arities = range(1, max_arity + 1)
+    ids = {}
     for k in arities:
-        labels = space.labels[k]
-        assert labels == orbit_labels(g, k)
+        labels = orbit_labels(g, k)
+        first = len(space.labels)
+        ids[k] = [space.id_of_label(label) for label in labels]
+        assert ids[k] == list(range(first, first + len(labels)))
+        assert space.labels[first:] == labels
         assert [label_key(label) for label in labels] == sorted(map(label_key, labels))
-        assert [space.id_of(k, label) for label in labels] == list(range(len(labels)))
-    sizes = {k: len(space.labels[k]) for k in arities}
+    size = len(space.labels)
     for k in arities:
-        for i, label in enumerate(space.labels[k]):
+        for i in ids[k]:
             for j in arities:
                 for sigma in sigmas(j, k):
-                    expected = reindex_label(g, label, sigma)
-                    r = space.reindex(k, i, sigma)
-                    assert r < sizes[j] and space.labels[j][r] == expected
+                    expected = reindex_label(g, space.labels[i], sigma)
+                    r = space.reindex(i, sigma)
+                    assert r in ids[j] and space.labels[r] == expected
     # Admissible labels are closed under reindexing: nothing was interned.
-    assert {k: len(space.labels[k]) for k in arities} == sizes
+    assert len(space.labels) == size
 
 
 def test_reindex_runs_reindex_label_once_per_label_and_sigma(monkeypatch):
     g = parse_group_spec("stab(aut(dlo); 0)")
-    space = LabelSpace.admissible(g, 2)
+    space = PointLabels(g)
+    ids = [space.id_of_label(label) for label in orbit_labels(g, 2)]
     calls = []
     original = groups.reindex_label
 
@@ -113,19 +117,19 @@ def test_reindex_runs_reindex_label_once_per_label_and_sigma(monkeypatch):
 
     monkeypatch.setattr(groups, "reindex_label", counting)
     for _ in range(2):
-        for i in range(len(space.labels[2])):
+        for i in ids:
             for sigma in sigmas(2, 2):
-                space.reindex(2, i, sigma)
-    assert len(calls) == len(set(calls)) == 4 * len(space.labels[2])
+                space.reindex(i, sigma)
+    assert len(calls) == len(set(calls)) == 4 * len(ids)
 
 
 def test_unlisted_label_takes_the_next_id():
     g = parse_group_spec("aut(dlo)")
-    space = LabelSpace(g, {1: [], 2: []})
+    space = PointLabels(g)
     lt, gt = orbit_labels(g, 2)[1:]
-    assert [space.id_of(2, lt), space.id_of(2, gt), space.id_of(2, lt)] == [0, 1, 0]
-    assert space.labels[2][space.reindex(2, 0, (1, 0))] == gt
-    assert space.reindex(2, 0, (0,)) == 0 and space.labels[1] == orbit_labels(g, 1)
+    assert [space.id_of_label(lt), space.id_of_label(gt), space.id_of_label(lt)] == [0, 1, 0]
+    assert space.labels[space.reindex(0, (1, 0))] == gt
+    assert space.reindex(0, (0,)) == 2 and space.labels[2:] == orbit_labels(g, 1)
 
 
 @pytest.mark.parametrize("source,target,max_arity", [
