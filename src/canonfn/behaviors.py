@@ -1,9 +1,23 @@
 """Behavior tables: the per-arity orbit-to-orbit maps a canonical function induces.
 
-A table is coherent when it commutes with every index map (permutations,
-projections, duplications) between tuple positions; coherence is necessary
+A table is coherent when it commutes with every index map sigma: [j] -> [k]
+(permutations, projections, duplications) between tuple positions:
+B_j(reindex(tau, sigma)) = reindex(B_k(tau), sigma).  Coherence is necessary
 for the maps to come from a single function, and enumeration searches the
 coherent tables directly.
+
+Every index map factors into generators: faces [k-1] -> [k] (drop a
+position), degeneracies [k+1] -> [k] (repeat a position) and adjacent
+transpositions [k] -> [k].  Reindexing by a map [j] -> [k] whose image has
+m elements permutes and drops positions down to arity m, then repeats and
+permutes them up to arity j, so the factorisation passes only through
+arities between m and max(j, k) (the simplex category with the symmetric
+groups, Mac Lane, Categories for the Working Mathematician, VII.5).  Reindexing is functorial, so a table whose
+labels are closed under the generators up to its max arity, and which
+commutes with each generator, commutes with every sigma.  A total table is
+closed, so enumerate_behaviors links its slots through the generators only;
+coherence_check accepts a closed table that commutes with the generators,
+and scans every sigma only to find the first violation of any other table.
 
 enumerate_behaviors and coherence_check work on groups.PointLabels ids, one
 interner per side: slots, candidates and coherence links are ints, and
@@ -19,7 +33,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import PresentationError
+from .errors import BudgetExhausted, PresentationError
 from .fraisse import _check_arity
 from .groups import (
     AutLimit,
@@ -90,10 +104,24 @@ def _sigmas(j: int, k: int):
     yield from itertools.product(range(k), repeat=j)
 
 
+def _generators(k: int, n: int):
+    """The generating index maps into [k] whose domain arity is in 1..n:
+    faces [k-1] -> [k], degeneracies [k+1] -> [k], adjacent transpositions."""
+    if k > 1:
+        for i in range(k):
+            yield tuple(range(i)) + tuple(range(i + 1, k))
+    if k < n:
+        for i in range(k):
+            yield tuple(range(i + 1)) + tuple(range(i, k))
+    for i in range(k - 1):
+        yield tuple(range(i)) + (i + 1, i) + tuple(range(i + 2, k))
+
+
 def coherence_check(table: BehaviorTable) -> Violation | None:
     """First violation of B_j(reindex(tau, sigma)) = reindex(B_k(tau), sigma),
     scanning (k, j, sigma, tau) lexicographically; None when coherent."""
-    arities = range(1, table.max_arity + 1)
+    n = table.max_arity
+    arities = range(1, n + 1)
     # The interners list only the labels met here: listing all orbit labels
     # would cost more than the memoized reindexing saves on one table.
     src, tgt = PointLabels(table.source), PointLabels(table.target)
@@ -104,6 +132,12 @@ def coherence_check(table: BehaviorTable) -> Violation | None:
         i, t = src.id_of_label(tau), tgt.id_of_label(image)
         entries[k].append((i, t, tau))
         image_of[i] = t
+    # Closed under the generators and commuting with them: coherent.  A label
+    # missing from the table or a disagreement sends the table to the full
+    # scan, which finds the first violation, if any.
+    if all(image_of.get(src.reindex(i, sigma)) == tgt.reindex(t, sigma)
+           for k in arities for i, t, _ in entries[k] for sigma in _generators(k, n)):
+        return None
     for k in arities:
         for j in arities:
             for sigma in _sigmas(j, k):
@@ -117,10 +151,20 @@ def coherence_check(table: BehaviorTable) -> Violation | None:
     return None
 
 
+NODE_BUDGET = 1_000_000
+
+
 def enumerate_behaviors(source: GroupPresentation, target: GroupPresentation,
-                        max_arity: int) -> list[BehaviorTable]:
-    """All coherent total tables up to the given arity, ordered by map graph."""
+                        max_arity: int, budget: int = NODE_BUDGET) -> list[BehaviorTable]:
+    """All coherent total tables up to the given arity, ordered by map graph.
+
+    The slot search enters at most budget slots (one node per slot entered,
+    whatever the number of candidates tried there); BudgetExhausted when it
+    needs more.
+    """
     _check_arity(max_arity)
+    if budget < 1:
+        raise ValueError("budget must be positive")
     src, tgt = PointLabels(source), PointLabels(target)
     arities = range(1, max_arity + 1)
     # Interned arity by arity, the source ids are the slots, in label_key
@@ -134,26 +178,27 @@ def enumerate_behaviors(source: GroupPresentation, target: GroupPresentation,
             src.id_of_label(label)
             slots.append((k, range(first, len(tgt.labels))))
 
-    # Coherence links: slot s forces slot r = reindex(s, sigma) through the
-    # target reindexing row of sigma, image[r] == row[image[s]].  Slots are
-    # filled in order, so each link is checked at the later of its two slots:
-    # forward[s] holds (r, row) with r <= s, backward[r] holds (s, row), s < r.
+    # Coherence links, through the generating index maps only (a total table
+    # is closed under them): slot s forces slot r = reindex(s, sigma) through
+    # the target reindexing row of sigma, image[r] == row[image[s]].  Slots
+    # are filled in order, so each link is checked at the later of its two
+    # slots: forward[s] holds (r, row) with r <= s, backward[r] holds (s, row),
+    # s < r.
     rows = {(k, sigma): {t: tgt.reindex(t, sigma) for t in cands}
-            for k, cands in dict(slots).items()
-            for j in arities for sigma in _sigmas(j, k)}
+            for k, cands in dict(slots).items() for sigma in _generators(k, max_arity)}
     forward: list[list] = [[] for _ in slots]
     backward: list[list] = [[] for _ in slots]
     for s, (k, _) in enumerate(slots):
-        for j in arities:
-            for sigma in _sigmas(j, k):
-                r = src.reindex(s, sigma)
-                if r <= s:
-                    forward[s].append((r, rows[(k, sigma)]))
-                else:
-                    backward[r].append((s, rows[(k, sigma)]))
+        for sigma in _generators(k, max_arity):
+            r = src.reindex(s, sigma)
+            if r <= s:
+                forward[s].append((r, rows[(k, sigma)]))
+            else:
+                backward[r].append((s, rows[(k, sigma)]))
 
     image: list[int] = [0] * len(slots)
     found: list[tuple] = []
+    nodes = 1
     cursors = [iter(slots[0][1])]   # cursors[s] walks slot s's candidates
     while cursors:
         s = len(cursors) - 1
@@ -166,6 +211,10 @@ def enumerate_behaviors(source: GroupPresentation, target: GroupPresentation,
             cursors.pop()
             continue
         if s + 1 < len(slots):
+            if nodes == budget:
+                raise BudgetExhausted(f"slot-search budget of {budget} nodes ran out; "
+                                      f"{len(found)} tables found so far")
+            nodes += 1
             cursors.append(iter(slots[s + 1][1]))
         else:
             found.append(tuple(image))

@@ -224,20 +224,23 @@ def mono_subset(coloring, size: int):
     def col(u, v):
         return colors[(u, v) if u < v else (v, u)]
 
-    def rec(chosen: list, start: int, color):
+    # One cursor per chosen position, over the points after the one chosen
+    # before it; the first two points chosen fix the color of every pair.
+    chosen: list = []
+    cursors = [iter(range(len(points)))]
+    while cursors:
+        color = col(chosen[0], chosen[1]) if len(chosen) > 1 else None
+        for i in cursors[-1]:
+            v = points[i]
+            if len(chosen) < 2 or all(col(u, v) == color for u in chosen):
+                break
+        else:
+            cursors.pop()
+            if chosen:
+                chosen.pop()
+            continue
+        chosen.append(v)
         if len(chosen) == size:
             return tuple(chosen)
-        for i in range(start, len(points)):
-            v = points[i]
-            if chosen:
-                c = color if color is not None else col(chosen[0], v)
-                if any(col(u, v) != c for u in chosen):
-                    continue
-                found = rec(chosen + [v], i + 1, c)
-            else:
-                found = rec([v], i + 1, None)
-            if found:
-                return found
-        return None
-
-    return rec([], 0, None)
+        cursors.append(iter(range(i + 1, len(points))))
+    return None

@@ -213,7 +213,11 @@ def _run_behaviors(options):
     structures = _load_structures(options)
     source = formats.parse_group_spec(options["source"], structures)
     target = formats.parse_group_spec(options["target"], structures)
-    tables = behaviors_mod.enumerate_behaviors(source, target, options["arity"])
+    try:
+        tables = behaviors_mod.enumerate_behaviors(source, target, options["arity"],
+                                                   options["budget"])
+    except BudgetExhausted as exc:
+        return 2, ["result: budget-exhausted", f"reason: {exc}"]
     texts = LabelTexts()
     lines = [f"behaviors: {len(tables)}"]
     for i, table in enumerate(tables):
@@ -330,7 +334,9 @@ _SCAN_OPTIONS = {"f": (str, _NEEDED), "source": (str, _NEEDED), "target": (str, 
 _VERBS = {
     "orbits": (_run_orbits, {"structure": (str, _NEEDED), "arity": (int, _NEEDED)}),
     "behaviors": (_run_behaviors, {"source": (str, _NEEDED), "target": (str, _NEEDED),
-                                   "arity": (int, _NEEDED), "out": (str, None)}),
+                                   "arity": (int, _NEEDED),
+                                   "budget": (int, behaviors_mod.NODE_BUDGET),
+                                   "out": (str, None)}),
     "check": (_run_check, _SCAN_OPTIONS),
     "canonize": (_run_canonize, {"f": (str, _NEEDED), "source": (str, None),
                                  "target": (str, None), "arity": (int, _NEEDED),

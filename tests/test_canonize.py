@@ -320,6 +320,27 @@ class TestMonoSubset:
             a, b, c = subset
             assert coloring[(a, b)] == coloring[(b, c)] == coloring[(a, c)]
 
+    def test_least_monochromatic_combination(self):
+        # combinations() lists subsets in lexicographic order.
+        rng = random.Random(7)
+        for _ in range(40):
+            n, size = rng.randint(4, 8), rng.randint(2, 4)
+            coloring = {p: rng.randrange(2) for p in itertools.combinations(range(n), 2)}
+            expected = next((c for c in itertools.combinations(range(n), size)
+                             if len({coloring[p] for p in itertools.combinations(c, 2)}) == 1),
+                            None)
+            assert mono_subset(coloring, size) == expected
+
+    def test_search_does_not_recurse_per_point(self):
+        coloring = {p: 0 for p in itertools.combinations(range(300), 2)}
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 60)
+        try:
+            subset = mono_subset(coloring, 300)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert subset == tuple(range(300))
+
 
 class TestRamseyConsistency:
     def test_table_coloring_matches_canonize(self, dlo, aut_dlo):

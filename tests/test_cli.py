@@ -2,6 +2,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -108,6 +109,32 @@ class TestRun:
         code, report = run_argv(["pham", "--epsilon", "1/8", "--budget", "4"])
         assert code == 2
         assert "budget-exhausted" in report
+
+    def test_behaviors_budget_exhausted_exit_two(self):
+        # This source's table count explodes: without a budget the slot
+        # search runs for minutes.
+        argv = ["behaviors", "--source", "stab(power(aut(dlo),2); (0,1))",
+                "--target", "aut(dlo)", "--arity", "2", "--budget", "1000"]
+        started = time.monotonic()
+        code, report = run_argv(argv)
+        assert time.monotonic() - started < 3
+        assert code == 2
+        assert report.splitlines() == [
+            "result: budget-exhausted",
+            "reason: slot-search budget of 1000 nodes ran out; 21 tables found so far"]
+
+    def test_behaviors_budget_zero_is_error(self):
+        code, report = run_argv(["behaviors", "--source", "aut(dlo)", "--target", "aut(dlo)",
+                                 "--arity", "2", "--budget", "0"])
+        assert (code, report) == (1, "error: ValueError: budget must be positive\n")
+
+    def test_behaviors_budget_counts_slots_entered(self):
+        # aut(dlo) at arity 2 has 1 + 3 slots and 3 tables: the slot search
+        # enters 6 slots, so a budget of 6 suffices and 5 does not.
+        argv = ["behaviors", "--source", "aut(dlo)", "--target", "aut(dlo)", "--arity", "2"]
+        assert run_argv(argv + ["--budget", "6"]) == run_argv(argv)
+        code, report = run_argv(argv + ["--budget", "5"])
+        assert code == 2 and report.endswith("; 2 tables found so far\n")
 
     def test_limit_and_verify_age(self):
         code, report = run_argv(["limit", "--age", "graphs", "--size", "4"])

@@ -19,7 +19,7 @@ VERBS = ("orbits", "behaviors", "check", "canonize", "pham",
 # verb -> (every option, in table order; the options a bare verb lacks)
 GRAMMAR = {
     "orbits": (("structure", "arity"), ("structure", "arity")),
-    "behaviors": (("source", "target", "arity", "out"), ("source", "target", "arity")),
+    "behaviors": (("source", "target", "arity", "budget", "out"), ("source", "target", "arity")),
     "check": (("f", "source", "target", "horizon", "arity"),
               ("f", "source", "target", "horizon", "arity")),
     "canonize": (("f", "source", "target", "arity", "depth", "horizon", "constants"),
@@ -108,9 +108,11 @@ GROUPS = (
      "stab(aut(dlo); (1,))", "stab(aut(dlo); x)", "stab(aut(dlo); (0,1))",
      "power(aut(dlo),x)", "aut(nowhere)", "wiggle"],
 )
-# behaviors enumerates every table: with a two-column group or a stabilizer
-# of rado on either side that takes seconds to minutes from arity 2 or 3
-# on, so it keeps to the other groups and to arity 2.
+# behaviors enumerates every table.  Its coherence links are cheap (a few
+# generating index maps per slot); what remains is the table count, which
+# with a two-column group or a stabilizer of rado on either side explodes
+# from arity 2 or 3 on and runs to the default --budget, so the fuzzer keeps
+# to the other groups and to arity 2.
 BEHAVIOR_GROUPS = (["aut(dlo)", "aut(rado)", "aut(pureset)", "aut(d)", "stab(aut(dlo); 0)"],
                    GROUPS[1])
 ORACLES = (

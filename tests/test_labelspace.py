@@ -1,11 +1,13 @@
 """Differential tests of the label interner behind the behavior tables:
 PointLabels ids of orbit labels and their memoized reindexing against the
-label definitions, and the id-based enumerate_behaviors and coherence_check
-against definitional versions that work on labels throughout."""
+label definitions, and the id-based enumerate_behaviors and coherence_check,
+which link labels through the generating index maps only, against
+definitional versions that work on labels through every index map."""
 
 import itertools
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from canonfn import BehaviorTable, Violation, coherence_check, enumerate_behaviors
 from canonfn import groups
@@ -190,3 +192,71 @@ def test_coherence_check_on_a_label_outside_the_orbits():
                                     (2, gt, lt)])
     violation = coherence_check(table)
     assert violation == reference_coherence_check(table) is not None
+
+
+# Presentation pairs for the drawn differential test, kept to those whose
+# all-sigma reference enumeration takes well under a second: at arity 3 the
+# one-column aut groups (ordered-rado as a target only), at arity <= 2 also
+# a stabilizer of aut(dlo) or power(aut(dlo),2) on one side.
+AUTS = ["aut(dlo)", "aut(rado)", "aut(pureset)", "aut(ordered-rado)"]
+DRAWN_PAIRS = {
+    1: [(a, b) for a in AUTS + ["stab", "power"] for b in AUTS + ["stab", "power"]],
+    2: ([(a, b) for a in AUTS for b in AUTS + ["stab", "power"]]
+        + [(a, b) for a in ("stab", "power") for b in AUTS[:3]]),
+    3: [(a, b) for a in AUTS[:3] for b in AUTS],
+}
+
+
+def _drawn_group(data, name):
+    if name == "stab":
+        c = data.draw(st.sampled_from(["0", "1/2", "-3"]))
+        name = f"stab(aut(dlo); {c})"
+    elif name == "power":
+        name = "power(aut(dlo),2)"
+    return parse_group_spec(name)
+
+
+def _without(table, index):
+    entries = list(table.entries())
+    del entries[index]
+    return BehaviorTable(table.source, table.target, table.max_arity, entries)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_generator_links_match_every_sigma(data):
+    max_arity = data.draw(st.integers(1, 3))
+    source, target = data.draw(st.sampled_from(DRAWN_PAIRS[max_arity]))
+    g, h = _drawn_group(data, source), _drawn_group(data, target)
+    found = enumerate_behaviors(g, h, max_arity)
+    assert [t.entries() for t in found] == [t.entries() for t in reference_enumerate(g, h, max_arity)]
+    if not found:
+        return
+    table = data.draw(st.sampled_from(found))
+    assert coherence_check(table) is None
+    entries = table.entries()
+    index = data.draw(st.integers(0, len(entries) - 1))
+    k = entries[index][0]
+    image = data.draw(st.sampled_from(orbit_labels(h, k)))
+    gap = data.draw(st.integers(0, len(entries) - 1))
+    # A dropped entry leaves a table that is not closed under the generators
+    # (unless nothing reindexes to it), so coherence_check runs its full scan;
+    # with a flipped entry beside the gap, a violation may pass only through
+    # index maps whose generator factorisations cross the gap.
+    changed = flipped(table, index, image)
+    for broken in (_without(table, index), changed, _without(changed, gap)):
+        assert coherence_check(broken) == reference_coherence_check(broken)
+
+
+def test_coherence_check_scans_past_a_gap():
+    # Without its arity-1 entry the table is not closed under the faces, and
+    # each generator link it has commutes; yet sigma = (1, 1), a face then a
+    # degeneracy, fixes 1=2 and takes its image, an edge, to 1=2.
+    g, h = parse_group_spec("aut(dlo)"), parse_group_spec("aut(rado)")
+    eq, lt, gt = orbit_labels(g, 2)
+    edge = orbit_labels(h, 2)[2]
+    table = BehaviorTable(g, h, 2, [(2, eq, edge), (2, lt, edge), (2, gt, edge)])
+    violation = coherence_check(table)
+    assert violation == reference_coherence_check(table)
+    assert violation.sigma == (0, 0) and violation.label == eq
