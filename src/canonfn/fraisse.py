@@ -13,6 +13,7 @@ index map through the one `_pullback`.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -57,15 +58,13 @@ class Signature:
         for s in self.symbols:
             if s.arity < 1:
                 raise ValueError(f"symbol {s.name} has arity {s.arity}")
+        object.__setattr__(self, "_arities", {s.name: s.arity for s in self.symbols})
 
     def arity_of(self, name: str) -> int:
-        for s in self.symbols:
-            if s.name == name:
-                return s.arity
-        raise KeyError(name)
+        return self._arities[name]
 
     def __contains__(self, name: str) -> bool:
-        return any(s.name == name for s in self.symbols)
+        return name in self._arities
 
 
 ORDER_SIG = Signature((RelationSymbol("<", 2),))
@@ -103,12 +102,13 @@ class FiniteStructure:
     atoms: frozenset[Atom]
 
     def __post_init__(self):
+        arities = self.signature._arities
         for name, t in self.atoms:
-            if name not in self.signature:
+            if name not in arities:
                 raise ValueError(f"unknown symbol {name}")
-            if len(t) != self.signature.arity_of(name):
+            if len(t) != arities[name]:
                 raise ValueError(f"bad arity for {name}: {t}")
-            if any(i < 0 or i >= self.size for i in t):
+            if min(t) < 0 or max(t) >= self.size:
                 raise ValueError(f"index out of range in {name}{t}")
 
     def holds(self, name: str, t: tuple[int, ...]) -> bool:
@@ -256,13 +256,23 @@ class ForbiddenSubstructuresAge(AgeOracle):
         for f in self.forbidden:
             if f.signature != signature:
                 raise ValueError("forbidden structure signature mismatch")
+        # Per forbidden structure, every atom over its points: a combination's
+        # induced atoms are read off by lookups at these positions.
+        self._positions = tuple(
+            tuple((sym.name, t) for sym in signature.symbols
+                  for t in itertools.product(range(f.size), repeat=sym.arity))
+            for f in self.forbidden
+        )
 
     def contains(self, s: FiniteStructure) -> bool:
-        for f in self.forbidden:
-            if f.size > s.size:
-                continue
+        atoms = s.atoms
+        for f, positions in zip(self.forbidden, self._positions):
+            want = len(f.atoms)
             for points in itertools.combinations(range(s.size), f.size):
-                if is_isomorphic(s.substructure(points), f):
+                induced = [(name, t) for name, t in positions
+                           if (name, tuple(points[i] for i in t)) in atoms]
+                if len(induced) == want and is_isomorphic(
+                        FiniteStructure(self.signature, f.size, frozenset(induced)), f):
                     return False
         return True
 
@@ -286,13 +296,15 @@ def builtin_age(kind: str) -> AgeOracle:
 # lexicographic table enumeration
 
 def _all_atoms(signature: Signature, points: Iterable[int], size: int) -> list[Atom]:
-    """All atoms over 0..size-1 touching at least one of the given points."""
-    touch = set(points)
-    out = []
-    for sym in signature.symbols:
-        for t in itertools.product(range(size), repeat=sym.arity):
-            if touch.intersection(t):
-                out.append((sym.name, t))
+    """All atoms over 0..size-1 touching at least one of the given points,
+    sorted; each is built once, from the first position holding one."""
+    wanted = set(points)
+    touch = [i for i in range(size) if i in wanted]
+    rest = [i for i in range(size) if i not in wanted]
+    out = [(sym.name, t)
+           for sym in signature.symbols
+           for k in range(sym.arity)
+           for t in itertools.product(*[rest] * k, touch, *[range(size)] * (sym.arity - k - 1))]
     out.sort()
     return out
 
@@ -302,31 +314,41 @@ def _table_dfs(age, size, present, candidates):
 
     Every other atom over 0..size-1 is absent.  The order is lexicographic on
     presence vectors over the sorted candidate list, absent before present,
-    so the all-absent table comes first.
+    so the all-absent table comes first.  The search walks an explicit
+    branch stack, so its depth is not bounded by the recursion limit.
     """
     present = set(present)
     absent = {(sym.name, t) for sym in age.signature.symbols
               for t in itertools.product(range(size), repeat=sym.arity)}
     absent -= present
     absent.difference_update(candidates)
-
-    def rec(i):
+    branch: list[bool] = []   # branch[i]: whether candidates[i] is present
+    while True:
+        i = len(branch)
         if i == len(candidates):
             st = FiniteStructure(age.signature, size, frozenset(present))
             if age.contains(st):
                 yield st
+        else:
+            atom = candidates[i]
+            absent.add(atom)
+            branch.append(False)
+            if age.step_ok(size, present, absent, atom, False):
+                continue
+        # Advance: undo the trailing present choices, then turn the deepest
+        # absent choice present; an empty stack means the search is done.
+        while branch:
+            atom = candidates[len(branch) - 1]
+            if branch.pop():
+                present.discard(atom)
+                continue
+            absent.discard(atom)
+            present.add(atom)
+            branch.append(True)
+            if age.step_ok(size, present, absent, atom, True):
+                break
+        else:
             return
-        atom = candidates[i]
-        absent.add(atom)
-        if age.step_ok(size, present, absent, atom, False):
-            yield from rec(i + 1)
-        absent.discard(atom)
-        present.add(atom)
-        if age.step_ok(size, present, absent, atom, True):
-            yield from rec(i + 1)
-        present.discard(atom)
-
-    yield from rec(0)
 
 
 def _extension_stream(age: AgeOracle, base: FiniteStructure) -> Iterator[FiniteStructure]:
@@ -340,10 +362,6 @@ def one_point_extensions(age: AgeOracle, base: FiniteStructure) -> list[FiniteSt
     if not age.contains(base):
         raise ValueError("base structure is not in the age")
     return list(_extension_stream(age, base))
-
-
-def nth_extension(age: AgeOracle, base: FiniteStructure, n: int) -> FiniteStructure | None:
-    return next(itertools.islice(_extension_stream(age, base), n, None), None)
 
 
 # ---------------------------------------------------------------------------
@@ -598,9 +616,10 @@ class GenericLimit(LimitStructure):
     """Demand-driven limit of an arbitrary age.
 
     Elements are enumeration indices.  The fragment materialized so far is
-    one FiniteStructure; it grows monotonically and deterministically, and
-    every restriction of it (a prefix, a demand's witness test) is a
-    substructure.  Not thread-safe: reads can grow the fragment.
+    one FiniteStructure; it grows monotonically and deterministically.  Each
+    prefix keeps one live extension stream, and each point an index of the
+    atoms joining it to earlier points, which the witness test reads.  Not
+    thread-safe: reads can grow the fragment.
     """
 
     def __init__(self, age: AgeOracle, name: str | None = None):
@@ -609,6 +628,14 @@ class GenericLimit(LimitStructure):
         self._whole = empty_structure(age.signature)
         self._log: list[DemandLogEntry] = []
         self._schedule = self._diagonal_pairs()
+        # _streams[m - 1]: the live extension stream of the prefix on m points.
+        self._streams: list[Iterator[FiniteStructure]] = []
+        # _joins[z]: the atoms joining point z to the points before it, z
+        # written as -1, sorted by their largest other index (-1 when none);
+        # _join_keys[z] holds those indices.  Atoms added later join z to
+        # larger points only, so no witness test for a prefix below z reads them.
+        self._joins: list[tuple[Atom, ...]] = []
+        self._join_keys: list[tuple[int, ...]] = []
 
     @staticmethod
     def _diagonal_pairs():
@@ -650,10 +677,11 @@ class GenericLimit(LimitStructure):
             self._step()
 
     def _seed(self) -> None:
-        first = nth_extension(self.age, empty_structure(self.age.signature), 0)
+        first = next(_extension_stream(self.age, empty_structure(self.age.signature)), None)
         if first is None:
             raise AmalgamationFailure("age admits no one-point structure")
         self._whole = first
+        self._index_point(0, first.atoms)
 
     def _step(self) -> None:
         if self.size == 0:
@@ -662,32 +690,50 @@ class GenericLimit(LimitStructure):
         m, e = next(self._schedule)
         if m > self.size:
             raise AssertionError("schedule outpaced the fragment")
-        ext = nth_extension(self.age, self._whole.substructure(tuple(range(m))), e)
+        # The schedule asks prefix m for e = 0, 1, 2, ... in turn and a
+        # prefix's atoms never change, so one stream answers all its demands.
+        if m > len(self._streams):
+            base = self._whole.substructure(tuple(range(m)))
+            self._streams.append(_extension_stream(self.age, base))
+        ext = next(self._streams[m - 1], None)
         if ext is None:
             if e == 0 and m == self.size:
                 raise AmalgamationFailure(
                     f"no one-point extension of the full fragment at size {m}"
                 )
             return
-        witness = self._find_witness(m, ext)
+        joins = frozenset((name, tuple(-1 if i == m else i for i in t))
+                          for name, t in ext.atoms if m in t)
+        witness = self._find_witness(m, joins)
         if witness is not None:
             self._log.append(DemandLogEntry(m, e, witness, False))
             return
-        self._adjoin(m, e, ext)
+        self._adjoin(m, e, joins)
 
-    def _find_witness(self, m: int, ext: FiniteStructure) -> int | None:
-        points = tuple(range(m))
-        return next((z for z in range(m, self.size)
-                     if self._whole.substructure(points + (z,)) == ext), None)
+    def _find_witness(self, m: int, joins: frozenset[Atom]) -> int | None:
+        """The least z >= m that joins the prefix on m points exactly as the
+        demanded extension joins its new point (written -1) to it."""
+        for z in range(m, self.size):
+            end = bisect.bisect_left(self._join_keys[z], m)
+            if end == len(joins) and joins.issuperset(self._joins[z][:end]):
+                return z
+        return None
 
-    def _adjoin(self, m: int, e: int, ext: FiniteStructure) -> None:
+    def _index_point(self, z: int, atoms: Iterable[Atom]) -> None:
+        """Index the atoms that join the newest point z to the points before it."""
+        rows = sorted((max((i for i in t if i != z), default=-1),
+                       (name, tuple(-1 if i == z else i for i in t)))
+                      for name, t in atoms)
+        self._join_keys.append(tuple(k for k, _ in rows))
+        self._joins.append(tuple(a for _, a in rows))
+
+    def _adjoin(self, m: int, e: int, joins: frozenset[Atom]) -> None:
         z = self.size
         new_size = z + 1
         # Atoms dictated by the chosen extension (its new point becomes z).
+        dictated = [(name, tuple(z if i == -1 else i for i in t)) for name, t in joins]
         seeded = set(self._whole.atoms)
-        for name, t in ext.atoms:
-            if ext.size - 1 in t:
-                seeded.add((name, tuple(z if i == ext.size - 1 else i for i in t)))
+        seeded.update(dictated)
         # Remaining freedom: atoms joining z to elements outside the prefix.
         candidates = [
             (name, t)
@@ -700,6 +746,7 @@ class GenericLimit(LimitStructure):
                 f"demand (prefix={m}, extension={e}) admits no completion at size {z}"
             )
         self._whole = completion
+        self._index_point(z, dictated + [a for a in candidates if a in completion.atoms])
         self._log.append(DemandLogEntry(m, e, z, True))
 
 

@@ -4,12 +4,16 @@ Nothing here shares code with the package paths under test: weak orders are
 counted as raw binary relations, partitions by canonicalizing assignment
 vectors, and isomorphisms by exhaustive backtracking over index maps.
 PredicateAge only fills in the age interface for a membership test a
-test writes itself.
+test writes itself.  Generic-limit growth is replayed from its definition:
+the e-th extension of each prefix re-enumerated by a recursive table search,
+and witnesses found by comparing induced substructures; there, and in the
+forbidden-substructure age, `substructure` and `is_isomorphic` are taken as
+the definitions of restriction and isomorphism.
 """
 
 import itertools
 
-from canonfn.fraisse import AgeOracle
+from canonfn.fraisse import AgeOracle, DemandLogEntry, FiniteStructure, is_isomorphic
 
 
 def count_weak_orders(k: int) -> int:
@@ -127,3 +131,91 @@ class PredicateAge(AgeOracle):
 
     def contains(self, s) -> bool:
         return bool(self._test(s))
+
+
+def forbidden_age(signature, forbidden, name="forbidden-reference"):
+    """The structures with no induced substructure isomorphic to a listed
+    one, tested on every combination's induced substructure."""
+
+    def test(s):
+        return not any(is_isomorphic(s.substructure(points), f)
+                       for f in forbidden
+                       for points in itertools.combinations(range(s.size), f.size))
+
+    return PredicateAge(signature, test, name=name)
+
+
+def table_dfs(age, size, present, candidates):
+    """Recursive lexicographic table search: present plus each subset of
+    the candidates, absent before present, every other atom absent."""
+    present = set(present)
+    absent = {(sym.name, t) for sym in age.signature.symbols
+              for t in itertools.product(range(size), repeat=sym.arity)}
+    absent -= present
+    absent.difference_update(candidates)
+
+    def rec(i):
+        if i == len(candidates):
+            st = FiniteStructure(age.signature, size, frozenset(present))
+            if age.contains(st):
+                yield st
+            return
+        atom = candidates[i]
+        absent.add(atom)
+        if age.step_ok(size, present, absent, atom, False):
+            yield from rec(i + 1)
+        absent.discard(atom)
+        present.add(atom)
+        if age.step_ok(size, present, absent, atom, True):
+            yield from rec(i + 1)
+        present.discard(atom)
+
+    yield from rec(0)
+
+
+def _atoms_touching(signature, point, size):
+    return sorted((sym.name, t) for sym in signature.symbols
+                  for t in itertools.product(range(size), repeat=sym.arity) if point in t)
+
+
+def nth_extension(age, base, n):
+    """The n-th one-point extension of base (new point last) in the
+    lexicographic order, or None when there are at most n."""
+    size = base.size + 1
+    stream = table_dfs(age, size, base.atoms, _atoms_touching(age.signature, base.size, size))
+    return next(itertools.islice(stream, n, None), None)
+
+
+def reference_growth(age, size):
+    """The generic-limit fragment on size points and its demand log, grown by
+    the definition: demands (m, e) in diagonal order, the e-th extension of
+    the prefix on m points, the least z >= m whose induced substructure with
+    the prefix is that extension, else a new point completed by the least
+    admissible table of its atoms to the points outside the prefix."""
+    whole = nth_extension(age, FiniteStructure(age.signature, 0, frozenset()), 0)
+    log = []
+    d = 1
+    while whole.size < size:
+        for m in range(1, d + 1):
+            if whole.size >= size:
+                break
+            e = d - m
+            points = tuple(range(m))
+            ext = nth_extension(age, whole.substructure(points), e)
+            if ext is None:
+                continue
+            witness = next((z for z in range(m, whole.size)
+                            if whole.substructure(points + (z,)) == ext), None)
+            if witness is not None:
+                log.append(DemandLogEntry(m, e, witness, False))
+                continue
+            z = whole.size
+            seeded = set(whole.atoms)
+            seeded.update((name, tuple(z if i == m else i for i in t))
+                          for name, t in ext.atoms if m in t)
+            candidates = [(name, t) for name, t in _atoms_touching(age.signature, z, z + 1)
+                          if any(m <= i < z for i in t)]
+            whole = next(table_dfs(age, z + 1, seeded, candidates))
+            log.append(DemandLogEntry(m, e, z, True))
+        d += 1
+    return whole, tuple(log)

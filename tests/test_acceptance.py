@@ -43,11 +43,15 @@ from canonfn import (
 )
 from canonfn.cli import parse_command, run
 from canonfn.formats import parse_oracle_spec
-from canonfn.fraisse import nth_extension
 from canonfn.groups import label_key
 
 from conftest import make_mixed
-from oracles import count_weak_orders, find_order_isomorphism, mono_triple_exists
+from oracles import (
+    count_weak_orders,
+    find_order_isomorphism,
+    mono_triple_exists,
+    nth_extension,
+)
 
 
 def report_line(name, bound, started):

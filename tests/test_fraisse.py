@@ -2,7 +2,7 @@ import itertools
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from canonfn import (
     AmalgamationFailure,
@@ -25,8 +25,10 @@ from canonfn import (
 from canonfn.fraisse import (
     GRAPH_SIG,
     ORDERED_GRAPH_SIG,
+    GenericLimit,
     LimitStructure,
     _all_atoms,
+    _table_dfs,
     empty_structure,
     format_type,
 )
@@ -35,8 +37,12 @@ from oracles import (
     PredicateAge,
     count_set_partitions,
     count_weak_orders,
+    forbidden_age,
     has_triangle,
     is_partial_isomorphism,
+    nth_extension,
+    reference_growth,
+    table_dfs,
 )
 
 
@@ -50,10 +56,15 @@ def graph(size, edges):
 K3 = graph(3, [(0, 1), (0, 2), (1, 2)])
 
 
+TRIANGLE_FREE = [
+    FiniteStructure(GRAPH_SIG, 1, frozenset({("edge", (0, 0))})),   # loop
+    FiniteStructure(GRAPH_SIG, 2, frozenset({("edge", (0, 1))})),   # one-way edge
+    K3,
+]
+
+
 def triangle_free_age():
-    loop = FiniteStructure(GRAPH_SIG, 1, frozenset({("edge", (0, 0))}))
-    arc = FiniteStructure(GRAPH_SIG, 2, frozenset({("edge", (0, 1))}))
-    return ForbiddenSubstructuresAge(GRAPH_SIG, [loop, arc, K3], name="triangle-free")
+    return ForbiddenSubstructuresAge(GRAPH_SIG, TRIANGLE_FREE, name="triangle-free")
 
 
 class TestSignatures:
@@ -128,8 +139,6 @@ class TestBuildLimit:
             build_limit(age, 4)
 
     def test_log_entries_replay(self, graphs_age):
-        from canonfn.fraisse import nth_extension
-
         limit = build_limit(graphs_age, 12)
         frag = limit.fragment()
         for entry in limit.demand_log:
@@ -411,3 +420,125 @@ def test_substructure_is_the_position_map_restriction(case):
         if all(i in position for i in t)
     )
     assert s.substructure(points) == FiniteStructure(s.signature, len(points), expected)
+
+
+# ---------------------------------------------------------------------------
+# the iterative table search and incremental growth against their definitions
+
+UNARY_SIG = Signature((RelationSymbol("p", 1),))
+TERNARY_SIG = Signature((RelationSymbol("r", 3), RelationSymbol("p", 1)))
+
+
+@pytest.mark.parametrize("signature", [UNARY_SIG, ORDERED_GRAPH_SIG, TERNARY_SIG])
+@pytest.mark.parametrize("size", [0, 1, 2, 4])
+def test_all_atoms_are_the_touching_atoms(signature, size):
+    for r in range(size + 1):
+        for points in itertools.combinations(range(size), r):
+            expected = sorted((sym.name, t) for sym in signature.symbols
+                              for t in itertools.product(range(size), repeat=sym.arity)
+                              if set(points).intersection(t))
+            assert _all_atoms(signature, points, size) == expected
+
+
+def test_table_dfs_is_not_bounded_by_the_recursion_limit():
+    # One candidate per point: more levels than the recursion limit allows.
+    size = 1500
+    age = PredicateAge(UNARY_SIG, lambda s: True, name="unary")
+    candidates = _all_atoms(UNARY_SIG, range(size), size)
+    stream = _table_dfs(age, size, (), candidates)
+    assert next(stream).atoms == frozenset()
+    assert next(stream).atoms == frozenset({("p", (size - 1,))})
+
+
+@pytest.mark.parametrize("kind", ["linear-orders", "graphs", "ordered-graphs", "pure-sets",
+                                  "triangle-free", "odd-atoms"])
+@pytest.mark.parametrize("size", [0, 1, 2, 3])
+def test_table_dfs_order_matches_recursive_reference(kind, size):
+    if kind == "triangle-free":
+        age = triangle_free_age()
+    elif kind == "odd-atoms":
+        age = PredicateAge(GRAPH_SIG, lambda s: len(s.atoms) % 2 == 1)
+    else:
+        age = builtin_age(kind)
+    candidates = _all_atoms(age.signature, range(size), size)
+    expected = list(table_dfs(age, size, (), candidates))
+    assert list(_table_dfs(age, size, (), candidates)) == expected
+    # A fixed part and candidates that all touch the last point, as in growth.
+    if size:
+        base = next(iter(expected), None)
+        if base is not None:
+            fixed = base.substructure(tuple(range(size - 1))).atoms
+            tail = _all_atoms(age.signature, [size - 1], size)
+            assert (list(_table_dfs(age, size, fixed, tail))
+                    == list(table_dfs(age, size, fixed, tail)))
+
+
+GROWTH_AGES = ["graphs", "ordered-graphs", "linear-orders", "pure-sets", "triangle-free"]
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(st.sampled_from(GROWTH_AGES), st.integers(1, 24))
+@example("graphs", 24)
+@example("linear-orders", 24)
+def test_growth_matches_definitional_growth(kind, size):
+    if kind == "triangle-free":
+        age = triangle_free_age()
+        reference_age = forbidden_age(GRAPH_SIG, TRIANGLE_FREE)
+    else:
+        age = reference_age = builtin_age(kind)
+    limit = GenericLimit(age)
+    limit.ensure_size(size)
+    fragment, log = reference_growth(reference_age, size)
+    assert limit.fragment() == fragment
+    assert limit.demand_log == log
+    last = {}
+    for entry in limit.demand_log:
+        assert entry.extension_index > last.get(entry.prefix_size, -1)
+        last[entry.prefix_size] = entry.extension_index
+
+
+def test_schedule_asks_each_prefix_in_steps_of_one():
+    # The invariant the per-prefix extension streams rely on: prefix m is
+    # first asked for extension 0, after every smaller prefix, and then for
+    # 1, 2, ... in turn.
+    asked = {}
+    for m, e in itertools.islice(GenericLimit._diagonal_pairs(), 5000):
+        assert e == asked.get(m, -1) + 1
+        assert m == 1 or m - 1 in asked
+        asked[m] = e
+
+
+def _graph_structures(min_size, max_size):
+    @st.composite
+    def draw_structure(draw):
+        n = draw(st.integers(min_size, max_size))
+        atoms = list(itertools.product(range(n), repeat=2))
+        keep = draw(st.lists(st.booleans(), min_size=len(atoms), max_size=len(atoms)))
+        return FiniteStructure(GRAPH_SIG, n, frozenset(
+            ("edge", t) for t, k in zip(atoms, keep) if k))
+    return draw_structure()
+
+
+@st.composite
+def forbidden_cases(draw):
+    """A drawn graph on up to 7 points and 1 or 2 forbidden structures on 2
+    to 4 points: drawn outright, or an induced substructure of the graph on
+    permuted points, so that both verdicts occur."""
+    s = draw(_graph_structures(0, 7))
+    forbidden = []
+    for _ in range(draw(st.integers(1, 2))):
+        if s.size >= 2 and draw(st.booleans()):
+            k = draw(st.integers(2, min(4, s.size)))
+            points = draw(st.permutations(range(s.size)))[:k]
+            forbidden.append(s.substructure(tuple(points)))
+        else:
+            forbidden.append(draw(_graph_structures(2, 4)))
+    return s, forbidden
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(forbidden_cases())
+def test_forbidden_contains_matches_definition(case):
+    s, forbidden = case
+    expected = forbidden_age(GRAPH_SIG, forbidden).contains(s)
+    assert ForbiddenSubstructuresAge(GRAPH_SIG, forbidden).contains(s) == expected
