@@ -49,7 +49,6 @@ from .errors import (
     ArityLimitExceeded,
     BudgetExhausted,
     CanonFnError,
-    DensityProbeFailure,
     DomainGap,
     FormatError,
     PresentationError,

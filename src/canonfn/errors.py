@@ -21,10 +21,6 @@ class DomainGap(CanonFnError):
     """A partial function oracle was probed outside its domain."""
 
 
-class DensityProbeFailure(CanonFnError):
-    """Sampling refuted density or unboundedness of a computable dense set."""
-
-
 class BudgetExhausted(CanonFnError):
     """A probe budget ran out before the requested precision was reached."""
 

@@ -260,11 +260,11 @@ def _parse_bound(text: str):
     return parse_rational(text)
 
 
-def _parse_affine(expr: str, lineno: int) -> tuple[Fraction, Fraction]:
+def _parse_affine(expr: str) -> tuple[Fraction, Fraction]:
     """Coefficient and offset of an affine expression in x."""
     expr = expr.replace(" ", "")
     if not expr:
-        raise FormatError(lineno, "empty affine expression")
+        raise FormatError(0, "empty affine expression")
     if "x" not in expr:
         return Fraction(0), parse_rational(expr)
     m = re.fullmatch(
@@ -272,7 +272,7 @@ def _parse_affine(expr: str, lineno: int) -> tuple[Fraction, Fraction]:
         expr,
     )
     if not m:
-        raise FormatError(lineno, f"bad affine expression {expr!r}")
+        raise FormatError(0, f"bad affine expression {expr!r}")
     coef = Fraction(1)
     if m.group("pre"):
         coef *= parse_rational(m.group("pre"))
@@ -284,29 +284,28 @@ def _parse_affine(expr: str, lineno: int) -> tuple[Fraction, Fraction]:
     return coef, offset
 
 
-def parse_pieces(body: str, limit: LimitStructure, lineno: int = 0) -> PiecewiseAffineOracle:
+def parse_pieces(body: str, limit: LimitStructure) -> PiecewiseAffineOracle:
     if not (body.startswith("[") and body.endswith("]")):
-        raise FormatError(lineno, f"pieces need brackets: {body!r}")
+        raise FormatError(0, f"pieces need brackets: {body!r}")
     pieces = []
     for chunk in _split_top(body[1:-1], ";"):
         if not chunk:
             continue
         m = _INTERVAL_RE.match(chunk)
         if not m or not chunk[m.end():].lstrip().startswith(":"):
-            raise FormatError(lineno, f"bad piece {chunk!r}")
+            raise FormatError(0, f"bad piece {chunk!r}")
         lo = _parse_bound(m.group(2))
         hi = _parse_bound(m.group(3))
         interval = Interval(lo, m.group(1) == "[", hi, m.group(4) == "]")
-        coef, offset = _parse_affine(chunk[m.end():].lstrip()[1:], lineno)
+        coef, offset = _parse_affine(chunk[m.end():].lstrip()[1:])
         pieces.append(AffinePiece(interval, coef, offset))
     try:
         return PiecewiseAffineOracle(limit, pieces)
     except ValueError as exc:
-        raise FormatError(lineno, str(exc)) from None
+        raise FormatError(0, str(exc)) from None
 
 
-def parse_oracle_spec(text: str, limit: LimitStructure | None = None,
-                      read_file=_read_file, lineno: int = 0) -> FunctionOracle:
+def parse_oracle_spec(text: str, limit: LimitStructure | None = None) -> FunctionOracle:
     """Grammar: id | neg | const:p/q | pieces:[...] | pham | min | max |
     proj:i/m | table:<file> | compose(a,b)."""
     text = text.strip()
@@ -334,17 +333,17 @@ def parse_oracle_spec(text: str, limit: LimitStructure | None = None,
             i, m = spec, "2"
         return ProjectionOracle(limit, int(m), int(i) - 1)
     if text.startswith("pieces:"):
-        return parse_pieces(text[7:], limit, lineno)
+        return parse_pieces(text[7:], limit)
     if text.startswith("table:"):
-        return load_function_table(read_file(text[6:]), limit)
+        return load_function_table(_read_file(text[6:]), limit)
     if text.startswith("compose(") and text.endswith(")"):
         parts = _split_top(text[8:-1], ",")
         if len(parts) != 2:
-            raise FormatError(lineno, f"compose needs two oracles: {text!r}")
-        outer = parse_oracle_spec(parts[0], limit, read_file, lineno)
-        inner = parse_oracle_spec(parts[1], limit, read_file, lineno)
+            raise FormatError(0, f"compose needs two oracles: {text!r}")
+        outer = parse_oracle_spec(parts[0], limit)
+        inner = parse_oracle_spec(parts[1], limit)
         return ComposeOracle(outer, inner)
-    raise FormatError(lineno, f"unknown oracle spec {text!r}")
+    raise FormatError(0, f"unknown oracle spec {text!r}")
 
 
 # ---------------------------------------------------------------------------

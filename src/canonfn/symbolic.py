@@ -1,6 +1,6 @@
-"""Exact symbolic machinery on (Q;<): computable dense subsets, canonical
-back-and-forth isomorphisms, cut analysis, and the obstruction certificate
-for the puncture isomorphism.
+"""Exact symbolic machinery on (Q;<): the dense sets Q and Q minus 0,
+canonical back-and-forth isomorphisms, cut analysis, and the obstruction
+certificate for the puncture isomorphism.
 
 Everything is Fraction arithmetic; a certificate is a bundle of exact
 inequalities that recompute from scratch.
@@ -9,82 +9,58 @@ inequalities that recompute from scratch.
 from __future__ import annotations
 
 import bisect
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .errors import BudgetExhausted, DensityProbeFailure
+from .errors import BudgetExhausted
 from .rationals import format_rational, least_enum_in_interval, rational_of_index
 
 
 @dataclass(frozen=True)
 class ComputableDenseSet:
-    """A subset of Q given by a membership test and an enumeration of exactly
-    its members.
+    """Q, or Q minus 0 when exclude_zero: the two dense sets the
+    back-and-forth runs on.
 
-    least_in, when present, returns the enumeration-least member strictly
-    inside an open interval without scanning; the builtin sets compute it
-    through the Stern-Brocot tree.
+    Members are enumerated in the signed enumeration of Q with 0 skipped when
+    it is excluded; least_in is the enumeration-least member strictly inside
+    an open interval, computed through the Stern-Brocot tree.
     """
 
     name: str
-    contains: Callable[[Fraction], bool]
-    enumerate_member: Callable[[int], Fraction]
-    least_in: Callable | None = None
+    exclude_zero: bool
+
+    def contains(self, x: Fraction) -> bool:
+        return not (self.exclude_zero and x == 0)
+
+    def enumerate_member(self, n: int) -> Fraction:
+        return rational_of_index(n + self.exclude_zero)
+
+    def least_in(self, lo: Fraction | None, hi: Fraction | None) -> Fraction | None:
+        return least_enum_in_interval(lo, hi, self.exclude_zero)
 
 
 def rationals_set() -> ComputableDenseSet:
-    return ComputableDenseSet(
-        "q", lambda x: True, rational_of_index,
-        lambda lo, hi: least_enum_in_interval(lo, hi, exclude_zero=False),
-    )
+    return ComputableDenseSet("q", exclude_zero=False)
 
 
 def punctured_rationals() -> ComputableDenseSet:
-    return ComputableDenseSet(
-        "q-minus-0", lambda x: x != 0, lambda n: rational_of_index(n + 1),
-        lambda lo, hi: least_enum_in_interval(lo, hi, exclude_zero=True),
-    )
-
-
-_DENSE_SETS = {"q": rationals_set, "q-minus-0": punctured_rationals}
+    return ComputableDenseSet("q-minus-0", exclude_zero=True)
 
 
 def dense_set_by_name(name: str) -> ComputableDenseSet:
-    try:
-        return _DENSE_SETS[name]()
-    except KeyError:
-        raise ValueError(f"unknown dense set {name!r}") from None
+    for s in (rationals_set(), punctured_rationals()):
+        if s.name == name:
+            return s
+    raise ValueError(f"unknown dense set {name!r}")
 
 
-# Members check_dense samples, and members it probes for each witness.
-_DENSE_SAMPLES = 8
-_DENSE_PROBES = 4096
-
-
-def check_dense(s: ComputableDenseSet) -> None:
-    """Sample density and unboundedness; raises DensityProbeFailure."""
-    members = [s.enumerate_member(i) for i in range(_DENSE_SAMPLES)]
-    for x in members:
-        if not s.contains(x):
-            raise DensityProbeFailure(f"{s.name}: enumerated non-member {x}")
-    for a, b in itertools.combinations(sorted(set(members)), 2):
-        if not any(a < s.enumerate_member(i) < b for i in range(_DENSE_PROBES)):
-            raise DensityProbeFailure(f"{s.name}: no member found in ({a},{b})")
-    top, bottom = max(members), min(members)
-    if not any(s.enumerate_member(i) > top for i in range(_DENSE_PROBES)):
-        raise DensityProbeFailure(f"{s.name}: no member above {top}")
-    if not any(s.enumerate_member(i) < bottom for i in range(_DENSE_PROBES)):
-        raise DensityProbeFailure(f"{s.name}: no member below {bottom}")
-
-
-# Members a partner search probes, and stages eval and inverse run, at most.
-_PROBE_CAP = 1 << 22
+# Stages eval and inverse run, at most.
+_STAGE_CAP = 1 << 22
 
 
 class BackAndForthMap:
-    """The canonical order isomorphism between two dense subsets of Q.
+    """The canonical order isomorphism between two dense sets, Q or Q minus 0.
 
     Stages alternate between the source and target enumerations; each stage
     commits the least-enumerated uncommitted element on its side to the
@@ -139,16 +115,10 @@ class BackAndForthMap:
         pos = bisect.bisect_left(known, value)
         lo = image[pos - 1] if pos > 0 else None
         hi = image[pos] if pos < len(image) else None
-        if partner_set.least_in is not None:
-            y = partner_set.least_in(lo, hi)
-            if y is None:
-                raise BudgetExhausted("empty partner interval")
-            return y, pos
-        for i in range(_PROBE_CAP):
-            y = partner_set.enumerate_member(i)
-            if (lo is None or y > lo) and (hi is None or y < hi):
-                return y, pos
-        raise BudgetExhausted("back-and-forth probe cap reached")
+        y = partner_set.least_in(lo, hi)
+        if y is None:
+            raise BudgetExhausted("empty partner interval")
+        return y, pos
 
     def _stage(self) -> None:
         if self._forth_turn:
@@ -180,7 +150,7 @@ class BackAndForthMap:
         while x not in self._fwd:
             self._stage()
             guard += 1
-            if guard > _PROBE_CAP:
+            if guard > _STAGE_CAP:
                 raise BudgetExhausted("back-and-forth did not reach the requested point")
         return self._fwd[x]
 
@@ -192,7 +162,7 @@ class BackAndForthMap:
         while y not in self._bwd:
             self._stage()
             guard += 1
-            if guard > _PROBE_CAP:
+            if guard > _STAGE_CAP:
                 raise BudgetExhausted("back-and-forth did not reach the requested point")
         return self._bwd[y]
 
@@ -201,9 +171,7 @@ class BackAndForthMap:
 
 
 def canonical_iso(source: ComputableDenseSet, target: ComputableDenseSet) -> BackAndForthMap:
-    """The deterministic back-and-forth isomorphism, after density sampling."""
-    check_dense(source)
-    check_dense(target)
+    """The canonical back-and-forth isomorphism from source onto target."""
     return BackAndForthMap(source, target)
 
 
@@ -360,7 +328,9 @@ def pham_refute(epsilon, budget: int = 4096) -> ObstructionCertificate:
     Builds the puncture isomorphism f, finds the enumeration-least a with
     f(a) < 0 and b with f(b) > 0, moves a to b, computes the straddle
     witnesses exactly through the inverse maps, and runs the cut analysis at 0
-    for the e(0) pin; raises BudgetExhausted when the probes run out first.
+    for the e(0) pin; raises BudgetExhausted when the probes run out first,
+    and ValueError when epsilon is not below the witness gap
+    min(-f(a), f(alpha(a))), at which no certificate can verify.
     """
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
@@ -379,6 +349,10 @@ def pham_refute(epsilon, budget: int = 4096) -> ObstructionCertificate:
             break
     if a is None or b is None:
         raise BudgetExhausted("no sign witnesses for f within the budget")
+    gap = min(-f.eval(a), f.eval(b))    # f(alpha(a)) = f(b)
+    if epsilon >= gap:
+        raise ValueError(f"epsilon {format_rational(epsilon)} is not below "
+                         f"the witness gap {format_rational(gap)}")
     alpha = automorphism_moving(a, b)
     e_of = lambda x: f.eval(alpha.eval(x))
     bracket = forced_cut(f.eval, e_of, 0, epsilon, budget)

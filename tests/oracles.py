@@ -8,12 +8,16 @@ test writes itself.  Generic-limit growth is replayed from its definition:
 the e-th extension of each prefix re-enumerated by a recursive table search,
 and witnesses found by comparing induced substructures; there, and in the
 forbidden-substructure age, `substructure` and `is_isomorphic` are taken as
-the definitions of restriction and isomorphism.
+the definitions of restriction and isomorphism.  The dense sets Q and
+Q minus 0 are checked by sampling their enumerations, and a back-and-forth
+partner is found by probing the enumeration for the first member inside the
+interval.
 """
 
 import itertools
 
 from canonfn.fraisse import AgeOracle, DemandLogEntry, FiniteStructure, is_isomorphic
+from canonfn.symbolic import ComputableDenseSet
 
 
 def count_weak_orders(k: int) -> int:
@@ -219,3 +223,39 @@ def reference_growth(age, size):
             log.append(DemandLogEntry(m, e, z, True))
         d += 1
     return whole, tuple(log)
+
+
+def check_dense(s):
+    """Sample density and unboundedness of a dense set: its first 8 members
+    are members, one of its first 4,096 lies between any two of them, and
+    others lie above and below all of them.  Raises AssertionError."""
+    probes = 4096
+    members = [s.enumerate_member(i) for i in range(8)]
+    for x in members:
+        if not s.contains(x):
+            raise AssertionError(f"{s.name}: enumerated non-member {x}")
+    for a, b in itertools.combinations(sorted(set(members)), 2):
+        if not any(a < s.enumerate_member(i) < b for i in range(probes)):
+            raise AssertionError(f"{s.name}: no member found in ({a},{b})")
+    top, bottom = max(members), min(members)
+    if not any(s.enumerate_member(i) > top for i in range(probes)):
+        raise AssertionError(f"{s.name}: no member above {top}")
+    if not any(s.enumerate_member(i) < bottom for i in range(probes)):
+        raise AssertionError(f"{s.name}: no member below {bottom}")
+
+
+class ProbingDenseSet(ComputableDenseSet):
+    """The same dense set, whose least member inside an open interval is the
+    first one among its first 2^22 members that lies there."""
+
+    def least_in(self, lo, hi):
+        for i in range(1 << 22):
+            y = self.enumerate_member(i)
+            if (lo is None or y > lo) and (hi is None or y < hi):
+                return y
+        return None
+
+
+def probing(s):
+    """s with its partners found by probing the enumeration."""
+    return ProbingDenseSet(s.name, s.exclude_zero)

@@ -263,6 +263,11 @@ def test_search_matches_reference_loop(dlo, seed):
         assert result == expected
     else:
         assert (result.tower, result.sample.mapping) == expected
+        # The certificate comes from the search's own scan; a full scan of
+        # the sample's points must give the same one.
+        points = list(result.sample.mapping)
+        fresh = check_canonical(result.sample, g, h, len(points), arity, points=points)
+        assert result.certificate == fresh
 
 
 class CountingOracle(FunctionOracle):

@@ -1,4 +1,3 @@
-import dataclasses
 from fractions import Fraction as F
 
 import pytest
@@ -7,7 +6,6 @@ from canonfn import (
     BackAndForthMap,
     BudgetExhausted,
     CutBracket,
-    DensityProbeFailure,
     Inconclusive,
     automorphism_moving,
     canonical_iso,
@@ -16,7 +14,8 @@ from canonfn import (
     punctured_rationals,
     rationals_set,
 )
-from canonfn.symbolic import ComputableDenseSet, check_dense
+
+from oracles import check_dense, probing
 
 
 class TestDenseSets:
@@ -29,12 +28,6 @@ class TestDenseSets:
         members = [s.enumerate_member(i) for i in range(64)]
         assert F(0) not in members
         assert all(s.contains(m) for m in members)
-
-    def test_non_dense_set_fails(self):
-        integers = ComputableDenseSet("z", lambda x: x.denominator == 1,
-                                      lambda n: F(n // 2) if n % 2 == 0 else F(-(n + 1) // 2))
-        with pytest.raises(DensityProbeFailure):
-            check_dense(integers)
 
 
 class TestCanonicalIso:
@@ -126,11 +119,6 @@ class TestAutomorphismMoving:
             BackAndForthMap(rationals_set(), rationals_set(), seeds=seeds)
 
 
-def _probing(s):
-    """The same set without least_in: partners come from the enumeration probe."""
-    return dataclasses.replace(s, least_in=None)
-
-
 class TestPartnerSearchDifferential:
     STAGES = 320
 
@@ -138,7 +126,7 @@ class TestPartnerSearchDifferential:
     @pytest.mark.parametrize("target", [rationals_set, punctured_rationals])
     def test_pairings_match_probe(self, source, target):
         fast = BackAndForthMap(source(), target())
-        slow = BackAndForthMap(_probing(source()), _probing(target()))
+        slow = BackAndForthMap(probing(source()), probing(target()))
         fast.run_stages(self.STAGES)
         slow.run_stages(self.STAGES)
         assert fast.committed == slow.committed
@@ -146,7 +134,7 @@ class TestPartnerSearchDifferential:
     @pytest.mark.parametrize("a, b", [(0, 0), (-1, 1), (1, -1), (F(1, 2), 3), (-2, F(-1, 3))])
     def test_seeded_automorphisms_match_probe(self, a, b):
         fast = automorphism_moving(a, b)
-        q = _probing(rationals_set())
+        q = probing(rationals_set())
         slow = BackAndForthMap(q, q, seeds=((F(a), F(b)),))
         fast.run_stages(self.STAGES)
         slow.run_stages(self.STAGES)
@@ -200,6 +188,13 @@ class TestPhamRefute:
     def test_budget_exhaustion(self):
         with pytest.raises(BudgetExhausted):
             pham_refute(F(1, 8), 4)
+
+    @pytest.mark.parametrize("epsilon", [1, 5])
+    def test_epsilon_at_witness_gap_rejected(self, epsilon):
+        # The witnesses are a = -1 and b = 0, with f(a) = -1 and f(b) = 1.
+        with pytest.raises(ValueError, match="not below the witness gap 1$"):
+            pham_refute(F(epsilon), 512)
+        assert pham_refute(F(99, 100), 512).verify()
 
     def test_tampered_certificate_caught(self):
         cert = pham_refute(F(1, 8), 512)
