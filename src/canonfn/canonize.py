@@ -6,10 +6,11 @@ grows one type-preserving partial self-embedding of the limit per column of
 the source's points, level by level over the enumerated domain points,
 keeping the induced behavior of the composed sample conflict-free up to a
 bounded arity: each candidate point is pushed onto a canonicity.BehaviorScan,
-and its columns are committed only when the push succeeds.  A column's
-candidates are the pool elements LimitStructure.admissible_images returns,
-listed once per level visit (on DloLimit, the pool elements strictly
-between the images of the nearest committed neighbors).  The search is a
+and its columns are committed only when the push succeeds.  Each column's
+embedding is the limit's germ (fraisse.PartialAutomorphism), and its
+candidates are the pool elements the germ's images returns, listed once per
+level visit (on DloLimit, the pool elements strictly between the images of
+the nearest committed neighbors, found by one bisect).  The search is a
 loop over a stack of level frames, so the recursion limit does not bound
 its depth.  Backtracking explores images in enumeration order, so the
 first tower found is the enumeration-lexicographically least one;
@@ -86,11 +87,8 @@ def _run_search(f: FunctionOracle, g: GroupPresentation, h: GroupPresentation,
         return p if m > 1 else (p,)
 
     # One type-preserving partial embedding per column; the seeds' columns
-    # are fixed pointwise up front.  Each dict keeps its pairs in commit order.
-    col_map: list[dict] = [{} for _ in range(m)]
-    for c in seeds:
-        for i, v in enumerate(columns(c)):
-            col_map[i][v] = v
+    # are fixed pointwise up front.
+    germs = [limit.germ((columns(c)[i],) * 2 for c in seeds) for i in range(m)]
 
     scan = BehaviorScan(g, h, arity)
     nodes = 0
@@ -102,9 +100,9 @@ def _run_search(f: FunctionOracle, g: GroupPresentation, h: GroupPresentation,
         if not scan.push(c, f(c)):
             raise PresentationError("constant points conflict with each other")
 
-    towers: list = []
     # One frame per entered level, constants aside: (level, columns, free
-    # columns, image columns, candidate combos).  A frame whose level is
+    # columns, image columns, candidate combos).  The scan holds one point
+    # per committed frame after the constants, so a frame whose level is
     # committed and is entered again undoes its commit first.
     frames: list = []
     level = 0
@@ -118,17 +116,16 @@ def _run_search(f: FunctionOracle, g: GroupPresentation, h: GroupPresentation,
         if level == depth:
             break
         cols = columns(points[level])
-        free = [i for i in range(m) if cols[i] not in col_map[i]]
-        image = [col_map[i].get(cols[i]) for i in range(m)]
-        cand_lists = [limit.admissible_images(col_map[i].items(), cols[i], pool) for i in free]
+        free = [i for i in range(m) if cols[i] not in germs[i].mapping]
+        image = [germs[i].mapping.get(cols[i]) for i in range(m)]
+        cand_lists = [germs[i].images(cols[i], pool) for i in free]
         frames.append((level, cols, free, image, itertools.product(*cand_lists)))
         while frames:
             level, cols, free, image, combos = frames[-1]
-            if len(towers) == len(frames):
-                towers.pop()
+            if len(scan.points) == len(seeds) + len(frames):
                 scan.pop()
                 for i in free:
-                    del col_map[i][cols[i]]
+                    germs[i].uncommit(cols[i])
             for combo in combos:
                 nodes += 1
                 for i, y in zip(free, combo):
@@ -142,14 +139,18 @@ def _run_search(f: FunctionOracle, g: GroupPresentation, h: GroupPresentation,
             # Most pushes fail, so the columns are committed only after one
             # succeeds; this level's candidate lists are already built.
             for i, y in zip(free, combo):
-                col_map[i][cols[i]] = y
-            towers.append((points[level], image_point))
+                germs[i].commit(cols[i], y)
             break
         else:
             return HorizonExhausted(deepest, nodes)
         level += 1
 
-    tower = EmbeddingTower(tuple((c, c) for c in seeds), tuple(towers))
+    def image_of(p):
+        image = tuple(germ.mapping[v] for germ, v in zip(germs, columns(p)))
+        return image if m > 1 else image[0]
+
+    tower = EmbeddingTower(tuple((c, c) for c in seeds),
+                           tuple((p, image_of(p)) for p in scan.points[len(seeds):]))
     oracle = TableOracle(limit, f.target, dict(zip(scan.points, scan.images)), m=m)
     # Every tuple over the sample was scanned when its last point was pushed.
     certificate = CanonicalUpTo(len(scan.points), arity, scan.behavior())

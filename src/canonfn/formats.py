@@ -49,10 +49,6 @@ from .rationals import format_rational, parse_rational
 from .symbolic import ObstructionCertificate, canonical_iso, punctured_rationals, rationals_set
 
 
-def _read_file(path: str) -> str:
-    return pathlib.Path(path).read_text()
-
-
 def _content_lines(text: str):
     for i, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -155,7 +151,7 @@ def load_forbidden_age(text: str, name: str = "forbidden") -> ForbiddenSubstruct
     return ForbiddenSubstructuresAge(signature, structures, name=name)
 
 
-def load_structures(text: str, read_file=_read_file) -> dict[str, LimitStructure]:
+def load_structures(text: str) -> dict[str, LimitStructure]:
     """Structure spec files: `structure <name> = builtin:<kind>` or
     `structure <name> = forbidden:<file>` directives, one per line."""
     out: dict[str, LimitStructure] = {}
@@ -172,7 +168,7 @@ def load_structures(text: str, read_file=_read_file) -> dict[str, LimitStructure
             except ValueError as exc:
                 raise FormatError(lineno, str(exc)) from None
         else:
-            age = load_forbidden_age(read_file(arg), name=f"forbidden:{arg}")
+            age = load_forbidden_age(pathlib.Path(arg).read_text(), name=f"forbidden:{arg}")
             from .fraisse import GenericLimit
 
             out[name] = GenericLimit(age, name=name)
@@ -335,7 +331,7 @@ def parse_oracle_spec(text: str, limit: LimitStructure | None = None) -> Functio
     if text.startswith("pieces:"):
         return parse_pieces(text[7:], limit)
     if text.startswith("table:"):
-        return load_function_table(_read_file(text[6:]), limit)
+        return load_function_table(pathlib.Path(text[6:]).read_text(), limit)
     if text.startswith("compose(") and text.endswith(")"):
         parts = _split_top(text[8:-1], ",")
         if len(parts) != 2:

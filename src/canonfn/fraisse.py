@@ -8,7 +8,10 @@ one with the lexicographically least admissible relation table.  Tuples are
 classified by quantifier-free type records, the computable stand-in for
 orbits of the automorphism group.  Restricting a structure, reindexing a
 record and spreading a diagram over a pattern all pull atoms back along an
-index map through the one `_pullback`.
+index map through the one `_pullback`.  A limit's germ() is its finite
+type-preserving partial map (PartialAutomorphism), which canonize, the
+automorphism germs and the back-and-forth grow; on (Q;<) it is a DloGerm,
+whose images are found by order position.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .errors import AmalgamationFailure, ArityLimitExceeded
+from .errors import AmalgamationFailure, ArityLimitExceeded, PresentationError, TypeMismatch
 from .rationals import index_of_rational, least_enum_in_interval, rational_of_index
 
 ARITY_LIMIT = 6    # the tuple-arity guardrail of every check and search
@@ -505,25 +508,9 @@ class LimitStructure:
                     atoms.add((sym.name, t))
         return TupleTypeRecord(self.age.signature, k, pattern, frozenset(atoms))
 
-    def _images(self, committed, x, candidates):
-        """The candidates y, lazily and in order, with which type-preserving
-        pairs stay so when (x, y) is added; x's type is computed once."""
-        dom_type = self.qf_type(tuple(a for a, _ in committed) + (x,))
-        rng = tuple(b for _, b in committed)
-        return (y for y in candidates if self.qf_type(rng + (y,)) == dom_type)
-
-    def admissible_image(self, committed, x, y) -> bool:
-        """Whether type-preserving pairs stay so with (x, y) added."""
-        return bool(self.admissible_images(committed, x, (y,)))
-
-    def admissible_images(self, committed, x, pool) -> list:
-        """The y in pool, in pool order, that admissible_image accepts."""
-        return list(self._images(committed, x, pool))
-
-    def least_image(self, pairs, x, probe_cap: int):
-        """Enumeration-least admissible image of x under type-preserving
-        pairs; None when none is among the first probe_cap elements."""
-        return next(self._images(pairs, x, map(self.element, range(probe_cap))), None)
+    def germ(self, pairs: Iterable[tuple] = ()) -> "PartialAutomorphism":
+        """A type-preserving partial map of this limit, seeded with pairs."""
+        return PartialAutomorphism(self, pairs)
 
     def __repr__(self):
         return f"<limit {self.name}>"
@@ -552,36 +539,8 @@ class DloLimit(LimitStructure):
         a, b = elements
         return a < b
 
-    # A type over Q is an order pattern, so images are found by comparing
-    # positions: the admissible images of an uncommitted x are the rationals
-    # strictly between the images of its nearest committed neighbors, and
-    # the least image is the enumeration-least of them (no probe cap needed).
-
-    @staticmethod
-    def _bounds(committed, x):
-        """(lo, hi): the images of x's nearest committed neighbors below and
-        above, None where there is none; (b, b) when x itself maps to b."""
-        lo = hi = None
-        for a, b in committed:
-            if a < x:
-                if lo is None or b > lo:
-                    lo = b
-            elif x < a:
-                if hi is None or b < hi:
-                    hi = b
-            else:
-                return b, b
-        return lo, hi
-
-    def admissible_images(self, committed, x, pool) -> list:
-        lo, hi = self._bounds(committed, x)
-        if lo is not None and lo == hi:
-            return [y for y in pool if y == lo]
-        return [y for y in pool if (lo is None or lo < y) and (hi is None or y < hi)]
-
-    def least_image(self, pairs, x, probe_cap: int):
-        lo, hi = self._bounds(pairs, x)
-        return lo if lo is not None and lo == hi else least_enum_in_interval(lo, hi)
+    def germ(self, pairs: Iterable[tuple] = ()) -> "DloGerm":
+        return DloGerm(self, pairs)
 
 
 class PureSetLimit(LimitStructure):
@@ -760,6 +719,138 @@ def builtin_limit(kind: str) -> LimitStructure:
     if kind == "ordered-rado":
         return GenericLimit(OrderedGraphsAge(), name="ordered-rado")
     raise ValueError(f"unknown builtin limit {kind!r}")
+
+
+# ---------------------------------------------------------------------------
+# partial automorphisms
+
+_PROBE_CAP = 1 << 21
+
+
+class PartialAutomorphism:
+    """A finite type-preserving partial map of a limit, grown on demand.
+
+    mapping holds the pairs in commit order; commit, extend and uncommit
+    change it.  images(x, candidates) yields the candidates y, in their
+    order, with which the pairs stay type-preserving when (x, y) is added:
+    the qf_type test, with x's type computed once.  extend commits the
+    enumeration-least admissible image, probing the first _PROBE_CAP
+    elements, so the germ is deterministic given its seed pairs.  verify()
+    recomputes the types from scratch.  LimitStructure.germ makes a limit's
+    germs.
+    """
+
+    def __init__(self, limit: LimitStructure, pairs: Iterable[tuple] = ()):
+        self.limit = limit
+        self.mapping: dict = {}    # x -> image, in commit order
+        for x, y in pairs:
+            self.commit(x, y)
+
+    @property
+    def pairs(self) -> tuple:
+        return tuple(self.mapping.items())
+
+    def images(self, x, candidates) -> Iterable:
+        qf_type = self.limit.qf_type
+        dom_type = qf_type(tuple(self.mapping) + (x,))
+        rng = tuple(self.mapping.values())
+        return (y for y in candidates if qf_type(rng + (y,)) == dom_type)
+
+    def commit(self, x, y) -> None:
+        """Add the pair (x, y); TypeMismatch when it breaks the type."""
+        if x in self.mapping:
+            if self.mapping[x] != y:
+                raise TypeMismatch(f"conflicting images for {x}")
+            return
+        if y not in self.images(x, (y,)):
+            raise TypeMismatch(f"pair {x} -> {y} breaks the type of the germ")
+        self.mapping[x] = y
+
+    def uncommit(self, x) -> None:
+        """Take back the pair of x."""
+        del self.mapping[x]
+
+    def extend(self, x):
+        """Image of x, committing the enumeration-least admissible value."""
+        if x in self.mapping:
+            return self.mapping[x]
+        return self._grow(x)
+
+    def _grow(self, x):
+        for y in self.images(x, map(self.limit.element, range(_PROBE_CAP))):
+            self.mapping[x] = y
+            return y
+        raise PresentationError(f"no admissible image for {x} within the probe cap")
+
+    def verify(self) -> bool:
+        if not self.mapping:
+            return True
+        qf_type = self.limit.qf_type
+        return qf_type(tuple(self.mapping)) == qf_type(tuple(self.mapping.values()))
+
+
+class DloGerm(PartialAutomorphism):
+    """A partial order isomorphism between subsets of Q: a germ of (Q;<).
+
+    A type over Q is an order pattern, so the pairs also sit in two aligned
+    sorted columns, and the admissible images of an uncommitted x are the
+    rationals strictly between the images of its nearest committed
+    neighbors: one bisect finds them, and the least image is the
+    enumeration-least of them (no probe cap needed).  place runs the same
+    search from either side with a given choice of partner, for the
+    back-and-forth between Q and Q minus 0.
+    """
+
+    def __init__(self, limit: LimitStructure, pairs: Iterable[tuple] = ()):
+        self._dom: list = []    # the committed points, sorted
+        self._rng: list = []    # their images, aligned, so sorted as well
+        super().__init__(limit, pairs)
+
+    @staticmethod
+    def _gap(keys: list, values: list, v) -> tuple:
+        """(i, lo, hi): the index at which v goes into keys, and the values
+        beside that index, None at an end."""
+        i = bisect.bisect_left(keys, v)
+        return i, values[i - 1] if i else None, values[i] if i < len(values) else None
+
+    def images(self, x, candidates) -> Iterable:
+        if x in self.mapping:
+            return super().images(x, candidates)
+        _, lo, hi = self._gap(self._dom, self._rng, x)
+        return [y for y in candidates if (lo is None or lo < y) and (hi is None or y < hi)]
+
+    def commit(self, x, y) -> None:
+        if x in self.mapping:
+            return super().commit(x, y)
+        i, lo, hi = self._gap(self._dom, self._rng, x)
+        if not ((lo is None or lo < y) and (hi is None or y < hi)):
+            raise TypeMismatch(f"pair {x} -> {y} breaks the type of the germ")
+        self._dom.insert(i, x)
+        self._rng.insert(i, y)
+        self.mapping[x] = y
+
+    def uncommit(self, x) -> None:
+        i = bisect.bisect_left(self._dom, x)
+        del self._dom[i], self._rng[i], self.mapping[x]
+
+    def _grow(self, x):
+        return self.place(x, least_enum_in_interval)
+
+    def place(self, v, choose, inverse: bool = False):
+        """Pair v, an uncommitted point (with inverse, an image not taken
+        yet), with choose(lo, hi), where lo and hi are the partners of v's
+        nearest committed neighbors (None at an end) and choose returns a
+        partner strictly between them, or None.  Returns the partner; on
+        None nothing is committed."""
+        keys, values = (self._rng, self._dom) if inverse else (self._dom, self._rng)
+        i, lo, hi = self._gap(keys, values, v)
+        w = choose(lo, hi)
+        if w is not None:
+            keys.insert(i, v)
+            values.insert(i, w)
+            x, y = (w, v) if inverse else (v, w)
+            self.mapping[x] = y
+        return w
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,10 @@ calls orbit_label once per new key.  The behavior-table layer
 (enumerate_behaviors, coherence_check) interns labels directly and turns
 ids back into labels only where it builds a BehaviorTable or a Violation.
 LabelTexts formats each distinct label once per command.
+
+automorphism_extending certifies a finite partial map of a limit as the
+limit's germ (fraisse.PartialAutomorphism, re-exported here), which
+extends on demand.
 """
 
 from __future__ import annotations
@@ -23,11 +27,11 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Iterable
 
-from .errors import PresentationError, TypeMismatch
+from .errors import PresentationError
 from .fraisse import (
     LimitStructure,
+    PartialAutomorphism,
     TupleTypeRecord,
     enumerate_types,
     format_type,
@@ -102,8 +106,6 @@ def validate_presentation(g: GroupPresentation) -> None:
 def domain_limit(g: GroupPresentation) -> LimitStructure:
     if isinstance(g, AutLimit):
         return g.limit
-    if isinstance(g, PowerGroup):
-        return domain_limit(g.base)
     return domain_limit(g.base)
 
 
@@ -377,67 +379,13 @@ class LabelTexts(dict):
         return text
 
 
-# ---------------------------------------------------------------------------
-# partial automorphisms
-
-_PROBE_CAP = 1 << 21
-
-
-class PartialAutomorphism:
-    """A finite type-preserving partial map of a limit, extendable on demand.
-
-    Extension commits the enumeration-least admissible image, which the
-    limit's least_image finds (DloLimit by order position, other limits by
-    probing the first _PROBE_CAP elements), so the germ is deterministic
-    given its seed pairs.  Each committed pair is tested with the limit's
-    admissible_image; verify() recomputes the types from scratch.
-    """
-
-    def __init__(self, limit: LimitStructure, pairs: Iterable[tuple] = ()):
-        self.limit = limit
-        self._map: dict = {}    # x -> image, in commit order
-        for x, y in pairs:
-            self._commit(x, y)
-
-    def _commit(self, x, y):
-        if x in self._map:
-            if self._map[x] != y:
-                raise TypeMismatch(f"conflicting images for {x}")
-            return
-        if not self.limit.admissible_image(self._map.items(), x, y):
-            raise TypeMismatch(f"pair {x} -> {y} breaks the type of the germ")
-        self._map[x] = y
-
-    @property
-    def pairs(self) -> tuple:
-        return tuple(self._map.items())
-
-    def extend(self, x):
-        """Image of x, committing the enumeration-least admissible value."""
-        if x in self._map:
-            return self._map[x]
-        y = self.limit.least_image(self._map.items(), x, _PROBE_CAP)
-        if y is None:
-            raise PresentationError(f"no admissible image for {x} within the probe cap")
-        self._commit(x, y)
-        return y
-
-    def __call__(self, x):
-        return self.extend(x)
-
-    def verify(self) -> bool:
-        if not self._map:
-            return True
-        qf_type = self.limit.qf_type
-        return qf_type(tuple(self._map)) == qf_type(tuple(self._map.values()))
-
-
 def automorphism_extending(g: GroupPresentation, mapping) -> PartialAutomorphism:
-    """Certify a finite partial map as an automorphism germ of an aut(limit)."""
+    """Certify a finite partial map as an automorphism germ of an aut(limit):
+    the limit's germ seeded with the map's pairs (see fraisse.PartialAutomorphism)."""
     if not isinstance(g, AutLimit):
         raise PresentationError("partial automorphisms are only presented for aut(limit)")
     if hasattr(mapping, "items"):
         pairs = tuple(mapping.items())
     else:
         pairs = tuple(mapping)
-    return PartialAutomorphism(g.limit, pairs)
+    return g.limit.germ(pairs)

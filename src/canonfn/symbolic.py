@@ -8,12 +8,12 @@ inequalities that recompute from scratch.
 
 from __future__ import annotations
 
-import bisect
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Callable
 
-from .errors import BudgetExhausted
+from .errors import BudgetExhausted, TypeMismatch
+from .fraisse import DloLimit
 from .rationals import format_rational, least_enum_in_interval, rational_of_index
 
 
@@ -66,7 +66,8 @@ class BackAndForthMap:
     commits the least-enumerated uncommitted element on its side to the
     enumeration-least admissible partner.  The construction is deterministic
     given the two sets and the optional seed pairs, and every committed stage
-    is a finite order isomorphism.  Not thread-safe: evaluation commits stages.
+    is a finite order isomorphism, kept as a fraisse.DloGerm.  Not
+    thread-safe: evaluation commits stages.
     """
 
     def __init__(self, source: ComputableDenseSet, target: ComputableDenseSet,
@@ -74,11 +75,7 @@ class BackAndForthMap:
         self.source = source
         self.target = target
         self.name = f"iso({source.name},{target.name})"
-        # Commitments sorted by source value; the aligned target column is
-        # sorted as well since every stage preserves order.
-        self._src_sorted: list[Fraction] = []
-        self._tgt_sorted: list[Fraction] = []
-        self._fwd: dict[Fraction, Fraction] = {}    # in commit order
+        self._germ = DloLimit().germ()
         self._bwd: dict[Fraction, Fraction] = {}
         self._next_source = 0
         self._next_target = 0
@@ -87,84 +84,57 @@ class BackAndForthMap:
             x, y = Fraction(x), Fraction(y)
             if not (source.contains(x) and target.contains(y)):
                 raise ValueError(f"seed pair ({x},{y}) leaves the sets")
-            self._commit(x, y, bisect.bisect_left(self._src_sorted, x))
+            try:
+                self._germ.commit(x, y)
+            except TypeMismatch:
+                raise ValueError(f"commitment ({x},{y}) breaks order preservation") from None
+            self._bwd[y] = x
 
     @property
     def committed(self) -> tuple:
-        return tuple(self._fwd.items())
-
-    def _commit(self, x: Fraction, y: Fraction, pos: int) -> None:
-        """Insert (x, y) at index pos of both sorted columns, after checking
-        that the pair lies strictly between its neighbours on both sides."""
-        src, tgt = self._src_sorted, self._tgt_sorted
-        if pos < len(src) and (x >= src[pos] or y >= tgt[pos]):
-            raise ValueError(f"commitment ({x},{y}) breaks order preservation")
-        if pos > 0 and (x <= src[pos - 1] or y <= tgt[pos - 1]):
-            raise ValueError(f"commitment ({x},{y}) breaks order preservation")
-        src.insert(pos, x)
-        tgt.insert(pos, y)
-        self._fwd[x] = y
-        self._bwd[y] = x
-
-    def _least_partner(self, value: Fraction, partner_set: ComputableDenseSet,
-                       flip: bool) -> tuple[Fraction, int]:
-        """The enumeration-least partner of value, and the index at which
-        order preservation puts the new pair in both sorted columns."""
-        known, image = (self._tgt_sorted, self._src_sorted) if flip else (
-            self._src_sorted, self._tgt_sorted)
-        pos = bisect.bisect_left(known, value)
-        lo = image[pos - 1] if pos > 0 else None
-        hi = image[pos] if pos < len(image) else None
-        y = partner_set.least_in(lo, hi)
-        if y is None:
-            raise BudgetExhausted("empty partner interval")
-        return y, pos
+        return self._germ.pairs
 
     def _stage(self) -> None:
         if self._forth_turn:
             while True:
                 x = self.source.enumerate_member(self._next_source)
                 self._next_source += 1
-                if x not in self._fwd:
+                if x not in self._germ.mapping:
                     break
-            y, pos = self._least_partner(x, self.target, flip=False)
+            y = self._germ.place(x, self.target.least_in)
         else:
             while True:
                 y = self.target.enumerate_member(self._next_target)
                 self._next_target += 1
                 if y not in self._bwd:
                     break
-            x, pos = self._least_partner(y, self.source, flip=True)
-        self._commit(x, y, pos)
+            x = self._germ.place(y, self.source.least_in, inverse=True)
+        if x is None or y is None:
+            raise BudgetExhausted("empty partner interval")
+        self._bwd[y] = x
         self._forth_turn = not self._forth_turn
 
     def run_stages(self, count: int) -> None:
         for _ in range(count):
             self._stage()
 
-    def eval(self, x) -> Fraction:
-        x = Fraction(x)
-        if not self.source.contains(x):
-            raise ValueError(f"{x} is not in {self.source.name}")
+    def _reach(self, v: Fraction, side: ComputableDenseSet, known: dict) -> Fraction:
+        """known[v], running stages until they commit v, a member of side."""
+        if not side.contains(v):
+            raise ValueError(f"{v} is not in {side.name}")
         guard = 0
-        while x not in self._fwd:
+        while v not in known:
             self._stage()
             guard += 1
             if guard > _STAGE_CAP:
                 raise BudgetExhausted("back-and-forth did not reach the requested point")
-        return self._fwd[x]
+        return known[v]
+
+    def eval(self, x) -> Fraction:
+        return self._reach(Fraction(x), self.source, self._germ.mapping)
 
     def inverse(self, y) -> Fraction:
-        y = Fraction(y)
-        if not self.target.contains(y):
-            raise ValueError(f"{y} is not in {self.target.name}")
-        guard = 0
-        while y not in self._bwd:
-            self._stage()
-            guard += 1
-            if guard > _STAGE_CAP:
-                raise BudgetExhausted("back-and-forth did not reach the requested point")
-        return self._bwd[y]
+        return self._reach(Fraction(y), self.target, self._bwd)
 
     def __call__(self, x):
         return self.eval(x)
@@ -312,14 +282,7 @@ class ObstructionCertificate:
         return not self.violations()
 
     def as_lines(self) -> list[str]:
-        fields = [
-            ("epsilon", self.epsilon), ("a", self.a), ("f_a", self.f_a),
-            ("b", self.b), ("falpha_a", self.falpha_a),
-            ("pin_lo_x", self.pin_lo_x), ("y_lo", self.y_lo), ("pin_lo", self.pin_lo),
-            ("pin_hi_x", self.pin_hi_x), ("y_hi", self.y_hi), ("pin_hi", self.pin_hi),
-            ("sample_r", self.sample_r), ("sample_u", self.sample_u),
-        ]
-        return [f"{name}: {format_rational(value)}" for name, value in fields]
+        return [f"{fd.name}: {format_rational(getattr(self, fd.name))}" for fd in fields(self)]
 
 
 def pham_refute(epsilon, budget: int = 4096) -> ObstructionCertificate:

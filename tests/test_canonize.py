@@ -171,9 +171,10 @@ class TestCanonizeWithConstants:
 
 
 def reference_search(f, g, h, arity, depth, horizon):
-    """The embedding search written plainly: each column's candidates are the
-    whole pool filtered by admissible_image, and a node's columns are
-    committed before its push.  (tower, sample table) or HorizonExhausted."""
+    """The embedding search written plainly on the definition: a column's
+    candidates are the pool elements y whose pairs list, with (x, y) added,
+    has the same qf_type on both sides, and a node's columns are committed
+    before its push.  (tower, sample table) or HorizonExhausted."""
     seeds = tuple(g.constants) if isinstance(g, StabilizerGroup) else ()
     limit = domain_limit(g)
     m = point_arity(g)
@@ -183,11 +184,17 @@ def reference_search(f, g, h, arity, depth, horizon):
     def columns(p):
         return p if m > 1 else (p,)
 
-    col_map = [{} for _ in range(m)]
+    # Each column's pairs, in commit order.
+    col_pairs = [[] for _ in range(m)]
     for c in seeds:
         for i, v in enumerate(columns(c)):
-            col_map[i][v] = v
-    col_committed = [list(cm.items()) for cm in col_map]
+            if (v, v) not in col_pairs[i]:
+                col_pairs[i].append((v, v))
+
+    def admissible(pairs, x, y):
+        return (limit.qf_type(tuple(a for a, _ in pairs) + (x,))
+                == limit.qf_type(tuple(b for _, b in pairs) + (y,)))
+
     scan = BehaviorScan(g, h, arity)
     for c in seeds:
         assert scan.push(c, f(c))
@@ -203,17 +210,15 @@ def reference_search(f, g, h, arity, depth, horizon):
         if p in scan.points:
             return rec(level + 1)
         cols = columns(p)
-        free = [i for i in range(m) if cols[i] not in col_map[i]]
-        cand_lists = [
-            [y for y in pool if limit.admissible_image(col_committed[i], cols[i], y)]
-            for i in free
-        ]
+        known = [dict(pairs) for pairs in col_pairs]
+        free = [i for i in range(m) if cols[i] not in known[i]]
+        cand_lists = [[y for y in pool if admissible(col_pairs[i], cols[i], y)] for i in free]
         for combo in itertools.product(*cand_lists):
             nodes += 1
             for i, y in zip(free, combo):
-                col_map[i][cols[i]] = y
-                col_committed[i].append((cols[i], y))
-            image = tuple(col_map[i][cols[i]] for i in range(m))
+                col_pairs[i].append((cols[i], y))
+                known[i][cols[i]] = y
+            image = tuple(known[i][cols[i]] for i in range(m))
             image_point = image if m > 1 else image[0]
             if scan.push(p, f(image_point)):
                 towers.append((p, image_point))
@@ -221,9 +226,9 @@ def reference_search(f, g, h, arity, depth, horizon):
                     return True
                 towers.pop()
                 scan.pop()
-            for i, y in zip(free, combo):
-                del col_map[i][cols[i]]
-                col_committed[i].pop()
+            for i in free:
+                col_pairs[i].pop()
+                del known[i][cols[i]]
         return False
 
     if not rec(0):

@@ -11,6 +11,7 @@ from canonfn import (
     ForbiddenSubstructuresAge,
     Signature,
     RelationSymbol,
+    TypeMismatch,
     build_limit,
     builtin_age,
     builtin_limit,
@@ -25,8 +26,9 @@ from canonfn import (
 from canonfn.fraisse import (
     GRAPH_SIG,
     ORDERED_GRAPH_SIG,
+    DloGerm,
     GenericLimit,
-    LimitStructure,
+    PartialAutomorphism,
     _all_atoms,
     _table_dfs,
     empty_structure,
@@ -329,38 +331,80 @@ def order_preserving_pairs(draw):
     return draw(st.permutations(list(zip(sorted(dom), sorted(rng)))))
 
 
-@HYPOTHESIS
-@given(order_preserving_pairs(), RATIONALS, RATIONALS)
-def test_dlo_image_fast_paths_match_generic(pairs, x, y):
-    generic = LimitStructure
-    assert DLO.admissible_image(pairs, x, y) == bool(generic.admissible_images(DLO, pairs, x, (y,)))
-    cap = 1 << 16
-    assert DLO.least_image(pairs, x, cap) == generic.least_image(DLO, pairs, x, cap)
-
-
 @st.composite
-def image_queries(draw):
-    """(pairs, x, pool): type-preserving pairs whose images may lie outside
-    the pool, as stabilizer constants' do; x new or a committed source point."""
+def germ_steps(draw):
+    """Type-preserving pairs over Q and a list of steps on a germ seeded
+    with them: ("images", x, pool) with x new or a committed source point
+    and a pool that may miss the committed images, as stabilizer constants'
+    images are missed; ("commit", x, y) with y admissible or not; ("extend",
+    x); ("uncommit",), which takes back the latest pair the steps added."""
     pairs = draw(order_preserving_pairs())
-    if pairs and draw(st.booleans()):
-        x = draw(st.sampled_from([a for a, _ in pairs]))
-    else:
-        x = draw(RATIONALS)
-    pool = draw(st.lists(RATIONALS, unique=True, max_size=12))
-    return pairs, x, pool
+    steps = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["images", "commit", "extend", "uncommit"]))
+        if kind == "images":
+            if pairs and draw(st.booleans()):
+                x = draw(st.sampled_from([a for a, _ in pairs]))
+            else:
+                x = draw(RATIONALS)
+            steps.append((kind, x, draw(st.lists(RATIONALS, unique=True, max_size=12))))
+        elif kind == "commit":
+            steps.append((kind, draw(RATIONALS), draw(RATIONALS)))
+        elif kind == "extend":
+            steps.append((kind, draw(RATIONALS)))
+        else:
+            steps.append((kind,))
+    return pairs, steps
+
+
+def _germ_run(germ, steps) -> list:
+    """The answers of a germ to the steps, in order.  An uncommit must
+    bring back the pairs from before the commit it takes back."""
+    out, added = [], []
+    for kind, *args in steps:
+        before = germ.pairs
+        if kind == "images":
+            out.append(list(germ.images(*args)))
+        elif kind == "commit":
+            try:
+                germ.commit(*args)
+                out.append("ok")
+            except TypeMismatch:
+                out.append("mismatch")
+        elif kind == "extend":
+            out.append(germ.extend(args[0]))
+        elif added:
+            x, earlier = added.pop()
+            germ.uncommit(x)
+            assert germ.pairs == earlier
+        if len(germ.pairs) > len(before):
+            added.append((germ.pairs[-1][0], before))
+        out.append(germ.pairs)
+    out.append(germ.verify())
+    return out
 
 
 @HYPOTHESIS
-@given(image_queries())
-def test_admissible_images_filter_the_pool(query):
-    pairs, x, pool = query
-    dom_type = DLO.qf_type(tuple(a for a, _ in pairs) + (x,))
-    expected = [y for y in pool
-                if DLO.qf_type(tuple(b for _, b in pairs) + (y,)) == dom_type]
-    assert expected == [y for y in pool if DLO.admissible_image(pairs, x, y)]
-    assert DLO.admissible_images(pairs, x, pool) == expected
-    assert LimitStructure.admissible_images(DLO, pairs, x, pool) == expected
+@given(germ_steps())
+def test_dlo_germ_matches_the_generic_germ(query):
+    pairs, steps = query
+    fast = DLO.germ(pairs)
+    assert isinstance(fast, DloGerm)
+    assert _germ_run(fast, steps) == _germ_run(PartialAutomorphism(DLO, pairs), steps)
+
+
+def test_dlo_germ_answers_by_order_position():
+    germ = DLO.germ([(F(0), F(0)), (F(2), F(4))])
+    pool = [DLO.element(i) for i in range(40)]
+    assert list(germ.images(F(1), pool)) == [y for y in pool if 0 < y < 4]
+    assert list(germ.images(F(2), pool)) == [F(4)]
+    with pytest.raises(TypeMismatch):
+        germ.commit(F(1), F(5))
+    assert germ.extend(F(1)) == F(1)
+    assert list(germ.images(F(3, 2), pool)) == [y for y in pool if 1 < y < 4]
+    germ.uncommit(F(1))
+    assert list(germ.images(F(3, 2), pool)) == [y for y in pool if 0 < y < 4]
+    assert germ.pairs == ((F(0), F(0)), (F(2), F(4)))
 
 
 @st.composite

@@ -125,17 +125,18 @@ class TestPartialAutomorphisms:
         rng = tuple(p[1] for p in germ.pairs)
         assert qf_type(dlo, dom) == qf_type(dlo, rng)
 
-    def test_extension_follows_the_limit_not_its_name(self):
+    def test_extension_follows_the_limit_not_its_name(self, tmp_path):
         # A structures file may call a generic limit `dlo`; its germs still
         # extend by probing the enumeration for the type, never by rational
         # order.
-        triangle_free = (
+        tf = tmp_path / "triangle-free.txt"
+        tf.write_text(
             "size 1; edge(0,0)\n"
             "size 2; edge(0,1)\n"
             "size 3; edge(0,1); edge(1,0); edge(0,2); edge(2,0); edge(1,2); edge(2,1)\n"
         )
-        limits = load_structures("structure dlo = forbidden:tf\nstructure tf = forbidden:tf\n",
-                                 read_file=lambda _: triangle_free)
+        limits = load_structures(f"structure dlo = forbidden:{tf}\n"
+                                 f"structure tf = forbidden:{tf}\n")
         for limit in limits.values():
             germ = PartialAutomorphism(limit, [(0, 1)])
             assert germ.extend(2) == 4
