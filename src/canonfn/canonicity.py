@@ -56,9 +56,6 @@ class FunctionOracle:
     def __call__(self, p):
         raise NotImplementedError
 
-    def defined_at(self, p) -> bool:
-        return True
-
     def spec_str(self) -> str:
         return self.__class__.__name__
 
@@ -201,9 +198,6 @@ class TableOracle(FunctionOracle):
         except KeyError:
             raise DomainGap(f"oracle undefined at {p}") from None
 
-    def defined_at(self, p) -> bool:
-        return p in self.mapping
-
     def spec_str(self):
         return f"table[{len(self.mapping)}]"
 
@@ -249,9 +243,6 @@ class ComposeOracle(FunctionOracle):
 
     def __call__(self, p):
         return self.outer(self.inner(p))
-
-    def defined_at(self, p) -> bool:
-        return self.inner.defined_at(p) and self.outer.defined_at(self.inner(p))
 
     def spec_str(self):
         return f"compose({self.outer.spec_str()},{self.inner.spec_str()})"
@@ -383,9 +374,11 @@ class BehaviorScan:
             for idx in itertools.product(range(len(self.points)), repeat=k):
                 while len(self.images) <= max(idx):
                     p = self.points[len(self.images)]
-                    if not f.defined_at(p):
-                        raise DomainGap(f"oracle undefined at {p}")
-                    self.target.append(f(p))
+                    try:
+                        image = f(p)
+                    except DomainGap:
+                        raise DomainGap(f"oracle undefined at {p}") from None
+                    self.target.append(image)
                 src, img = self.source.id_of(idx), self.target.id_of(idx)
                 img0, t0 = self._known(idx, src, img, added)
                 if img0 != img:
@@ -473,9 +466,6 @@ def local_equal(f: FunctionOracle, g_fn: FunctionOracle, fragment,
     t = _sorted_fragment(f.source, fragment)
     if not t:
         return True
-    for p in t:
-        if not f.defined_at(p) or not g_fn.defined_at(p):
-            raise DomainGap(f"oracle undefined on fragment point {p}")
     return orbit_label(h, apply_tuple(f, t)) == orbit_label(h, apply_tuple(g_fn, t))
 
 

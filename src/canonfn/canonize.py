@@ -29,13 +29,9 @@ from .fraisse import _check_arity
 from .groups import (
     AutLimit,
     GroupPresentation,
-    StabilizerGroup,
     aut_power,
-    domain_limit,
     point,
-    point_arity,
     stabilized,
-    validate_presentation,
 )
 
 
@@ -78,8 +74,7 @@ def _run_search(f: FunctionOracle, g: GroupPresentation, h: GroupPresentation,
         raise ValueError("depth must be positive")
     if horizon < 1:
         raise ValueError("horizon must be positive")
-    limit = domain_limit(g)
-    m = point_arity(g)
+    limit, m = g.limit, g.m
     pool = [limit.element(i) for i in range(horizon)]
     points = [point(g, i) for i in range(depth)]
 
@@ -169,13 +164,10 @@ def canonize(f: FunctionOracle, g: GroupPresentation, h: GroupPresentation,
     elements of the limit.  Returns the first tower in depth-first
     enumeration order, or HorizonExhausted (never a nonexistence claim).
     """
-    validate_presentation(g)
-    validate_presentation(h)
-    if f.m != point_arity(g):
+    if f.m != g.m:
         raise PresentationError(f"oracle takes {f.m}-column points; "
-                                f"{g!r} acts on {point_arity(g)}-column points")
-    seeds = tuple(g.constants) if isinstance(g, StabilizerGroup) else ()
-    return _run_search(f, g, h, arity, depth, horizon, seeds)
+                                f"{g!r} acts on {g.m}-column points")
+    return _run_search(f, g, h, arity, depth, horizon, g.constants)
 
 
 def canonize_with_constants(f: FunctionOracle, constants, arity: int,

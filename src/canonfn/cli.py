@@ -41,9 +41,7 @@ from .errors import (
 from .groups import (
     LabelTexts,
     aut_power,
-    domain_limit,
     format_label,
-    point_arity,
     stabilized,
 )
 from .rationals import parse_rational
@@ -133,11 +131,13 @@ def _load_structures(options) -> dict:
 
 
 def _age_from_options(options):
-    if "forbidden" in options:
-        return formats.load_forbidden_age(pathlib.Path(options["forbidden"]).read_text())
-    if options["age"] == "forbidden":
+    if options["age"] != "forbidden":
+        if "forbidden" in options:
+            raise ValueError("--forbidden needs --age forbidden")
+        return fraisse.builtin_age(options["age"])
+    if "forbidden" not in options:
         raise ValueError("--age forbidden needs --forbidden <file>")
-    return fraisse.builtin_age(options["age"])
+    return formats.load_forbidden_age(pathlib.Path(options["forbidden"]).read_text())
 
 
 def _presentations(options):
@@ -155,15 +155,14 @@ def _presentations(options):
         source = formats.parse_group_spec(options["source"], structures)
     target = formats.parse_group_spec(options.get("target", "aut(dlo)"), structures)
     spec = options["f"]
-    f = formats.parse_oracle_spec(spec, domain_limit(source) if source else None)
+    f = formats.parse_oracle_spec(spec, source.limit if source else None)
     if source is None:
         source = aut_power(f.source, f.m)
     for g, verb, columns in ((source, "takes", f.m), (target, "gives", 1)):
-        if point_arity(g) != columns:
+        if g.m != columns:
             raise ValueError(f"oracle {spec} {verb} {columns}-column points; "
-                             f"{formats.format_group_spec(g)} acts on "
-                             f"{point_arity(g)}-column points")
-    values = domain_limit(target)
+                             f"{formats.format_group_spec(g)} acts on {g.m}-column points")
+    values = target.limit
     if type(values) is not type(f.target) or values.name != f.target.name:
         raise ValueError(f"oracle {spec} gives values in {f.target.name}; "
                          f"{formats.format_group_spec(target)} acts on {values.name}")

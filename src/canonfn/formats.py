@@ -43,7 +43,6 @@ from .groups import (
     PowerGroup,
     LabelTexts,
     StabilizerGroup,
-    validate_presentation,
 )
 from .rationals import format_rational, parse_rational
 from .symbolic import ObstructionCertificate, canonical_iso, punctured_rationals, rationals_set
@@ -180,23 +179,17 @@ def load_structures(text: str) -> dict[str, LimitStructure]:
 
 
 def format_group_spec(g: GroupPresentation) -> str:
-    if isinstance(g, AutLimit):
-        return f"aut({g.limit.name})"
-    if isinstance(g, PowerGroup):
-        return f"power({format_group_spec(g.base)},{g.m})"
-    consts = ",".join(format_point(c) for c in g.constants)
-    return f"stab({format_group_spec(g.base)}; {consts})"
+    text = f"aut({g.limit.name})" if g.m == 1 else f"power(aut({g.limit.name}),{g.m})"
+    if not g.constants:
+        return text
+    return f"stab({text}; {','.join(format_point(c) for c in g.constants)})"
 
 
 def parse_group_spec(text: str,
                      structures: dict[str, LimitStructure] | None = None) -> GroupPresentation:
-    """Grammar: aut(<structure>) | power(<group>,m) | stab(<group>; pt,pt,...)."""
-    g = _parse_group_spec(text, structures or {})
-    validate_presentation(g)
-    return g
-
-
-def _parse_group_spec(text: str, structures: dict[str, LimitStructure]) -> GroupPresentation:
+    """Grammar: aut(<structure>) | power(<group>,m) | stab(<group>; pt,pt,...).
+    The presentation checks its shape as it is made, innermost first."""
+    structures = structures or {}
     text = text.strip()
     if text.startswith("aut(") and text.endswith(")"):
         name = text[4:-1].strip()
@@ -210,7 +203,7 @@ def _parse_group_spec(text: str, structures: dict[str, LimitStructure]) -> Group
         parts = _split_top(inner, ",")
         if len(parts) < 2:
             raise FormatError(0, f"power needs a base and an arity: {text!r}")
-        base = _parse_group_spec(",".join(parts[:-1]), structures)
+        base = parse_group_spec(",".join(parts[:-1]), structures)
         try:
             m = int(parts[-1])
         except ValueError:
@@ -222,7 +215,7 @@ def _parse_group_spec(text: str, structures: dict[str, LimitStructure]) -> Group
         if len(parts) < 2:
             raise FormatError(0, f"stab needs `; constants`: {text!r}")
         head, tail = parts
-        base = _parse_group_spec(head, structures)
+        base = parse_group_spec(head, structures)
         constants = tuple(_parse_point(p) for p in _split_top(tail, ",") if p)
         return StabilizerGroup(base, constants)
     raise FormatError(0, f"bad group spec {text!r}")

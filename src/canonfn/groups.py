@@ -1,10 +1,15 @@
-"""Compositional permutation-group presentations and their orbit invariants.
+"""Permutation-group presentations and their orbit invariants.
 
-Three shapes are supported: the automorphism group of a limit structure,
-finite powers acting componentwise on column tuples, and pointwise
-stabilizers.  Orbit equivalence is decided through labels (type records and
-tuples thereof), never through explicit group elements; for the built-in
-homogeneous limits this is sound and complete.
+A presentation is one (limit, m, constants): the automorphism group of a
+limit structure (aut), its m-th power acting componentwise on m-column
+points (power, m >= 2), or the pointwise stabilizer of finitely many
+constant points of either (stab).  These four shapes are the only ones, and
+a presentation is checked when it is made: PowerGroup and StabilizerGroup
+raise PresentationError on any other shape.  Every reading below takes the
+triple from g.limit, g.m and g.constants.  Orbit equivalence is decided
+through labels (type records and tuples thereof), never through explicit
+group elements; for the built-in homogeneous limits this is sound and
+complete.
 
 A PointLabels is the one label interner: each distinct label of one
 presentation takes the next int id, and reindex maps ids through
@@ -26,7 +31,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
 from .errors import PresentationError
 from .fraisse import (
@@ -41,6 +46,8 @@ from .fraisse import (
 @dataclass(frozen=True, eq=False)
 class AutLimit:
     limit: LimitStructure
+    m = 1
+    constants = ()
 
     def __repr__(self):
         return f"aut({self.limit.name})"
@@ -50,6 +57,17 @@ class AutLimit:
 class PowerGroup:
     base: "GroupPresentation"
     m: int
+    constants = ()
+
+    def __post_init__(self):
+        if self.m < 2:
+            raise PresentationError("power arity must be at least 2")
+        if not isinstance(self.base, AutLimit):
+            raise PresentationError("power base must be an automorphism group")
+
+    @property
+    def limit(self) -> LimitStructure:
+        return self.base.limit
 
     def __repr__(self):
         return f"power({self.base!r},{self.m})"
@@ -59,6 +77,29 @@ class PowerGroup:
 class StabilizerGroup:
     base: "GroupPresentation"
     constants: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "constants", tuple(self.constants))
+        if not self.constants:
+            raise PresentationError("stabilizer needs at least one constant")
+        if not isinstance(self.base, (AutLimit, PowerGroup)):
+            raise PresentationError("stabilizer base must be aut or power(aut)")
+        for c in self.constants:
+            cols = c if isinstance(c, tuple) else (c,)
+            if len(cols) != self.m:
+                raise PresentationError(f"constant ({', '.join(map(str, cols))}) does not "
+                                        f"fit {self.base!r}, which acts on {self.m}-column points")
+            for v in cols:
+                if not self.limit.is_element(v):
+                    raise PresentationError(f"constant {v} is not an element of {self.limit.name}")
+
+    @property
+    def limit(self) -> LimitStructure:
+        return self.base.limit
+
+    @property
+    def m(self) -> int:
+        return self.base.m
 
     def __repr__(self):
         return f"stab({self.base!r};{self.constants!r})"
@@ -72,52 +113,6 @@ def aut_power(limit: LimitStructure, m: int) -> GroupPresentation:
     return AutLimit(limit) if m == 1 else PowerGroup(AutLimit(limit), m)
 
 
-def validate_presentation(g: GroupPresentation) -> None:
-    """Allow exactly the shapes needed downstream: aut, power(aut),
-    stab(aut), stab(power(aut))."""
-    if isinstance(g, AutLimit):
-        return
-    if isinstance(g, PowerGroup):
-        if g.m < 2:
-            raise PresentationError("power arity must be at least 2")
-        if not isinstance(g.base, AutLimit):
-            raise PresentationError("power base must be an automorphism group")
-        return
-    if isinstance(g, StabilizerGroup):
-        if not g.constants:
-            raise PresentationError("stabilizer needs at least one constant")
-        if not isinstance(g.base, (AutLimit, PowerGroup)):
-            raise PresentationError("stabilizer base must be aut or power(aut)")
-        validate_presentation(g.base)
-        m = point_arity(g.base)
-        limit = domain_limit(g.base)
-        for c in g.constants:
-            cols = c if isinstance(c, tuple) else (c,)
-            if len(cols) != m:
-                raise PresentationError(f"constant ({', '.join(map(str, cols))}) does not "
-                                        f"fit {g.base!r}, which acts on {m}-column points")
-            for v in cols:
-                if not limit.is_element(v):
-                    raise PresentationError(f"constant {v} is not an element of {limit.name}")
-        return
-    raise PresentationError(f"unsupported presentation {g!r}")
-
-
-def domain_limit(g: GroupPresentation) -> LimitStructure:
-    if isinstance(g, AutLimit):
-        return g.limit
-    return domain_limit(g.base)
-
-
-def point_arity(g: GroupPresentation) -> int:
-    """Number of columns of an acted-on point (1 unless a power is involved)."""
-    if isinstance(g, AutLimit):
-        return 1
-    if isinstance(g, PowerGroup):
-        return g.m * point_arity(g.base)
-    return point_arity(g.base)
-
-
 def stabilized(g: GroupPresentation, h: GroupPresentation, constants, image):
     """stab(g; constants) and stab(h; their images under image), or (g, h)
     when there are no constants.
@@ -126,7 +121,7 @@ def stabilized(g: GroupPresentation, h: GroupPresentation, constants, image):
     g's points (a bare value for one column); a constant with another
     number of columns is a ValueError.
     """
-    m = point_arity(g)
+    m = g.m
     consts = []
     for c in constants:
         cols = tuple(Fraction(v) for v in (c if isinstance(c, tuple) else (c,)))
@@ -162,31 +157,23 @@ def _diagonal_unrank(m: int, n: int) -> tuple[int, ...]:
 
 
 def point(g: GroupPresentation, n: int):
-    """n-th point of the domain the presentation acts on."""
-    if isinstance(g, AutLimit):
+    """n-th point of the domain the presentation acts on: the limit's n-th
+    element, or the n-th m-tuple of its elements in diagonal order."""
+    if g.m == 1:
         return g.limit.element(n)
-    if isinstance(g, StabilizerGroup):
-        return point(g.base, n)
-    return tuple(point(g.base, i) for i in _diagonal_unrank(g.m, n))
-
-
-def _column(tuples: tuple, i: int) -> tuple:
-    return tuple(p[i] for p in tuples)
+    return tuple(g.limit.element(i) for i in _diagonal_unrank(g.m, n))
 
 
 def orbit_label(g: GroupPresentation, t: tuple):
-    """The orbit invariant of a tuple of points.
-
-    aut: the type record; power: one base label per column; stabilizer: the
-    base label of the tuple extended by the constants.
-    """
+    """The orbit invariant of a tuple of points: the type record of the tuple
+    extended by the constants, one per column of the points."""
     if not t:
         raise ValueError("orbit_label needs a nonempty tuple")
-    if isinstance(g, AutLimit):
+    if g.constants:
+        t = tuple(t) + g.constants
+    if g.m == 1:
         return g.limit.qf_type(t)
-    if isinstance(g, PowerGroup):
-        return tuple(orbit_label(g.base, _column(t, i)) for i in range(g.m))
-    return orbit_label(g.base, tuple(t) + tuple(g.constants))
+    return tuple(g.limit.qf_type(tuple(p[i] for p in t)) for i in range(g.m))
 
 
 def label_key(label):
@@ -196,48 +183,40 @@ def label_key(label):
     return (1, tuple(label_key(part) for part in label))
 
 
-def label_arity(label) -> int:
-    if isinstance(label, TupleTypeRecord):
-        return label.arity
-    return label_arity(label[0])
-
-
 def reindex_label(g: GroupPresentation, label, sigma: tuple[int, ...]):
     """Label of the reindexed tuple, with stabilizer constants held fixed."""
-    if isinstance(g, AutLimit):
+    if g.constants:
+        n = len(g.constants)
+        k = (label if g.m == 1 else label[0]).arity - n
+        sigma = tuple(sigma) + tuple(range(k, k + n))
+    if g.m == 1:
         return label.reindexed(sigma)
-    if isinstance(g, PowerGroup):
-        return tuple(reindex_label(g.base, part, sigma) for part in label)
+    return tuple(part.reindexed(sigma) for part in label)
+
+
+def _column_labels(g: GroupPresentation, k: int) -> list[list]:
+    """Per column of the points, the limit's (k+n)-types, sorted, whose last
+    n positions have the type of that column of the n constants."""
     n = len(g.constants)
-    k = label_arity(label) - n
-    extended = tuple(sigma) + tuple(range(k, k + n))
-    return reindex_label(g.base, label, extended)
+    types = enumerate_types(g.limit, k + n)
+    if not n:
+        return [types] * g.m
+    tail = tuple(range(k, k + n))
+    anchors = [g.limit.qf_type(tuple(c[i] if g.m > 1 else c for c in g.constants))
+               for i in range(g.m)]
+    return [[lbl for lbl in types if lbl.reindexed(tail) == a] for a in anchors]
 
 
 def orbit_labels(g: GroupPresentation, k: int) -> list:
-    """All admissible labels of arity k, sorted by label_key."""
-    if isinstance(g, AutLimit):
-        return enumerate_types(g.limit, k)
-    if isinstance(g, PowerGroup):
-        base = orbit_labels(g.base, k)
-        return [combo for combo in itertools.product(base, repeat=g.m)]
-    n = len(g.constants)
-    anchor = orbit_label(g.base, tuple(g.constants))
-    tail = tuple(range(k, k + n))
-    out = [
-        lbl
-        for lbl in orbit_labels(g.base, k + n)
-        if reindex_label(g.base, lbl, tail) == anchor
-    ]
-    out.sort(key=label_key)
-    return out
+    """All admissible labels of arity k, sorted by label_key: the product of
+    the columns' sorted labels keeps that order."""
+    columns = _column_labels(g, k)
+    return columns[0] if g.m == 1 else list(itertools.product(*columns))
 
 
 def count_orbits_g(g: GroupPresentation, k: int) -> int:
     """Number of admissible labels of arity k."""
-    if isinstance(g, PowerGroup):
-        return count_orbits_g(g.base, k) ** g.m
-    return len(orbit_labels(g, k))
+    return prod(len(column) for column in _column_labels(g, k))
 
 
 def format_label(label) -> str:
@@ -256,7 +235,7 @@ class PointLabels:
 
     The tuple scan interns the labels of tuples of scanned points: points
     lists them by index; a stabilizer's constants sit before them, and each
-    of the point_arity(g) columns keeps its own values.
+    of the g.m columns keeps its own values.
     On a signature of unary and binary symbols a tuple's label is fixed by
     its pair codes: per column, for each ordered pair of positions of the
     tuple extended by the constants, one equality bit and one bit per
@@ -271,21 +250,19 @@ class PointLabels:
         self.g = g
         self.points: list = []
         self.labels: list = []
-        self._limit = domain_limit(g)
-        constants = tuple(g.constants) if isinstance(g, StabilizerGroup) else ()
-        self._shift = len(constants)
-        self._anchor = tuple(range(len(constants)))
+        self._limit = g.limit
+        self._shift = len(g.constants)
+        self._anchor = tuple(range(self._shift))
         symbols = self._limit.age.signature.symbols
         self._binary = all(1 <= s.arity <= 2 for s in symbols)
         self._unary = [s.name for s in symbols if s.arity == 1]
         self._pair = [s.name for s in symbols if s.arity == 2]
-        m = point_arity(g)
-        self._columns: list[list] = [[] for _ in range(m)]
-        self._codes: list[list[dict]] = [[] for _ in range(m)]  # [column][i][j]
+        self._columns: list[list] = [[] for _ in range(g.m)]
+        self._codes: list[list[dict]] = [[] for _ in range(g.m)]  # [column][i][j]
         self._ids: dict = {}
         self._label_ids: dict = {}
         self._reindexed: dict = {}
-        for k, c in enumerate(constants):
+        for k, c in enumerate(g.constants):
             self._put(k, c)
 
     def _put(self, k: int, p) -> None:

@@ -11,12 +11,23 @@ forbidden-substructure age, `substructure` and `is_isomorphic` are taken as
 the definitions of restriction and isomorphism.  The dense sets Q and
 Q minus 0 are checked by sampling their enumerations, and a back-and-forth
 partner is found by probing the enumeration for the first member inside the
-interval.
+interval.  Orbit labels are read as the presentation's recursive structure:
+a power splits a tuple into its columns and asks its base, a stabilizer
+extends a tuple by its constants and asks its base, and the n-th point of a
+power is found by listing the diagonals of N^m.
 """
 
 import itertools
 
-from canonfn.fraisse import AgeOracle, DemandLogEntry, FiniteStructure, is_isomorphic
+from canonfn.fraisse import (
+    AgeOracle,
+    DemandLogEntry,
+    FiniteStructure,
+    TupleTypeRecord,
+    enumerate_types,
+    is_isomorphic,
+)
+from canonfn.groups import AutLimit, PowerGroup
 from canonfn.symbolic import ComputableDenseSet
 
 
@@ -259,3 +270,73 @@ class ProbingDenseSet(ComputableDenseSet):
 def probing(s):
     """s with its partners found by probing the enumeration."""
     return ProbingDenseSet(s.name, s.exclude_zero)
+
+
+# ---------------------------------------------------------------------------
+# orbit labels, recursing on the presentation
+
+
+def _diagonal(m, n):
+    """The n-th m-tuple of naturals, by coordinate sum, then lexicographic."""
+    total = 0
+    while True:
+        for combo in itertools.product(range(total + 1), repeat=m):
+            if sum(combo) == total:
+                if n == 0:
+                    return combo
+                n -= 1
+        total += 1
+
+
+def point(g, n):
+    if isinstance(g, AutLimit):
+        return g.limit.element(n)
+    if isinstance(g, PowerGroup):
+        return tuple(point(g.base, i) for i in _diagonal(g.m, n))
+    return point(g.base, n)
+
+
+def orbit_label(g, t):
+    if isinstance(g, AutLimit):
+        return g.limit.qf_type(t)
+    if isinstance(g, PowerGroup):
+        return tuple(orbit_label(g.base, tuple(p[i] for p in t)) for i in range(g.m))
+    return orbit_label(g.base, tuple(t) + tuple(g.constants))
+
+
+def _sort_key(label):
+    if isinstance(label, TupleTypeRecord):
+        return label.sort_key()
+    return tuple(part.sort_key() for part in label)
+
+
+def _label_arity(label):
+    return label.arity if isinstance(label, TupleTypeRecord) else _label_arity(label[0])
+
+
+def reindex_label(g, label, sigma):
+    if isinstance(g, AutLimit):
+        return label.reindexed(sigma)
+    if isinstance(g, PowerGroup):
+        return tuple(reindex_label(g.base, part, sigma) for part in label)
+    n = len(g.constants)
+    k = _label_arity(label) - n
+    return reindex_label(g.base, label, tuple(sigma) + tuple(range(k, k + n)))
+
+
+def orbit_labels(g, k):
+    if isinstance(g, AutLimit):
+        return enumerate_types(g.limit, k)
+    if isinstance(g, PowerGroup):
+        return list(itertools.product(orbit_labels(g.base, k), repeat=g.m))
+    n = len(g.constants)
+    anchor = orbit_label(g.base, tuple(g.constants))
+    tail = tuple(range(k, k + n))
+    return sorted((lbl for lbl in orbit_labels(g.base, k + n)
+                   if reindex_label(g.base, lbl, tail) == anchor), key=_sort_key)
+
+
+def count_orbits_g(g, k):
+    if isinstance(g, PowerGroup):
+        return count_orbits_g(g.base, k) ** g.m
+    return len(orbit_labels(g, k))

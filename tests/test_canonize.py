@@ -32,7 +32,7 @@ from canonfn import (
 )
 from canonfn.canonicity import BehaviorScan, FunctionOracle
 from canonfn.canonize import EmbeddingTower
-from canonfn.groups import domain_limit, label_key, orbit_label, point, point_arity
+from canonfn.groups import label_key, orbit_label, point
 from test_scan import piecewise_map
 
 
@@ -175,9 +175,8 @@ def reference_search(f, g, h, arity, depth, horizon):
     candidates are the pool elements y whose pairs list, with (x, y) added,
     has the same qf_type on both sides, and a node's columns are committed
     before its push.  (tower, sample table) or HorizonExhausted."""
-    seeds = tuple(g.constants) if isinstance(g, StabilizerGroup) else ()
-    limit = domain_limit(g)
-    m = point_arity(g)
+    seeds = g.constants
+    limit, m = g.limit, g.m
     pool = [limit.element(i) for i in range(horizon)]
     points = [point(g, i) for i in range(depth)]
 

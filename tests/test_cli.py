@@ -408,6 +408,35 @@ def test_forbidden_age_without_file_is_error(argv):
         1, "error: ValueError: --age forbidden needs --forbidden <file>\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["limit", "--age", "graphs", "--size", "3"],
+    ["verify-age", "--age", "linear-orders", "--bound", "3"],
+], ids=["limit", "verify-age"])
+def test_forbidden_file_with_another_age_is_error(argv):
+    forbidden = pathlib.Path(__file__).parent / "golden" / "triangle-free.forbidden"
+    assert run_argv(argv + ["--forbidden", str(forbidden)]) == (
+        1, "error: ValueError: --forbidden needs --age forbidden\n")
+
+
+@pytest.mark.parametrize("spec", ["stab(power(aut(dlo),1); x)", "power(power(aut(dlo),1),2)"])
+def test_innermost_presentation_fault_is_reported(spec):
+    # A presentation is checked as it is made, innermost first, so the
+    # one-column power is named before the point literal or the power base.
+    assert run_argv(["behaviors", "--source", spec, "--target", "aut(dlo)", "--arity", "1"]) == (
+        1, "error: PresentationError: power arity must be at least 2\n")
+
+
+@pytest.mark.parametrize("f", ["table:{path}", "compose(table:{path},id)",
+                               "compose(table:{neg},neg)"])
+def test_partial_table_names_the_missing_point(tmp_path, f):
+    (tmp_path / "t.txt").write_text("0 -> 0\n1 -> 1\n")
+    (tmp_path / "neg.txt").write_text("0 -> 0\n-1 -> 1\n")
+    f = f.format(path=tmp_path / "t.txt", neg=tmp_path / "neg.txt")
+    assert run_argv(["check", "--f", f, "--source", "aut(dlo)", "--target", "aut(dlo)",
+                     "--horizon", "4", "--arity", "2"]) == (
+        1, "error: DomainGap: oracle undefined at -1\n")
+
+
 def test_bad_constant_reports_its_line(tmp_path):
     consts = tmp_path / "consts.txt"
     consts.write_text("# pairs\n(0,1)\n(1,x)\n")

@@ -106,7 +106,8 @@ GROUPS = (
      "stab(aut(dlo); 0)", "stab(power(aut(dlo),2); (0,1))", "stab(aut(rado); 1)"],
     ["power(aut(dlo),1)", "stab(power(aut(dlo),1); 0)", "stab(aut(dlo); (1,x))",
      "stab(aut(dlo); (1,))", "stab(aut(dlo); x)", "stab(aut(dlo); (0,1))",
-     "power(aut(dlo),x)", "aut(nowhere)", "wiggle"],
+     "power(aut(dlo),x)", "aut(nowhere)", "wiggle", "power(power(aut(dlo),2),2)",
+     "stab(stab(aut(dlo); 0); 1)", "stab(aut(dlo); )", "stab(power(aut(dlo),1); x)"],
 )
 # behaviors enumerates every table.  Its coherence links are cheap (a few
 # generating index maps per slot); what remains is the table count, which

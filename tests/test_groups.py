@@ -2,6 +2,7 @@ import itertools
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from canonfn import (
     AutLimit,
@@ -11,6 +12,7 @@ from canonfn import (
     StabilizerGroup,
     TypeMismatch,
     automorphism_extending,
+    builtin_limit,
     count_orbits,
     count_orbits_g,
     format_label,
@@ -19,7 +21,9 @@ from canonfn import (
     qf_type,
 )
 from canonfn.formats import load_structures
-from canonfn.groups import label_key, point, reindex_label, validate_presentation
+from canonfn.groups import label_key, point, reindex_label
+
+import oracles
 
 
 class TestOrbitLabels:
@@ -148,18 +152,34 @@ class TestPartialAutomorphisms:
 
 
 class TestPresentations:
-    def test_allowed_shapes(self, aut_dlo):
-        validate_presentation(aut_dlo)
-        validate_presentation(PowerGroup(aut_dlo, 2))
-        validate_presentation(StabilizerGroup(aut_dlo, (F(0),)))
-        validate_presentation(StabilizerGroup(PowerGroup(aut_dlo, 2), ((F(0), F(1)),)))
+    def test_allowed_shapes(self, dlo, aut_dlo):
+        readings = [
+            (aut_dlo, 1, ()),
+            (PowerGroup(aut_dlo, 2), 2, ()),
+            (StabilizerGroup(aut_dlo, [F(0)]), 1, (F(0),)),
+            (StabilizerGroup(PowerGroup(aut_dlo, 2), ((F(0), F(1)),)), 2, ((F(0), F(1)),)),
+        ]
+        for g, m, constants in readings:
+            assert (g.limit, g.m, g.constants) == (dlo, m, constants)
 
     def test_rejected_shapes(self, aut_dlo):
-        with pytest.raises(PresentationError):
-            validate_presentation(PowerGroup(PowerGroup(aut_dlo, 2), 2))
-        for m in (0, 1):
-            with pytest.raises(PresentationError, match="power arity must be at least 2"):
-                validate_presentation(PowerGroup(aut_dlo, m))
+        rado = AutLimit(builtin_limit("rado"))
+        stab = StabilizerGroup(aut_dlo, (F(0),))
+        cases = [
+            (lambda: PowerGroup(aut_dlo, 0), "power arity must be at least 2"),
+            (lambda: PowerGroup(aut_dlo, 1), "power arity must be at least 2"),
+            (lambda: PowerGroup(PowerGroup(aut_dlo, 2), 2),
+             "power base must be an automorphism group"),
+            (lambda: StabilizerGroup(aut_dlo, ()), "stabilizer needs at least one constant"),
+            (lambda: StabilizerGroup(stab, (F(1),)), "stabilizer base must be aut or power(aut)"),
+            (lambda: StabilizerGroup(aut_dlo, ((F(0), F(1)),)),
+             "constant (0, 1) does not fit aut(dlo), which acts on 1-column points"),
+            (lambda: StabilizerGroup(rado, (F(-1),)), "constant -1 is not an element of rado"),
+        ]
+        for make, message in cases:
+            with pytest.raises(PresentationError) as info:
+                make()
+            assert str(info.value) == message
 
 
 class TestLabelStrings:
@@ -192,8 +212,47 @@ class TestStabilizerConstantsAreElements:
     def test_index_limits_take_nonnegative_integers(self, c):
         rado = load_structures("structure r = builtin:rado\n")["r"]
         with pytest.raises(PresentationError, match="not an element of rado"):
-            validate_presentation(StabilizerGroup(AutLimit(rado), (c,)))
-        validate_presentation(StabilizerGroup(AutLimit(rado), (F(3),)))
+            StabilizerGroup(AutLimit(rado), (c,))
+        StabilizerGroup(AutLimit(rado), (F(3),))
 
     def test_every_rational_is_a_dlo_element(self, aut_dlo):
-        validate_presentation(StabilizerGroup(aut_dlo, (F(-1, 2),)))
+        StabilizerGroup(aut_dlo, (F(-1, 2),))
+
+
+# ---------------------------------------------------------------------------
+# the flat (limit, m, constants) reading against the recursive one
+
+RADO = builtin_limit("rado")
+RADO.ensure_size(12)
+LIMITS = [builtin_limit("dlo"), builtin_limit("pureset"), RADO]
+
+
+@st.composite
+def presentations(draw):
+    limit = draw(st.sampled_from(LIMITS))
+    aut = AutLimit(limit)
+    element = st.integers(0, 7).map(limit.element)
+    shape = draw(st.sampled_from(["aut", "power", "stab", "stab-power"]))
+    if shape == "aut":
+        return aut
+    if shape == "power":
+        return PowerGroup(aut, draw(st.sampled_from([2, 3])))
+    if shape == "stab":
+        return StabilizerGroup(aut, tuple(draw(st.lists(element, min_size=1, max_size=2))))
+    return StabilizerGroup(PowerGroup(aut, 2), (draw(st.tuples(element, element)),))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(g=presentations(), data=st.data())
+def test_flat_reading_matches_recursive_reference(g, data):
+    points = [point(g, n) for n in range(8)]
+    assert points == [oracles.point(g, n) for n in range(8)]
+    k = data.draw(st.integers(1, 3))
+    t = tuple(data.draw(st.lists(st.sampled_from(points), min_size=k, max_size=k)))
+    label = orbit_label(g, t)
+    assert label == oracles.orbit_label(g, t)
+    sigma = tuple(data.draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=3)))
+    assert reindex_label(g, label, sigma) == oracles.reindex_label(g, label, sigma)
+    k = data.draw(st.integers(1, 2))
+    assert orbit_labels(g, k) == oracles.orbit_labels(g, k)
+    assert count_orbits_g(g, k) == oracles.count_orbits_g(g, k)
