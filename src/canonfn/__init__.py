@@ -73,7 +73,6 @@ from .fraisse import (
     build_limit,
     builtin_age,
     builtin_limit,
-    count_orbits,
     element,
     enumerate_types,
     eval_relation,

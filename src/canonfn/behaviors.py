@@ -252,7 +252,7 @@ def realize_behavior(table: BehaviorTable, n: int):
         raise PresentationError("realizability search needs aut(limit) presentations")
     if n < 1:
         raise ValueError("witness size must be positive")
-    from .canonicity import BehaviorScan
+    from .canonicity import BehaviorScan    # canonicity imports this module
 
     domain = [table.source.limit.element(i) for i in range(n)]
     pool = [table.target.limit.element(i) for i in range(n * _TARGET_RATIO)]

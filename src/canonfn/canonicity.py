@@ -35,6 +35,7 @@ from .groups import (
     point,
     reindex_label,
 )
+from .rationals import format_rational
 
 _SEED_CAP = 64    # same-label tuple pairs the harness samples by default
 
@@ -93,8 +94,6 @@ class ConstantOracle(FunctionOracle):
         return self.value
 
     def spec_str(self):
-        from .rationals import format_rational
-
         return f"const:{format_rational(self.value)}"
 
 
@@ -117,8 +116,6 @@ class Interval:
         return True
 
     def __str__(self):
-        from .rationals import format_rational
-
         left = "[" if self.lo_closed else "("
         right = "]" if self.hi_closed else ")"
         lo = "-inf" if self.lo is None else format_rational(self.lo)
@@ -167,8 +164,6 @@ class PiecewiseAffineOracle(FunctionOracle):
         raise AssertionError("pieces were validated to cover Q")
 
     def spec_str(self):
-        from .rationals import format_rational
-
         parts = []
         for p in self.pieces:
             coef, off = p.coefficient, p.offset
@@ -282,7 +277,7 @@ class ProjectionOracle(FunctionOracle):
         return p[self.coordinate]
 
     def spec_str(self):
-        return f"proj:{self.coordinate + 1}"
+        return f"proj:{self.coordinate + 1}/{self.m}"
 
 
 def apply_tuple(f: FunctionOracle, t: tuple) -> tuple:
@@ -433,14 +428,28 @@ class BehaviorScan:
                              [self._entry(src) for src in self._seen])
 
 
+def check_fit(f: FunctionOracle, g: GroupPresentation, h: GroupPresentation) -> None:
+    """PresentationError unless f takes g's points and gives single points of
+    h's structure.  Structures compare by type and name, so two instances of
+    one limit fit."""
+    for verb, limit, m, pres in (("takes", f.source, f.m, g), ("gives", f.target, 1, h)):
+        if pres.m != m:
+            raise PresentationError(f"oracle {verb} {m}-column points; "
+                                    f"{pres!r} acts on {pres.m}-column points")
+        if type(limit) is not type(pres.limit) or limit.name != pres.limit.name:
+            raise PresentationError(f"oracle {verb} points of {limit.name}; "
+                                    f"{pres!r} acts on {pres.limit.name}")
+
+
 def check_canonical(f: FunctionOracle, g: GroupPresentation, h: GroupPresentation,
                     horizon: int, arity: int, points=None) -> CanonicityVerdict:
     """Scan all tuples of arity <= arity over the first horizon domain points
     (or an explicit point list); return the lexicographically first pair of
     same-source-label tuples with different image labels, else a certificate
     carrying the observed behavior table."""
+    check_fit(f, g, h)
+    _check_arity(arity)
     if points is None:
-        _check_arity(arity)
         if horizon < 1:
             raise ValueError("horizon must be positive")
         points = [point(g, i) for i in range(horizon)]

@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .canonicity import BehaviorScan, CanonicalUpTo, FunctionOracle, TableOracle
+from .canonicity import BehaviorScan, CanonicalUpTo, FunctionOracle, TableOracle, check_fit
 from .errors import PresentationError
 from .fraisse import _check_arity
 from .groups import (
@@ -164,9 +164,7 @@ def canonize(f: FunctionOracle, g: GroupPresentation, h: GroupPresentation,
     elements of the limit.  Returns the first tower in depth-first
     enumeration order, or HorizonExhausted (never a nonexistence claim).
     """
-    if f.m != g.m:
-        raise PresentationError(f"oracle takes {f.m}-column points; "
-                                f"{g!r} acts on {g.m}-column points")
+    check_fit(f, g, h)
     return _run_search(f, g, h, arity, depth, horizon, g.constants)
 
 

@@ -30,6 +30,7 @@ from . import symbolic
 from .canonicity import (
     CanonicalUpTo,
     Counterexample,
+    check_canonical,
     proposition_harness,
 )
 from .canonize import HorizonExhausted, canonize
@@ -39,8 +40,10 @@ from .errors import (
     UsageError,
 )
 from .groups import (
+    AutLimit,
     LabelTexts,
     aut_power,
+    count_orbits_g,
     format_label,
     stabilized,
 )
@@ -204,7 +207,7 @@ def _verdict_lines(verdict) -> list[str]:
 
 def _run_orbits(options):
     limit = formats.limit_by_name(options["structure"], _load_structures(options))
-    n = fraisse.count_orbits(limit, options["arity"])
+    n = count_orbits_g(AutLimit(limit), options["arity"])
     return 0, [f"orbits: {n}"]
 
 
@@ -230,8 +233,6 @@ def _run_behaviors(options):
 
 
 def _run_check(options):
-    from .canonicity import check_canonical
-
     f, source, target = _presentations(options)
     verdict = check_canonical(f, source, target, options["horizon"], options["arity"])
     return 0, _verdict_lines(verdict)

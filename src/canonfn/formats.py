@@ -32,6 +32,7 @@ from .fraisse import (
     DloLimit,
     FiniteStructure,
     ForbiddenSubstructuresAge,
+    GenericLimit,
     LimitStructure,
     RelationSymbol,
     Signature,
@@ -168,8 +169,6 @@ def load_structures(text: str) -> dict[str, LimitStructure]:
                 raise FormatError(lineno, str(exc)) from None
         else:
             age = load_forbidden_age(pathlib.Path(arg).read_text(), name=f"forbidden:{arg}")
-            from .fraisse import GenericLimit
-
             out[name] = GenericLimit(age, name=name)
     return out
 
@@ -341,15 +340,9 @@ def parse_oracle_spec(text: str, limit: LimitStructure | None = None) -> Functio
 
 def dump_function_table(oracle: TableOracle) -> str:
     lines = []
-    for p, v in sorted(oracle.mapping.items(), key=lambda kv: _point_key(kv[0])):
+    for p, v in sorted(oracle.mapping.items()):    # points are distinct
         lines.append(f"{format_point(p)} -> {format_rational(v)}")
     return "\n".join(lines) + "\n"
-
-
-def _point_key(p):
-    if isinstance(p, tuple):
-        return tuple(_point_key(v) for v in p)
-    return (p,)
 
 
 def load_function_table(text: str, limit: LimitStructure | None = None) -> TableOracle:

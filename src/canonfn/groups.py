@@ -86,7 +86,8 @@ class StabilizerGroup:
             raise PresentationError("stabilizer base must be aut or power(aut)")
         for c in self.constants:
             cols = c if isinstance(c, tuple) else (c,)
-            if len(cols) != self.m:
+            # A constant is a bare value on 1-column points, else an m-tuple.
+            if len(cols) != self.m or isinstance(c, tuple) != (self.m > 1):
                 raise PresentationError(f"constant ({', '.join(map(str, cols))}) does not "
                                         f"fit {self.base!r}, which acts on {self.m}-column points")
             for v in cols:
@@ -117,18 +118,13 @@ def stabilized(g: GroupPresentation, h: GroupPresentation, constants, image):
     """stab(g; constants) and stab(h; their images under image), or (g, h)
     when there are no constants.
 
-    Each constant becomes a point of g: exact rationals, one per column of
-    g's points (a bare value for one column); a constant with another
-    number of columns is a ValueError.
+    Each constant is read as exact rationals, a one-column constant as a
+    bare value; StabilizerGroup checks that it fits g's points.
     """
-    m = g.m
     consts = []
     for c in constants:
         cols = tuple(Fraction(v) for v in (c if isinstance(c, tuple) else (c,)))
-        if len(cols) != m:
-            raise ValueError(f"constant ({', '.join(map(str, cols))}) does not fit "
-                             f"{g!r}, which acts on {m}-column points")
-        consts.append(cols if m > 1 else cols[0])
+        consts.append(cols[0] if len(cols) == 1 else cols)
     if not consts:
         return g, h
     return (StabilizerGroup(g, tuple(consts)),

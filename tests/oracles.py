@@ -11,7 +11,10 @@ forbidden-substructure age, `substructure` and `is_isomorphic` are taken as
 the definitions of restriction and isomorphism.  The dense sets Q and
 Q minus 0 are checked by sampling their enumerations, and a back-and-forth
 partner is found by probing the enumeration for the first member inside the
-interval.  Orbit labels are read as the presentation's recursive structure:
+interval.  verify_amalgamation is replayed by its pairwise loop: for each
+ordered pair of distinct extensions b1, b2 of a member, b1's extensions are
+searched afresh until one restricts to b2, and grown members are deduped.
+Orbit labels are read as the presentation's recursive structure:
 a power splits a tuple into its columns and asks its base, a stabilizer
 extends a tuple by its constants and asks its base, and the n-th point of a
 power is found by listing the diagonals of N^m.
@@ -20,7 +23,9 @@ power is found by listing the diagonals of N^m.
 import itertools
 
 from canonfn.fraisse import (
+    _FULL_ENUM_MAX,
     AgeOracle,
+    AmalgamationReport,
     DemandLogEntry,
     FiniteStructure,
     TupleTypeRecord,
@@ -234,6 +239,52 @@ def reference_growth(age, size):
             log.append(DemandLogEntry(m, e, z, True))
         d += 1
     return whole, tuple(log)
+
+
+def _extensions(age, base):
+    size = base.size + 1
+    return table_dfs(age, size, base.atoms, _atoms_touching(age.signature, base.size, size))
+
+
+def reference_amalgamation(age, bound):
+    """The AmalgamationReport of verify_amalgamation, by its pairwise loop:
+    members on up to _FULL_ENUM_MAX points enumerated whole, larger ones
+    grown from the members one point smaller with duplicates dropped; then
+    hereditariness, then for each base and each ordered pair b1 != b2 of its
+    extensions a fresh search of b1's extensions for one that restricts to
+    b2 on the base and its own new point."""
+    empty = FiniteStructure(age.signature, 0, frozenset())
+    members = {0: [empty] if age.contains(empty) else []}
+    note = ""
+    for s in range(1, bound + 1):
+        if s <= _FULL_ENUM_MAX:
+            atoms = sorted((sym.name, t) for sym in age.signature.symbols
+                           for t in itertools.product(range(s), repeat=sym.arity))
+            members[s] = list(table_dfs(age, s, (), atoms))
+        else:
+            grown = (ext for base in members[s - 1] for ext in _extensions(age, base))
+            members[s] = list(dict.fromkeys(grown))
+            note = f"; sizes above {_FULL_ENUM_MAX} grown from smaller members"
+    for s in range(2, bound + 1):
+        for st in members[s]:
+            for drop in range(s):
+                sub = st.substructure(tuple(i for i in range(s) if i != drop))
+                if not age.contains(sub):
+                    return AmalgamationReport(
+                        False, bound, "hereditariness",
+                        f"member of size {s} has a non-member induced substructure "
+                        f"(dropped point {drop})", (st, sub))
+    for s in range(bound - 1):
+        for base in members[s]:
+            exts = list(_extensions(age, base))
+            for b1, b2 in itertools.product(exts, repeat=2):
+                if b1 != b2 and not any(c.substructure(tuple(range(s)) + (s + 1,)) == b2
+                                        for c in _extensions(age, b1)):
+                    return AmalgamationReport(
+                        False, bound, "amalgamation",
+                        f"extensions of a size-{s} member cannot be amalgamated",
+                        (base, b1, b2))
+    return AmalgamationReport(True, bound, detail=note)
 
 
 def check_dense(s):

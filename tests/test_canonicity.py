@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from canonfn import (
+    ArityLimitExceeded,
     AutLimit,
     BackAndForthOracle,
     CanonicalUpTo,
@@ -13,14 +14,18 @@ from canonfn import (
     DomainGap,
     IdentityOracle,
     LocalFailure,
+    MinOracle,
     NegationOracle,
     PiecewiseAffineOracle,
+    PowerGroup,
+    PresentationError,
     TableOracle,
     TowerWitness,
     automorphism_extending,
     automorphism_moving,
     builtin_limit,
     canonical_iso,
+    canonize,
     check_canonical,
     local_equal,
     orbit_label,
@@ -108,6 +113,44 @@ class TestCheckCanonical:
         a = check_canonical(mixed_map, aut_dlo, aut_dlo, 8, 2)
         b = check_canonical(mixed_map, aut_dlo, aut_dlo, 8, 2)
         assert (a.witness_s, a.witness_t) == (b.witness_s, b.witness_t)
+
+    def test_arity_is_checked_with_explicit_points(self, aut_dlo, neg):
+        with pytest.raises(ValueError, match="arity must be positive"):
+            check_canonical(neg, aut_dlo, aut_dlo, 3, 0, points=[F(0), F(1)])
+        with pytest.raises(ArityLimitExceeded, match="arity 7 exceeds limit 6"):
+            check_canonical(neg, aut_dlo, aut_dlo, 3, 7, points=[F(0), F(1)])
+
+
+class TestOracleFitsPresentations:
+    RADO = AutLimit(builtin_limit("rado"))
+
+    def test_source_on_other_structure(self, neg):
+        with pytest.raises(PresentationError, match="oracle takes points of dlo; "
+                           r"aut\(rado\) acts on rado"):
+            check_canonical(neg, self.RADO, self.RADO, 5, 2)
+
+    def test_target_on_other_structure(self, dlo, aut_dlo):
+        with pytest.raises(PresentationError, match="oracle gives points of dlo; "
+                           r"aut\(rado\) acts on rado"):
+            proposition_harness(IdentityOracle(dlo, dlo), aut_dlo, self.RADO, 5, 2)
+
+    def test_oracle_columns_differ_from_source(self, dlo, aut_dlo):
+        with pytest.raises(PresentationError, match="oracle takes 2-column points; "
+                           r"aut\(dlo\) acts on 1-column points"):
+            check_canonical(MinOracle(dlo, dlo), aut_dlo, aut_dlo, 5, 2)
+
+    def test_target_with_two_columns(self, aut_dlo, neg):
+        with pytest.raises(PresentationError, match="oracle gives 1-column points; "
+                           r"power\(aut\(dlo\),2\) acts on 2-column points"):
+            check_canonical(neg, aut_dlo, PowerGroup(aut_dlo, 2), 5, 2)
+
+    def test_canonize_checks_the_fit(self, neg):
+        with pytest.raises(PresentationError, match="oracle takes points of dlo"):
+            canonize(neg, self.RADO, self.RADO, 2, 3, 8)
+
+    def test_separate_instances_of_one_limit_fit(self, aut_dlo):
+        other = NegationOracle(builtin_limit("dlo"))
+        assert check_canonical(other, aut_dlo, AutLimit(builtin_limit("dlo")), 6, 2)
 
 
 class TestBehaviorOf:

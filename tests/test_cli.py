@@ -321,11 +321,21 @@ class TestCanonizeSources:
         zero.write_text("0\n")
         pair.write_text("(0,1)\n")
         assert self.canonize("min", "--constants", str(zero)) == (
-            1, "error: ValueError: constant (0) does not fit power(aut(dlo),2), "
+            1, "error: PresentationError: constant (0) does not fit power(aut(dlo),2), "
                "which acts on 2-column points\n")
         assert self.canonize("neg", "--constants", str(pair)) == (
-            1, "error: ValueError: constant (0, 1) does not fit aut(dlo), "
+            1, "error: PresentationError: constant (0, 1) does not fit aut(dlo), "
                "which acts on 1-column points\n")
+
+    def test_stabilizer_source_is_refused_before_constant_width(self, tmp_path):
+        # StabilizerGroup checks its base before the constants' width.
+        zero, pair = tmp_path / "zero.txt", tmp_path / "pair.txt"
+        zero.write_text("0\n")
+        pair.write_text("(0,1)\n")
+        error = (1, "error: PresentationError: stabilizer base must be aut or power(aut)\n")
+        assert self.canonize("neg", "--source", "stab(aut(dlo); 0)",
+                             "--constants", str(pair)) == error
+        assert self.canonize("min", "--source", self.STAB, "--constants", str(zero)) == error
 
 
 class TestStabilizerConstantsFitBase:
@@ -390,6 +400,12 @@ class TestOraclesThatCannotFit:
                          "--target", "aut(dlo)", "--horizon", "4", "--arity", "1"]) == (
             1, "error: ValueError: compose needs a 1-column outer oracle; "
                "min takes 2-column points\n")
+
+    def test_compose_with_projection_outer_oracle_names_its_columns(self):
+        assert run_argv(["check", "--f", "compose(proj:1/2,id)", "--source", "power(aut(dlo),2)",
+                         "--target", "aut(dlo)", "--horizon", "4", "--arity", "1"]) == (
+            1, "error: ValueError: compose needs a 1-column outer oracle; "
+               "proj:1/2 takes 2-column points\n")
 
 
 @pytest.mark.parametrize("literal", ["(1,x)", "(1,)", "x"])

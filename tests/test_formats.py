@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction as F
 
 import pytest
@@ -148,12 +149,13 @@ class TestOracleSpecs:
 
     def test_spec_strings_round_trip(self):
         probes = [F(-3), F(-1, 2), F(0), F(2, 3), F(5)]
-        for spec in ("id", "neg", "const:-2/3",
+        for spec in ("id", "neg", "const:-2/3", "proj:2/3",
                      "pieces:[(-inf,0):x*-1; [0,inf):x]",
                      "pieces:[(-inf,-1):x+2; [-1,0):x*-1; [0,inf):x]"):
             f = parse_oracle_spec(spec)
             g = parse_oracle_spec(f.spec_str())
-            assert all(f(x) == g(x) for x in probes), spec
+            points = probes if f.m == 1 else list(itertools.product(probes, repeat=f.m))
+            assert g.m == f.m and all(f(x) == g(x) for x in points), spec
 
 
 class TestFunctionTables:

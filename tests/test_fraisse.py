@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from canonfn import (
     AmalgamationFailure,
     ArityLimitExceeded,
+    AutLimit,
     FiniteStructure,
     ForbiddenSubstructuresAge,
     Signature,
@@ -15,7 +16,7 @@ from canonfn import (
     build_limit,
     builtin_age,
     builtin_limit,
-    count_orbits,
+    count_orbits_g,
     element,
     enumerate_types,
     eval_relation,
@@ -43,6 +44,7 @@ from oracles import (
     has_triangle,
     is_partial_isomorphism,
     nth_extension,
+    reference_amalgamation,
     reference_growth,
     table_dfs,
 )
@@ -67,6 +69,27 @@ TRIANGLE_FREE = [
 
 def triangle_free_age():
     return ForbiddenSubstructuresAge(GRAPH_SIG, TRIANGLE_FREE, name="triangle-free")
+
+
+def tiny_age():
+    return PredicateAge(Signature(()), lambda s: s.size <= 2, name="tiny")
+
+
+def cliques_or_independent_age():
+    base = builtin_age("graphs")
+
+    def all_or_nothing(s):
+        return base.contains(s) and len(s.atoms) in (0, s.size * (s.size - 1))
+
+    return PredicateAge(GRAPH_SIG, all_or_nothing, name="cliques-or-independent")
+
+
+def one_colored_point_age():
+    """At most one point in P or Q: the one-point extension in Q fails to
+    amalgamate with both of those in P, so a report pins the order of b2."""
+    sig = Signature((RelationSymbol("P", 1), RelationSymbol("Q", 1)))
+    return PredicateAge(sig, lambda s: len({t for _, t in s.atoms}) <= 1,
+                        name="one-colored-point")
 
 
 class TestSignatures:
@@ -135,10 +158,8 @@ class TestBuildLimit:
         assert a.demand_log == b.demand_log
 
     def test_bounded_age_fails(self):
-        sig = Signature(())
-        age = PredicateAge(sig, lambda s: s.size <= 2, name="tiny")
         with pytest.raises(AmalgamationFailure):
-            build_limit(age, 4)
+            build_limit(tiny_age(), 4)
 
     def test_log_entries_replay(self, graphs_age):
         limit = build_limit(graphs_age, 12)
@@ -236,14 +257,14 @@ class TestCountOrbits:
     def test_dlo_matches_weak_order_oracle(self, dlo):
         expected = [count_weak_orders(k) for k in (1, 2, 3, 4)]
         assert expected == [1, 3, 13, 75]
-        assert [count_orbits(dlo, k) for k in (1, 2, 3, 4)] == expected
+        assert [count_orbits_g(AutLimit(dlo), k) for k in (1, 2, 3, 4)] == expected
 
     def test_pure_set_matches_partition_oracle(self, pureset):
-        assert count_orbits(pureset, 3) == count_set_partitions(3) == 5
+        assert count_orbits_g(AutLimit(pureset), 3) == count_set_partitions(3) == 5
 
     def test_arity_limit(self, dlo):
         with pytest.raises(ArityLimitExceeded, match="arity 7 exceeds limit 6"):
-            count_orbits(dlo, 7)
+            count_orbits_g(AutLimit(dlo), 7)
 
     def test_enumerate_types_sorted_unique(self, dlo):
         records = enumerate_types(dlo, 3)
@@ -255,7 +276,7 @@ class TestCountOrbits:
         # One type per pattern (0,0); for distinct points, an order direction
         # and an adjacency bit vary independently.
         limit = builtin_limit("ordered-rado")
-        assert count_orbits(limit, 2) == 5
+        assert count_orbits_g(AutLimit(limit), 2) == 5
 
 
 class TestOrderedRado:
@@ -293,16 +314,7 @@ class TestVerifyAmalgamation:
         assert report.failure_kind == "hereditariness"
 
     def test_cliques_or_independent_violates_amalgamation(self):
-        base = builtin_age("graphs")
-
-        def all_or_nothing(s):
-            if not base.contains(s):
-                return False
-            edges = len(s.atoms)
-            return edges == 0 or edges == s.size * (s.size - 1)
-
-        age = PredicateAge(GRAPH_SIG, all_or_nothing, name="cliques-or-independent")
-        report = verify_amalgamation(age, 3)
+        report = verify_amalgamation(cliques_or_independent_age(), 3)
         assert not report.ok
         assert report.failure_kind == "amalgamation"
 
@@ -586,3 +598,26 @@ def test_forbidden_contains_matches_definition(case):
     s, forbidden = case
     expected = forbidden_age(GRAPH_SIG, forbidden).contains(s)
     assert ForbiddenSubstructuresAge(GRAPH_SIG, forbidden).contains(s) == expected
+
+
+@st.composite
+def forbidden_ages(draw):
+    """A forbidden age, its structures drawn as forbidden_cases draws them,
+    and bound 3."""
+    return ForbiddenSubstructuresAge(GRAPH_SIG, draw(forbidden_cases())[1]), 3
+
+
+# The first failing (base, b1, b2), and so the whole report, is the pairwise
+# loop's: each b1's extensions enumerated once give the same verdicts.
+@settings(max_examples=6, deadline=None, derandomize=True)
+@given(forbidden_ages())
+@example((builtin_age("linear-orders"), 4))
+@example((builtin_age("graphs"), 4))
+@example((builtin_age("ordered-graphs"), 4))
+@example((builtin_age("pure-sets"), 4))
+@example((tiny_age(), 3))
+@example((cliques_or_independent_age(), 3))
+@example((one_colored_point_age(), 3))
+def test_amalgamation_report_matches_pairwise_loop(case):
+    age, bound = case
+    assert verify_amalgamation(age, bound) == reference_amalgamation(age, bound)

@@ -13,7 +13,6 @@ from canonfn import (
     TypeMismatch,
     automorphism_extending,
     builtin_limit,
-    count_orbits,
     count_orbits_g,
     format_label,
     orbit_label,
@@ -60,12 +59,12 @@ class TestCounting:
         stab = StabilizerGroup(aut_dlo, (F(0),))
         assert count_orbits_g(stab, 1) == 3
 
-    def test_power_counts(self, dlo, aut_dlo):
+    def test_power_counts(self, aut_dlo):
         power = PowerGroup(aut_dlo, 2)
         assert count_orbits_g(power, 1) == 1
         assert count_orbits_g(power, 2) == 9
         for k in (1, 2, 3):
-            assert count_orbits_g(power, k) == count_orbits(dlo, k) ** 2
+            assert count_orbits_g(power, k) == count_orbits_g(aut_dlo, k) ** 2
 
     def test_orbit_labels_sorted(self, aut_dlo):
         labels = orbit_labels(StabilizerGroup(aut_dlo, (F(0),)), 1)
@@ -174,6 +173,10 @@ class TestPresentations:
             (lambda: StabilizerGroup(stab, (F(1),)), "stabilizer base must be aut or power(aut)"),
             (lambda: StabilizerGroup(aut_dlo, ((F(0), F(1)),)),
              "constant (0, 1) does not fit aut(dlo), which acts on 1-column points"),
+            (lambda: StabilizerGroup(aut_dlo, ((F(0),),)),
+             "constant (0) does not fit aut(dlo), which acts on 1-column points"),
+            (lambda: StabilizerGroup(PowerGroup(aut_dlo, 2), (F(0),)),
+             "constant (0) does not fit power(aut(dlo),2), which acts on 2-column points"),
             (lambda: StabilizerGroup(rado, (F(-1),)), "constant -1 is not an element of rado"),
         ]
         for make, message in cases:

@@ -21,7 +21,7 @@ from canonfn import (
     TableOracle,
     builtin_limit,
     check_canonical,
-    count_orbits,
+    count_orbits_g,
 )
 from canonfn.canonicity import AffinePiece, BehaviorScan, Interval
 from canonfn.fraisse import DloLimit, LimitStructure
@@ -129,7 +129,7 @@ def test_scan_types_each_label_once(monkeypatch):
     # <= 3 on each side; a label id is typed on the first tuple with its key.
     calls = _count_calls(monkeypatch, LimitStructure, "qf_type")
     assert check_canonical(NegationOracle(DLO), AUT, AUT, 24, 3)
-    assert len(calls) <= 2 * sum(count_orbits(DLO, k) for k in (1, 2, 3)) == 2 * 17
+    assert len(calls) <= 2 * sum(count_orbits_g(AUT, k) for k in (1, 2, 3)) == 2 * 17
 
 
 def test_arity_one_scan_reads_linearly_many_relations(monkeypatch):
