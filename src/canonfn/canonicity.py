@@ -464,15 +464,12 @@ def check_canonical(f: FunctionOracle, g: GroupPresentation, h: GroupPresentatio
 # local equality and towers
 
 
-def _sorted_fragment(limit: LimitStructure, fragment) -> tuple:
-    return tuple(sorted(fragment, key=limit.element_index))
-
-
 def local_equal(f: FunctionOracle, g_fn: FunctionOracle, fragment,
                 h: GroupPresentation) -> bool:
     """True when the image tuples of the fragment have equal labels, i.e. the
-    restrictions agree after composing with group elements."""
-    t = _sorted_fragment(f.source, fragment)
+    restrictions agree after composing with group elements.  The fragment's
+    points may come in any order: permuting them permutes both images alike."""
+    t = tuple(fragment)
     if not t:
         return True
     return orbit_label(h, apply_tuple(f, t)) == orbit_label(h, apply_tuple(g_fn, t))
@@ -610,19 +607,24 @@ def proposition_harness(f: FunctionOracle, g: GroupPresentation,
         if isinstance(verdict, Counterexample):
             seeds = list(seeds) + [(verdict.witness_s, verdict.witness_t)]
     limit = g.limit
+    pool = tuple(limit.element(i) for i in range(horizon))
     results = []
     for s, t in seeds:
         germ = automorphism_extending(g, tuple(zip(s, t)))
         f_alpha = ComposeOracle(f, AutomorphismOracle(germ))
         # Fragments: initial segments whose germ images stay inside the
-        # horizon, then the seed's own domain set (whose images are the other
-        # seed tuple, hence always inside the horizon).
+        # horizon (a new point takes its least admissible image in the pool),
+        # then the seed's own domain set (whose images are the other seed tuple).
         fragments = []
-        for n in range(1, horizon + 1):
-            prefix = tuple(limit.element(i) for i in range(n))
-            if any(limit.element_index(germ.extend(x)) >= horizon for x in prefix):
+        for n, x in enumerate(pool, start=1):
+            if x not in germ.mapping:
+                y = next(iter(germ.images(x, pool)), None)
+                if y is None:
+                    break
+                germ.commit(x, y)
+            elif limit.element_index(germ.mapping[x]) >= horizon:
                 break
-            fragments.append(prefix)
+            fragments.append(pool[:n])
         clip_depth = len(fragments)
         seed_set = tuple(dict.fromkeys(s))
         fragments.append(seed_set)

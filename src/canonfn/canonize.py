@@ -30,6 +30,8 @@ from .groups import (
     AutLimit,
     GroupPresentation,
     aut_power,
+    columns,
+    joined,
     point,
     stabilized,
 )
@@ -77,10 +79,6 @@ def _run_search(f: FunctionOracle, g: GroupPresentation, h: GroupPresentation,
     limit, m = g.limit, g.m
     pool = [limit.element(i) for i in range(horizon)]
     points = [point(g, i) for i in range(depth)]
-
-    def columns(p) -> tuple:
-        return p if m > 1 else (p,)
-
     # One type-preserving partial embedding per column; the seeds' columns
     # are fixed pointwise up front.
     germs = [limit.germ((columns(c)[i],) * 2 for c in seeds) for i in range(m)]
@@ -125,8 +123,7 @@ def _run_search(f: FunctionOracle, g: GroupPresentation, h: GroupPresentation,
                 nodes += 1
                 for i, y in zip(free, combo):
                     image[i] = y
-                image_point = tuple(image) if m > 1 else image[0]
-                if scan.push(points[level], f(image_point)):
+                if scan.push(points[level], f(joined(image))):
                     break
             else:
                 frames.pop()
@@ -140,12 +137,9 @@ def _run_search(f: FunctionOracle, g: GroupPresentation, h: GroupPresentation,
             return HorizonExhausted(deepest, nodes)
         level += 1
 
-    def image_of(p):
-        image = tuple(germ.mapping[v] for germ, v in zip(germs, columns(p)))
-        return image if m > 1 else image[0]
-
-    tower = EmbeddingTower(tuple((c, c) for c in seeds),
-                           tuple((p, image_of(p)) for p in scan.points[len(seeds):]))
+    pairs = tuple((p, joined(tuple(germ.mapping[v] for germ, v in zip(germs, columns(p)))))
+                  for p in scan.points[len(seeds):])
+    tower = EmbeddingTower(tuple((c, c) for c in seeds), pairs)
     oracle = TableOracle(limit, f.target, dict(zip(scan.points, scan.images)), m=m)
     # Every tuple over the sample was scanned when its last point was pushed.
     certificate = CanonicalUpTo(len(scan.points), arity, scan.behavior())

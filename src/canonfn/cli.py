@@ -164,11 +164,11 @@ def _presentations(options):
     for g, verb, columns in ((source, "takes", f.m), (target, "gives", 1)):
         if g.m != columns:
             raise ValueError(f"oracle {spec} {verb} {columns}-column points; "
-                             f"{formats.format_group_spec(g)} acts on {g.m}-column points")
+                             f"{g!r} acts on {g.m}-column points")
     values = target.limit
     if type(values) is not type(f.target) or values.name != f.target.name:
         raise ValueError(f"oracle {spec} gives values in {f.target.name}; "
-                         f"{formats.format_group_spec(target)} acts on {values.name}")
+                         f"{target!r} acts on {values.name}")
     return f, source, target
 
 

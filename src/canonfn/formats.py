@@ -7,6 +7,7 @@ written.  Lines starting with # are comments.
 
 from __future__ import annotations
 
+import dataclasses
 import pathlib
 import re
 from fractions import Fraction
@@ -44,6 +45,9 @@ from .groups import (
     PowerGroup,
     LabelTexts,
     StabilizerGroup,
+    columns,
+    format_point,
+    joined,
 )
 from .rationals import format_rational, parse_rational
 from .symbolic import ObstructionCertificate, canonical_iso, punctured_rationals, rationals_set
@@ -72,16 +76,6 @@ def _split_top(text: str, sep: str, maxsplit: int = -1) -> list[str]:
             cur.append(ch)
     parts.append("".join(cur))
     return [p.strip() for p in parts]
-
-
-def format_point(p, sep: str = ",") -> str:
-    """A point as specs and function tables write it, `(a,b)` for a tuple;
-    the CLI's reports pass sep=", " and write `(a, b)`."""
-    if isinstance(p, tuple):
-        return "(" + sep.join(format_point(v, sep) for v in p) + ")"
-    if isinstance(p, Fraction):
-        return format_rational(p)
-    return str(p)
 
 
 def limit_by_name(name: str, structures: dict[str, LimitStructure]) -> LimitStructure:
@@ -177,17 +171,11 @@ def load_structures(text: str) -> dict[str, LimitStructure]:
 # group spec strings
 
 
-def format_group_spec(g: GroupPresentation) -> str:
-    text = f"aut({g.limit.name})" if g.m == 1 else f"power(aut({g.limit.name}),{g.m})"
-    if not g.constants:
-        return text
-    return f"stab({text}; {','.join(format_point(c) for c in g.constants)})"
-
-
 def parse_group_spec(text: str,
                      structures: dict[str, LimitStructure] | None = None) -> GroupPresentation:
     """Grammar: aut(<structure>) | power(<group>,m) | stab(<group>; pt,pt,...).
-    The presentation checks its shape as it is made, innermost first."""
+    The presentation checks its shape as it is made, innermost first; its
+    repr is the spec in this grammar."""
     structures = structures or {}
     text = text.strip()
     if text.startswith("aut(") and text.endswith(")"):
@@ -224,8 +212,7 @@ def _parse_point(text: str, lineno: int = 0):
     text = text.strip()
     try:
         if text.startswith("(") and text.endswith(")"):
-            vals = tuple(parse_rational(v) for v in text[1:-1].split(","))
-            return vals if len(vals) > 1 else vals[0]
+            return joined(tuple(parse_rational(v) for v in text[1:-1].split(",")))
         return parse_rational(text)
     except ValueError:
         raise FormatError(lineno, f"bad point literal {text!r}") from None
@@ -354,7 +341,7 @@ def load_function_table(text: str, limit: LimitStructure | None = None) -> Table
         if not sep:
             raise FormatError(lineno, f"missing -> in {line!r}")
         p = _parse_point(left, lineno)
-        width = len(p) if isinstance(p, tuple) else 1
+        width = len(columns(p))
         if m is None:
             m = width
         elif m != width:
@@ -383,8 +370,8 @@ def behavior_lines(table: BehaviorTable, texts: LabelTexts) -> list[str]:
 
 def dump_behavior(table: BehaviorTable, texts: LabelTexts) -> str:
     lines = [
-        f"source: {format_group_spec(table.source)}",
-        f"target: {format_group_spec(table.target)}",
+        f"source: {table.source!r}",
+        f"target: {table.target!r}",
         f"arity: {table.max_arity}",
     ]
     lines.extend(behavior_lines(table, texts))
@@ -396,7 +383,10 @@ def dump_behavior(table: BehaviorTable, texts: LabelTexts) -> str:
 
 
 def dump_certificate(cert: ObstructionCertificate) -> str:
-    return "certificate: pham-obstruction\n" + "\n".join(cert.as_lines()) + "\n"
+    lines = ["certificate: pham-obstruction"]
+    lines.extend(f"{fd.name}: {format_rational(getattr(cert, fd.name))}"
+                 for fd in dataclasses.fields(cert))
+    return "\n".join(lines) + "\n"
 
 
 def load_certificate(text: str) -> ObstructionCertificate:

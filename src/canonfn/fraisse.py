@@ -486,11 +486,11 @@ class LimitStructure:
         raise NotImplementedError
 
     def element_index(self, element) -> int:
-        raise NotImplementedError
+        """Elements are their enumeration indices unless a subclass says otherwise."""
+        return int(element)
 
     def is_element(self, x) -> bool:
-        """Whether x is an element; elements are their enumeration indices
-        unless a subclass says otherwise."""
+        """Whether x is an element: an index, unless a subclass says otherwise."""
         return isinstance(x, (int, Fraction)) and x >= 0 and x == int(x)
 
     def qf_type(self, elements: tuple) -> TupleTypeRecord:
@@ -538,24 +538,6 @@ class DloLimit(LimitStructure):
 
     def germ(self, pairs: Iterable[tuple] = ()) -> "DloGerm":
         return DloGerm(self, pairs)
-
-
-class PureSetLimit(LimitStructure):
-    """A countable set with no structure; elements are their indices."""
-
-    name = "pureset"
-
-    def __init__(self):
-        self.age = PureSetsAge()
-
-    def element(self, n: int) -> int:
-        return n
-
-    def element_index(self, element) -> int:
-        return int(element)
-
-    def eval_relation(self, name: str, elements: tuple) -> bool:
-        raise KeyError(name)
 
 
 @dataclass(frozen=True)
@@ -618,9 +600,6 @@ class GenericLimit(LimitStructure):
     def element(self, n: int) -> int:
         self.ensure_size(n + 1)
         return n
-
-    def element_index(self, element) -> int:
-        return int(element)
 
     def eval_relation(self, name: str, elements: tuple) -> bool:
         if name not in self.age.signature:
@@ -706,16 +685,17 @@ class GenericLimit(LimitStructure):
         self._log.append(DemandLogEntry(m, e, z, True))
 
 
+_BUILTIN_LIMIT_AGES = {"pureset": PureSetsAge, "rado": GraphsAge, "ordered-rado": OrderedGraphsAge}
+
+
 def builtin_limit(kind: str) -> LimitStructure:
+    """The rational order for dlo; any other built-in name gives the generic
+    limit of its age, named kind.  ValueError for an unknown name."""
     if kind == "dlo":
         return DloLimit()
-    if kind == "pureset":
-        return PureSetLimit()
-    if kind == "rado":
-        return GenericLimit(GraphsAge(), name="rado")
-    if kind == "ordered-rado":
-        return GenericLimit(OrderedGraphsAge(), name="ordered-rado")
-    raise ValueError(f"unknown builtin limit {kind!r}")
+    if kind not in _BUILTIN_LIMIT_AGES:
+        raise ValueError(f"unknown builtin limit {kind!r}")
+    return GenericLimit(_BUILTIN_LIMIT_AGES[kind](), name=kind)
 
 
 # ---------------------------------------------------------------------------
@@ -890,11 +870,6 @@ class AmalgamationReport:
     failure_kind: str | None = None
     detail: str = ""
     witnesses: tuple[FiniteStructure, ...] = ()
-
-    def __str__(self):
-        if self.ok:
-            return f"ok (checked up to size {self.bound}){self.detail}"
-        return f"{self.failure_kind} violation: {self.detail}"
 
 
 def _members_by_size(age: AgeOracle, bound: int) -> tuple[dict[int, list[FiniteStructure]], str]:

@@ -21,6 +21,10 @@ calls orbit_label once per new key.  The behavior-table layer
 ids back into labels only where it builds a BehaviorTable or a Violation.
 LabelTexts formats each distinct label once per command.
 
+The point shape lives here: a point is a bare element on one column and
+an m-tuple on m >= 2; columns and joined convert it to and from its columns,
+and format_point writes it.  A presentation's repr is its spec string.
+
 automorphism_extending certifies a finite partial map of a limit as the
 limit's germ (fraisse.PartialAutomorphism, re-exported here), which
 extends on demand.
@@ -41,6 +45,27 @@ from .fraisse import (
     enumerate_types,
     format_type,
 )
+from .rationals import format_rational
+
+
+def columns(p) -> tuple:
+    """A point's columns: a tuple stays a tuple, a bare value becomes a 1-tuple."""
+    return p if isinstance(p, tuple) else (p,)
+
+
+def joined(cols: tuple):
+    """The point with these columns, a bare value for one: columns inverted."""
+    return cols[0] if len(cols) == 1 else tuple(cols)
+
+
+def format_point(p, sep: str = ",") -> str:
+    """A point as specs and function tables write it, `(a,b)` for a tuple;
+    the CLI's reports pass sep=", " and write `(a, b)`."""
+    if isinstance(p, tuple):
+        return "(" + sep.join(format_point(v, sep) for v in p) + ")"
+    if isinstance(p, Fraction):
+        return format_rational(p)
+    return str(p)
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,9 +110,9 @@ class StabilizerGroup:
         if not isinstance(self.base, (AutLimit, PowerGroup)):
             raise PresentationError("stabilizer base must be aut or power(aut)")
         for c in self.constants:
-            cols = c if isinstance(c, tuple) else (c,)
+            cols = columns(c)
             # A constant is a bare value on 1-column points, else an m-tuple.
-            if len(cols) != self.m or isinstance(c, tuple) != (self.m > 1):
+            if len(cols) != self.m or joined(cols) != c:
                 raise PresentationError(f"constant ({', '.join(map(str, cols))}) does not "
                                         f"fit {self.base!r}, which acts on {self.m}-column points")
             for v in cols:
@@ -103,7 +128,7 @@ class StabilizerGroup:
         return self.base.m
 
     def __repr__(self):
-        return f"stab({self.base!r};{self.constants!r})"
+        return f"stab({self.base!r}; {','.join(map(format_point, self.constants))})"
 
 
 GroupPresentation = AutLimit | PowerGroup | StabilizerGroup
@@ -121,10 +146,7 @@ def stabilized(g: GroupPresentation, h: GroupPresentation, constants, image):
     Each constant is read as exact rationals, a one-column constant as a
     bare value; StabilizerGroup checks that it fits g's points.
     """
-    consts = []
-    for c in constants:
-        cols = tuple(Fraction(v) for v in (c if isinstance(c, tuple) else (c,)))
-        consts.append(cols[0] if len(cols) == 1 else cols)
+    consts = [joined(tuple(Fraction(v) for v in columns(c))) for c in constants]
     if not consts:
         return g, h
     return (StabilizerGroup(g, tuple(consts)),
@@ -198,7 +220,7 @@ def _column_labels(g: GroupPresentation, k: int) -> list[list]:
     if not n:
         return [types] * g.m
     tail = tuple(range(k, k + n))
-    anchors = [g.limit.qf_type(tuple(c[i] if g.m > 1 else c for c in g.constants))
+    anchors = [g.limit.qf_type(tuple(columns(c)[i] for c in g.constants))
                for i in range(g.m)]
     return [[lbl for lbl in types if lbl.reindexed(tail) == a] for a in anchors]
 

@@ -8,7 +8,7 @@ inequalities that recompute from scratch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
@@ -280,9 +280,6 @@ class ObstructionCertificate:
 
     def verify(self) -> bool:
         return not self.violations()
-
-    def as_lines(self) -> list[str]:
-        return [f"{fd.name}: {format_rational(getattr(self, fd.name))}" for fd in fields(self)]
 
 
 def pham_refute(epsilon, budget: int = 4096) -> ObstructionCertificate:

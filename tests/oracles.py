@@ -18,6 +18,9 @@ Orbit labels are read as the presentation's recursive structure:
 a power splits a tuple into its columns and asks its base, a stabilizer
 extends a tuple by its constants and asks its base, and the n-th point of a
 power is found by listing the diagonals of N^m.
+The three-way harness is replayed with its first fragment clip: every
+prefix is re-extended through the germ's own probe, which may run past the
+horizon, and local equality reads each fragment sorted by element index.
 """
 
 import itertools
@@ -32,7 +35,20 @@ from canonfn.fraisse import (
     enumerate_types,
     is_isomorphic,
 )
-from canonfn.groups import AutLimit, PowerGroup
+from canonfn.canonicity import (
+    _SEED_CAP,
+    AutomorphismOracle,
+    ComposeOracle,
+    Counterexample,
+    HarnessReport,
+    SeedResult,
+    TowerWitness,
+    _same_label_seeds,
+    apply_tuple,
+    check_canonical,
+    tower_witness,
+)
+from canonfn.groups import AutLimit, PowerGroup, automorphism_extending
 from canonfn.symbolic import ComputableDenseSet
 
 
@@ -391,3 +407,59 @@ def count_orbits_g(g, k):
     if isinstance(g, PowerGroup):
         return count_orbits_g(g.base, k) ** g.m
     return len(orbit_labels(g, k))
+
+
+def sorted_local_equal(f, g_fn, fragment, h):
+    """local_equal on the fragment sorted by element index (1-column sources)."""
+    t = tuple(sorted(fragment, key=f.source.element_index))
+    if not t:
+        return True
+    return orbit_label(h, apply_tuple(f, t)) == orbit_label(h, apply_tuple(g_fn, t))
+
+
+def reference_harness(f, g, h, horizon, arity, seeds=None):
+    """proposition_harness with the clip that re-extends every prefix."""
+    verdict = check_canonical(f, g, h, horizon, arity)
+    if seeds is None:
+        seeds = _same_label_seeds(g, horizon, arity, _SEED_CAP)
+        if isinstance(verdict, Counterexample):
+            seeds = list(seeds) + [(verdict.witness_s, verdict.witness_t)]
+    limit = g.limit
+    results = []
+    for s, t in seeds:
+        germ = automorphism_extending(g, tuple(zip(s, t)))
+        f_alpha = ComposeOracle(f, AutomorphismOracle(germ))
+        fragments = []
+        for n in range(1, horizon + 1):
+            prefix = tuple(limit.element(i) for i in range(n))
+            if any(limit.element_index(germ.extend(x)) >= horizon for x in prefix):
+                break
+            fragments.append(prefix)
+        clip_depth = len(fragments)
+        seed_set = tuple(dict.fromkeys(s))
+        fragments.append(seed_set)
+        local_pass, local_failure = True, None
+        for fragment in fragments:
+            if not sorted_local_equal(f_alpha, f, fragment, h):
+                local_pass, local_failure = False, fragment
+                break
+        if local_pass:
+            depth = clip_depth
+        elif local_failure != seed_set or local_failure in fragments[:-1]:
+            depth = len(local_failure)
+        else:
+            depth = max(limit.element_index(x) for x in seed_set) + 1
+        outcome = tower_witness([(f_alpha, f)], h, depth)
+        tower_pass = isinstance(outcome, TowerWitness)
+        tower_failure = None if tower_pass else outcome.fragment
+        results.append(SeedResult((s, t), local_pass, local_failure, tower_pass, tower_failure))
+    any_local_fail = any(not r.local_pass for r in results)
+    any_tower_fail = any(not r.tower_pass for r in results)
+    agreement, discrepancy = True, None
+    if bool(verdict) and (any_local_fail or any_tower_fail):
+        agreement, discrepancy = False, "certificate passed but a germ check failed"
+    if not bool(verdict) and not any_local_fail:
+        agreement, discrepancy = False, "refuted but every sampled germ passed the local check"
+    if any_local_fail != any_tower_fail:
+        agreement, discrepancy = False, "local and tower checks disagree"
+    return HarnessReport(verdict, tuple(results), agreement, discrepancy)

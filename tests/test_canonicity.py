@@ -2,6 +2,7 @@ import itertools
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from canonfn import (
     ArityLimitExceeded,
@@ -14,11 +15,13 @@ from canonfn import (
     DomainGap,
     IdentityOracle,
     LocalFailure,
+    MaxOracle,
     MinOracle,
     NegationOracle,
     PiecewiseAffineOracle,
     PowerGroup,
     PresentationError,
+    StabilizerGroup,
     TableOracle,
     TowerWitness,
     automorphism_extending,
@@ -36,7 +39,10 @@ from canonfn import (
     tower_witness,
 )
 from canonfn.canonicity import AffinePiece, AutomorphismOracle, Interval, _same_label_seeds
+from canonfn.errors import CanonFnError
 from canonfn.groups import label_key
+
+import oracles
 
 
 def behavior_strings(table, arity):
@@ -144,6 +150,12 @@ class TestOracleFitsPresentations:
                            r"power\(aut\(dlo\),2\) acts on 2-column points"):
             check_canonical(neg, aut_dlo, PowerGroup(aut_dlo, 2), 5, 2)
 
+    def test_stab_source_is_named_by_its_spec(self, dlo, aut_dlo):
+        with pytest.raises(PresentationError, match=r"oracle takes 2-column points; "
+                           r"stab\(aut\(dlo\); 1/2\) acts on 1-column points$"):
+            check_canonical(MinOracle(dlo, dlo), StabilizerGroup(aut_dlo, (F(1, 2),)),
+                            aut_dlo, 5, 2)
+
     def test_canonize_checks_the_fit(self, neg):
         with pytest.raises(PresentationError, match="oracle takes points of dlo"):
             canonize(neg, self.RADO, self.RADO, 2, 3, 8)
@@ -210,6 +222,14 @@ class TestTowerWitness:
         witness = tower_witness([pair], aut_dlo, 8)
         assert isinstance(witness, TowerWitness)
         assert witness.check([pair], aut_dlo)
+
+    def test_two_column_pairs(self, dlo, aut_dlo):
+        pair = (MinOracle(dlo, dlo),) * 2
+        witness = tower_witness([pair], aut_dlo, 3)
+        assert isinstance(witness, TowerWitness)
+        assert witness.check([pair], aut_dlo)
+        outcome = tower_witness([(MinOracle(dlo, dlo), MaxOracle(dlo, dlo))], aut_dlo, 3)
+        assert outcome == LocalFailure(0, ((F(0), F(0)), (F(0), F(1))))
 
     def test_multi_pair_witness(self, dlo, aut_dlo, neg):
         shift = PiecewiseAffineOracle(dlo, [
@@ -282,3 +302,82 @@ class TestComposedOracles:
         f_alpha = ComposeOracle(f, AutomorphismOracle(germ))
         fragment = [dlo.element(i) for i in range(5)]
         assert local_equal(f_alpha, f, fragment, aut_dlo)
+
+
+# ---------------------------------------------------------------------------
+# local equality and the harness against their first formulations
+
+HARNESS_LIMITS = {name: builtin_limit(name) for name in ("dlo", "rado", "pureset")}
+BREAKPOINTS = [F(-1), F(0), F(1, 2), F(1), F(3)]
+COEFFICIENTS = [F(-2), F(-1), F(-1, 2), F(0), F(1, 2), F(1), F(2)]
+
+
+@st.composite
+def pieces_oracles(draw):
+    """A piecewise affine map of Q over drawn breakpoints, each breakpoint
+    closing the piece on one side of it."""
+    cuts = sorted(draw(st.sets(st.sampled_from(BREAKPOINTS), max_size=2)))
+    closed_left = [draw(st.booleans()) for _ in cuts]
+    bounds = [(None, False)] + list(zip(cuts, closed_left))
+    pieces = []
+    for i, (lo, lo_closed) in enumerate(bounds):
+        hi, hi_closed = (None, False) if i == len(cuts) else (cuts[i], not closed_left[i])
+        pieces.append(AffinePiece(Interval(lo, lo_closed, hi, hi_closed),
+                                  draw(st.sampled_from(COEFFICIENTS)),
+                                  draw(st.sampled_from([F(-1), F(0), F(1, 2)]))))
+    return PiecewiseAffineOracle(HARNESS_LIMITS["dlo"], pieces)
+
+
+def _index_oracles(limit):
+    """id, const and table oracles over a limit whose elements are indices."""
+    return st.one_of(
+        st.just(IdentityOracle(limit, limit)),
+        st.integers(0, 5).map(lambda i: ConstantOracle(limit, limit.element(i))),
+        st.lists(st.integers(0, 7), min_size=24, max_size=24).map(
+            lambda images: TableOracle(limit, limit, dict(enumerate(images)))))
+
+
+@st.composite
+def harness_cases(draw):
+    name = draw(st.sampled_from(sorted(HARNESS_LIMITS)))
+    limit = HARNESS_LIMITS[name]
+    f = draw(pieces_oracles() if name == "dlo" else _index_oracles(limit))
+    horizon = draw(st.integers(1, 5))
+    arity = draw(st.integers(1, 2))
+    seeds = None
+    if draw(st.booleans()):
+        # One explicit seed pair, its tuples drawn past the horizon.
+        k = draw(st.integers(1, 2))
+        index_tuples = st.lists(st.integers(0, horizon + 4), min_size=k, max_size=k)
+        s, t = (tuple(map(limit.element, draw(index_tuples))) for _ in range(2))
+        assume(limit.qf_type(s) == limit.qf_type(t))
+        seeds = [(s, t)]
+    return f, AutLimit(limit), horizon, arity, seeds
+
+
+def _outcome(harness, f, g, horizon, arity, seeds):
+    try:
+        return harness(f, g, g, horizon, arity, seeds=seeds)
+    except CanonFnError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(harness_cases())
+def test_harness_matches_reference_clip(case):
+    assert _outcome(proposition_harness, *case) == _outcome(oracles.reference_harness, *case)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(name=st.sampled_from(sorted(HARNESS_LIMITS)), data=st.data())
+def test_local_equal_ignores_fragment_order(name, data):
+    limit = HARNESS_LIMITS[name]
+    if name == "dlo":
+        f, g_fn = data.draw(pieces_oracles()), data.draw(pieces_oracles())
+    else:
+        f, g_fn = data.draw(_index_oracles(limit)), data.draw(_index_oracles(limit))
+    indices = data.draw(st.lists(st.integers(0, 9), min_size=1, max_size=5, unique=True))
+    fragment = [limit.element(i) for i in indices]
+    shuffled = data.draw(st.permutations(fragment))
+    h = AutLimit(limit)
+    assert local_equal(f, g_fn, shuffled, h) == oracles.sorted_local_equal(f, g_fn, fragment, h)

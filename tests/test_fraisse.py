@@ -30,6 +30,7 @@ from canonfn.fraisse import (
     DloGerm,
     GenericLimit,
     PartialAutomorphism,
+    PureSetsAge,
     _all_atoms,
     _table_dfs,
     empty_structure,
@@ -216,6 +217,14 @@ class TestQfType:
     def test_empty_tuple_rejected(self, dlo):
         with pytest.raises(ValueError):
             qf_type(dlo, ())
+
+
+def test_pure_set_is_the_generic_limit_of_its_age():
+    limit = builtin_limit("pureset")
+    assert isinstance(limit, GenericLimit) and limit.name == "pureset"
+    assert isinstance(limit.age, PureSetsAge)
+    assert [limit.element(n) for n in range(40)] == list(range(40))
+    assert limit.fragment().atoms == frozenset()
 
 
 class TestTypeOrbitSoundness:

@@ -102,8 +102,9 @@ def test_record_lines(tmp_path):
 
 INTS = (["1", "2", "3"], ["-1", "0"])
 GROUPS = (
-    ["aut(dlo)", "aut(rado)", "aut(pureset)", "aut(d)", "power(aut(dlo),2)",
-     "stab(aut(dlo); 0)", "stab(power(aut(dlo),2); (0,1))", "stab(aut(rado); 1)"],
+    ["aut(dlo)", "aut(rado)", "aut(pureset)", "aut(d)", "aut(ordered-rado)",
+     "power(aut(dlo),2)", "stab(aut(dlo); 0)", "stab(power(aut(dlo),2); (0,1))",
+     "stab(aut(rado); 1)"],
     ["power(aut(dlo),1)", "stab(power(aut(dlo),1); 0)", "stab(aut(dlo); (1,x))",
      "stab(aut(dlo); (1,))", "stab(aut(dlo); x)", "stab(aut(dlo); (0,1))",
      "power(aut(dlo),x)", "aut(nowhere)", "wiggle", "power(power(aut(dlo),2),2)",

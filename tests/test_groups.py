@@ -19,8 +19,8 @@ from canonfn import (
     orbit_labels,
     qf_type,
 )
-from canonfn.formats import load_structures
-from canonfn.groups import label_key, point, reindex_label
+from canonfn.formats import load_structures, parse_group_spec
+from canonfn.groups import columns, joined, label_key, point, reindex_label
 
 import oracles
 
@@ -242,7 +242,8 @@ def presentations(draw):
         return PowerGroup(aut, draw(st.sampled_from([2, 3])))
     if shape == "stab":
         return StabilizerGroup(aut, tuple(draw(st.lists(element, min_size=1, max_size=2))))
-    return StabilizerGroup(PowerGroup(aut, 2), (draw(st.tuples(element, element)),))
+    pairs = st.lists(st.tuples(element, element), min_size=1, max_size=2)
+    return StabilizerGroup(PowerGroup(aut, 2), tuple(draw(pairs)))
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)
@@ -259,3 +260,20 @@ def test_flat_reading_matches_recursive_reference(g, data):
     k = data.draw(st.integers(1, 2))
     assert orbit_labels(g, k) == oracles.orbit_labels(g, k)
     assert count_orbits_g(g, k) == oracles.count_orbits_g(g, k)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(g=presentations())
+def test_repr_is_the_spec_parse_group_spec_reads(g):
+    back = parse_group_spec(repr(g))
+    assert repr(back) == repr(g)
+    assert (back.limit.name, back.m, back.constants) == (g.limit.name, g.m, g.constants)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.lists(st.fractions(), min_size=1, max_size=3))
+def test_joined_inverts_columns(cols):
+    p = joined(tuple(cols))
+    assert isinstance(p, tuple) == (len(cols) > 1)
+    assert columns(p) == tuple(cols)
+    assert joined(columns(p)) == p
