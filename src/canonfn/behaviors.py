@@ -21,11 +21,12 @@ and scans every sigma only to find the first violation of any other table.
 
 enumerate_behaviors and coherence_check work on groups.PointLabels ids, one
 interner per side: slots, candidates and coherence links are ints, and
-reindexing is a memoized lookup.  The slot search is a loop with one
-candidate cursor per slot, and realize_behavior's search one with a pool
-cursor per domain element, so neither grows the Python stack with depth.
-Ids turn back into labels (TupleTypeRecords or tuples of them) only where a
-BehaviorTable or a Violation is built, so the public API sees labels only.
+reindexing is a memoized lookup.  Ids turn back into labels
+(TupleTypeRecords or tuples of them) only where a BehaviorTable or a
+Violation is built, so the public API sees labels only.  depth_first is the
+one backtracking driver: the slot search, realize_behavior and canonize's
+searches are per-level generators on its explicit stack, so none of them
+grows the Python stack with depth.
 """
 
 from __future__ import annotations
@@ -151,6 +152,28 @@ def coherence_check(table: BehaviorTable) -> Violation | None:
     return None
 
 
+def depth_first(levels: int, choices):
+    """Backtrack over levels 0 .. levels-1 on one explicit stack: choices(i)
+    is called as level i is entered, each step of the iterator it returns
+    applies the level's next choice (undoing the one before), and a level
+    is popped when its choices run out.  Yields once per full assignment,
+    with every level's choice still applied."""
+    if not levels:
+        yield
+        return
+    stack = [choices(0)]
+    while stack:
+        for _ in stack[-1]:
+            break
+        else:
+            stack.pop()
+            continue
+        if len(stack) < levels:
+            stack.append(choices(len(stack)))
+        else:
+            yield
+
+
 NODE_BUDGET = 1_000_000
 
 
@@ -166,11 +189,10 @@ def enumerate_behaviors(source: GroupPresentation, target: GroupPresentation,
     if budget < 1:
         raise ValueError("budget must be positive")
     src, tgt = PointLabels(source), PointLabels(target)
-    arities = range(1, max_arity + 1)
     # Interned arity by arity, the source ids are the slots, in label_key
     # order per arity; a slot's candidates are the target ids of its arity.
     slots: list[tuple] = []   # per source id: (arity, candidate target ids)
-    for k in arities:
+    for k in range(1, max_arity + 1):
         first = len(tgt.labels)
         for label in orbit_labels(target, k):
             tgt.id_of_label(label)
@@ -198,26 +220,23 @@ def enumerate_behaviors(source: GroupPresentation, target: GroupPresentation,
 
     image: list[int] = [0] * len(slots)
     found: list[tuple] = []
-    nodes = 1
-    cursors = [iter(slots[0][1])]   # cursors[s] walks slot s's candidates
-    while cursors:
-        s = len(cursors) - 1
-        for a in cursors[s]:
+    nodes = 0
+
+    def slot(s):
+        nonlocal nodes
+        if nodes == budget:
+            raise BudgetExhausted(f"slot-search budget of {budget} nodes ran out; "
+                                  f"{len(found)} tables found so far")
+        nodes += 1
+        links, back = forward[s], backward[s]
+        for a in slots[s][1]:
             image[s] = a
-            if (all(image[r] == row[a] for r, row in forward[s])
-                    and all(a == row[image[r]] for r, row in backward[s])):
-                break
-        else:
-            cursors.pop()
-            continue
-        if s + 1 < len(slots):
-            if nodes == budget:
-                raise BudgetExhausted(f"slot-search budget of {budget} nodes ran out; "
-                                      f"{len(found)} tables found so far")
-            nodes += 1
-            cursors.append(iter(slots[s + 1][1]))
-        else:
-            found.append(tuple(image))
+            if (all(image[r] == row[a] for r, row in links)
+                    and all(a == row[image[r]] for r, row in back)):
+                yield
+
+    for _ in depth_first(len(slots), slot):
+        found.append(tuple(image))
     # Candidates are tried in id order, so the tables come out sorted by
     # their target-id tuples: graph_key order, since every table has the
     # same slots and ids follow label_key.
@@ -258,20 +277,16 @@ def realize_behavior(table: BehaviorTable, n: int):
     pool = [table.target.limit.element(i) for i in range(n * _TARGET_RATIO)]
     scan = BehaviorScan(table.source, table.target, table.max_arity)
     explored = 0
-    cursors = [iter(pool)]   # cursors[i] walks the pool for domain[i]
-    while cursors:
-        for y in cursors[-1]:
+
+    def element(i):
+        nonlocal explored
+        for y in pool:
             explored += 1
-            if scan.push(domain[len(cursors) - 1], y):
+            if scan.push(domain[i], y):
                 if all(table.get(k, src) == tgt for k, src, tgt in scan.recorded()):
-                    break
+                    yield
                 scan.pop()
-        else:
-            cursors.pop()
-            if cursors:
-                scan.pop()
-            continue
-        if len(cursors) == n:
-            return tuple(zip(domain, scan.images))
-        cursors.append(iter(pool))
+
+    for _ in depth_first(n, element):
+        return tuple(zip(domain, scan.images))
     return Exhausted(explored)

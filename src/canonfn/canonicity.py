@@ -6,9 +6,10 @@ initial segment of the domain: a refutation (two same-label tuples with
 different image labels) is conclusive, a pass is a certificate up to the
 horizon only.  BehaviorScan is the one tuple scan behind every such check:
 check_canonical runs it in full, and the embedding search in canonize and
-the realizability search in behaviors run it point by point.  It labels
-tuples by int ids on point indices (groups.PointLabels), so a label record
-is built once per distinct label, not once per tuple.
+the realizability search in behaviors push and pop it one point per level
+of their behaviors.depth_first search.  It labels tuples by int ids on
+point indices (groups.PointLabels), so a label record is built once per
+distinct label, not once per tuple.
 The module also computes induced behavior tables, the local equality relation
 modulo a group, coherent tower witnesses for lifted equalities, and a harness
 comparing the three equivalent formulations of canonicity at finite scale.

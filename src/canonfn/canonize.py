@@ -10,12 +10,13 @@ and its columns are committed only when the push succeeds.  Each column's
 embedding is the limit's germ (fraisse.PartialAutomorphism), and its
 candidates are the pool elements the germ's images returns, listed once per
 level visit (on DloLimit, the pool elements strictly between the images of
-the nearest committed neighbors, found by one bisect).  The search is a
-loop over a stack of level frames, so the recursion limit does not bound
-its depth.  Backtracking explores images in enumeration order, so the
-first tower found is the enumeration-lexicographically least one;
-exhausting the horizon is inconclusive.  canonize_with_constants only
-builds the stabilized presentations and calls canonize.
+the nearest committed neighbors, found by one bisect).  Its levels, like
+mono_subset's, are generators on behaviors.depth_first's explicit stack, so
+the recursion limit does not bound the depth.  Backtracking explores images
+in enumeration order, so the first tower found is the
+enumeration-lexicographically least one; exhausting the horizon is
+inconclusive.  canonize_with_constants only builds the stabilized
+presentations and calls canonize.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from .behaviors import depth_first
 from .canonicity import BehaviorScan, CanonicalUpTo, FunctionOracle, TableOracle, check_fit
 from .errors import PresentationError
 from .fraisse import _check_arity
@@ -84,58 +86,42 @@ def _run_search(f: FunctionOracle, g: GroupPresentation, h: GroupPresentation,
     germs = [limit.germ((columns(c)[i],) * 2 for c in seeds) for i in range(m)]
 
     scan = BehaviorScan(g, h, arity)
-    nodes = 0
-    deepest = 0
+    nodes = deepest = 0
 
     # Constants enter the sample first; their columns are pre-committed, so
     # the composed sample agrees with f on them by construction.
     for c in seeds:
         if not scan.push(c, f(c)):
             raise PresentationError("constant points conflict with each other")
+    # Constants reappearing in the enumeration are no levels: their images
+    # and tuples are committed already.
+    levels = [i for i in range(depth) if points[i] not in seeds]
 
-    # One frame per entered level, constants aside: (level, columns, free
-    # columns, image columns, candidate combos).  The scan holds one point
-    # per committed frame after the constants, so a frame whose level is
-    # committed and is entered again undoes its commit first.
-    frames: list = []
-    level = 0
-    while True:
-        # A constant point reappearing in the enumeration (the enumerated
-        # points are distinct, so nothing else recurs): its image and its
-        # tuples are committed already.
-        while level < depth and points[level] in seeds:
-            level += 1
-        deepest = max(deepest, level)
-        if level == depth:
-            break
-        cols = columns(points[level])
-        free = [i for i in range(m) if cols[i] not in germs[i].mapping]
-        image = [germs[i].mapping.get(cols[i]) for i in range(m)]
-        cand_lists = [germs[i].images(cols[i], pool) for i in free]
-        frames.append((level, cols, free, image, itertools.product(*cand_lists)))
-        while frames:
-            level, cols, free, image, combos = frames[-1]
-            if len(scan.points) == len(seeds) + len(frames):
+    def level(i):
+        nonlocal nodes, deepest
+        deepest = max(deepest, levels[i])
+        p = points[levels[i]]
+        cols = columns(p)
+        free = [j for j in range(m) if cols[j] not in germs[j].mapping]
+        image = [germs[j].mapping.get(cols[j]) for j in range(m)]
+        for combo in itertools.product(*(germs[j].images(cols[j], pool) for j in free)):
+            nodes += 1
+            for j, y in zip(free, combo):
+                image[j] = y
+            if scan.push(p, f(joined(image))):
+                # Most pushes fail, so the columns are committed only after
+                # one succeeds.
+                for j, y in zip(free, combo):
+                    germs[j].commit(cols[j], y)
+                yield
+                for j in free:
+                    germs[j].uncommit(cols[j])
                 scan.pop()
-                for i in free:
-                    germs[i].uncommit(cols[i])
-            for combo in combos:
-                nodes += 1
-                for i, y in zip(free, combo):
-                    image[i] = y
-                if scan.push(points[level], f(joined(image))):
-                    break
-            else:
-                frames.pop()
-                continue
-            # Most pushes fail, so the columns are committed only after one
-            # succeeds; this level's candidate lists are already built.
-            for i, y in zip(free, combo):
-                germs[i].commit(cols[i], y)
-            break
-        else:
-            return HorizonExhausted(deepest, nodes)
-        level += 1
+
+    for _ in depth_first(len(levels), level):
+        break
+    else:
+        return HorizonExhausted(deepest, nodes)
 
     pairs = tuple((p, joined(tuple(germ.mapping[v] for germ, v in zip(germs, columns(p)))))
                   for p in scan.points[len(seeds):])
@@ -195,29 +181,21 @@ def mono_subset(coloring, size: int):
     points = sorted({v for pair in colors for v in pair})
     if size < 1:
         raise ValueError("subset size must be positive")
-    if size == 1:
-        return (points[0],) if points else None
 
     def col(u, v):
         return colors[(u, v) if u < v else (v, u)]
 
-    # One cursor per chosen position, over the points after the one chosen
-    # before it; the first two points chosen fix the color of every pair.
     chosen: list = []
-    cursors = [iter(range(len(points)))]
-    while cursors:
-        color = col(chosen[0], chosen[1]) if len(chosen) > 1 else None
-        for i in cursors[-1]:
-            v = points[i]
-            if len(chosen) < 2 or all(col(u, v) == color for u in chosen):
-                break
-        else:
-            cursors.pop()
-            if chosen:
+
+    def position(j):
+        # A point after the one chosen before; the first two fix the color.
+        color = col(chosen[0], chosen[1]) if j > 1 else None
+        for v in points[points.index(chosen[-1]) + 1 if chosen else 0:]:
+            if j < 2 or all(col(u, v) == color for u in chosen):
+                chosen.append(v)
+                yield
                 chosen.pop()
-            continue
-        chosen.append(v)
-        if len(chosen) == size:
-            return tuple(chosen)
-        cursors.append(iter(range(i + 1, len(points))))
+
+    for _ in depth_first(size, position):
+        return tuple(chosen)
     return None

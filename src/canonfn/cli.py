@@ -9,9 +9,9 @@ default)}), with verbs and options in the order usage errors list them.
 `parse_command` turns each `--option value` into `parser(value)`, fills in
 the defaults, and refuses a command that lacks an option whose default is
 `_NEEDED`; an option whose default is None stays out of the options when
-it is not given.  `--record` and `--structures` (`_COMMON_OPTIONS`) follow
-every verb's own options.  A handler takes the options and returns the
-exit code and the report lines.
+it is not given.  `--record` (`_COMMON_OPTIONS`) follows every verb's own
+options.  A handler takes the options and returns the exit code and the
+report lines.
 """
 
 from __future__ import annotations
@@ -329,19 +329,21 @@ def _run_iso(options):
 _NEEDED = object()    # the default of a required option
 
 _SCAN_OPTIONS = {"f": (str, _NEEDED), "source": (str, _NEEDED), "target": (str, _NEEDED),
-                 "horizon": (int, _NEEDED), "arity": (int, _NEEDED)}
+                 "horizon": (int, _NEEDED), "arity": (int, _NEEDED),
+                 "structures": (str, None)}
 
 _VERBS = {
-    "orbits": (_run_orbits, {"structure": (str, _NEEDED), "arity": (int, _NEEDED)}),
+    "orbits": (_run_orbits, {"structure": (str, _NEEDED), "arity": (int, _NEEDED),
+                             "structures": (str, None)}),
     "behaviors": (_run_behaviors, {"source": (str, _NEEDED), "target": (str, _NEEDED),
                                    "arity": (int, _NEEDED),
                                    "budget": (int, behaviors_mod.NODE_BUDGET),
-                                   "out": (str, None)}),
+                                   "out": (str, None), "structures": (str, None)}),
     "check": (_run_check, _SCAN_OPTIONS),
     "canonize": (_run_canonize, {"f": (str, _NEEDED), "source": (str, None),
                                  "target": (str, None), "arity": (int, _NEEDED),
                                  "depth": (int, _NEEDED), "horizon": (int, _NEEDED),
-                                 "constants": (str, None)}),
+                                 "constants": (str, None), "structures": (str, None)}),
     "pham": (_run_pham, {"epsilon": (parse_rational, Fraction(1, 8)), "budget": (int, 4096)}),
     "limit": (_run_limit, {"age": (str, _NEEDED), "size": (int, _NEEDED),
                            "forbidden": (str, None)}),
@@ -352,7 +354,7 @@ _VERBS = {
                        "points": (int, _NEEDED)}),
 }
 
-_COMMON_OPTIONS = {"record": (str, None), "structures": (str, None)}
+_COMMON_OPTIONS = {"record": (str, None)}
 
 
 def run(spec: CommandSpec) -> tuple[int, str]:

@@ -164,7 +164,7 @@ class AgeOracle:
         return f"<age {self.name}>"
 
 
-def _linear_order_ok(table, size, name="<"):
+def _linear_order_ok(table, size):
     for i in range(size):
         if (i, i) in table:
             return False
@@ -566,8 +566,8 @@ class GenericLimit(LimitStructure):
         self._whole = empty_structure(age.signature)
         self._log: list[DemandLogEntry] = []
         self._schedule = self._diagonal_pairs()
-        # _streams[m - 1]: the live extension stream of the prefix on m points.
-        self._streams: list[Iterator[FiniteStructure]] = []
+        # _streams[m - 1]: the extension stream of the prefix on m points (None once ended).
+        self._streams: list[Iterator[FiniteStructure] | None] = []
         # _joins[z]: the atoms joining point z to the points before it, z
         # written as -1, sorted by their largest other index (-1 when none);
         # _join_keys[z] holds those indices.  Atoms added later join z to
@@ -575,13 +575,14 @@ class GenericLimit(LimitStructure):
         self._joins: list[tuple[Atom, ...]] = []
         self._join_keys: list[tuple[int, ...]] = []
 
-    @staticmethod
-    def _diagonal_pairs():
-        d = 1
-        while True:
-            for m in range(1, d + 1):
+    def _diagonal_pairs(self):
+        """Demands (m, e) by m + e, then by m, but none of a prefix whose stream ended."""
+        live: list[int] = []
+        for d in itertools.count(1):
+            live.append(d)
+            for m in live:
                 yield m, d - m
-            d += 1
+            live = [m for m in live if self._streams[m - 1] is not None]
 
     @property
     def size(self) -> int:
@@ -636,6 +637,7 @@ class GenericLimit(LimitStructure):
                 raise AmalgamationFailure(
                     f"no one-point extension of the full fragment at size {m}"
                 )
+            self._streams[m - 1] = None
             return
         joins = frozenset((name, tuple(-1 if i == m else i for i in t))
                           for name, t in ext.atoms if m in t)
@@ -902,7 +904,8 @@ def verify_amalgamation(age: AgeOracle, bound: int = 3) -> AmalgamationReport:
     members, note = _members_by_size(age, bound)
     for s in range(2, bound + 1):
         for st in members[s]:
-            for drop in range(s):
+            # A grown member without its last point is its base, a member.
+            for drop in range(s - 1 if s > _FULL_ENUM_MAX else s):
                 points = tuple(i for i in range(s) if i != drop)
                 sub = st.substructure(points)
                 if not age.contains(sub):

@@ -5,7 +5,7 @@ import sys
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from canonfn import (
     AutLimit,
@@ -349,6 +349,30 @@ class TestMonoSubset:
         finally:
             sys.setrecursionlimit(limit)
         assert subset == tuple(range(300))
+
+
+PENTAGON = [1, 2, 2, 1, 1, 2, 2, 1, 2, 1]   # (1,2), (1,3), ... (4,5): the 5-cycle is color 1
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(points=st.lists(st.integers(-9, 9), min_size=2, max_size=7, unique=True),
+       colors=st.lists(st.integers(0, 2), min_size=21, max_size=21),
+       keys=st.lists(st.integers(0, 2), min_size=21, max_size=21),
+       size=st.integers(1, 8))
+@example(points=[1, 2, 3, 4, 5], colors=PENTAGON + [0] * 11, keys=[0] * 21, size=3)
+@example(points=[4, -2, 7], colors=[0, 1, 0] + [0] * 18, keys=[2] * 21, size=1)
+@example(points=[0, 1, 2], colors=[0] * 21, keys=[1] * 21, size=4)
+def test_mono_subset_matches_first_combination(points, colors, keys, size):
+    # The reference: the first subset in combinations() order whose pairs
+    # all share one color.  A pair is keyed as (a, b), (b, a) or a frozenset.
+    ordered = sorted(points)
+    pairs = list(itertools.combinations(ordered, 2))
+    color = dict(zip(pairs, colors))
+    coloring = {((a, b), (b, a), frozenset((a, b)))[k]: color[(a, b)]
+                for (a, b), k in zip(pairs, keys)}
+    expected = next((c for c in itertools.combinations(ordered, size)
+                     if len({color[p] for p in itertools.combinations(c, 2)}) <= 1), None)
+    assert mono_subset(coloring, size) == expected
 
 
 class TestRamseyConsistency:

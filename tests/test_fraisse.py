@@ -227,6 +227,23 @@ def test_pure_set_is_the_generic_limit_of_its_age():
     assert limit.fragment().atoms == frozenset()
 
 
+def test_pure_set_growth_skips_ended_prefixes():
+    # Each prefix of a pure set has one extension; once its stream has
+    # ended the schedule stops asking it, so growth is linear in the size.
+    limit = builtin_limit("pureset")
+    step, calls = limit._step, 0
+
+    def counted():
+        nonlocal calls
+        calls += 1
+        step()
+
+    limit._step = counted
+    limit.ensure_size(1000)
+    assert limit.size == 1000 and len(limit.demand_log) == 999
+    assert calls <= 3000
+
+
 class TestTypeOrbitSoundness:
     def test_dlo_types_match_partial_isomorphisms(self, dlo):
         elements = [element(dlo, i) for i in range(16)]
@@ -565,12 +582,22 @@ def test_growth_matches_definitional_growth(kind, size):
 def test_schedule_asks_each_prefix_in_steps_of_one():
     # The invariant the per-prefix extension streams rely on: prefix m is
     # first asked for extension 0, after every smaller prefix, and then for
-    # 1, 2, ... in turn.
-    asked = {}
-    for m, e in itertools.islice(GenericLimit._diagonal_pairs(), 5000):
-        assert e == asked.get(m, -1) + 1
-        assert m == 1 or m - 1 in asked
-        asked[m] = e
+    # 1, 2, ... in turn, until its stream has ended.
+    for kind, size in [("graphs", 40), ("pure-sets", 200)]:
+        limit = GenericLimit(builtin_age(kind))
+        asked = {}
+
+        def recorded(schedule):
+            for m, e in schedule:
+                assert e == asked.get(m, -1) + 1
+                assert m == 1 or m - 1 in asked
+                assert m > len(limit._streams) or limit._streams[m - 1] is not None
+                asked[m] = e
+                yield m, e
+
+        limit._schedule = recorded(limit._schedule)
+        limit.ensure_size(size)
+        assert len(asked) > 1
 
 
 def _graph_structures(min_size, max_size):

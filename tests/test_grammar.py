@@ -18,16 +18,18 @@ VERBS = ("orbits", "behaviors", "check", "canonize", "pham",
 
 # verb -> (every option, in table order; the options a bare verb lacks)
 GRAMMAR = {
-    "orbits": (("structure", "arity"), ("structure", "arity")),
-    "behaviors": (("source", "target", "arity", "budget", "out"), ("source", "target", "arity")),
-    "check": (("f", "source", "target", "horizon", "arity"),
+    "orbits": (("structure", "arity", "structures"), ("structure", "arity")),
+    "behaviors": (("source", "target", "arity", "budget", "out", "structures"),
+                  ("source", "target", "arity")),
+    "check": (("f", "source", "target", "horizon", "arity", "structures"),
               ("f", "source", "target", "horizon", "arity")),
-    "canonize": (("f", "source", "target", "arity", "depth", "horizon", "constants"),
+    "canonize": (("f", "source", "target", "arity", "depth", "horizon", "constants",
+                  "structures"),
                  ("f", "arity", "depth", "horizon")),
     "pham": (("epsilon", "budget"), ()),
     "limit": (("age", "size", "forbidden"), ("age", "size")),
     "verify-age": (("age", "bound", "forbidden"), ("age",)),
-    "harness": (("f", "source", "target", "horizon", "arity"),
+    "harness": (("f", "source", "target", "horizon", "arity", "structures"),
                 ("f", "source", "target", "horizon", "arity")),
     "iso": (("source", "target", "points"), ("source", "target", "points")),
 }
@@ -52,7 +54,16 @@ def test_verb_list(argv):
 def test_unknown_option_lists_every_option(verb):
     err = _usage_error([verb, "--zzz", "1"])
     assert str(err) == "unknown option '--zzz'"
-    assert err.expected == _flags(GRAMMAR[verb][0] + ("record", "structures"))
+    assert err.expected == _flags(GRAMMAR[verb][0] + ("record",))
+
+
+@pytest.mark.parametrize("verb", [v for v in VERBS if "structures" not in GRAMMAR[v][0]])
+def test_structures_only_where_it_is_read(verb):
+    # Verbs that read no structure or group spec refuse --structures
+    # instead of ignoring it.
+    err = _usage_error([verb, "--structures", "/nonexistent/x"])
+    assert str(err) == "unknown option '--structures'"
+    assert err.expected == _flags(GRAMMAR[verb][0] + ("record",))
 
 
 @pytest.mark.parametrize("verb", [v for v in VERBS if GRAMMAR[v][1]])
