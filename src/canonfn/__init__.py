@@ -73,9 +73,7 @@ from .fraisse import (
     build_limit,
     builtin_age,
     builtin_limit,
-    element,
     enumerate_types,
-    eval_relation,
     one_point_extensions,
     qf_type,
     verify_amalgamation,

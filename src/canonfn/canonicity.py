@@ -9,7 +9,11 @@ check_canonical runs it in full, and the embedding search in canonize and
 the realizability search in behaviors push and pop it one point per level
 of their behaviors.depth_first search.  It labels tuples by int ids on
 point indices (groups.PointLabels), so a label record is built once per
-distinct label, not once per tuple.
+distinct label, not once per tuple.  On a target whose symbols are unary or
+binary, check_canonical compares image labels only up to arity 2: a
+conflict among larger tuples implies one among their 1- and 2-subtuples,
+which comes first in scan order.  A target with a symbol of arity > 2
+keeps the comparison at every arity.
 The module also computes induced behavior tables, the local equality relation
 modulo a group, coherent tower witnesses for lifted equalities, and a harness
 comparing the three equivalent formulations of canonicity at finite scale.
@@ -281,6 +285,23 @@ class ProjectionOracle(FunctionOracle):
         return f"proj:{self.coordinate + 1}/{self.m}"
 
 
+class _MemoOracle(FunctionOracle):
+    """f evaluated once per point: each value f gives is kept, and a miss
+    falls through to f, so a point where f raises DomainGap raises it again."""
+
+    def __init__(self, f: FunctionOracle):
+        super().__init__(f.source, f.target)
+        self.m = f.m
+        self.f = f
+        self._values: dict = {}
+
+    def __call__(self, p):
+        value = self._values.get(p)
+        if value is None:
+            value = self._values[p] = self.f(p)
+        return value
+
+
 def apply_tuple(f: FunctionOracle, t: tuple) -> tuple:
     return tuple(f(p) for p in t)
 
@@ -332,7 +353,8 @@ class BehaviorScan:
 
     Full mode (run) visits every tuple in (arity, lexicographic index) order,
     so the first conflict is the first counterexample, and calls the oracle
-    on a point only when the scan first reaches it.  Incremental mode
+    on a point only when the scan first reaches it; on a binary target it
+    compares only up to arity 2 (see run).  Incremental mode
     (push/pop) visits only the tuples that contain the newest point; a push
     that conflicts undoes its own entries and leaves the scan as it was.
     """
@@ -362,12 +384,28 @@ class BehaviorScan:
         return known
 
     def run(self, points, f: FunctionOracle) -> Counterexample | None:
-        """Full mode: the first tuple whose image label conflicts, or None."""
+        """Full mode: the first tuple whose image label conflicts, or None.
+
+        On a binary target (PointLabels.binary) a pass above arity 2 takes
+        each tuple's source id, and its image id only for a source id met
+        first, for the behavior table; it compares nothing.  No conflict is
+        lost: one at arity k > 2 gives one at arity <= 2 among the same
+        points, which the scan met first.  The arity-1 pass has taken
+        every image by then.
+        """
         for p in points:
             self.source.append(p)
         added: list = []
         for k in range(1, self.arity + 1):
-            for idx in itertools.product(range(len(self.points)), repeat=k):
+            tuples = itertools.product(range(len(self.points)), repeat=k)
+            if k > 2 and self.target.binary:
+                source_id, seen = self.source.id_of, self._seen
+                for idx in tuples:
+                    src = source_id(idx)
+                    if src not in seen:
+                        self._known(idx, src, self.target.id_of(idx), added)
+                continue
+            for idx in tuples:
                 while len(self.images) <= max(idx):
                     p = self.points[len(self.images)]
                     try:
@@ -602,6 +640,8 @@ def proposition_harness(f: FunctionOracle, g: GroupPresentation,
     """
     if not isinstance(g, AutLimit):
         raise PresentationError("the harness samples germs of aut(limit) sources")
+    # The scan, every seed and its tower read f on the same pool points.
+    f = _MemoOracle(f)
     verdict = check_canonical(f, g, h, horizon, arity)
     if seeds is None:
         seeds = _same_label_seeds(g, horizon, arity, _SEED_CAP)

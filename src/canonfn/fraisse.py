@@ -63,9 +63,6 @@ class Signature:
                 raise ValueError(f"symbol {s.name} has arity {s.arity}")
         object.__setattr__(self, "_arities", {s.name: s.arity for s in self.symbols})
 
-    def arity_of(self, name: str) -> int:
-        return self._arities[name]
-
     def __contains__(self, name: str) -> bool:
         return name in self._arities
 
@@ -534,7 +531,9 @@ class DloLimit(LimitStructure):
         if name != "<":
             raise KeyError(name)
         a, b = elements
-        return a < b
+        # Cross-multiplied on the ints: exact for ints and Fractions (whose
+        # denominators are positive), without Fraction.__lt__'s type checks.
+        return a.numerator * b.denominator < b.numerator * a.denominator
 
     def germ(self, pairs: Iterable[tuple] = ()) -> "DloGerm":
         return DloGerm(self, pairs)
@@ -843,18 +842,6 @@ def build_limit(age: AgeOracle, n: int) -> GenericLimit:
     limit = GenericLimit(age)
     limit.ensure_size(n)
     return limit
-
-
-def element(limit: LimitStructure, n: int):
-    return limit.element(n)
-
-
-def eval_relation(limit: LimitStructure, name: str, elements: tuple) -> bool:
-    if name not in limit.age.signature:
-        raise KeyError(name)
-    if len(elements) != limit.age.signature.arity_of(name):
-        raise ValueError("tuple arity does not match the symbol")
-    return limit.eval_relation(name, tuple(elements))
 
 
 def qf_type(limit: LimitStructure, elements: tuple) -> TupleTypeRecord:

@@ -262,6 +262,7 @@ class PointLabels:
     point takes its index.  The codes are the tuple's key; each new key
     takes the next id, and labels[id] is orbit_label of the first tuple met
     with that key.  A symbol of arity > 2 makes orbit_label itself the key.
+    binary is True on a signature of unary and binary symbols only.
     """
 
     def __init__(self, g: GroupPresentation):
@@ -272,7 +273,7 @@ class PointLabels:
         self._shift = len(g.constants)
         self._anchor = tuple(range(self._shift))
         symbols = self._limit.age.signature.symbols
-        self._binary = all(1 <= s.arity <= 2 for s in symbols)
+        self.binary = all(1 <= s.arity <= 2 for s in symbols)
         self._unary = [s.name for s in symbols if s.arity == 1]
         self._pair = [s.name for s in symbols if s.arity == 2]
         self._columns: list[list] = [[] for _ in range(g.m)]
@@ -338,7 +339,7 @@ class PointLabels:
 
     def id_of(self, idx: tuple) -> int:
         """Id of the label of the tuple of points at the indices idx."""
-        if not self._binary:
+        if not self.binary:
             return self.id_of_label(orbit_label(self.g, tuple(self.points[i] for i in idx)))
         key = self._key(idx)
         found = self._ids.get(key)

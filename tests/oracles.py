@@ -18,6 +18,9 @@ Orbit labels are read as the presentation's recursive structure:
 a power splits a tuple into its columns and asks its base, a stabilizer
 extends a tuple by its constants and asks its base, and the n-th point of a
 power is found by listing the diagonals of N^m.
+The canonicity scan is replayed in full: every tuple up to the arity has
+its image label, from the recursive orbit labels, compared with the first
+one met for its source label.
 The three-way harness is replayed with its first fragment clip: every
 prefix is re-extended through the germ's own probe, which may run past the
 horizon, and local equality reads each fragment sorted by element index.
@@ -35,9 +38,11 @@ from canonfn.fraisse import (
     enumerate_types,
     is_isomorphic,
 )
+from canonfn.behaviors import BehaviorTable
 from canonfn.canonicity import (
     _SEED_CAP,
     AutomorphismOracle,
+    CanonicalUpTo,
     ComposeOracle,
     Counterexample,
     HarnessReport,
@@ -407,6 +412,25 @@ def count_orbits_g(g, k):
     if isinstance(g, PowerGroup):
         return count_orbits_g(g.base, k) ** g.m
     return len(orbit_labels(g, k))
+
+
+def reference_scan(f, g, h, horizon, arity):
+    """check_canonical by the full scan: every tuple of arity <= arity over
+    the first horizon points, in (arity, lexicographic index) order, is
+    compared, whatever the target's signature."""
+    points = [point(g, i) for i in range(horizon)]
+    images = [f(p) for p in points]
+    first = {}    # source label -> (image label, first tuple)
+    for k in range(1, arity + 1):
+        for idx in itertools.product(range(horizon), repeat=k):
+            t = tuple(points[i] for i in idx)
+            src = orbit_label(g, t)
+            img = orbit_label(h, tuple(images[i] for i in idx))
+            img0, t0 = first.setdefault(src, (img, t))
+            if img0 != img:
+                return Counterexample(k, t0, t, src, img0, img)
+    entries = [(len(t), src, img) for src, (img, t) in first.items()]
+    return CanonicalUpTo(horizon, arity, BehaviorTable(g, h, arity, entries))
 
 
 def sorted_local_equal(f, g_fn, fragment, h):

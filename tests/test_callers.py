@@ -18,7 +18,7 @@ PACKAGE = ROOT / "src" / "canonfn"
 # Public names kept without a caller, one reason each.
 ALLOWED = {
     "formats.dump_function_table": "writes the tables that `check --f table:<file>` "
-                                   "reads; `canonize --out` is to call it (ROADMAP item 4)",
+                                   "reads; `canonize --out` is to call it (ROADMAP item 6)",
 }
 
 

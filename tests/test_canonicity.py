@@ -368,6 +368,23 @@ def test_harness_matches_reference_clip(case):
     assert _outcome(proposition_harness, *case) == _outcome(oracles.reference_harness, *case)
 
 
+def test_harness_calls_the_oracle_once_per_point():
+    # The scan, each of the 64 seeds and their towers all read neg on the
+    # pool; each point is evaluated once.
+    calls: dict = {}
+
+    class CountingNeg(NegationOracle):
+        def __call__(self, p):
+            calls[p] = calls.get(p, 0) + 1
+            return super().__call__(p)
+
+    dlo = HARNESS_LIMITS["dlo"]
+    report = proposition_harness(CountingNeg(dlo), AutLimit(dlo), AutLimit(dlo), 8, 2)
+    assert report.agreement and len(report.seed_results) == 64
+    assert set(calls) <= {dlo.element(i) for i in range(8)}
+    assert set(calls.values()) == {1}
+
+
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(name=st.sampled_from(sorted(HARNESS_LIMITS)), data=st.data())
 def test_local_equal_ignores_fragment_order(name, data):

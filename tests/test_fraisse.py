@@ -17,9 +17,7 @@ from canonfn import (
     builtin_age,
     builtin_limit,
     count_orbits_g,
-    element,
     enumerate_types,
-    eval_relation,
     one_point_extensions,
     qf_type,
     verify_amalgamation,
@@ -176,26 +174,26 @@ class TestBuildLimit:
 
 class TestElements:
     def test_dlo_enumeration(self, dlo):
-        assert element(dlo, 0) == F(0)
-        assert element(dlo, 3) == F(1, 2)
+        assert dlo.element(0) == F(0)
+        assert dlo.element(3) == F(1, 2)
 
     def test_rado_adjacency_matches_log(self):
         limit = builtin_limit("rado")
-        v5 = element(limit, 5)
+        v5 = limit.element(5)
         assert v5 == 5
         frag = limit.fragment()
         for j in range(5):
-            assert eval_relation(limit, "edge", (5, j)) == frag.holds("edge", (5, j))
+            assert limit.eval_relation("edge", (5, j)) == frag.holds("edge", (5, j))
 
 
 class TestEvalRelation:
     def test_dlo_comparisons(self, dlo):
-        assert eval_relation(dlo, "<", (F(1, 2), F(2))) is True
-        assert eval_relation(dlo, "<", (F(2), F(2))) is False
+        assert dlo.eval_relation("<", (F(1, 2), F(2))) is True
+        assert dlo.eval_relation("<", (F(2), F(2))) is False
 
     def test_unknown_symbol(self, dlo):
         with pytest.raises(KeyError):
-            eval_relation(dlo, "edge", (F(0), F(1)))
+            dlo.eval_relation("edge", (F(0), F(1)))
 
 
 class TestQfType:
@@ -246,7 +244,7 @@ def test_pure_set_growth_skips_ended_prefixes():
 
 class TestTypeOrbitSoundness:
     def test_dlo_types_match_partial_isomorphisms(self, dlo):
-        elements = [element(dlo, i) for i in range(16)]
+        elements = [dlo.element(i) for i in range(16)]
         sample = list(itertools.islice(itertools.product(range(16), repeat=2), 0, None, 7))
         for (i, j), (a, b) in itertools.product(sample, repeat=2):
             s = (elements[i], elements[j])
@@ -255,7 +253,7 @@ class TestTypeOrbitSoundness:
 
     def test_rado_types_match_partial_isomorphisms(self):
         limit = builtin_limit("rado")
-        elements = [element(limit, i) for i in range(10)]
+        elements = [limit.element(i) for i in range(10)]
         pairs = [(0, 1), (0, 2), (1, 2), (3, 5), (2, 7), (4, 9), (1, 8)]
         for (i, j), (a, b) in itertools.product(pairs, repeat=2):
             s = (elements[i], elements[j])
@@ -358,6 +356,19 @@ class TestVerifyAmalgamation:
 HYPOTHESIS = settings(max_examples=150, deadline=None, derandomize=True)
 DLO = builtin_limit("dlo")
 RATIONALS = st.integers(0, 24).map(DLO.element)
+NUMBERS = st.one_of(st.integers(), st.fractions())
+
+
+@HYPOTHESIS
+@given(a=NUMBERS, b=NUMBERS)
+@example(a=F(-3, 2), b=F(-3, 2))
+@example(a=2, b=F(2))
+@example(a=-1, b=F(-1, 3))
+@example(a=F(-1, 3), b=-1)
+def test_dlo_order_is_less_than(a, b):
+    # DloLimit cross-multiplies numerators and denominators; the answer is
+    # still the bool that < gives on ints, Fractions and mixed pairs.
+    assert DLO.eval_relation("<", (a, b)) is (a < b)
 
 
 @st.composite

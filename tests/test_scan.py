@@ -1,7 +1,9 @@
 """Differential tests of the one tuple-scan engine: its full mode (the
-check_canonical scan) against its incremental mode (push/pop), and the lazy
-image contract of the full mode."""
+check_canonical scan) against its incremental mode (push/pop) and against
+the full scan of every tuple, and the lazy image contract of the full
+mode."""
 
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -11,6 +13,7 @@ from canonfn import (
     AutLimit,
     ComposeOracle,
     Counterexample,
+    IdentityOracle,
     MaxOracle,
     MinOracle,
     NegationOracle,
@@ -24,8 +27,11 @@ from canonfn import (
     count_orbits_g,
 )
 from canonfn.canonicity import AffinePiece, BehaviorScan, Interval
-from canonfn.fraisse import DloLimit, LimitStructure
+from canonfn.formats import load_forbidden_age
+from canonfn.fraisse import DloLimit, GenericLimit, LimitStructure
 from canonfn.groups import point
+
+from oracles import reference_scan
 
 DLO = builtin_limit("dlo")
 AUT = AutLimit(DLO)
@@ -117,7 +123,7 @@ def _count_calls(monkeypatch, cls, name) -> list:
     original = getattr(cls, name)
 
     def counted(self, *args):
-        calls.append(args)
+        calls.append((self,) + args)
         return original(self, *args)
 
     monkeypatch.setattr(cls, name, counted)
@@ -139,3 +145,87 @@ def test_arity_one_scan_reads_linearly_many_relations(monkeypatch):
     calls = _count_calls(monkeypatch, DloLimit, "eval_relation")
     assert check_canonical(NegationOracle(DLO), AUT, AUT, n, 1)
     assert len(calls) <= 4 * n
+
+
+# ---------------------------------------------------------------------------
+# the scan above arity 2 against the full scan
+
+LIMITS = {"dlo": DLO, "rado": builtin_limit("rado"), "ordered-rado": builtin_limit("ordered-rado")}
+
+
+@st.composite
+def scan_cases(draw):
+    """(oracle, source, target, horizon, arity): an aut, stab or power
+    source over dlo or over the target's limit, and a dlo, rado or
+    ordered-rado target."""
+    target = LIMITS[draw(st.sampled_from(sorted(LIMITS)))]
+    limit = draw(st.sampled_from([DLO, target]))
+    base = AutLimit(limit)
+    shape = draw(st.sampled_from(["aut", "stab", "power"]))
+    g = {"aut": base,
+         "stab": StabilizerGroup(base, (limit.element(draw(st.integers(0, 3))),)),
+         "power": PowerGroup(base, 2)}[shape]
+    arity = draw(st.integers(1, 4))
+    horizon = draw(st.integers(1, 5 if arity == 4 else 7))
+    pts = [point(g, i) for i in range(horizon)]
+    kinds = ["table", "constant"]
+    if limit is target:
+        kinds.append("id")
+        if limit is DLO:
+            kinds.append("pieces")
+    kind = draw(st.sampled_from(kinds))
+    if kind == "table":
+        images = draw(st.lists(st.integers(0, 5), min_size=horizon, max_size=horizon))
+        f = TableOracle(limit, target, {p: target.element(i) for p, i in zip(pts, images)}, g.m)
+    elif kind == "constant":
+        f = TableOracle(limit, target, dict.fromkeys(pts, target.element(draw(st.integers(0, 5)))),
+                        g.m)
+    else:
+        f = piecewise_map(random.Random(draw(st.integers(0, 2**32)))) if kind == "pieces" \
+            else IdentityOracle(limit, limit)
+        if g.m == 2:
+            f = ComposeOracle(f, ProjectionOracle(limit, 2, draw(st.integers(0, 1))))
+    return f, g, AutLimit(target), horizon, arity
+
+
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(scan_cases())
+def test_scan_matches_full_scan(case):
+    # Equal verdicts: the same counterexample, field by field, or the same
+    # behavior table.
+    assert check_canonical(*case) == reference_scan(*case)
+
+
+def test_ternary_target_keeps_the_full_scan():
+    # The age forbids R on a tuple with a repeated entry, so all 1-tuples
+    # have one label and so do all 2-tuples of distinct elements: the
+    # conflict is among the triples.  Elements 0..4 carry only R(3, 1, 0).
+    mixed = [t for t in itertools.product((0, 1), repeat=3) if len(set(t)) == 2]
+    lines = ["size 1; R(0,0,0)"] + [
+        "size 2; " + "; ".join(f"R({a},{b},{c})" for a, b, c in atoms)
+        for r in range(1, len(mixed) + 1) for atoms in itertools.combinations(mixed, r)]
+    target = GenericLimit(load_forbidden_age("\n".join(lines)), name="r3")
+    target.ensure_size(5)
+    assert [t for t in itertools.permutations(range(5), 3)
+            if target.eval_relation("R", t)] == [(3, 1, 0)]
+    # The first four dlo points are 0, 1, -1, 1/2: (0, 1, -1) and
+    # (1/2, 1, -1) have one label, their images (3, 1, 0) and (2, 1, 0) two.
+    pts = [point(AUT, i) for i in range(4)]
+    f = TableOracle(DLO, target, dict(zip(pts, (3, 1, 0, 2))))
+    h = AutLimit(target)
+    verdict = check_canonical(f, AUT, h, 4, 3)
+    assert isinstance(verdict, Counterexample) and verdict.arity == 3
+    assert verdict == reference_scan(f, AUT, h, 4, 3)
+
+
+def test_binary_target_takes_image_ids_only_for_new_source_labels(monkeypatch):
+    # Above arity 2 the target labels only the first tuple of each source
+    # label: at most count_orbits_g(aut(dlo), 3) of the 24^3 triples.
+    scan = BehaviorScan(AUT, AUT, 3)
+    calls = _count_calls(monkeypatch, type(scan.target), "id_of")
+    neg = NegationOracle(DLO)
+    assert scan.run([point(AUT, i) for i in range(24)], neg) is None
+    triples = [idx for labels, idx in calls if labels is scan.target and len(idx) == 3]
+    assert len(triples) <= count_orbits_g(AUT, 3) == 13
+    assert scan.behavior() == check_canonical(neg, AUT, AUT, 24, 3).behavior
