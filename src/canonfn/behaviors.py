@@ -26,7 +26,8 @@ reindexing is a memoized lookup.  Ids turn back into labels
 Violation is built, so the public API sees labels only.  depth_first is the
 one backtracking driver: the slot search, realize_behavior and canonize's
 searches are per-level generators on its explicit stack, so none of them
-grows the Python stack with depth.
+grows the Python stack with depth.  canonize's levels record conflict sets,
+on which the driver backjumps; the others backtrack chronologically.
 """
 
 from __future__ import annotations
@@ -152,12 +153,24 @@ def coherence_check(table: BehaviorTable) -> Violation | None:
     return None
 
 
-def depth_first(levels: int, choices):
+def depth_first(levels: int, choices, conflicts: list | None = None):
     """Backtrack over levels 0 .. levels-1 on one explicit stack: choices(i)
     is called as level i is entered, each step of the iterator it returns
     applies the level's next choice (undoing the one before), and a level
     is popped when its choices run out.  Yields once per full assignment,
-    with every level's choice still applied."""
+    with every level's choice still applied.
+
+    Without conflicts a level that runs out hands back to level i-1.  With
+    a list of one int per level the search backjumps (conflict-directed
+    backjumping, Prosser, Computational Intelligence 9(3), 1993): level i
+    keeps in conflicts[i] the bitmask of the earlier levels whose choices
+    its failures depend on.  When it runs out, the driver jumps to the
+    highest level h in that set and merges the rest of the set into
+    conflicts[h]; no level between holds a choice under which level i could
+    succeed.  Each skipped level is resumed once with conflicts[j] set to
+    -1, on which it undoes its choice and ends without trying the next.  An
+    empty set ends the search.
+    """
     if not levels:
         yield
         return
@@ -167,6 +180,14 @@ def depth_first(levels: int, choices):
             break
         else:
             stack.pop()
+            if conflicts is not None and stack:
+                mask = conflicts[len(stack)]
+                h = mask.bit_length() - 1
+                if h >= 0:
+                    conflicts[h] |= mask ^ (1 << h)
+                while len(stack) > h + 1:
+                    conflicts[len(stack) - 1] = -1
+                    next(stack.pop(), None)
             continue
         if len(stack) < levels:
             stack.append(choices(len(stack)))

@@ -9,7 +9,8 @@ check_canonical runs it in full, and the embedding search in canonize and
 the realizability search in behaviors push and pop it one point per level
 of their behaviors.depth_first search.  It labels tuples by int ids on
 point indices (groups.PointLabels), so a label record is built once per
-distinct label, not once per tuple.  On a target whose symbols are unary or
+distinct label, not once per tuple; a push takes the source ids of its
+position's tuples once per point and only image ids per candidate image.  On a target whose symbols are unary or
 binary, check_canonical compares image labels only up to arity 2: a
 conflict among larger tuples implies one among their 1- and 2-subtuples,
 which comes first in scan order.  A target with a symbol of arity > 2
@@ -356,15 +357,21 @@ class BehaviorScan:
     on a point only when the scan first reaches it; on a binary target it
     compares only up to arity 2 (see run).  Incremental mode
     (push/pop) visits only the tuples that contain the newest point; a push
-    that conflicts undoes its own entries and leaves the scan as it was.
+    that conflicts undoes its own entries, leaves the scan as it was and
+    names the two conflicting tuples in conflict.  Each position keeps the
+    source ids of its touching tuples while the same point is pushed there,
+    so a search that tries many images for one point labels its source
+    tuples once.
     """
 
     def __init__(self, g: GroupPresentation, h: GroupPresentation, arity: int):
         self.arity = arity
         self.source = PointLabels(g)
         self.target = PointLabels(h)
-        self._seen: dict = {}        # source id -> (image id, first tuple)
+        self._seen: dict = {}        # source id -> (image id, first index tuple)
         self._pushed: list = []      # source ids each push recorded, for pop
+        self._sources: list = []     # per position: (point, touching tuples' source ids)
+        self.conflict: tuple = ()    # of the last failed push: (index tuple, first on record)
 
     @property
     def points(self) -> list:
@@ -375,13 +382,16 @@ class BehaviorScan:
         return self.target.points
 
     def _known(self, idx: tuple, src: int, img: int, added: list) -> tuple:
-        """(image id, first tuple) on record for the source id; an id met
-        first here records (img, its tuple) and joins added."""
+        """(image id, first index tuple) on record for the source id; an id
+        met first here records (img, idx) and joins added."""
         known = self._seen.get(src)
         if known is None:
-            known = self._seen[src] = (img, tuple(self.points[i] for i in idx))
+            known = self._seen[src] = (img, idx)
             added.append(src)
         return known
+
+    def _points_at(self, idx: tuple) -> tuple:
+        return tuple(self.points[i] for i in idx)
 
     def run(self, points, f: FunctionOracle) -> Counterexample | None:
         """Full mode: the first tuple whose image label conflicts, or None.
@@ -414,10 +424,10 @@ class BehaviorScan:
                         raise DomainGap(f"oracle undefined at {p}") from None
                     self.target.append(image)
                 src, img = self.source.id_of(idx), self.target.id_of(idx)
-                img0, t0 = self._known(idx, src, img, added)
+                img0, idx0 = self._known(idx, src, img, added)
                 if img0 != img:
                     labels = self.target.labels
-                    return Counterexample(k, t0, tuple(self.points[i] for i in idx),
+                    return Counterexample(k, self._points_at(idx0), self._points_at(idx),
                                           self.source.labels[src], labels[img0], labels[img])
         return None
 
@@ -432,16 +442,40 @@ class BehaviorScan:
                 else:
                     yield prefix + (new,)
 
+    def _touching_sources(self, new: int, p) -> list:
+        """(index tuple, source id) of the tuples that contain position new,
+        which holds p, in _touching order.  Taken once per position: the
+        list is kept until another point is pushed there, which drops it
+        and those of the positions above."""
+        cached = self._sources
+        if new < len(cached):
+            if cached[new][0] == p:
+                return cached[new][1]
+            del cached[new:]
+        source_id = self.source.id_of
+        found = [(idx, source_id(idx)) for idx in self._touching(new)]
+        if new == len(cached):
+            cached.append((p, found))
+        return found
+
     def push(self, p, image) -> bool:
         """Incremental mode: add a point and its image; False, with nothing
-        added, when a tuple containing it conflicts."""
+        added, when a tuple containing it conflicts.  A failed push leaves
+        in conflict the index tuple that conflicted and the first one on
+        record for its source label.  A search pushes one point at each
+        position, over and over, so the source ids of the touching tuples
+        are taken once per position and each push takes only image ids."""
+        new = len(self.points)
         self.source.append(p)
         self.target.append(image)
         added: list = []
         self._pushed.append(added)
-        for idx in self._touching(len(self.points) - 1):
-            img = self.target.id_of(idx)
-            if self._known(idx, self.source.id_of(idx), img, added)[0] != img:
+        image_id = self.target.id_of
+        for idx, src in self._touching_sources(new, p):
+            img = image_id(idx)
+            img0, idx0 = self._known(idx, src, img, added)
+            if img0 != img:
+                self.conflict = (idx, idx0)
                 self.pop()
                 return False
         return True

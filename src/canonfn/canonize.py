@@ -10,13 +10,24 @@ and its columns are committed only when the push succeeds.  Each column's
 embedding is the limit's germ (fraisse.PartialAutomorphism), and its
 candidates are the pool elements the germ's images returns, listed once per
 level visit (on DloLimit, the pool elements strictly between the images of
-the nearest committed neighbors, found by one bisect).  Its levels, like
+the nearest committed neighbors, found by bisects).  Its levels, like
 mono_subset's, are generators on behaviors.depth_first's explicit stack, so
 the recursion limit does not bound the depth.  Backtracking explores images
 in enumeration order, so the first tower found is the
 enumeration-lexicographically least one; exhausting the horizon is
-inconclusive.  canonize_with_constants only builds the stabilized
-presentations and calls canonize.
+inconclusive.
+
+The search backjumps (conflict sets, see depth_first).  A level's set holds
+the levels its candidate lists depend on (the committed points its germs
+read: on DloLimit the two nearest neighbors, otherwise all of them) and
+those that committed its point's other columns, and, per failed push, the
+levels of the conflicting tuple and of the first tuple on record for its
+source label.  A level that runs out jumps to the latest level in its set:
+no level skipped holds a choice under which it could succeed, so the first
+tower is the one chronological backtracking finds, and an exhausted search
+gets as deep.  HorizonExhausted.nodes counts the pushes tried, one oracle
+call each, and backjumps the levels skipped.  canonize_with_constants only
+builds the stabilized presentations and calls canonize.
 """
 
 from __future__ import annotations
@@ -65,7 +76,8 @@ class HorizonExhausted:
     """The search space within the horizon is exhausted; inconclusive."""
 
     depth_reached: int
-    nodes: int
+    nodes: int          # pushes tried, one oracle call each
+    backjumps: int = 0  # levels skipped by backjumps
 
     def __bool__(self):
         return False
@@ -86,7 +98,7 @@ def _run_search(f: FunctionOracle, g: GroupPresentation, h: GroupPresentation,
     germs = [limit.germ((columns(c)[i],) * 2 for c in seeds) for i in range(m)]
 
     scan = BehaviorScan(g, h, arity)
-    nodes = deepest = 0
+    nodes = deepest = backjumps = 0
 
     # Constants enter the sample first; their columns are pre-committed, so
     # the composed sample agrees with f on them by construction.
@@ -96,14 +108,31 @@ def _run_search(f: FunctionOracle, g: GroupPresentation, h: GroupPresentation,
     # Constants reappearing in the enumeration are no levels: their images
     # and tuples are committed already.
     levels = [i for i in range(depth) if points[i] not in seeds]
+    # Conflicts are kept as bits of scan positions: the seeds', then one per
+    # level.  first[j][v] is the bit of the first position whose column j
+    # holds v: the seed or level that commits v.
+    shift = len(seeds)
+    first: list[dict] = [{} for _ in range(m)]
+    for pos, q in enumerate(list(seeds) + [points[i] for i in levels]):
+        for j, v in enumerate(columns(q)):
+            first[j].setdefault(v, 1 << pos)
+    conflicts = [0] * len(levels)
 
     def level(i):
-        nonlocal nodes, deepest
+        nonlocal nodes, deepest, backjumps
         deepest = max(deepest, levels[i])
         p = points[levels[i]]
         cols = columns(p)
         free = [j for j in range(m) if cols[j] not in germs[j].mapping]
         image = [germs[j].mapping.get(cols[j]) for j in range(m)]
+        # The candidate lists depend on the points the germs read, and the
+        # image on the committed columns.  Each failed push adds the points
+        # of its conflicting tuple and of the first one on record.
+        bits = 0
+        for j in range(m):
+            for v in germs[j].constraints(cols[j]) if j in free else (cols[j],):
+                bits |= first[j][v]
+        conflicts[i] = 0
         for combo in itertools.product(*(germs[j].images(cols[j], pool) for j in free)):
             nodes += 1
             for j, y in zip(free, combo):
@@ -117,11 +146,19 @@ def _run_search(f: FunctionOracle, g: GroupPresentation, h: GroupPresentation,
                 for j in free:
                     germs[j].uncommit(cols[j])
                 scan.pop()
+                if conflicts[i] < 0:    # skipped by a backjump
+                    backjumps += 1
+                    return
+            else:
+                idx, idx0 = scan.conflict
+                for pos in idx + idx0:
+                    bits |= 1 << pos
+        conflicts[i] |= (bits >> shift) & ((1 << i) - 1)
 
-    for _ in depth_first(len(levels), level):
+    for _ in depth_first(len(levels), level, conflicts):
         break
     else:
-        return HorizonExhausted(deepest, nodes)
+        return HorizonExhausted(deepest, nodes, backjumps)
 
     pairs = tuple((p, joined(tuple(germ.mapping[v] for germ, v in zip(germs, columns(p)))))
                   for p in scan.points[len(seeds):])

@@ -734,6 +734,11 @@ class PartialAutomorphism:
         rng = tuple(self.mapping.values())
         return (y for y in candidates if qf_type(rng + (y,)) == dom_type)
 
+    def constraints(self, x) -> tuple:
+        """The committed points whose pairs images(x, ...) reads, for an
+        uncommitted x: all of them."""
+        return tuple(self.mapping)
+
     def commit(self, x, y) -> None:
         """Add the pair (x, y); TypeMismatch when it breaks the type."""
         if x in self.mapping:
@@ -774,14 +779,18 @@ class DloGerm(PartialAutomorphism):
     sorted columns, and the admissible images of an uncommitted x are the
     rationals strictly between the images of its nearest committed
     neighbors: one bisect finds them, and the least image is the
-    enumeration-least of them (no probe cap needed).  place runs the same
-    search from either side with a given choice of partner, for the
-    back-and-forth between Q and Q minus 0.
+    enumeration-least of them (no probe cap needed).  images takes those
+    among its candidates by two more bisects, over a value-sorted view of
+    the candidate list made on the first call with that list and kept
+    while the same list object comes back (so the list must not change
+    in between).  place runs the same search from either side with a
+    given choice of partner, for the back-and-forth between Q and Q minus 0.
     """
 
     def __init__(self, limit: LimitStructure, pairs: Iterable[tuple] = ()):
         self._dom: list = []    # the committed points, sorted
         self._rng: list = []    # their images, aligned, so sorted as well
+        self._view: tuple = (None, [], [])   # (candidate list, sorted values, their positions)
         super().__init__(limit, pairs)
 
     @staticmethod
@@ -795,7 +804,20 @@ class DloGerm(PartialAutomorphism):
         if x in self.mapping:
             return super().images(x, candidates)
         _, lo, hi = self._gap(self._dom, self._rng, x)
-        return [y for y in candidates if (lo is None or lo < y) and (hi is None or y < hi)]
+        listed, values, positions = self._view
+        if listed is not candidates:
+            listed = candidates if isinstance(candidates, (list, tuple)) else list(candidates)
+            positions = sorted(range(len(listed)), key=listed.__getitem__)
+            values = [listed[k] for k in positions]
+            self._view = (listed, values, positions)
+        a = 0 if lo is None else bisect.bisect_right(values, lo)
+        b = len(values) if hi is None else bisect.bisect_left(values, hi)
+        return [listed[k] for k in sorted(positions[a:b])]
+
+    def constraints(self, x) -> tuple:
+        """x's nearest committed neighbors: images(x, ...) reads only their pairs."""
+        i = bisect.bisect_left(self._dom, x)
+        return tuple(self._dom[max(i - 1, 0):i + 1])
 
     def commit(self, x, y) -> None:
         if x in self.mapping:

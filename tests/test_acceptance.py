@@ -8,6 +8,8 @@ import itertools
 import time
 from fractions import Fraction as F
 
+import pytest
+
 from canonfn import (
     AutLimit,
     BackAndForthOracle,
@@ -138,6 +140,25 @@ def test_criterion_04_canonisation_suite():
         assert isinstance(verdict, CanonicalUpTo), spec
         assert result.behavior.graph_key() in taxonomy, spec
     report_line("criterion 4 (ten piecewise oracles canonize)", 60, started)
+
+
+MIXED = "pieces:[(-inf,0):x*-1; [0,inf):x]"
+
+
+@pytest.mark.parametrize("argv, depth, bound", [
+    (["--f", MIXED, "--arity", "2", "--depth", "7", "--horizon", "128"], 7, 2),
+    (["--f", MIXED, "--arity", "2", "--depth", "10", "--horizon", "256"], 10, 10),
+    (["--f", "min", "--arity", "3", "--depth", "6", "--horizon", "64"], 6, 1),
+], ids=["mixed-d7-h128", "mixed-d10-h256", "min-arity-3-d6-h64"])
+def test_criterion_04_thrashing_searches(argv, depth, bound):
+    # Thrashing searches: chronological backtracking took about 18 s, six
+    # minutes and 1 s on them (ROADMAP, Baselines).  The golden corpus holds
+    # the first one's report.
+    started = time.monotonic()
+    code, report = cli(["canonize"] + argv)
+    assert code == 0
+    assert len(report.split("tower:\n")[1].splitlines()) == depth
+    report_line(f"criterion 4 (canonize {' '.join(argv[1:])})", bound, started)
 
 
 def test_criterion_05_corollary_constants():

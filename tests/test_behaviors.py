@@ -21,6 +21,7 @@ from canonfn import (
     qf_type,
     realize_behavior,
 )
+from canonfn.behaviors import depth_first
 from canonfn.groups import reindex_label
 
 
@@ -252,3 +253,58 @@ def test_realize_nonpositive_size_is_error(aut_dlo, n):
     table = enumerate_behaviors(aut_dlo, aut_dlo, 2)[0]
     with pytest.raises(ValueError, match="witness size must be positive"):
         realize_behavior(table, n)
+
+
+# ---------------------------------------------------------------------------
+# the backtracking driver
+
+
+def _driver_log(failing: int, conflicts):
+    """The steps of depth_first over four levels of two choices each, where
+    every choice at level 3 fails and, with conflicts, records the levels
+    in the bitmask failing."""
+    log = []
+
+    def level(i):
+        if conflicts is not None:
+            conflicts[i] = 0
+        for c in range(2):
+            if i == 3:
+                log.append(f"fail {c}")
+                if conflicts is not None:
+                    conflicts[3] |= failing
+                continue
+            log.append(f"do {i}{c}")
+            yield
+            log.append(f"undo {i}{c}")
+            if conflicts is not None and conflicts[i] < 0:
+                log.append(f"skip {i}")
+                return
+
+    assert not any(True for _ in depth_first(4, level, conflicts))
+    return log
+
+
+def test_backjump_resumes_each_skipped_level_once():
+    log = _driver_log(0b1, [0] * 4)
+    once = ["do 00", "do 10", "do 20", "fail 0", "fail 1",
+            "undo 20", "skip 2", "undo 10", "skip 1", "undo 00"]
+    assert log == once + ["do 01", "do 10", "do 20", "fail 0", "fail 1",
+                          "undo 20", "skip 2", "undo 10", "skip 1", "undo 01"]
+
+
+def test_backjump_merges_the_rest_of_the_set():
+    # Each visit of level 3 jumps to level 1, skipping level 2; level 1 then
+    # holds {0}, so when its choices run out it hands back to level 0.  So
+    # level 3 is visited once per choice of levels 0 and 1, not 8 times.
+    log = _driver_log(0b11, [0] * 4)
+    assert log.count("skip 2") == 4 and "skip 1" not in log
+    assert log.count("fail 0") == 4
+    assert [s for s in log if s.startswith(("do 0", "undo 0"))] == [
+        "do 00", "undo 00", "do 01", "undo 01"]
+
+
+def test_without_conflicts_the_search_is_chronological():
+    log = _driver_log(0b1, None)
+    assert log.count("fail 0") == 8 and not any(s.startswith("skip") for s in log)
+    assert log.count("do 20") == log.count("undo 20") == 4

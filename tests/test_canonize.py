@@ -264,7 +264,11 @@ def test_search_matches_reference_loop(dlo, seed):
     result = canonize(f, g, h, arity, depth, horizon)
     expected = reference_search(f, g, h, arity, depth, horizon)
     if isinstance(expected, HorizonExhausted):
-        assert result == expected
+        # Backjumps skip only subtrees that cannot reach a deeper level, so
+        # the search gets as far as the chronological loop, in no more pushes.
+        assert isinstance(result, HorizonExhausted)
+        assert result.depth_reached == expected.depth_reached
+        assert result.nodes <= expected.nodes
     else:
         assert (result.tower, result.sample.mapping) == expected
         # The certificate comes from the search's own scan; a full scan of
@@ -286,6 +290,20 @@ class CountingOracle(FunctionOracle):
     def __call__(self, p):
         self.calls += 1
         return self.inner(p)
+
+
+def test_backjumping_cuts_the_mixed_map_search(dlo, aut_dlo, mixed_map):
+    # The chronological search tries 26,241 pushes here, with the same tower.
+    f = CountingOracle(mixed_map)
+    result = canonize(f, aut_dlo, aut_dlo, 2, 7, 64)
+    assert result.tower.pairs[-1] == (F(-2), F(0))
+    assert f.calls == 1068
+
+
+def test_exhausted_search_counts_its_backjumps(dlo, aut_dlo, mixed_map):
+    # The chronological search tries 106 pushes and skips no level.
+    result = canonize(mixed_map, aut_dlo, aut_dlo, 2, 6, 8)
+    assert result == HorizonExhausted(depth_reached=5, nodes=64, backjumps=13)
 
 
 @pytest.mark.parametrize("constants", [(), (F(1, 2),)])

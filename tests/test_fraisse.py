@@ -2,7 +2,7 @@ import itertools
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from canonfn import (
     AmalgamationFailure,
@@ -454,6 +454,33 @@ def test_dlo_germ_answers_by_order_position():
     germ.uncommit(F(1))
     assert list(germ.images(F(3, 2), pool)) == [y for y in pool if 0 < y < 4]
     assert germ.pairs == ((F(0), F(0)), (F(2), F(4)))
+
+
+@st.composite
+def germ_pools(draw):
+    """Order-preserving committed pairs, points to place, and candidate
+    lists in drawn order, repeats allowed."""
+    dom = sorted(draw(st.lists(RATIONALS, unique=True, max_size=6)))
+    rng = sorted(draw(st.lists(RATIONALS, unique=True, min_size=len(dom), max_size=len(dom))))
+    xs = [x for x in draw(st.lists(RATIONALS, min_size=1, max_size=4)) if x not in dom]
+    assume(xs)
+    pools = draw(st.lists(st.lists(RATIONALS, max_size=16), min_size=1, max_size=3))
+    return list(zip(dom, rng)), xs, pools
+
+
+@HYPOTHESIS
+@given(germ_pools())
+def test_dlo_germ_images_match_the_filter(query):
+    pairs, xs, pools = query
+    germ = DLO.germ(pairs)
+    for pool in pools + pools[:1]:    # a new list, then the first one again
+        for x in xs:
+            lo = max((y for a, y in pairs if a < x), default=None)
+            hi = min((y for a, y in pairs if a > x), default=None)
+            expected = [y for y in pool if (lo is None or lo < y) and (hi is None or y < hi)]
+            assert germ.images(x, pool) == expected
+            assert germ.images(x, iter(pool)) == expected
+            assert set(germ.constraints(x)) == {a for a, y in pairs if y in (lo, hi)}
 
 
 @st.composite

@@ -229,3 +229,45 @@ def test_binary_target_takes_image_ids_only_for_new_source_labels(monkeypatch):
     triples = [idx for labels, idx in calls if labels is scan.target and len(idx) == 3]
     assert len(triples) <= count_orbits_g(AUT, 3) == 13
     assert scan.behavior() == check_canonical(neg, AUT, AUT, 24, 3).behavior
+
+
+def _pushed_fresh(points, arity):
+    scan = BehaviorScan(AUT, AUT, arity)
+    for p in points:
+        assert scan.push(p, p)
+    return scan
+
+
+def _kept_source_labels(scan) -> list:
+    """Per position: its point and the labels of the touching tuples' kept
+    source ids (ids depend on the order of interning, labels do not)."""
+    labels = scan.source.labels
+    return [(p, [(idx, labels[src]) for idx, src in found]) for p, found in scan._sources]
+
+
+def test_push_takes_source_ids_again_for_a_different_point():
+    # A push keeps the touching tuples' source ids of its position for the
+    # next push there.  Another point at that position, or at one below
+    # it, must drop them; the ids must then be a fresh scan's.
+    scan = _pushed_fresh([F(0), F(1), F(2)], 3)
+    scan.pop()
+    assert scan.push(F(-1), F(-1))             # the same position, another point
+    fresh = _pushed_fresh([F(0), F(1), F(-1)], 3)
+    assert _kept_source_labels(scan) == _kept_source_labels(fresh)
+    assert scan.recorded() == fresh.recorded()
+    for _ in range(3):
+        scan.pop()
+    for p in (F(5), F(1), F(-1)):              # position 0 changes, 1 and 2 do not
+        assert scan.push(p, p)
+    fresh = _pushed_fresh([F(5), F(1), F(-1)], 3)
+    assert _kept_source_labels(scan) == _kept_source_labels(fresh)
+    assert scan.behavior() == fresh.behavior()
+
+
+def test_failed_push_names_the_conflicting_tuples():
+    scan = BehaviorScan(AUT, AUT, 2)
+    for p in (F(0), F(1)):
+        assert scan.push(p, p)
+    assert not scan.push(F(2), F(-1))          # 0 < 2 goes down, 0 < 1 went up
+    assert scan.conflict == ((0, 2), (0, 1))
+    assert scan.points == [F(0), F(1)]
