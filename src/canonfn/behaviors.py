@@ -229,13 +229,26 @@ def enumerate_behaviors(source: GroupPresentation, target: GroupPresentation,
     # s < r.
     rows = {(k, sigma): {t: tgt.reindex(t, sigma) for t in cands}
             for k, cands in dict(slots).items() for sigma in _generators(k, max_arity)}
+    # The links also decide most slots: a backward link (s', row) leaves
+    # only row[image[s']], else the first forward link (r, row) with r < s
+    # only the preimage of image[r] under row, read from the row's inverse
+    # (built once, in id order): narrowing[s] = (r, inverse).  An image
+    # outside the slot's ids (a label the target does not list) is no
+    # candidate, and the link tests still run on each candidate left.
+    inverses = {key: {} for key in rows}
+    for key, row in rows.items():
+        for t, u in row.items():
+            inverses[key].setdefault(u, []).append(t)
     forward: list[list] = [[] for _ in slots]
     backward: list[list] = [[] for _ in slots]
+    narrowing: list[tuple | None] = [None] * len(slots)
     for s, (k, _) in enumerate(slots):
         for sigma in _generators(k, max_arity):
             r = src.reindex(s, sigma)
             if r <= s:
                 forward[s].append((r, rows[(k, sigma)]))
+                if r < s and narrowing[s] is None:
+                    narrowing[s] = (r, inverses[(k, sigma)])
             else:
                 backward[r].append((s, rows[(k, sigma)]))
 
@@ -250,7 +263,15 @@ def enumerate_behaviors(source: GroupPresentation, target: GroupPresentation,
                                   f"{len(found)} tables found so far")
         nodes += 1
         links, back = forward[s], backward[s]
-        for a in slots[s][1]:
+        cands = slots[s][1]
+        if back:
+            r, row = back[0]
+            a = row[image[r]]
+            cands = (a,) if a in cands else ()
+        elif narrowing[s] is not None:
+            r, inverse = narrowing[s]
+            cands = inverse.get(image[r], ())
+        for a in cands:
             image[s] = a
             if (all(image[r] == row[a] for r, row in links)
                     and all(a == row[image[r]] for r, row in back)):

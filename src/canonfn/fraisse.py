@@ -348,6 +348,11 @@ def _table_dfs(age, size, present, candidates):
             return
 
 
+def _members(age: AgeOracle, b: int) -> Iterator[FiniteStructure]:
+    """The age's members on points 0..b-1, in lexicographic table order."""
+    return _table_dfs(age, b, (), _all_atoms(age.signature, range(b), b))
+
+
 def _extension_stream(age: AgeOracle, base: FiniteStructure) -> Iterator[FiniteStructure]:
     size = base.size + 1
     candidates = _all_atoms(age.signature, [base.size], size)
@@ -429,20 +434,33 @@ class TupleTypeRecord:
         return format_type(self)
 
 
+def _patterns_by_blocks(k: int) -> dict[int, list[tuple[int, ...]]]:
+    """The canonical partitions of k positions, grouped by their block count."""
+    out: dict[int, list[tuple[int, ...]]] = {}
+    for pattern in canonical_partitions(k):
+        out.setdefault(max(pattern) + 1, []).append(pattern)
+    return out
+
+
 def enumerate_types(limit: "LimitStructure", k: int) -> list[TupleTypeRecord]:
     """All admissible type records of arity k, sorted canonically: each
-    age member on a pattern's blocks, pulled back to the k positions."""
+    age member on b points pulled back along each pattern with b blocks.
+    The members depend on b alone, so each b's are enumerated once."""
     _check_arity(k)
     age = limit.age
-    out = []
-    for pattern in canonical_partitions(k):
-        b = max(pattern) + 1
-        candidates = _all_atoms(age.signature, range(b), b)
-        for diagram in _table_dfs(age, b, (), candidates):
-            out.append(TupleTypeRecord(age.signature, k, pattern,
-                                       _pullback(diagram.atoms, pattern)))
+    out = [TupleTypeRecord(age.signature, k, pattern, _pullback(diagram.atoms, pattern))
+           for b, patterns in _patterns_by_blocks(k).items()
+           for diagram in _members(age, b) for pattern in patterns]
     out.sort(key=TupleTypeRecord.sort_key)
     return out
+
+
+def count_types(limit: "LimitStructure", k: int) -> int:
+    """len(enumerate_types(limit, k)), without building a record: the sum
+    over the patterns of the number of members on their blocks."""
+    _check_arity(k)
+    return sum(len(patterns) * sum(1 for _ in _members(limit.age, b))
+               for b, patterns in _patterns_by_blocks(k).items())
 
 
 def format_type(record: TupleTypeRecord) -> str:
@@ -891,8 +909,7 @@ def _members_by_size(age: AgeOracle, bound: int) -> tuple[dict[int, list[FiniteS
     note = ""
     for s in range(1, bound + 1):
         if s <= _FULL_ENUM_MAX:
-            candidates = _all_atoms(age.signature, range(s), s)
-            members[s] = list(_table_dfs(age, s, frozenset(), candidates))
+            members[s] = list(_members(age, s))
         else:
             # No two grown extensions are equal: each restricts to its base,
             # and the bases are distinct.

@@ -42,6 +42,7 @@ from .fraisse import (
     LimitStructure,
     PartialAutomorphism,
     TupleTypeRecord,
+    count_types,
     enumerate_types,
     format_type,
 )
@@ -233,8 +234,12 @@ def orbit_labels(g: GroupPresentation, k: int) -> list:
 
 
 def count_orbits_g(g: GroupPresentation, k: int) -> int:
-    """Number of admissible labels of arity k."""
-    return prod(len(column) for column in _column_labels(g, k))
+    """Number of admissible labels of arity k: the limit's k-types counted
+    per column without building their records, or, under a stabilizer, the
+    product of the columns' filtered records."""
+    if g.constants:
+        return prod(len(column) for column in _column_labels(g, k))
+    return count_types(g.limit, k) ** g.m
 
 
 def format_label(label) -> str:

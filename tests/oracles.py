@@ -14,10 +14,17 @@ partner is found by probing the enumeration for the first member inside the
 interval.  verify_amalgamation is replayed by its pairwise loop: for each
 ordered pair of distinct extensions b1, b2 of a member, b1's extensions are
 searched afresh until one restricts to b2, and grown members are deduped.
+Type records are enumerated by the per-pattern loop: for each partition of
+the positions, every member on its blocks (by the recursive table search)
+is pulled back to the positions by reading each atom over the positions
+through the pattern.
 Orbit labels are read as the presentation's recursive structure:
 a power splits a tuple into its columns and asks its base, a stabilizer
 extends a tuple by its constants and asks its base, and the n-th point of a
 power is found by listing the diagonals of N^m.
+The behavior-table slot search is replayed, on the package's PointLabels
+ids, by its loop before the links narrowed the candidates: every target id of a slot's arity is tried against
+every generator link, one node per slot entered.
 The canonicity scan is replayed in full: every tuple up to the arity has
 its image label, from the recursive orbit labels, compared with the first
 one met for its source label.
@@ -35,10 +42,9 @@ from canonfn.fraisse import (
     DemandLogEntry,
     FiniteStructure,
     TupleTypeRecord,
-    enumerate_types,
     is_isomorphic,
 )
-from canonfn.behaviors import BehaviorTable
+from canonfn.behaviors import BehaviorTable, _generators
 from canonfn.canonicity import (
     _SEED_CAP,
     AutomorphismOracle,
@@ -53,7 +59,8 @@ from canonfn.canonicity import (
     check_canonical,
     tower_witness,
 )
-from canonfn.groups import AutLimit, PowerGroup, automorphism_extending
+from canonfn.errors import BudgetExhausted
+from canonfn.groups import AutLimit, PointLabels, PowerGroup, automorphism_extending
 from canonfn.symbolic import ComputableDenseSet
 
 
@@ -396,9 +403,33 @@ def reindex_label(g, label, sigma):
     return reindex_label(g.base, label, tuple(sigma) + tuple(range(k, k + n)))
 
 
+def reference_enumerate_types(limit, k):
+    """enumerate_types by the per-pattern loop: for each partition of the k
+    positions (canonicalized assignment vectors), every member on its b
+    blocks, each atom over the positions kept when its image under the
+    pattern is an atom of the member; sorted by sort_key."""
+    age = limit.age
+    patterns = set()
+    for assignment in itertools.product(range(k), repeat=k):
+        ids = {}
+        patterns.add(tuple(ids.setdefault(a, len(ids)) for a in assignment))
+    out = []
+    for pattern in sorted(patterns):
+        b = max(pattern) + 1
+        atoms = sorted((sym.name, t) for sym in age.signature.symbols
+                       for t in itertools.product(range(b), repeat=sym.arity))
+        for member in table_dfs(age, b, (), atoms):
+            pulled = frozenset((sym.name, u) for sym in age.signature.symbols
+                               for u in itertools.product(range(k), repeat=sym.arity)
+                               if member.holds(sym.name, tuple(pattern[i] for i in u)))
+            out.append(TupleTypeRecord(age.signature, k, pattern, pulled))
+    out.sort(key=TupleTypeRecord.sort_key)
+    return out
+
+
 def orbit_labels(g, k):
     if isinstance(g, AutLimit):
-        return enumerate_types(g.limit, k)
+        return reference_enumerate_types(g.limit, k)
     if isinstance(g, PowerGroup):
         return list(itertools.product(orbit_labels(g.base, k), repeat=g.m))
     n = len(g.constants)
@@ -412,6 +443,54 @@ def count_orbits_g(g, k):
     if isinstance(g, PowerGroup):
         return count_orbits_g(g.base, k) ** g.m
     return len(orbit_labels(g, k))
+
+
+def reference_slot_search(source, target, max_arity, budget):
+    """enumerate_behaviors by its loop before the links narrowed the
+    candidates: each slot (a source id) tries every target id of its arity,
+    in id order, against every generator link to an earlier or the same
+    slot.  Returns the tables and the number of slots entered; raises
+    enumerate_behaviors' BudgetExhausted, with the same text, when the
+    search would enter more than budget slots."""
+    src, tgt = PointLabels(source), PointLabels(target)
+    slots = []    # per source id: (arity, candidate target ids)
+    for k in range(1, max_arity + 1):
+        first = len(tgt.labels)
+        for label in orbit_labels(target, k):
+            tgt.id_of_label(label)
+        for label in orbit_labels(source, k):
+            src.id_of_label(label)
+            slots.append((k, range(first, len(tgt.labels))))
+    # links[max(s, r)] holds (s, r, sigma): image[r] is image[s] reindexed by sigma.
+    links = [[] for _ in slots]
+    for s, (k, _) in enumerate(slots):
+        for sigma in _generators(k, max_arity):
+            r = src.reindex(s, sigma)
+            links[max(s, r)].append((s, r, sigma))
+    image = [None] * len(slots)
+    found = []
+    nodes = 0
+
+    def rec(n):
+        nonlocal nodes
+        if n == len(slots):
+            found.append(tuple(image))
+            return
+        if nodes == budget:
+            raise BudgetExhausted(f"slot-search budget of {budget} nodes ran out; "
+                                  f"{len(found)} tables found so far")
+        nodes += 1
+        for a in slots[n][1]:
+            image[n] = a
+            if all(image[r] == tgt.reindex(image[s], sigma) for s, r, sigma in links[n]):
+                rec(n + 1)
+
+    rec(0)
+    tables = [BehaviorTable(source, target, max_arity,
+                            [(k, label, tgt.labels[a])
+                             for (k, _), label, a in zip(slots, src.labels, ids)])
+              for ids in found]
+    return tables, nodes
 
 
 def reference_scan(f, g, h, horizon, arity):

@@ -78,6 +78,15 @@ def test_criterion_01_orbit_counts():
     report_line("criterion 1 (orbit counts 1,3,13,75)", 5, started)
 
 
+def test_criterion_01_rado_orbit_count_at_arity_6():
+    # Counted without building the 53,071 type records (ROADMAP item 5).
+    started = time.monotonic()
+    code, report = cli(["orbits", "rado", "--arity", "6"])
+    assert code == 0
+    assert report == "orbits: 53071\n"
+    report_line("criterion 1 (rado orbits at arity 6)", 1.5, started)
+
+
 def test_criterion_02_behavior_taxonomy():
     started = time.monotonic()
     for arity in (2, 3):

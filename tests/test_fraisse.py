@@ -31,6 +31,7 @@ from canonfn.fraisse import (
     PureSetsAge,
     _all_atoms,
     _table_dfs,
+    count_types,
     empty_structure,
     format_type,
 )
@@ -44,6 +45,7 @@ from oracles import (
     is_partial_isomorphism,
     nth_extension,
     reference_amalgamation,
+    reference_enumerate_types,
     reference_growth,
     table_dfs,
 )
@@ -591,6 +593,35 @@ def test_table_dfs_order_matches_recursive_reference(kind, size):
             tail = _all_atoms(age.signature, [size - 1], size)
             assert (list(_table_dfs(age, size, fixed, tail))
                     == list(table_dfs(age, size, fixed, tail)))
+
+
+# The ternary age forbids r on a repeated point; with no step_ok its tables
+# on b points number 2^(b^3 + b), so it stops at arity 2.
+TERNARY_AGE = ForbiddenSubstructuresAge(
+    TERNARY_SIG, [FiniteStructure(TERNARY_SIG, 1, frozenset({("r", (0, 0, 0))}))], name="r3")
+ENUMERATED = {
+    "dlo": lambda: builtin_limit("dlo"),
+    "pureset": lambda: builtin_limit("pureset"),
+    "rado": lambda: builtin_limit("rado"),
+    "ordered-rado": lambda: builtin_limit("ordered-rado"),
+    "linear-orders": lambda: GenericLimit(builtin_age("linear-orders")),
+    "triangle-free": lambda: GenericLimit(triangle_free_age()),
+    "ternary": lambda: GenericLimit(TERNARY_AGE),
+}
+
+
+@pytest.mark.parametrize("name,arity", [("dlo", 5), ("pureset", 5), ("rado", 4),
+                                        ("ordered-rado", 4), ("linear-orders", 4),
+                                        ("triangle-free", 3), ("ternary", 2)])
+def test_enumerate_types_matches_per_pattern_loop(name, arity):
+    # One enumeration of the members per block count gives the records of
+    # the loop that enumerates them afresh for each pattern, in the same
+    # order; count_types counts them without building them.
+    limit = ENUMERATED[name]()
+    for k in range(1, arity + 1):
+        expected = reference_enumerate_types(limit, k)
+        assert enumerate_types(limit, k) == expected
+        assert count_types(limit, k) == len(expected)
 
 
 GROWTH_AGES = ["graphs", "ordered-graphs", "linear-orders", "pure-sets", "triangle-free"]

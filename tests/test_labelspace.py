@@ -2,8 +2,12 @@
 PointLabels ids of orbit labels and their memoized reindexing against the
 label definitions, and the id-based enumerate_behaviors and coherence_check,
 which link labels through the generating index maps only, against
-definitional versions that work on labels through every index map."""
+definitional versions that work on labels through every index map.  The
+slot search, which draws a slot's candidates from its links, is also held
+to the loop that tries every target id (oracles.reference_slot_search):
+the same tables, and the same slot at which a budget runs out."""
 
+import hashlib
 import itertools
 
 import pytest
@@ -11,9 +15,13 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from canonfn import BehaviorTable, Violation, coherence_check, enumerate_behaviors
 from canonfn import groups
+from canonfn.cli import parse_command, run
+from canonfn.errors import BudgetExhausted
 from canonfn.formats import parse_group_spec
-from canonfn.fraisse import ORDER_SIG, TupleTypeRecord
-from canonfn.groups import PointLabels, label_key, orbit_labels, reindex_label
+from canonfn.fraisse import ORDER_SIG, GenericLimit, TupleTypeRecord
+from canonfn.groups import AutLimit, PointLabels, label_key, orbit_labels, reindex_label
+
+from oracles import PredicateAge, reference_slot_search
 
 
 def sigmas(j, k):
@@ -149,6 +157,20 @@ def test_enumerate_behaviors_matches_definition(source, target, max_arity):
     assert [t.graph_key() for t in found] == sorted(t.graph_key() for t in found)
 
 
+@pytest.mark.parametrize("source", ["aut(dlo)", "aut(pureset)", "aut(rado)"])
+def test_enumerate_behaviors_on_a_target_not_closed_under_isomorphism(source):
+    # The age holds 0<1 but not 1<0, so the target lists the label 1<2 and
+    # not its transpose: a backward link's image may be no candidate.
+    def only_zero_below_one(s):
+        return s.atoms == (frozenset({("<", (0, 1))}) if s.size == 2 else frozenset())
+
+    age = PredicateAge(ORDER_SIG, only_zero_below_one, name="labeled")
+    g, h = parse_group_spec(source), AutLimit(GenericLimit(age, name="labeled"))
+    found = [t.entries() for t in enumerate_behaviors(g, h, 2)]
+    assert found == [t.entries() for t in reference_enumerate(g, h, 2)]
+    assert found == [t.entries() for t in reference_slot_search(g, h, 2, 1 << 30)[0]]
+
+
 def flipped(table, index, image):
     entries = list(table.entries())
     k, src, _ = entries[index]
@@ -216,6 +238,14 @@ def _drawn_group(data, name):
     return parse_group_spec(name)
 
 
+def _tables_or_text(search, g, h, max_arity, budget):
+    """The entries of each table found, or the text of the budget's end."""
+    try:
+        return [t.entries() for t in search(g, h, max_arity, budget)]
+    except BudgetExhausted as exc:
+        return str(exc)
+
+
 def _without(table, index):
     entries = list(table.entries())
     del entries[index]
@@ -231,6 +261,14 @@ def test_generator_links_match_every_sigma(data):
     g, h = _drawn_group(data, source), _drawn_group(data, target)
     found = enumerate_behaviors(g, h, max_arity)
     assert [t.entries() for t in found] == [t.entries() for t in reference_enumerate(g, h, max_arity)]
+    # The loop that tries every target id enters the same slots: a budget
+    # runs out at the same node, with the same tables found so far, and the
+    # number of slots it enters is the least budget that suffices.
+    expected, nodes = reference_slot_search(g, h, max_arity, 1 << 30)
+    assert [t.entries() for t in found] == [t.entries() for t in expected]
+    budget = data.draw(st.integers(1, nodes))
+    assert (_tables_or_text(enumerate_behaviors, g, h, max_arity, budget)
+            == _tables_or_text(lambda *a: reference_slot_search(*a)[0], g, h, max_arity, budget))
     if not found:
         return
     table = data.draw(st.sampled_from(found))
@@ -260,3 +298,18 @@ def test_coherence_check_scans_past_a_gap():
     violation = coherence_check(table)
     assert violation == reference_coherence_check(table)
     assert violation.sigma == (0, 0) and violation.label == eq
+
+
+def test_stabilizer_to_ordered_rado_arity_3_is_pinned():
+    # 1245 tables in 114,541 report lines, from 172,083 slots entered, as
+    # the loop that tried every target id found them; narrowed by the links,
+    # the search takes about a sixth of that loop's time.
+    argv = ["behaviors", "--source", "stab(aut(dlo); 0)", "--target", "aut(ordered-rado)",
+            "--arity", "3", "--budget"]
+    code, report = run(parse_command(argv + ["172083"]))
+    assert code == 0 and report.startswith("behaviors: 1245\n")
+    assert len(report.splitlines()) == 114541
+    assert hashlib.sha256(report.encode()).hexdigest()[:16] == "5c5cf6139103d562"
+    code, report = run(parse_command(argv + ["172082"]))
+    assert (code, report) == (2, "result: budget-exhausted\nreason: slot-search budget of "
+                                 "172082 nodes ran out; 1244 tables found so far\n")
