@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
@@ -790,66 +791,155 @@ class PartialAutomorphism:
         return qf_type(tuple(self.mapping)) == qf_type(tuple(self.mapping.values()))
 
 
+# Pairs per block of a DloGerm's index; a block splits past twice this many.
+_BLOCK = 256
+
+
+def _shadow(v) -> float:
+    """v, an int or a Fraction, as the nearest float (+-inf past the float
+    range).  Int division rounds correctly, so x < y implies
+    _shadow(x) <= _shadow(y): shadows order values, except along a run of
+    equal shadows."""
+    try:
+        return v.numerator / v.denominator
+    except OverflowError:
+        return math.inf if v > 0 else -math.inf
+
+
+def _bisect_exact(shadows: list, values: list, f: float, v, right: bool = False) -> int:
+    """bisect_left (with right, bisect_right) of v in the sorted values,
+    whose shadows are given, f being v's: a C bisect over the shadows, then
+    exact comparisons only along the run of shadows equal to f."""
+    i = bisect.bisect_left(shadows, f)
+    n = len(shadows)
+    while i < n and shadows[i] == f and (values[i] <= v if right else values[i] < v):
+        i += 1
+    return i
+
+
+class _PairIndex:
+    """The pairs of a DloGerm, sorted on both sides at once (the germ is
+    order-preserving, so the two sides stay aligned), found from either.
+
+    The pairs sit in consecutive blocks of at most 2 * _BLOCK; a block
+    splits in two when it grows past that and is dropped when emptied.
+    Per side (0 the points, 1 their images), each block keeps its values
+    and their float shadows, and lasts keeps each block's last shadow, +inf
+    for the last block.  A C bisect over lasts picks the block and one over
+    its shadows the place in it; values are compared only along a run of
+    shadows equal to the sought one, which may go on into the next block.
+    A germ of one block is two flat sorted columns with their shadows, and
+    an insert or delete moves at most 2 * _BLOCK entries per list.
+    """
+
+    __slots__ = ("values", "shadows", "lasts")
+
+    def __init__(self):
+        self.values = ([[]], [[]])
+        self.shadows = ([[]], [[]])
+        self.lasts = ([math.inf], [math.inf])
+
+    def gap(self, side: int, v, read: int) -> tuple:
+        """(j, i, f, lo, hi): v goes on side at offset i of block j (i is
+        the block's length only in the last block), f is v's shadow, and lo
+        and hi are the values of side read just before and at that place,
+        None past an end."""
+        f = _shadow(v)
+        lasts, shadows, values = self.lasts[side], self.shadows[side], self.values[side]
+        j = bisect.bisect_left(lasts, f)
+        i = _bisect_exact(shadows[j], values[j], f, v)
+        while i == len(values[j]) and j + 1 < len(lasts):    # equal shadows cross a block end
+            j += 1
+            i = _bisect_exact(shadows[j], values[j], f, v)
+        blocks = self.values[read]
+        block = blocks[j]
+        return (j, i, f, block[i - 1] if i else blocks[j - 1][-1] if j else None,
+                block[i] if i < len(block) else None)
+
+    def insert(self, j: int, i: int, x, y, fx: float, fy: float) -> None:
+        """Put the pair (x, y), whose shadows are fx and fy, at (j, i)."""
+        (xs, ys), (fxs, fys) = self.values, self.shadows
+        xs[j].insert(i, x)
+        ys[j].insert(i, y)
+        fxs[j].insert(i, fx)
+        fys[j].insert(i, fy)
+        if len(xs[j]) > 2 * _BLOCK:
+            for side in (0, 1):
+                for blocks in (self.values[side], self.shadows[side]):
+                    block = blocks[j]
+                    blocks[j:j + 1] = block[:_BLOCK], block[_BLOCK:]
+                self.lasts[side].insert(j, self.shadows[side][j][-1])
+
+    def delete(self, j: int, i: int) -> None:
+        """Take out the pair at (j, i)."""
+        for side in (0, 1):
+            values, shadows, lasts = self.values[side], self.shadows[side], self.lasts[side]
+            del values[j][i], shadows[j][i]
+            last = len(lasts) - 1
+            if not values[j] and last:
+                del values[j], shadows[j], lasts[j if j < last else j - 1]
+            elif i == len(values[j]) and j < last:
+                lasts[j] = shadows[j][-1]
+
+
 class DloGerm(PartialAutomorphism):
     """A partial order isomorphism between subsets of Q: a germ of (Q;<).
 
-    A type over Q is an order pattern, so the pairs also sit in two aligned
-    sorted columns, and the admissible images of an uncommitted x are the
-    rationals strictly between the images of its nearest committed
-    neighbors: one bisect finds them, and the least image is the
-    enumeration-least of them (no probe cap needed).  images takes those
-    among its candidates by two more bisects, over a value-sorted view of
-    the candidate list made on the first call with that list and kept
-    while the same list object comes back (so the list must not change
-    in between).  place runs the same search from either side with a
-    given choice of partner, for the back-and-forth between Q and Q minus 0.
+    A type over Q is an order pattern, so the pairs also sit sorted on both
+    sides at once, in a _PairIndex, and the admissible images of an
+    uncommitted x are the rationals strictly between the images of its
+    nearest committed neighbors: one lookup finds them, and the least image
+    is the enumeration-least of them (no probe cap needed).  images takes
+    those among its candidates by two more bisects, over a value-sorted
+    view of the candidate list (with the values' shadows) made on the first
+    call with that list and kept while the same list object comes back (so
+    the list must not change in between).  place runs the same search from
+    either side with a given choice of partner, for the back-and-forth
+    between Q and Q minus 0.  Every answer is exact: floats only route the
+    bisects.
     """
 
     def __init__(self, limit: LimitStructure, pairs: Iterable[tuple] = ()):
-        self._dom: list = []    # the committed points, sorted
-        self._rng: list = []    # their images, aligned, so sorted as well
-        self._view: tuple = (None, [], [])   # (candidate list, sorted values, their positions)
+        self._index = _PairIndex()
+        # (candidate list, sorted values, their shadows, their positions)
+        self._view: tuple = (None, [], [], [])
         super().__init__(limit, pairs)
-
-    @staticmethod
-    def _gap(keys: list, values: list, v) -> tuple:
-        """(i, lo, hi): the index at which v goes into keys, and the values
-        beside that index, None at an end."""
-        i = bisect.bisect_left(keys, v)
-        return i, values[i - 1] if i else None, values[i] if i < len(values) else None
 
     def images(self, x, candidates) -> Iterable:
         if x in self.mapping:
             return super().images(x, candidates)
-        _, lo, hi = self._gap(self._dom, self._rng, x)
-        listed, values, positions = self._view
+        *_, lo, hi = self._index.gap(0, x, 1)
+        listed, values, shadows, positions = self._view
         if listed is not candidates:
             listed = candidates if isinstance(candidates, (list, tuple)) else list(candidates)
-            positions = sorted(range(len(listed)), key=listed.__getitem__)
+            shadows = list(map(_shadow, listed))
+            # By shadow; values are compared only where shadows tie.
+            positions = sorted(range(len(listed)), key=lambda k: (shadows[k], listed[k]))
             values = [listed[k] for k in positions]
-            self._view = (listed, values, positions)
-        a = 0 if lo is None else bisect.bisect_right(values, lo)
-        b = len(values) if hi is None else bisect.bisect_left(values, hi)
+            shadows = [shadows[k] for k in positions]
+            self._view = (listed, values, shadows, positions)
+        a = 0 if lo is None else _bisect_exact(shadows, values, _shadow(lo), lo, right=True)
+        b = len(values) if hi is None else _bisect_exact(shadows, values, _shadow(hi), hi)
         return [listed[k] for k in sorted(positions[a:b])]
 
     def constraints(self, x) -> tuple:
         """x's nearest committed neighbors: images(x, ...) reads only their pairs."""
-        i = bisect.bisect_left(self._dom, x)
-        return tuple(self._dom[max(i - 1, 0):i + 1])
+        *_, lo, hi = self._index.gap(0, x, 0)
+        return tuple(v for v in (lo, hi) if v is not None)
 
     def commit(self, x, y) -> None:
         if x in self.mapping:
             return super().commit(x, y)
-        i, lo, hi = self._gap(self._dom, self._rng, x)
+        j, i, f, lo, hi = self._index.gap(0, x, 1)
         if not ((lo is None or lo < y) and (hi is None or y < hi)):
             raise TypeMismatch(f"pair {x} -> {y} breaks the type of the germ")
-        self._dom.insert(i, x)
-        self._rng.insert(i, y)
+        self._index.insert(j, i, x, y, f, _shadow(y))
         self.mapping[x] = y
 
     def uncommit(self, x) -> None:
-        i = bisect.bisect_left(self._dom, x)
-        del self._dom[i], self._rng[i], self.mapping[x]
+        del self.mapping[x]
+        j, i, *_ = self._index.gap(0, x, 0)
+        self._index.delete(j, i)
 
     def _grow(self, x):
         return self.place(x, least_enum_in_interval)
@@ -860,13 +950,13 @@ class DloGerm(PartialAutomorphism):
         nearest committed neighbors (None at an end) and choose returns a
         partner strictly between them, or None.  Returns the partner; on
         None nothing is committed."""
-        keys, values = (self._rng, self._dom) if inverse else (self._dom, self._rng)
-        i, lo, hi = self._gap(keys, values, v)
+        side = 1 if inverse else 0
+        j, i, f, lo, hi = self._index.gap(side, v, 1 - side)
         w = choose(lo, hi)
         if w is not None:
-            keys.insert(i, v)
-            values.insert(i, w)
-            x, y = (w, v) if inverse else (v, w)
+            fw = _shadow(w)
+            x, y, fx, fy = (w, v, fw, f) if inverse else (v, w, f, fw)
+            self._index.insert(j, i, x, y, fx, fy)
             self.mapping[x] = y
         return w
 

@@ -11,7 +11,8 @@ forbidden-substructure age, `substructure` and `is_isomorphic` are taken as
 the definitions of restriction and isomorphism.  The dense sets Q and
 Q minus 0 are checked by sampling their enumerations, and a back-and-forth
 partner is found by probing the enumeration for the first member inside the
-interval.  verify_amalgamation is replayed by its pairwise loop: for each
+interval, and a germ of (Q;<) keeps its pairs in two flat sorted columns,
+found by plain bisect over the exact values.  verify_amalgamation is replayed by its pairwise loop: for each
 ordered pair of distinct extensions b1, b2 of a member, b1's extensions are
 searched afresh until one restricts to b2, and grown members are deduped.
 Type records are enumerated by the per-pattern loop: for each partition of
@@ -33,7 +34,9 @@ prefix is re-extended through the germ's own probe, which may run past the
 horizon, and local equality reads each fragment sorted by element index.
 """
 
+import bisect
 import itertools
+from fractions import Fraction
 
 from canonfn.fraisse import (
     _FULL_ENUM_MAX,
@@ -334,21 +337,81 @@ def check_dense(s):
         raise AssertionError(f"{s.name}: no member below {bottom}")
 
 
+_PROBED: dict = {}    # exclude_zero -> (numerator, denominator) of the first members
+
+
 class ProbingDenseSet(ComputableDenseSet):
     """The same dense set, whose least member inside an open interval is the
-    first one among its first 2^22 members that lies there."""
+    first one among its first 2^22 members that lies there.  The members
+    probed so far are kept as integer pairs, and compared with the bounds
+    by cross-multiplication."""
 
     def least_in(self, lo, hi):
+        a, b = (-1, 0) if lo is None else (lo.numerator, lo.denominator)
+        c, d = (1, 0) if hi is None else (hi.numerator, hi.denominator)
+        members = _PROBED.setdefault(self.exclude_zero, [])
         for i in range(1 << 22):
-            y = self.enumerate_member(i)
-            if (lo is None or y > lo) and (hi is None or y < hi):
-                return y
+            if i == len(members):
+                y = self.enumerate_member(i)
+                members.append((y.numerator, y.denominator))
+            n, m = members[i]
+            if n * b > a * m and n * d < c * m:
+                return Fraction(n, m)
         return None
 
 
 def probing(s):
     """s with its partners found by probing the enumeration."""
     return ProbingDenseSet(s.name, s.exclude_zero)
+
+
+class FlatColumnsGerm:
+    """A partial order isomorphism of Q in two flat sorted columns: the
+    committed points and, aligned, their images, each found by bisect over
+    the values themselves.  mapping holds the pairs in commit order."""
+
+    def __init__(self):
+        self.dom, self.rng, self.mapping = [], [], {}
+
+    @staticmethod
+    def _gap(keys, values, v):
+        i = bisect.bisect_left(keys, v)
+        return i, values[i - 1] if i else None, values[i] if i < len(values) else None
+
+    def images(self, x, candidates):
+        _, lo, hi = self._gap(self.dom, self.rng, x)
+        return [y for y in candidates if (lo is None or lo < y) and (hi is None or y < hi)]
+
+    def constraints(self, x):
+        i = bisect.bisect_left(self.dom, x)
+        return tuple(self.dom[max(i - 1, 0):i + 1])
+
+    def commit(self, x, y) -> bool:
+        """Add (x, y) and say True, or say False when it breaks the order."""
+        if x in self.mapping:
+            return self.mapping[x] == y
+        i, lo, hi = self._gap(self.dom, self.rng, x)
+        if not ((lo is None or lo < y) and (hi is None or y < hi)):
+            return False
+        self.dom.insert(i, x)
+        self.rng.insert(i, y)
+        self.mapping[x] = y
+        return True
+
+    def uncommit(self, x):
+        i = bisect.bisect_left(self.dom, x)
+        del self.dom[i], self.rng[i], self.mapping[x]
+
+    def place(self, v, choose, inverse=False):
+        keys, values = (self.rng, self.dom) if inverse else (self.dom, self.rng)
+        i, lo, hi = self._gap(keys, values, v)
+        w = choose(lo, hi)
+        if w is not None:
+            keys.insert(i, v)
+            values.insert(i, w)
+            x, y = (w, v) if inverse else (v, w)
+            self.mapping[x] = y
+        return w
 
 
 # ---------------------------------------------------------------------------

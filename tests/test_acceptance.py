@@ -234,6 +234,18 @@ def test_criterion_07_pham_example():
     report_line("criterion 7 (puncture isomorphism: canonical, local, certificate)", 30, started)
 
 
+def test_criterion_07_back_and_forth_stages():
+    # A stage places one point by lookups in the germ's blocked pair index,
+    # so 100,000 stages stay near-linear; two flat sorted columns of
+    # Fractions took 4.9-5.5 s on a shared 2-vCPU machine.
+    started = time.monotonic()
+    f = canonical_iso(rationals_set(), punctured_rationals())
+    f.run_stages(100_000)
+    assert len(f.committed) == 100_000
+    assert f.eval(F(-1)) == -1 and f.eval(F(0)) == 1
+    report_line("criterion 7 (100,000 back-and-forth stages)", 4, started)
+
+
 def test_criterion_08_lift_lemma():
     started = time.monotonic()
     dlo = builtin_limit("dlo")

@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -22,6 +23,7 @@ from canonfn import (
     qf_type,
     verify_amalgamation,
 )
+from canonfn import fraisse
 from canonfn.fraisse import (
     GRAPH_SIG,
     ORDERED_GRAPH_SIG,
@@ -37,6 +39,7 @@ from canonfn.fraisse import (
 )
 
 from oracles import (
+    FlatColumnsGerm,
     PredicateAge,
     count_set_partitions,
     count_weak_orders,
@@ -483,6 +486,131 @@ def test_dlo_germ_images_match_the_filter(query):
             assert germ.images(x, pool) == expected
             assert germ.images(x, iter(pool)) == expected
             assert set(germ.constraints(x)) == {a for a, y in pairs if y in (lo, hi)}
+
+
+# Values whose floats tie (a third and its neighbors 1e-30 away; the
+# underflows beside 0; the overflows, as ints and Fractions), beside ints
+# and Fractions of all sizes.
+_TIED = [F(1, 3) + F(k, 10 ** 30) for k in range(-4, 5)] + [
+    0, F(1, 10 ** 400), F(-1, 10 ** 400), F(2, 10 ** 400),
+    10 ** 400, F(10 ** 400) + 1, -10 ** 400, F(-10 ** 400) - 1]
+INDEX_VALUES = st.one_of(
+    st.sampled_from(_TIED), st.sampled_from(_TIED), RATIONALS, st.integers(-40, 40),
+    st.tuples(st.integers(-10 ** 9, 10 ** 9), st.integers(1, 10 ** 9)).map(lambda t: F(*t)))
+
+
+def _float(v) -> float:
+    try:
+        return float(v)
+    except OverflowError:
+        return math.inf if v > 0 else -math.inf
+
+
+def _between(w, fallback):
+    """A partner chooser: w when it lies in (lo, hi), else, with fallback, a
+    point of the gap (its midpoint where bounded), else None."""
+    def choose(lo, hi):
+        if (lo is None or lo < w) and (hi is None or w < hi):
+            return w
+        if not fallback:
+            return None
+        if lo is None or hi is None:
+            return F(0) if lo is hi else lo + 1 if hi is None else hi - 1
+        return (F(lo) + hi) / 2
+    return choose
+
+
+@st.composite
+def index_steps(draw):
+    """A block size and steps on a germ: ("commit", x, y); ("place", v, w,
+    fallback) and ("inverse", v, w, fallback), pairing v with the chooser's
+    answer; ("uncommit", k), taking back the k-th committed pair (mod the
+    count); ("look", x, pool), reading images and constraints."""
+    steps = []
+    for _ in range(draw(st.integers(1, 40))):
+        kind = draw(st.sampled_from(["commit", "place", "place", "inverse", "uncommit", "look"]))
+        if kind == "uncommit":
+            steps.append((kind, draw(st.integers(0, 1000))))
+        elif kind == "look":
+            steps.append((kind, draw(INDEX_VALUES), draw(st.lists(INDEX_VALUES, max_size=6))))
+        elif kind == "commit":
+            steps.append((kind, draw(INDEX_VALUES), draw(INDEX_VALUES)))
+        else:
+            steps.append((kind, draw(INDEX_VALUES), draw(INDEX_VALUES), draw(st.booleans())))
+    return draw(st.sampled_from([1, 2, 3, fraisse._BLOCK])), steps
+
+
+def _check_index(germ, ref):
+    """The germ's pair index holds the reference's columns in blocks, with
+    the blocks' shadows and last shadows in order."""
+    index = germ._index
+    assert germ.pairs == tuple(ref.mapping.items())
+    for side, column in ((0, ref.dom), (1, ref.rng)):
+        values, shadows, lasts = index.values[side], index.shadows[side], index.lasts[side]
+        assert [v for block in values for v in block] == column
+        assert shadows == [[_float(v) for v in block] for block in values]
+        assert len(values) == len(lasts) and lasts[-1] == math.inf
+        assert lasts[:-1] == [block[-1] for block in shadows[:-1]]
+        assert all(values) or len(values) == 1
+        assert all(len(block) <= 2 * fraisse._BLOCK for block in values)
+
+
+def _index_run(steps):
+    germ, ref = DLO.germ(), FlatColumnsGerm()
+    for kind, v, *args in steps:
+        if kind == "commit":
+            try:
+                germ.commit(v, args[0])
+                done = True
+            except TypeMismatch:
+                done = False
+            assert done is ref.commit(v, args[0])
+        elif kind in ("place", "inverse"):
+            inverse = kind == "inverse"
+            if v in (ref.rng if inverse else ref.mapping):
+                continue
+            assert (germ.place(v, _between(*args), inverse)
+                    == ref.place(v, _between(*args), inverse))
+        elif kind == "uncommit":
+            if ref.mapping:
+                x = list(ref.mapping)[v % len(ref.mapping)]
+                germ.uncommit(x)
+                ref.uncommit(x)
+        elif v not in ref.mapping:
+            assert germ.images(v, args[0]) == ref.images(v, args[0])
+            assert germ.constraints(v) == ref.constraints(v)
+        _check_index(germ, ref)
+
+
+@HYPOTHESIS
+@given(index_steps())
+def test_pair_index_matches_flat_columns(query):
+    block, steps = query
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fraisse, "_BLOCK", block)
+        _index_run(steps)
+
+
+def test_pair_index_ties_across_blocks():
+    # Thirty points a third apart by 1e-30 steps share one float, on both
+    # sides: blocks of at most four pairs split the run, every lookup inside
+    # it goes on past block ends by exact comparisons, and a candidate list
+    # given in descending order is sorted exactly.
+    tied = [F(1, 3) + F(k, 10 ** 30) for k in range(-31, 31)]
+    points = tied[1::2]
+    order = [(7 * k) % 30 for k in range(30)]
+    pool = tied[::-2] + [F(0), F(1)]
+    steps = [("commit", points[k], points[k]) for k in order]
+    steps += [("look", x, pool) for x in tied[::2]]
+    steps += [("place", x, F(1000), True) for x in tied[::6]]
+    steps += [("inverse", F(2 * k + 1, 4), F(1, 3), True) for k in range(-2, 3)]
+    steps += [("uncommit", 7 * k) for k in range(20)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fraisse, "_BLOCK", 2)
+        germ = DLO.germ((points[k], points[k]) for k in order)
+        shadows = germ._index.shadows[0]
+        assert len(shadows) > 3 and all(a[-1] == b[0] for a, b in zip(shadows, shadows[1:]))
+        _index_run(steps)
 
 
 @st.composite

@@ -120,7 +120,8 @@ class TestAutomorphismMoving:
 
 
 class TestPartnerSearchDifferential:
-    STAGES = 320
+    # Enough pairs for the germ's pair index to split its blocks three times.
+    STAGES = 1100
 
     @pytest.mark.parametrize("source", [rationals_set, punctured_rationals])
     @pytest.mark.parametrize("target", [rationals_set, punctured_rationals])
@@ -130,6 +131,7 @@ class TestPartnerSearchDifferential:
         fast.run_stages(self.STAGES)
         slow.run_stages(self.STAGES)
         assert fast.committed == slow.committed
+        assert len(fast._germ._index.lasts[0]) > 3
 
     @pytest.mark.parametrize("a, b", [(0, 0), (-1, 1), (1, -1), (F(1, 2), 3), (-2, F(-1, 3))])
     def test_seeded_automorphisms_match_probe(self, a, b):
