@@ -317,14 +317,14 @@ def realize_behavior(table: BehaviorTable, n: int):
 
     domain = [table.source.limit.element(i) for i in range(n)]
     pool = [table.target.limit.element(i) for i in range(n * _TARGET_RATIO)]
-    scan = BehaviorScan(table.source, table.target, table.max_arity)
+    scan = BehaviorScan(table.source, table.target, table.max_arity, domain)
     explored = 0
 
     def element(i):
         nonlocal explored
         for y in pool:
             explored += 1
-            if scan.push(domain[i], y):
+            if scan.push(y):
                 if all(table.get(k, src) == tgt for k, src, tgt in scan.recorded()):
                     yield
                 scan.pop()

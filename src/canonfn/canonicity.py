@@ -4,17 +4,18 @@ A function is canonical when same-orbit tuples have same-orbit images.  At a
 finite horizon this is checked over all tuples of bounded arity drawn from an
 initial segment of the domain: a refutation (two same-label tuples with
 different image labels) is conclusive, a pass is a certificate up to the
-horizon only.  BehaviorScan is the one tuple scan behind every such check:
-check_canonical runs it in full, and the embedding search in canonize and
-the realizability search in behaviors push and pop it one point per level
-of their behaviors.depth_first search.  It labels tuples by int ids on
-point indices (groups.PointLabels), so a label record is built once per
-distinct label, not once per tuple; a push takes the source ids of its
-position's tuples once per point and only image ids per candidate image.  On a target whose symbols are unary or
-binary, check_canonical compares image labels only up to arity 2: a
-conflict among larger tuples implies one among their 1- and 2-subtuples,
-which comes first in scan order.  A target with a symbol of arity > 2
-keeps the comparison at every arity.
+horizon only.  BehaviorScan is the one tuple scan behind every such check.
+It is made on a fixed sequence of points: check_canonical runs it in full,
+and the embedding search in canonize and the realizability search in
+behaviors push and pop one image per level of their behaviors.depth_first
+search.  It labels tuples by int ids on point indices (groups.PointLabels),
+so a label record is built once per distinct label, not once per tuple.  A
+push labels the source tuples of its position once, on the position's first
+push, and only image tuples after that.  On a target whose symbols are
+unary or binary, check_canonical compares image labels only up to arity 2:
+a conflict among larger tuples implies one among their 1- and 2-subtuples,
+which comes first in scan order.  A target with a symbol of arity > 2 keeps
+the comparison at every arity.
 The module also computes induced behavior tables, the local equality relation
 modulo a group, coherent tower witnesses for lifted equalities, and a harness
 comparing the three equivalent formulations of canonicity at finite scale.
@@ -36,6 +37,8 @@ from .groups import (
     PointLabels,
     aut_power,
     automorphism_extending,
+    columns,
+    format_point,
     label_key,
     orbit_label,
     point,
@@ -186,12 +189,21 @@ class PiecewiseAffineOracle(FunctionOracle):
 
 
 class TableOracle(FunctionOracle):
-    """Finite function table; probes outside the table raise DomainGap."""
+    """Finite function table; probes outside the table raise DomainGap.  A
+    key must be a point of m source elements and a value a target element."""
 
     def __init__(self, source: LimitStructure, target: LimitStructure, mapping, m: int = 1):
         super().__init__(source, target)
         self.m = m
         self.mapping = dict(mapping)
+        for p, v in self.mapping.items():
+            cols = columns(p)
+            if len(cols) != m or not all(map(source.is_element, cols)):
+                what = "an element" if m == 1 else f"a point of {m} elements"
+                raise ValueError(f"table key {format_point(p)} is not {what} of {source.name}")
+            if not target.is_element(v):
+                raise ValueError(f"table value {format_point(v)} at {format_point(p)} "
+                                 f"is not an element of {target.name}")
 
     def __call__(self, p):
         try:
@@ -343,34 +355,37 @@ CanonicityVerdict = CanonicalUpTo | Counterexample
 
 class BehaviorScan:
     """The tuple scan behind every canonicity check: it discovers the
-    behavior table of the points it is given.
+    behavior table of a fixed sequence of points, given when the scan is
+    made and labeled on the source side then, and of their images.
 
-    Each visited tuple of arity k <= arity over the scanned points has the
-    label of its image tuple under h compared with the image label first
-    visited for the same source label under g.  Labels are the int ids of
-    one groups.PointLabels per side, taken on point indices; an id fixes its
+    Each visited tuple of arity k <= arity over the points has the label of
+    its image tuple under h compared with the image label first visited for
+    the same source label under g.  Labels are the int ids of one
+    groups.PointLabels per side, taken on point indices; an id fixes its
     label's arity, so the first image is kept by source id alone.  Ids turn
     back into labels only for a Counterexample, a BehaviorTable or recorded.
 
     Full mode (run) visits every tuple in (arity, lexicographic index) order,
     so the first conflict is the first counterexample, and calls the oracle
     on a point only when the scan first reaches it; on a binary target it
-    compares only up to arity 2 (see run).  Incremental mode
-    (push/pop) visits only the tuples that contain the newest point; a push
-    that conflicts undoes its own entries, leaves the scan as it was and
-    names the two conflicting tuples in conflict.  Each position keeps the
-    source ids of its touching tuples while the same point is pushed there,
-    so a search that tries many images for one point labels its source
-    tuples once.
+    compares only up to arity 2 (see run).  Incremental mode (push/pop)
+    gives the next position its image and visits only the tuples that
+    contain that position; a push that conflicts undoes its own entries,
+    leaves the scan as it was and names the two conflicting tuples in
+    conflict.  The source ids of a position's touching tuples are taken on
+    its first push and kept, so a search that tries many images there
+    labels its source tuples once.
     """
 
-    def __init__(self, g: GroupPresentation, h: GroupPresentation, arity: int):
+    def __init__(self, g: GroupPresentation, h: GroupPresentation, arity: int, points):
         self.arity = arity
         self.source = PointLabels(g)
         self.target = PointLabels(h)
+        for p in points:
+            self.source.append(p)
         self._seen: dict = {}        # source id -> (image id, first index tuple)
         self._pushed: list = []      # source ids each push recorded, for pop
-        self._sources: list = []     # per position: (point, touching tuples' source ids)
+        self._sources: list = []     # per position: its touching tuples' (index tuple, source id)
         self.conflict: tuple = ()    # of the last failed push: (index tuple, first on record)
 
     @property
@@ -393,7 +408,7 @@ class BehaviorScan:
     def _points_at(self, idx: tuple) -> tuple:
         return tuple(self.points[i] for i in idx)
 
-    def run(self, points, f: FunctionOracle) -> Counterexample | None:
+    def run(self, f: FunctionOracle) -> Counterexample | None:
         """Full mode: the first tuple whose image label conflicts, or None.
 
         On a binary target (PointLabels.binary) a pass above arity 2 takes
@@ -403,8 +418,6 @@ class BehaviorScan:
         points, which the scan met first.  The arity-1 pass has taken
         every image by then.
         """
-        for p in points:
-            self.source.append(p)
         added: list = []
         for k in range(1, self.arity + 1):
             tuples = itertools.product(range(len(self.points)), repeat=k)
@@ -442,36 +455,20 @@ class BehaviorScan:
                 else:
                     yield prefix + (new,)
 
-    def _touching_sources(self, new: int, p) -> list:
-        """(index tuple, source id) of the tuples that contain position new,
-        which holds p, in _touching order.  Taken once per position: the
-        list is kept until another point is pushed there, which drops it
-        and those of the positions above."""
-        cached = self._sources
-        if new < len(cached):
-            if cached[new][0] == p:
-                return cached[new][1]
-            del cached[new:]
-        source_id = self.source.id_of
-        found = [(idx, source_id(idx)) for idx in self._touching(new)]
-        if new == len(cached):
-            cached.append((p, found))
-        return found
-
-    def push(self, p, image) -> bool:
-        """Incremental mode: add a point and its image; False, with nothing
-        added, when a tuple containing it conflicts.  A failed push leaves
-        in conflict the index tuple that conflicted and the first one on
-        record for its source label.  A search pushes one point at each
-        position, over and over, so the source ids of the touching tuples
-        are taken once per position and each push takes only image ids."""
-        new = len(self.points)
-        self.source.append(p)
+    def push(self, image) -> bool:
+        """Incremental mode: give the next position its image; False, with
+        nothing added, when a tuple containing it conflicts.  A failed push
+        leaves in conflict the index tuple that conflicted and the first one
+        on record for its source label."""
+        new = len(self.images)
+        if new == len(self._sources):
+            source_id = self.source.id_of
+            self._sources.append([(idx, source_id(idx)) for idx in self._touching(new)])
         self.target.append(image)
         added: list = []
         self._pushed.append(added)
         image_id = self.target.id_of
-        for idx, src in self._touching_sources(new, p):
+        for idx, src in self._sources[new]:
             img = image_id(idx)
             img0, idx0 = self._known(idx, src, img, added)
             if img0 != img:
@@ -481,10 +478,9 @@ class BehaviorScan:
         return True
 
     def pop(self) -> None:
-        """Undo the last push."""
+        """Take back the last pushed image."""
         for src in self._pushed.pop():
             del self._seen[src]
-        self.source.pop()
         self.target.pop()
 
     def _entry(self, src: int) -> tuple:
@@ -526,8 +522,8 @@ def check_canonical(f: FunctionOracle, g: GroupPresentation, h: GroupPresentatio
         if horizon < 1:
             raise ValueError("horizon must be positive")
         points = [point(g, i) for i in range(horizon)]
-    scan = BehaviorScan(g, h, arity)
-    found = scan.run(points, f)
+    scan = BehaviorScan(g, h, arity, points)
+    found = scan.run(f)
     if found is not None:
         return found
     return CanonicalUpTo(len(scan.points), arity, scan.behavior())

@@ -5,8 +5,9 @@ power(aut(limit), m), and stabilizers of either (constants fixed).  It
 grows one type-preserving partial self-embedding of the limit per column of
 the source's points, level by level over the enumerated domain points,
 keeping the induced behavior of the composed sample conflict-free up to a
-bounded arity: each candidate point is pushed onto a canonicity.BehaviorScan,
-and its columns are committed only when the push succeeds.  Each column's
+bounded arity: a canonicity.BehaviorScan is made on the sample's points,
+seeds first and then one per level, each candidate's image is pushed onto
+it, and its columns are committed only when the push succeeds.  Each column's
 embedding is the limit's germ (fraisse.PartialAutomorphism), and its
 candidates are the pool elements the germ's images returns, listed once per
 level visit (on DloLimit, the pool elements strictly between the images of
@@ -97,26 +98,27 @@ def _run_search(f: FunctionOracle, g: GroupPresentation, h: GroupPresentation,
     # are fixed pointwise up front.
     germs = [limit.germ((columns(c)[i],) * 2 for c in seeds) for i in range(m)]
 
-    scan = BehaviorScan(g, h, arity)
+    # Constants reappearing in the enumeration are no levels: their images
+    # and tuples are committed up front.
+    levels = [i for i in range(depth) if points[i] not in seeds]
+    # The scan's positions: the seeds', then one per level.  Conflicts are
+    # kept as bits of positions; first[j][v] is the bit of the first
+    # position whose column j holds v: the seed or level that commits v.
+    sequence = list(seeds) + [points[i] for i in levels]
+    shift = len(seeds)
+    first: list[dict] = [{} for _ in range(m)]
+    for pos, q in enumerate(sequence):
+        for j, v in enumerate(columns(q)):
+            first[j].setdefault(v, 1 << pos)
+    conflicts = [0] * len(levels)
+    scan = BehaviorScan(g, h, arity, sequence)
     nodes = deepest = backjumps = 0
 
     # Constants enter the sample first; their columns are pre-committed, so
     # the composed sample agrees with f on them by construction.
     for c in seeds:
-        if not scan.push(c, f(c)):
+        if not scan.push(f(c)):
             raise PresentationError("constant points conflict with each other")
-    # Constants reappearing in the enumeration are no levels: their images
-    # and tuples are committed already.
-    levels = [i for i in range(depth) if points[i] not in seeds]
-    # Conflicts are kept as bits of scan positions: the seeds', then one per
-    # level.  first[j][v] is the bit of the first position whose column j
-    # holds v: the seed or level that commits v.
-    shift = len(seeds)
-    first: list[dict] = [{} for _ in range(m)]
-    for pos, q in enumerate(list(seeds) + [points[i] for i in levels]):
-        for j, v in enumerate(columns(q)):
-            first[j].setdefault(v, 1 << pos)
-    conflicts = [0] * len(levels)
 
     def level(i):
         nonlocal nodes, deepest, backjumps
@@ -137,7 +139,7 @@ def _run_search(f: FunctionOracle, g: GroupPresentation, h: GroupPresentation,
             nodes += 1
             for j, y in zip(free, combo):
                 image[j] = y
-            if scan.push(p, f(joined(image))):
+            if scan.push(f(joined(image))):
                 # Most pushes fail, so the columns are committed only after
                 # one succeeds.
                 for j, y in zip(free, combo):

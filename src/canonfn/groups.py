@@ -263,8 +263,8 @@ class PointLabels:
     its pair codes: per column, for each ordered pair of positions of the
     tuple extended by the constants, one equality bit and one bit per
     symbol, read through the limit's eval_relation once per pair of point
-    indices, on first need.  A popped point's codes stay until another
-    point takes its index.  The codes are the tuple's key; each new key
+    indices, on first need.  A point appended at index k drops the codes
+    from k on.  The codes are the tuple's key; each new key
     takes the next id, and labels[id] is orbit_label of the first tuple met
     with that key.  A symbol of arity > 2 makes orbit_label itself the key.
     binary is True on a signature of unary and binary symbols only.
@@ -290,16 +290,12 @@ class PointLabels:
             self._put(k, c)
 
     def _put(self, k: int, p) -> None:
-        """Store point p at index k.  A column whose value there equals p's
-        keeps its codes; another value drops the rows from index k on.  A
+        """Store point p at index k, dropping the rows from index k on.  A
         code (i, j) left in a lower row is rewritten before it is read: a
         key reads (j, i) too, which is missing, and _fill writes both."""
         cols = p if len(self._columns) > 1 else (p,)
         for values, codes, v in zip(self._columns, self._codes, cols):
-            if k < len(values):
-                if values[k] == v:
-                    continue
-                del values[k:], codes[k:]
+            del values[k:], codes[k:]
             values.append(v)
             codes.append({})
 
@@ -308,7 +304,7 @@ class PointLabels:
         self.points.append(p)
 
     def pop(self) -> None:
-        """Drop the last point; pushing it back reads no relation again."""
+        """Drop the last point; its codes go when the next point is appended."""
         self.points.pop()
 
     def _fill(self, values: list, codes: list, i: int, j: int) -> None:

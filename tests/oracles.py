@@ -28,7 +28,10 @@ ids, by its loop before the links narrowed the candidates: every target id of a 
 every generator link, one node per slot entered.
 The canonicity scan is replayed in full: every tuple up to the arity has
 its image label, from the recursive orbit labels, compared with the first
-one met for its source label.
+one met for its source label.  Canonicity on aut(Q;<), its stabilizers and
+powers is also decided from the definition alone (`canonical`): comparisons
+give the 1-types of points and the 2-types of pairs, which fix every orbit
+on a binary signature, with no qf_type, PointLabels or BehaviorScan.
 The three-way harness is replayed with its first fragment clip: every
 prefix is re-extended through the germ's own probe, which may run past the
 horizon, and local equality reads each fragment sorted by element index.
@@ -573,6 +576,52 @@ def reference_scan(f, g, h, horizon, arity):
                 return Counterexample(k, t0, t, src, img0, img)
     entries = [(len(t), src, img) for src, (img, t) in first.items()]
     return CanonicalUpTo(horizon, arity, BehaviorTable(g, h, arity, entries))
+
+
+# Canonicity from 1- and 2-types.  A group is described by a tuple:
+#   ("dlo",)                 aut(Q;<)
+#   ("stab", constants)      stabilizer in aut(Q;<) of the constants
+#   ("power", m)             aut(Q;<)^m on m-column points
+
+
+def cmp(a, b) -> int:
+    return (a > b) - (a < b)
+
+
+def one_type(group, x):
+    if group[0] == "stab":
+        return tuple(cmp(x, c) for c in group[1])
+    return ()
+
+
+def pair_type(group, x, y):
+    kind = group[0]
+    if kind == "dlo":
+        return cmp(x, y)
+    if kind == "stab":
+        return one_type(group, x), one_type(group, y), cmp(x, y)
+    return tuple(cmp(a, b) for a, b in zip(x, y))
+
+
+def canonical(source, target, points, values, arity: int) -> bool:
+    """Order-pattern canonicity on the points, up to the arity.
+
+    On aut(Q;<) at arity >= 2 this is the familiar rule: the values are
+    constant, strictly increasing or strictly decreasing along the points.
+    """
+    seen: dict = {}
+    for x, fx in zip(points, values):
+        if seen.setdefault(("1", one_type(source, x)), one_type(target, fx)) != \
+                one_type(target, fx):
+            return False
+    if arity < 2:
+        return True
+    for (x, fx), (y, fy) in itertools.permutations(zip(points, values), 2):
+        key = ("2", pair_type(source, x, y))
+        image = pair_type(target, fx, fy)
+        if seen.setdefault(key, image) != image:
+            return False
+    return True
 
 
 def sorted_local_equal(f, g_fn, fragment, h):

@@ -160,6 +160,18 @@ class TestOracleFitsPresentations:
         with pytest.raises(PresentationError, match="oracle takes points of dlo"):
             canonize(neg, self.RADO, self.RADO, 2, 3, 8)
 
+    @pytest.mark.parametrize("mapping, m, message", [
+        ({0: F(1, 2)}, 1, "table value 1/2 at 0 is not an element of rado"),
+        ({0: -1}, 1, "table value -1 at 0 is not an element of rado"),
+        ({F(1, 2): 0}, 1, "table key 1/2 is not an element of rado"),
+        ({(0, -1): 0}, 2, r"table key \(0,-1\) is not a point of 2 elements of rado"),
+        ({0: 0}, 2, "table key 0 is not a point of 2 elements of rado"),
+    ])
+    def test_table_entries_are_elements(self, mapping, m, message):
+        rado = self.RADO.limit
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            TableOracle(rado, rado, mapping, m)
+
     def test_separate_instances_of_one_limit_fit(self, aut_dlo):
         other = NegationOracle(builtin_limit("dlo"))
         assert check_canonical(other, aut_dlo, AutLimit(builtin_limit("dlo")), 6, 2)

@@ -194,9 +194,12 @@ def reference_search(f, g, h, arity, depth, horizon):
         return (limit.qf_type(tuple(a for a, _ in pairs) + (x,))
                 == limit.qf_type(tuple(b for _, b in pairs) + (y,)))
 
-    scan = BehaviorScan(g, h, arity)
+    # The sample's points: the seeds, then each point of the enumeration
+    # that is not a seed.
+    sample = list(seeds) + [p for p in points if p not in seeds]
+    scan = BehaviorScan(g, h, arity, sample)
     for c in seeds:
-        assert scan.push(c, f(c))
+        assert scan.push(f(c))
     towers = []
     nodes = deepest = 0
 
@@ -206,7 +209,7 @@ def reference_search(f, g, h, arity, depth, horizon):
         if level == depth:
             return True
         p = points[level]
-        if p in scan.points:
+        if p in seeds:
             return rec(level + 1)
         cols = columns(p)
         known = [dict(pairs) for pairs in col_pairs]
@@ -219,7 +222,7 @@ def reference_search(f, g, h, arity, depth, horizon):
                 known[i][cols[i]] = y
             image = tuple(known[i][cols[i]] for i in range(m))
             image_point = image if m > 1 else image[0]
-            if scan.push(p, f(image_point)):
+            if scan.push(f(image_point)):
                 towers.append((p, image_point))
                 if rec(level + 1):
                     return True

@@ -468,6 +468,19 @@ def test_stabilizer_constant_must_be_an_element(constant):
         1, f"error: PresentationError: constant {constant} is not an element of rado\n")
 
 
+@pytest.mark.parametrize("verb", ["check", "canonize"])
+@pytest.mark.parametrize("value", ["1/2", "-1"])
+def test_table_value_must_be_an_element(tmp_path, verb, value):
+    # On rado an element is a vertex index: 1/2 would be read as 0, and -1
+    # as a vertex without atoms.
+    table = tmp_path / "t.txt"
+    table.write_text(f"0 -> {value}\n1 -> 1\n2 -> 2\n")
+    depth = ["--depth", "2"] if verb == "canonize" else []
+    assert run_argv([verb, "--f", f"table:{table}", "--source", "aut(rado)",
+                     "--target", "aut(rado)", "--horizon", "3", "--arity", "2", *depth]) == (
+        1, f"error: ValueError: table value {value} at 0 is not an element of rado\n")
+
+
 @pytest.mark.parametrize("arity", ["0", "-2"])
 def test_behaviors_nonpositive_arity_is_error(arity):
     assert run_argv(["behaviors", "--source", "aut(dlo)", "--target", "aut(dlo)",

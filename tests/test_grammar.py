@@ -212,3 +212,20 @@ def test_every_command_ends_in_one_of_three_ways(files, data):
     else:
         assert code in (0, 2), report
         assert not any(line.startswith("error") for line in lines), report
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_well_formed_behaviors_commands_report(files, data):
+    # Only well-formed values, so every draw reaches the table search: it
+    # ends in a report (exit 0) or in an exhausted budget (exit 2).
+    groups = [data.draw(st.sampled_from(BEHAVIOR_GROUPS[0])) for _ in range(2)]
+    argv = ["behaviors", "--source", groups[0], "--target", groups[1],
+            "--arity", str(data.draw(st.integers(1, 3))),
+            "--budget", data.draw(st.sampled_from(BUDGETS[0]))]
+    if "aut(d)" in groups:
+        argv += ["--structures", files["structures"]]
+    code, report = run(parse_command(argv))
+    assert code in (0, 2), report
+    assert not any(line.startswith("error") for line in report.splitlines()), report

@@ -1,7 +1,7 @@
 """Differential tests of the one tuple-scan engine: its full mode (the
-check_canonical scan) against its incremental mode (push/pop) and against
-the full scan of every tuple, and the lazy image contract of the full
-mode."""
+check_canonical scan) against its incremental mode (push/pop), against the
+full scan of every tuple and against canonicity decided from comparisons
+alone (oracles.canonical), and the lazy image contract of the full mode."""
 
 import itertools
 import random
@@ -31,6 +31,7 @@ from canonfn.formats import load_forbidden_age
 from canonfn.fraisse import DloLimit, GenericLimit, LimitStructure
 from canonfn.groups import point
 
+import oracles
 from oracles import reference_scan
 
 DLO = builtin_limit("dlo")
@@ -39,15 +40,18 @@ AUT = AutLimit(DLO)
 SETTINGS = settings(max_examples=100, deadline=None, derandomize=True,
                     suppress_health_check=[HealthCheck.too_slow])
 
-def piecewise_map(rng):
-    """Piecewise-affine map of Q with up to two breakpoints at halves."""
-    breaks = sorted({F(rng.randint(-3, 3), 2) for _ in range(rng.randint(0, 2))})
-    closed = [rng.random() < 0.5 for _ in breaks]
+def piecewise_map(rng, integer=None, flag=None, min_breaks=0):
+    """Piecewise-affine map of Q with up to two breakpoints at halves, drawn
+    from rng, or from integer(lo, hi) and flag() when they are given."""
+    integer = integer or rng.randint
+    flag = flag or (lambda: rng.random() < 0.5)
+    breaks = sorted({F(integer(-3, 3), 2) for _ in range(integer(min_breaks, 2))})
+    closed = [flag() for _ in breaks]
     lows = [(None, False)] + [(b, not c) for b, c in zip(breaks, closed)]
     highs = [(b, c) for b, c in zip(breaks, closed)] + [(None, False)]
     pieces = [
         AffinePiece(Interval(lo, lo_closed, hi, hi_closed),
-                    F(rng.randint(-2, 2)), F(rng.randint(-6, 6), 2))
+                    F(integer(-2, 2)), F(integer(-6, 6), 2))
         for (lo, lo_closed), (hi, hi_closed) in zip(lows, highs)
     ]
     return PiecewiseAffineOracle(DLO, pieces)
@@ -75,17 +79,65 @@ def seeded_case(seed: int):
 def test_full_and_incremental_modes_agree(seed):
     f, g, h, horizon, arity = seeded_case(seed)
     verdict = check_canonical(f, g, h, horizon, arity)
-    scan = BehaviorScan(g, h, arity)
+    pts = [point(g, i) for i in range(horizon)]
+    scan = BehaviorScan(g, h, arity, pts)
     pushed = 0
-    while pushed < horizon and scan.push(point(g, pushed), f(point(g, pushed))):
+    while pushed < horizon and scan.push(f(pts[pushed])):
         pushed += 1
     assert bool(verdict) == (pushed == horizon)
     if verdict:
         assert scan.behavior() == verdict.behavior
     else:
         # A refused push leaves the scan as the consistent prefix left it.
-        assert scan.points == [point(g, i) for i in range(pushed)]
+        assert len(scan.images) == pushed
         assert scan.behavior() == check_canonical(f, g, h, pushed, arity).behavior
+
+
+@st.composite
+def truth_cases(draw):
+    """(oracle, source, its description for oracles.canonical, points,
+    arity): a piecewise-affine map with a breakpoint on aut(dlo) or
+    stab(aut(dlo); c), or a min, max or projection map on
+    power(aut(dlo),2), maybe followed by a piecewise-affine map; 3 to 8
+    points and arity 2 to 4 (every map is canonical at arity 1 into
+    aut(dlo))."""
+    pieces = piecewise_map(None, lambda lo, hi: draw(st.integers(lo, hi)),
+                           lambda: draw(st.booleans()), min_breaks=1)
+    shape = draw(st.sampled_from(["aut", "stab", "power"]))
+    if shape == "aut":
+        f, g, desc = pieces, AUT, ("dlo",)
+    elif shape == "stab":
+        c = F(draw(st.integers(-6, 6)), 2)
+        f, g, desc = pieces, StabilizerGroup(AUT, (c,)), ("stab", (c,))
+    else:
+        f = draw(st.sampled_from([MinOracle(DLO, DLO), MaxOracle(DLO, DLO),
+                                  ProjectionOracle(DLO, 2, 0), ProjectionOracle(DLO, 2, 1)]))
+        if draw(st.booleans()):
+            f = ComposeOracle(pieces, f)
+        g, desc = PowerGroup(AUT, 2), ("power", 2)
+    pts = [point(g, i) for i in range(draw(st.integers(3, 8)))]
+    return f, g, desc, pts, draw(st.integers(2, 4))
+
+
+@SETTINGS
+@given(truth_cases())
+def test_scan_agrees_with_the_truth_oracle(case):
+    # oracles.canonical decides from comparisons alone.  The full scan must
+    # give its verdict, and pushes must succeed exactly as long as the
+    # prefix pushed so far is canonical.
+    f, g, desc, pts, arity = case
+    images = [f(p) for p in pts]
+
+    def truth(n):
+        return oracles.canonical(desc, ("dlo",), pts[:n], images[:n], arity)
+
+    assert bool(check_canonical(f, g, AUT, len(pts), arity, points=pts)) == truth(len(pts))
+    scan = BehaviorScan(g, AUT, arity, pts)
+    pushed = 0
+    while pushed < len(pts) and scan.push(images[pushed]):
+        pushed += 1
+    assert all(truth(n) for n in range(pushed + 1))
+    assert pushed == len(pts) or not truth(pushed + 1)
 
 
 def _sign(x) -> int:
@@ -222,52 +274,48 @@ def test_ternary_target_keeps_the_full_scan():
 def test_binary_target_takes_image_ids_only_for_new_source_labels(monkeypatch):
     # Above arity 2 the target labels only the first tuple of each source
     # label: at most count_orbits_g(aut(dlo), 3) of the 24^3 triples.
-    scan = BehaviorScan(AUT, AUT, 3)
+    scan = BehaviorScan(AUT, AUT, 3, [point(AUT, i) for i in range(24)])
     calls = _count_calls(monkeypatch, type(scan.target), "id_of")
     neg = NegationOracle(DLO)
-    assert scan.run([point(AUT, i) for i in range(24)], neg) is None
+    assert scan.run(neg) is None
     triples = [idx for labels, idx in calls if labels is scan.target and len(idx) == 3]
     assert len(triples) <= count_orbits_g(AUT, 3) == 13
     assert scan.behavior() == check_canonical(neg, AUT, AUT, 24, 3).behavior
 
 
-def _pushed_fresh(points, arity):
-    scan = BehaviorScan(AUT, AUT, arity)
-    for p in points:
-        assert scan.push(p, p)
+def _pushed(points, images, arity):
+    scan = BehaviorScan(AUT, AUT, arity, points)
+    for y in images:
+        assert scan.push(y)
     return scan
 
 
-def _kept_source_labels(scan) -> list:
-    """Per position: its point and the labels of the touching tuples' kept
-    source ids (ids depend on the order of interning, labels do not)."""
-    labels = scan.source.labels
-    return [(p, [(idx, labels[src]) for idx, src in found]) for p, found in scan._sources]
-
-
-def test_push_takes_source_ids_again_for_a_different_point():
-    # A push keeps the touching tuples' source ids of its position for the
-    # next push there.  Another point at that position, or at one below
-    # it, must drop them; the ids must then be a fresh scan's.
-    scan = _pushed_fresh([F(0), F(1), F(2)], 3)
+def test_pushing_another_image_after_a_pop_matches_a_straight_scan():
+    # A position's source ids are taken on its first push and kept; a pop
+    # takes back only the image.  Another image pushed there, and then at
+    # the positions above, must leave the scan as one pushed straight through.
+    pts = [F(0), F(1), F(2)]
+    scan = _pushed(pts, [F(0), F(1), F(2)], 3)
     scan.pop()
-    assert scan.push(F(-1), F(-1))             # the same position, another point
-    fresh = _pushed_fresh([F(0), F(1), F(-1)], 3)
-    assert _kept_source_labels(scan) == _kept_source_labels(fresh)
-    assert scan.recorded() == fresh.recorded()
+    assert scan.push(F(3))                     # the same position, another image
+    straight = _pushed(pts, [F(0), F(1), F(3)], 3)
+    assert scan.recorded() == straight.recorded()
+    assert scan.behavior() == straight.behavior()
     for _ in range(3):
         scan.pop()
-    for p in (F(5), F(1), F(-1)):              # position 0 changes, 1 and 2 do not
-        assert scan.push(p, p)
-    fresh = _pushed_fresh([F(5), F(1), F(-1)], 3)
-    assert _kept_source_labels(scan) == _kept_source_labels(fresh)
-    assert scan.behavior() == fresh.behavior()
+    assert scan.push(F(5)) and scan.push(F(6))
+    assert not scan.push(F(4))                 # 0 < 2 goes down, 0 < 1 went up
+    straight = _pushed(pts, [F(5), F(6)], 3)
+    assert not straight.push(F(4))
+    assert scan.conflict == straight.conflict == ((0, 2), (0, 1))
+    assert scan.push(F(7))
+    straight = _pushed(pts, [F(5), F(6), F(7)], 3)
+    assert scan.recorded() == straight.recorded()
+    assert scan.behavior() == straight.behavior()
 
 
 def test_failed_push_names_the_conflicting_tuples():
-    scan = BehaviorScan(AUT, AUT, 2)
-    for p in (F(0), F(1)):
-        assert scan.push(p, p)
-    assert not scan.push(F(2), F(-1))          # 0 < 2 goes down, 0 < 1 went up
+    scan = _pushed([F(0), F(1), F(2)], [F(0), F(1)], 2)
+    assert not scan.push(F(-1))                # 0 < 2 goes down, 0 < 1 went up
     assert scan.conflict == ((0, 2), (0, 1))
-    assert scan.points == [F(0), F(1)]
+    assert scan.images == [F(0), F(1)]
