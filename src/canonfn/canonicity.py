@@ -188,6 +188,15 @@ class PiecewiseAffineOracle(FunctionOracle):
         return "pieces:[" + "; ".join(parts) + "]"
 
 
+def _check_point(p, m: int, limit: LimitStructure, what: str) -> None:
+    """ValueError unless p is a point of m elements of the limit (a bare
+    element when m is 1); what names p in the message."""
+    cols = columns(p)
+    if len(cols) != m or not all(map(limit.is_element, cols)):
+        kind = "an element" if m == 1 else f"a point of {m} elements"
+        raise ValueError(f"{what} {format_point(p)} is not {kind} of {limit.name}")
+
+
 class TableOracle(FunctionOracle):
     """Finite function table; probes outside the table raise DomainGap.  A
     key must be a point of m source elements and a value a target element."""
@@ -197,10 +206,7 @@ class TableOracle(FunctionOracle):
         self.m = m
         self.mapping = dict(mapping)
         for p, v in self.mapping.items():
-            cols = columns(p)
-            if len(cols) != m or not all(map(source.is_element, cols)):
-                what = "an element" if m == 1 else f"a point of {m} elements"
-                raise ValueError(f"table key {format_point(p)} is not {what} of {source.name}")
+            _check_point(p, m, source, "table key")
             if not target.is_element(v):
                 raise ValueError(f"table value {format_point(v)} at {format_point(p)} "
                                  f"is not an element of {target.name}")
@@ -513,15 +519,18 @@ def check_fit(f: FunctionOracle, g: GroupPresentation, h: GroupPresentation) -> 
 def check_canonical(f: FunctionOracle, g: GroupPresentation, h: GroupPresentation,
                     horizon: int, arity: int, points=None) -> CanonicityVerdict:
     """Scan all tuples of arity <= arity over the first horizon domain points
-    (or an explicit point list); return the lexicographically first pair of
-    same-source-label tuples with different image labels, else a certificate
-    carrying the observed behavior table."""
+    (or an explicit point list, each a point of g's elements); return the
+    lexicographically first pair of same-source-label tuples with different
+    image labels, else a certificate carrying the observed behavior table."""
     check_fit(f, g, h)
     _check_arity(arity)
     if points is None:
         if horizon < 1:
             raise ValueError("horizon must be positive")
         points = [point(g, i) for i in range(horizon)]
+    else:
+        for p in points:
+            _check_point(p, g.m, g.limit, "point")
     scan = BehaviorScan(g, h, arity, points)
     found = scan.run(f)
     if found is not None:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
@@ -29,8 +30,9 @@ from .rationals import index_of_rational, least_enum_in_interval, rational_of_in
 ARITY_LIMIT = 6    # the tuple-arity guardrail of every check and search
 
 # Labeled enumeration in verify_amalgamation (pruned by the age's step_ok,
-# filtered by contains) is exact up to this size; beyond it members are grown
-# from smaller members, which presumes hereditariness below the bound.
+# filtered by contains unless the age is step_complete, whose step_ok alone
+# rejects every non-member) is exact up to this size; beyond it members are
+# grown from smaller members, which presumes hereditariness below the bound.
 _FULL_ENUM_MAX = 4
 
 
@@ -112,6 +114,15 @@ class FiniteStructure:
             if min(t) < 0 or max(t) >= self.size:
                 raise ValueError(f"index out of range in {name}{t}")
 
+    @classmethod
+    def _trusted(cls, signature: Signature, size: int, atoms: frozenset[Atom]) -> "FiniteStructure":
+        """The structure on atoms already known to fit signature and size,
+        made without the per-atom validation."""
+        s = object.__new__(cls)
+        for field, value in (("signature", signature), ("size", size), ("atoms", atoms)):
+            object.__setattr__(s, field, value)
+        return s
+
     def holds(self, name: str, t: tuple[int, ...]) -> bool:
         return (name, t) in self.atoms
 
@@ -145,17 +156,28 @@ def is_isomorphic(a: FiniteStructure, b: FiniteStructure) -> bool:
 class AgeOracle:
     """Membership oracle for a class of finite structures.
 
-    Subclasses may override step_ok to prune partial relation tables during
-    lexicographic enumeration; contains() at the leaves stays authoritative.
+    The table search (_table_dfs) decides candidate atoms one at a time and
+    calls step_ok(size, present, pending, atom, is_present) on each
+    decision: present holds the atoms present so far, pending the
+    candidates not decided yet, and every other atom over 0..size-1 is
+    absent.  step_ok may prune a partial table, but never one that extends
+    to a member.  An age declares step_complete when step_ok also rejects
+    every non-member, at the latest when the last atom of an offending
+    point set is decided; its search then yields a leaf without calling
+    contains().  That needs every point set with no candidate atom over it
+    to induce a member, which the search's callers guarantee (a base and
+    its extensions, a fragment and a dictated extension).  Otherwise
+    contains() at the leaves stays authoritative.
     """
 
     signature: Signature = EMPTY_SIG
     name: str = "age"
+    step_complete: bool = False
 
     def contains(self, s: FiniteStructure) -> bool:
         raise NotImplementedError
 
-    def step_ok(self, size, present, absent, atom, is_present) -> bool:
+    def step_ok(self, size, present, pending, atom, is_present) -> bool:
         return True
 
     def __repr__(self):
@@ -186,22 +208,27 @@ def _graph_ok(table, size):
 class LinearOrdersAge(AgeOracle):
     signature = ORDER_SIG
     name = "linear-orders"
+    step_complete = True
 
     def contains(self, s: FiniteStructure) -> bool:
         return _linear_order_ok(s.table("<"), s.size)
 
-    def step_ok(self, size, present, absent, atom, is_present) -> bool:
+    def step_ok(self, size, present, pending, atom, is_present) -> bool:
         name, (i, j) = atom
         if is_present:
             if i == j or (name, (j, i)) in present:
                 return False
             for w in range(size):
-                if (name, (j, w)) in present and (name, (i, w)) in absent and i != w:
-                    return False
-                if (name, (w, i)) in present and (name, (w, j)) in absent and w != j:
-                    return False
+                # w<i<j needs w<j.  (i<j<w with i<w absent is caught when
+                # w<i is decided, here or as a totality failure; sorted
+                # candidates decide w<i first.)
+                if (name, (w, i)) in present and w != j:
+                    wj = (name, (w, j))
+                    if wj not in present and wj not in pending:
+                        return False
         else:
-            if i != j and (name, (j, i)) in absent:
+            ji = (name, (j, i))
+            if i != j and ji not in present and ji not in pending:
                 return False
             for w in range(size):
                 if (name, (i, w)) in present and (name, (w, j)) in present:
@@ -212,40 +239,57 @@ class LinearOrdersAge(AgeOracle):
 class GraphsAge(AgeOracle):
     signature = GRAPH_SIG
     name = "graphs"
+    step_complete = True
 
     def contains(self, s: FiniteStructure) -> bool:
         return _graph_ok(s.table("edge"), s.size)
 
-    def step_ok(self, size, present, absent, atom, is_present) -> bool:
+    def step_ok(self, size, present, pending, atom, is_present) -> bool:
         name, (i, j) = atom
+        ji = (name, (j, i))
         if is_present:
-            return i != j and (name, (j, i)) not in absent
-        return (name, (j, i)) not in present
+            return i != j and (ji in present or ji in pending)
+        return ji not in present
 
 
 class OrderedGraphsAge(AgeOracle):
     signature = ORDERED_GRAPH_SIG
     name = "ordered-graphs"
+    step_complete = True
 
     def contains(self, s: FiniteStructure) -> bool:
         return _linear_order_ok(s.table("<"), s.size) and _graph_ok(s.table("edge"), s.size)
 
-    def step_ok(self, size, present, absent, atom, is_present) -> bool:
+    def step_ok(self, size, present, pending, atom, is_present) -> bool:
         if atom[0] == "<":
-            return LinearOrdersAge.step_ok(self, size, present, absent, atom, is_present)
-        return GraphsAge.step_ok(self, size, present, absent, atom, is_present)
+            return LinearOrdersAge.step_ok(self, size, present, pending, atom, is_present)
+        return GraphsAge.step_ok(self, size, present, pending, atom, is_present)
 
 
 class PureSetsAge(AgeOracle):
     signature = EMPTY_SIG
     name = "pure-sets"
+    step_complete = True
 
     def contains(self, s: FiniteStructure) -> bool:
         return True
 
 
+# ForbiddenSubstructuresAge.step_ok tests a point set once at most this many
+# of its atoms are pending: deciding it then reads at most 2**_FREE_CAP tables.
+_FREE_CAP = 8
+
+
 class ForbiddenSubstructuresAge(AgeOracle):
-    """Structures avoiding every listed induced substructure."""
+    """Structures avoiding every listed induced substructure.
+
+    step_ok tests the point sets through each decided atom's points, as
+    large as a forbidden structure, against a memo of the small structures'
+    membership.  It is complete when no forbidden structure is empty and
+    some symbol has arity 2 or more: then every point set through a limit's
+    new point and a later one carries a candidate atom of the completion
+    search.
+    """
 
     def __init__(self, signature: Signature, forbidden: Iterable[FiniteStructure], name="forbidden"):
         self.signature = signature
@@ -254,18 +298,23 @@ class ForbiddenSubstructuresAge(AgeOracle):
         for f in self.forbidden:
             if f.signature != signature:
                 raise ValueError("forbidden structure signature mismatch")
-        # Per forbidden structure, every atom over its points: a combination's
-        # induced atoms are read off by lookups at these positions.
-        self._positions = tuple(
-            tuple((sym.name, t) for sym in signature.symbols
-                  for t in itertools.product(range(f.size), repeat=sym.arity))
-            for f in self.forbidden
-        )
+        # Per size of a forbidden structure, every atom over that many
+        # points: a point set's induced atoms are read off by lookups at
+        # these positions, and bit n of a table's mask is atom n's presence.
+        self._over = {
+            k: tuple((sym.name, t) for sym in signature.symbols
+                     for t in itertools.product(range(k), repeat=sym.arity))
+            for k in sorted({f.size for f in self.forbidden})
+        }
+        self._split: dict[tuple[int, int], tuple[list, list]] = {}
+        self._verdicts: dict[tuple[int, int, int], bool] = {}   # (k, fixed, free) -> completable
+        self.step_complete = (all(f.size for f in self.forbidden)
+                              and any(sym.arity >= 2 for sym in signature.symbols))
 
     def contains(self, s: FiniteStructure) -> bool:
         atoms = s.atoms
-        for f, positions in zip(self.forbidden, self._positions):
-            want = len(f.atoms)
+        for f in self.forbidden:
+            want, positions = len(f.atoms), self._over[f.size]
             for points in itertools.combinations(range(s.size), f.size):
                 induced = [(name, t) for name, t in positions
                            if (name, tuple(points[i] for i in t)) in atoms]
@@ -273,6 +322,72 @@ class ForbiddenSubstructuresAge(AgeOracle):
                         FiniteStructure(self.signature, f.size, frozenset(induced)), f):
                     return False
         return True
+
+    def step_ok(self, size, present, pending, atom, is_present) -> bool:
+        """False when a point set through the atom's points induces a
+        non-member however its pending atoms are decided.  A member induces
+        members, so no member is lost; a point set holding a forbidden copy
+        is tested with none of its atoms pending at the latest when the
+        last of them is decided."""
+        through = tuple(dict.fromkeys(atom[1]))
+        c = len(through)
+        rest = [p for p in range(size) if p not in through]
+        for k in self._over:
+            if k < c:
+                continue
+            inner, outer = self._parts(k, c)
+            # The atoms over the atom's own points are read once.
+            base_fixed = base_free = 0
+            for bit, name, read in inner:
+                a = (name, read(through))
+                if a in present:
+                    base_fixed |= bit
+                elif a in pending:
+                    base_free |= bit
+            for more in itertools.combinations(rest, k - c):
+                points = through + more
+                fixed, free = base_fixed, base_free
+                for bit, name, read in outer:
+                    a = (name, read(points))
+                    if a in present:
+                        fixed |= bit
+                    elif a in pending:
+                        free |= bit
+                if not self._completable(k, fixed, free):
+                    return False
+        return True
+
+    def _parts(self, k: int, c: int) -> tuple[list, list]:
+        """The atoms over k points as (bit, name, reader), a reader taking
+        a tuple of points to the atom's tuple over them, split into those
+        over the first c points alone and the rest."""
+        parts = self._split.get((k, c))
+        if parts is None:
+            rows = [(max(t) < c, (1 << n, name, operator.itemgetter(*t) if len(t) > 1
+                                  else lambda points, i=t[0]: (points[i],)))
+                    for n, (name, t) in enumerate(self._over[k])]
+            parts = self._split[k, c] = ([r for inner, r in rows if inner],
+                                         [r for inner, r in rows if not inner])
+        return parts
+
+    def _completable(self, k: int, fixed: int, free: int) -> bool:
+        """Whether the fixed atoms over k points and some of the free ones
+        (masks over _over[k]) make a member; True untested past _FREE_CAP
+        free atoms.  Memoized; a free atom is tried absent first."""
+        key = (k, fixed, free)
+        verdict = self._verdicts.get(key)
+        if verdict is None:
+            if not free:
+                atoms = frozenset(a for n, a in enumerate(self._over[k]) if fixed >> n & 1)
+                verdict = self.contains(FiniteStructure(self.signature, k, atoms))
+            elif bin(free).count("1") > _FREE_CAP:
+                verdict = True
+            else:
+                low = free & -free
+                verdict = (self._completable(k, fixed, free ^ low)
+                           or self._completable(k, fixed | low, free ^ low))
+            self._verdicts[key] = verdict
+        return verdict
 
 
 _BUILTIN_AGES = {
@@ -310,28 +425,32 @@ def _all_atoms(signature: Signature, points: Iterable[int], size: int) -> list[A
 def _table_dfs(age, size, present, candidates):
     """Yield structures present + subset-of-candidates in lexicographic order.
 
-    Every other atom over 0..size-1 is absent.  The order is lexicographic on
-    presence vectors over the sorted candidate list, absent before present,
-    so the all-absent table comes first.  The search walks an explicit
-    branch stack, so its depth is not bounded by the recursion limit.
+    present and the candidates are atoms over 0..size-1; every other atom
+    is absent.  The order is lexicographic on presence vectors over the
+    sorted candidate list, absent before present, so the all-absent table
+    comes first.  step_ok sees the undecided candidates as pending, so
+    absence is never listed: an atom is absent when it is neither present
+    nor pending.  A leaf is checked by contains() unless the age is
+    step_complete; each caller's atoms outside the candidates are a
+    member's on every point set they alone span.  The search walks an
+    explicit branch stack, so its depth is not bounded by the recursion
+    limit.
     """
     present = set(present)
-    absent = {(sym.name, t) for sym in age.signature.symbols
-              for t in itertools.product(range(size), repeat=sym.arity)}
-    absent -= present
-    absent.difference_update(candidates)
+    pending = set(candidates)
+    step_ok, leaf_check = age.step_ok, not age.step_complete
     branch: list[bool] = []   # branch[i]: whether candidates[i] is present
     while True:
         i = len(branch)
         if i == len(candidates):
-            st = FiniteStructure(age.signature, size, frozenset(present))
-            if age.contains(st):
+            st = FiniteStructure._trusted(age.signature, size, frozenset(present))
+            if not leaf_check or age.contains(st):
                 yield st
         else:
             atom = candidates[i]
-            absent.add(atom)
+            pending.discard(atom)
             branch.append(False)
-            if age.step_ok(size, present, absent, atom, False):
+            if step_ok(size, present, pending, atom, False):
                 continue
         # Advance: undo the trailing present choices, then turn the deepest
         # absent choice present; an empty stack means the search is done.
@@ -339,11 +458,11 @@ def _table_dfs(age, size, present, candidates):
             atom = candidates[len(branch) - 1]
             if branch.pop():
                 present.discard(atom)
+                pending.add(atom)
                 continue
-            absent.discard(atom)
             present.add(atom)
             branch.append(True)
-            if age.step_ok(size, present, absent, atom, True):
+            if step_ok(size, present, pending, atom, True):
                 break
         else:
             return
@@ -687,14 +806,13 @@ class GenericLimit(LimitStructure):
         new_size = z + 1
         # Atoms dictated by the chosen extension (its new point becomes z).
         dictated = [(name, tuple(z if i == -1 else i for i in t)) for name, t in joins]
-        seeded = set(self._whole.atoms)
-        seeded.update(dictated)
         # Remaining freedom: atoms joining z to elements outside the prefix.
         candidates = [
             (name, t)
             for name, t in _all_atoms(self.age.signature, [z], new_size)
             if any(m <= i < z for i in t)
         ]
+        seeded = itertools.chain(self._whole.atoms, dictated)
         completion = next(_table_dfs(self.age, new_size, seeded, candidates), None)
         if completion is None:
             raise AmalgamationFailure(
@@ -809,11 +927,18 @@ def _shadow(v) -> float:
 def _bisect_exact(shadows: list, values: list, f: float, v, right: bool = False) -> int:
     """bisect_left (with right, bisect_right) of v in the sorted values,
     whose shadows are given, f being v's: a C bisect over the shadows, then
-    exact comparisons only along the run of shadows equal to f."""
+    exact comparisons only along the run of shadows equal to f, made on the
+    cross-multiplied ints as in DloLimit.eval_relation."""
     i = bisect.bisect_left(shadows, f)
     n = len(shadows)
-    while i < n and shadows[i] == f and (values[i] <= v if right else values[i] < v):
-        i += 1
+    if i < n and shadows[i] == f:
+        a, b = v.numerator, v.denominator
+        while i < n and shadows[i] == f:
+            u = values[i]
+            c = u.numerator * b - a * u.denominator    # the sign of u - v
+            if c > 0 or not (c or right):
+                break
+            i += 1
     return i
 
 
@@ -856,6 +981,15 @@ class _PairIndex:
         return (j, i, f, block[i - 1] if i else blocks[j - 1][-1] if j else None,
                 block[i] if i < len(block) else None)
 
+    def holds(self, side: int, j: int, i: int, f: float, v) -> bool:
+        """Whether v, whose shadow is f, sits on side at offset i of block
+        j: gap's place for v is v's own slot when v is paired."""
+        shadows = self.shadows[side][j]
+        if i == len(shadows) or shadows[i] != f:
+            return False
+        u = self.values[side][j][i]
+        return u.numerator == v.numerator and u.denominator == v.denominator
+
     def insert(self, j: int, i: int, x, y, fx: float, fy: float) -> None:
         """Put the pair (x, y), whose shadows are fx and fy, at (j, i)."""
         (xs, ys), (fxs, fys) = self.values, self.shadows
@@ -895,8 +1029,9 @@ class DloGerm(PartialAutomorphism):
     call with that list and kept while the same list object comes back (so
     the list must not change in between).  place runs the same search from
     either side with a given choice of partner, for the back-and-forth
-    between Q and Q minus 0.  Every answer is exact: floats only route the
-    bisects.
+    between Q and Q minus 0; it and partner read a paired value's partner
+    off the same lookup, so no dict is probed.  Every answer is exact:
+    floats only route the bisects.
     """
 
     def __init__(self, limit: LimitStructure, pairs: Iterable[tuple] = ()):
@@ -942,23 +1077,33 @@ class DloGerm(PartialAutomorphism):
         self._index.delete(j, i)
 
     def _grow(self, x):
-        return self.place(x, least_enum_in_interval)
+        return self.place(x, least_enum_in_interval)[0]
 
-    def place(self, v, choose, inverse: bool = False):
-        """Pair v, an uncommitted point (with inverse, an image not taken
-        yet), with choose(lo, hi), where lo and hi are the partners of v's
-        nearest committed neighbors (None at an end) and choose returns a
-        partner strictly between them, or None.  Returns the partner; on
-        None nothing is committed."""
+    def partner(self, v, inverse: bool = False):
+        """The image of v (with inverse, the point whose image v is), or
+        None while v is not paired."""
+        side = 1 if inverse else 0
+        j, i, f, _, hi = self._index.gap(side, v, 1 - side)
+        return hi if self._index.holds(side, j, i, f, v) else None
+
+    def place(self, v, choose, inverse: bool = False) -> tuple:
+        """(w, True) after pairing v, a point (with inverse, an image), with
+        w = choose(lo, hi), where lo and hi are the partners of v's nearest
+        committed neighbors (None at an end) and choose returns a partner
+        strictly between them, or None, and then nothing is committed.
+        (w, False) when v is paired already, w its partner: the bisect that
+        finds v's place finds v there, and choose is not called."""
         side = 1 if inverse else 0
         j, i, f, lo, hi = self._index.gap(side, v, 1 - side)
+        if self._index.holds(side, j, i, f, v):
+            return hi, False
         w = choose(lo, hi)
         if w is not None:
             fw = _shadow(w)
             x, y, fx, fy = (w, v, fw, f) if inverse else (v, w, f, fw)
             self._index.insert(j, i, x, y, fx, fy)
             self.mapping[x] = y
-        return w
+        return w, True
 
 
 # ---------------------------------------------------------------------------

@@ -66,8 +66,9 @@ class BackAndForthMap:
     commits the least-enumerated uncommitted element on its side to the
     enumeration-least admissible partner.  The construction is deterministic
     given the two sets and the optional seed pairs, and every committed stage
-    is a finite order isomorphism, kept as a fraisse.DloGerm.  Not
-    thread-safe: evaluation commits stages.
+    is a finite order isomorphism, kept as a fraisse.DloGerm, whose pair
+    index gives partners both ways.  Not thread-safe: evaluation commits
+    stages.
     """
 
     def __init__(self, source: ComputableDenseSet, target: ComputableDenseSet,
@@ -76,7 +77,6 @@ class BackAndForthMap:
         self.target = target
         self.name = f"iso({source.name},{target.name})"
         self._germ = DloLimit().germ()
-        self._bwd: dict[Fraction, Fraction] = {}
         self._next_source = 0
         self._next_target = 0
         self._forth_turn = True
@@ -88,53 +88,59 @@ class BackAndForthMap:
                 self._germ.commit(x, y)
             except TypeMismatch:
                 raise ValueError(f"commitment ({x},{y}) breaks order preservation") from None
-            self._bwd[y] = x
 
     @property
     def committed(self) -> tuple:
         return self._germ.pairs
 
-    def _stage(self) -> None:
+    def _stage(self) -> tuple:
+        """Commit the next stage's pair (x, y) and return it."""
+        place = self._germ.place
         if self._forth_turn:
-            while True:
+            new = False
+            while not new:
                 x = self.source.enumerate_member(self._next_source)
                 self._next_source += 1
-                if x not in self._germ.mapping:
-                    break
-            y = self._germ.place(x, self.target.least_in)
+                y, new = place(x, self.target.least_in)
         else:
-            while True:
+            new = False
+            while not new:
                 y = self.target.enumerate_member(self._next_target)
                 self._next_target += 1
-                if y not in self._bwd:
-                    break
-            x = self._germ.place(y, self.source.least_in, inverse=True)
+                x, new = place(y, self.source.least_in, inverse=True)
         if x is None or y is None:
             raise BudgetExhausted("empty partner interval")
-        self._bwd[y] = x
         self._forth_turn = not self._forth_turn
+        return x, y
 
     def run_stages(self, count: int) -> None:
         for _ in range(count):
             self._stage()
 
-    def _reach(self, v: Fraction, side: ComputableDenseSet, known: dict) -> Fraction:
-        """known[v], running stages until they commit v, a member of side."""
+    def _reach(self, v: Fraction, side: ComputableDenseSet, inverse: bool) -> Fraction:
+        """v's partner, running stages until they commit v, a member of
+        side: each stage's new value on v's side is compared with v."""
         if not side.contains(v):
             raise ValueError(f"{v} is not in {side.name}")
+        w = self._germ.partner(v, inverse)
+        n, d = v.numerator, v.denominator
+        here = 1 if inverse else 0
         guard = 0
-        while v not in known:
-            self._stage()
+        while w is None:
+            pair = self._stage()
             guard += 1
             if guard > _STAGE_CAP:
                 raise BudgetExhausted("back-and-forth did not reach the requested point")
-        return known[v]
+            u = pair[here]
+            if u.numerator == n and u.denominator == d:
+                w = pair[1 - here]
+        return w
 
     def eval(self, x) -> Fraction:
-        return self._reach(Fraction(x), self.source, self._germ.mapping)
+        return self._reach(Fraction(x), self.source, False)
 
     def inverse(self, y) -> Fraction:
-        return self._reach(Fraction(y), self.target, self._bwd)
+        return self._reach(Fraction(y), self.target, True)
 
     def __call__(self, x):
         return self.eval(x)

@@ -201,12 +201,11 @@ def forbidden_age(signature, forbidden, name="forbidden-reference"):
 
 def table_dfs(age, size, present, candidates):
     """Recursive lexicographic table search: present plus each subset of
-    the candidates, absent before present, every other atom absent."""
+    the candidates, absent before present, every other atom absent.  step_ok
+    sees the undecided candidates as pending; every leaf is checked by
+    contains, whether or not the age declares step_complete."""
     present = set(present)
-    absent = {(sym.name, t) for sym in age.signature.symbols
-              for t in itertools.product(range(size), repeat=sym.arity)}
-    absent -= present
-    absent.difference_update(candidates)
+    pending = set(candidates)
 
     def rec(i):
         if i == len(candidates):
@@ -215,14 +214,14 @@ def table_dfs(age, size, present, candidates):
                 yield st
             return
         atom = candidates[i]
-        absent.add(atom)
-        if age.step_ok(size, present, absent, atom, False):
+        pending.discard(atom)
+        if age.step_ok(size, present, pending, atom, False):
             yield from rec(i + 1)
-        absent.discard(atom)
         present.add(atom)
-        if age.step_ok(size, present, absent, atom, True):
+        if age.step_ok(size, present, pending, atom, True):
             yield from rec(i + 1)
         present.discard(atom)
+        pending.add(atom)
 
     yield from rec(0)
 
@@ -406,15 +405,19 @@ class FlatColumnsGerm:
         del self.dom[i], self.rng[i], self.mapping[x]
 
     def place(self, v, choose, inverse=False):
+        """(w, True) after pairing v with w = choose(lo, hi), nothing paired
+        when w is None; (w, False) when v is paired already with w."""
         keys, values = (self.rng, self.dom) if inverse else (self.dom, self.rng)
         i, lo, hi = self._gap(keys, values, v)
+        if i < len(keys) and keys[i] == v:
+            return hi, False
         w = choose(lo, hi)
         if w is not None:
             keys.insert(i, v)
             values.insert(i, w)
             x, y = (w, v) if inverse else (v, w)
             self.mapping[x] = y
-        return w
+        return w, True
 
 
 # ---------------------------------------------------------------------------

@@ -172,6 +172,21 @@ class TestOracleFitsPresentations:
         with pytest.raises(ValueError, match=f"^{message}$"):
             TableOracle(rado, rado, mapping, m)
 
+    @pytest.mark.parametrize("points, m, message", [
+        ([0, F(1, 2), -1], 1, "point 1/2 is not an element of rado"),
+        ([0, -1], 1, "point -1 is not an element of rado"),
+        ([(0, 1), (1, F(1, 3))], 2, r"point \(1,1/3\) is not a point of 2 elements of rado"),
+        ([(0, 1), 2], 2, "point 2 is not a point of 2 elements of rado"),
+    ])
+    def test_explicit_points_are_elements(self, points, m, message):
+        # As TableOracle refuses its keys: a non-element must not be read
+        # through int() as a vertex.
+        rado = self.RADO.limit
+        g = self.RADO if m == 1 else PowerGroup(self.RADO, m)
+        f = IdentityOracle(rado, rado) if m == 1 else TableOracle(rado, rado, {}, m)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            check_canonical(f, g, self.RADO, 3, 2, points=points)
+
     def test_separate_instances_of_one_limit_fit(self, aut_dlo):
         other = NegationOracle(builtin_limit("dlo"))
         assert check_canonical(other, aut_dlo, AutLimit(builtin_limit("dlo")), 6, 2)

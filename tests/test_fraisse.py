@@ -1,3 +1,4 @@
+import copy
 import itertools
 import math
 from fractions import Fraction as F
@@ -29,9 +30,12 @@ from canonfn.fraisse import (
     ORDERED_GRAPH_SIG,
     DloGerm,
     GenericLimit,
+    LinearOrdersAge,
     PartialAutomorphism,
     PureSetsAge,
     _all_atoms,
+    _extension_stream,
+    _members,
     _table_dfs,
     count_types,
     empty_structure,
@@ -566,9 +570,8 @@ def _index_run(steps):
                 done = False
             assert done is ref.commit(v, args[0])
         elif kind in ("place", "inverse"):
+            # A v paired already comes back with its partner, unchanged.
             inverse = kind == "inverse"
-            if v in (ref.rng if inverse else ref.mapping):
-                continue
             assert (germ.place(v, _between(*args), inverse)
                     == ref.place(v, _between(*args), inverse))
         elif kind == "uncommit":
@@ -576,9 +579,12 @@ def _index_run(steps):
                 x = list(ref.mapping)[v % len(ref.mapping)]
                 germ.uncommit(x)
                 ref.uncommit(x)
-        elif v not in ref.mapping:
-            assert germ.images(v, args[0]) == ref.images(v, args[0])
-            assert germ.constraints(v) == ref.constraints(v)
+        else:
+            assert germ.partner(v) == ref.mapping.get(v)
+            assert germ.partner(v, inverse=True) == dict(zip(ref.rng, ref.dom)).get(v)
+            if v not in ref.mapping:
+                assert germ.images(v, args[0]) == ref.images(v, args[0])
+                assert germ.constraints(v) == ref.constraints(v)
         _check_index(germ, ref)
 
 
@@ -639,11 +645,13 @@ def test_step_ok_never_rejects_a_member(member):
     # every step on the way to it must pass step_ok.
     age, s = member
     assert age.contains(s)
-    present, absent = set(), set()
-    for atom in _all_atoms(age.signature, range(s.size), s.size):
+    present, pending = set(), set(_all_atoms(age.signature, range(s.size), s.size))
+    for atom in sorted(pending):
         is_present = atom in s.atoms
-        (present if is_present else absent).add(atom)
-        assert age.step_ok(s.size, present, absent, atom, is_present)
+        pending.discard(atom)
+        if is_present:
+            present.add(atom)
+        assert age.step_ok(s.size, present, pending, atom, is_present)
 
 
 @st.composite
@@ -854,3 +862,120 @@ def forbidden_ages(draw):
 def test_amalgamation_report_matches_pairwise_loop(case):
     age, bound = case
     assert verify_amalgamation(age, bound) == reference_amalgamation(age, bound)
+
+
+# ---------------------------------------------------------------------------
+# the leaf skip of step-complete ages
+
+
+@pytest.mark.parametrize("kind, size, atoms", [
+    ("linear-orders", 1, [("<", (0, 0))]),                                # reflexive
+    ("linear-orders", 2, []),                                             # incomparable
+    ("linear-orders", 2, [("<", (0, 1)), ("<", (1, 0))]),                 # both ways
+    ("linear-orders", 3, [("<", (0, 1)), ("<", (1, 2)), ("<", (2, 0))]),  # a cycle
+    ("graphs", 1, [("edge", (0, 0))]),
+    ("graphs", 2, [("edge", (0, 1))]),
+    ("ordered-graphs", 2, [("edge", (0, 1)), ("edge", (1, 0))]),          # not ordered
+    ("ordered-graphs", 2, [("<", (0, 1)), ("edge", (0, 1))]),             # a one-way edge
+])
+def test_builtin_ages_reject_non_members(kind, size, atoms):
+    # The search never hands these to contains, since step_ok rejects them
+    # first.  pure-sets has no non-members.
+    age = builtin_age(kind)
+    assert not age.contains(FiniteStructure(age.signature, size, frozenset(atoms)))
+
+
+def _brute_tables(age, size, fixed, candidates):
+    """The members among fixed plus each subset of the candidates, in the
+    search's order (lexicographic on presence vectors, absent first), each
+    checked by contains, nothing pruned."""
+    for keep in itertools.product((False, True), repeat=len(candidates)):
+        s = FiniteStructure(age.signature, size,
+                            frozenset(fixed).union(itertools.compress(candidates, keep)))
+        if age.contains(s):
+            yield s
+
+
+def _declaring_age(kind):
+    return {"triangle-free": triangle_free_age, "ternary": lambda: TERNARY_AGE}.get(
+        kind, lambda: builtin_age(kind))()
+
+
+@pytest.mark.parametrize("kind, top", [("linear-orders", 3), ("graphs", 3), ("ordered-graphs", 3),
+                                       ("pure-sets", 3), ("triangle-free", 3), ("ternary", 2)])
+def test_pruned_search_yields_exactly_the_members(kind, top):
+    # An age that declares step_complete skips the leaf check, so on every
+    # atom set of up to top points the pruned search must yield it exactly
+    # when contains accepts it.
+    age = _declaring_age(kind)
+    assert age.step_complete
+    for size in range(top + 1):
+        atoms = _all_atoms(age.signature, range(size), size)
+        assert list(_members(age, size)) == list(_brute_tables(age, size, (), atoms))
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(forbidden_cases())
+def test_forbidden_step_ok_is_complete(case):
+    # Drawn forbidden graphs on 2 to 4 points: the members on up to 3
+    # points, and the extension streams of a sample of them, are the
+    # unpruned search's.
+    age = ForbiddenSubstructuresAge(GRAPH_SIG, case[1])
+    assert age.step_complete
+    for size in range(4):
+        members = list(_members(age, size))
+        assert members == list(_brute_tables(age, size, (), _all_atoms(GRAPH_SIG, range(size), size)))
+        for base in members[::max(1, len(members) // 6)]:
+            tail = _all_atoms(GRAPH_SIG, [size], size + 1)
+            assert (list(_extension_stream(age, base))
+                    == list(_brute_tables(age, size + 1, base.atoms, tail)))
+
+
+@pytest.mark.parametrize("kind", ["linear-orders", "graphs", "ordered-graphs", "pure-sets",
+                                  "triangle-free"])
+def test_leaf_check_skip_keeps_members_and_streams(kind):
+    # With the leaf check put back, the members on up to 4 points and the
+    # extension streams of a sample of them onto up to 5 points are the same.
+    age = _declaring_age(kind)
+    checked = copy.copy(age)
+    checked.step_complete = False
+    for size in range(5):
+        members = list(_members(age, size))
+        assert members == list(_members(checked, size))
+        for base in members[::max(1, len(members) // 40)]:
+            assert list(_extension_stream(age, base)) == list(_extension_stream(checked, base))
+
+
+def test_unary_forbidden_age_keeps_the_leaf_check():
+    # With unary symbols only, no candidate atom of a completion joins the
+    # new point to a later one, so step_ok cannot see a forbidden pair
+    # there: the age keeps its leaf check, and growth stops at the pair
+    # instead of adjoining a non-member.
+    sig = Signature((RelationSymbol("P", 1), RelationSymbol("Q", 1)))
+    age = ForbiddenSubstructuresAge(
+        sig, [FiniteStructure(sig, 2, frozenset({("P", (0,)), ("Q", (1,))}))])
+    assert not age.step_complete
+    with pytest.raises(AmalgamationFailure, match=r"demand \(prefix=1, extension=2\)"):
+        build_limit(age, 6)
+
+
+def test_linear_order_prunes_a_decided_intransitive_triple():
+    # The transitivity prunes fire as soon as i<j, j<w and absent i<w are
+    # all decided, on whichever comes last, and not only once a cycle
+    # closes: no node the search goes on from holds such a triple, even
+    # while w<i is pending.  Outputs alone cannot pin this, since a later
+    # prune or a mirror's decision rejects the same tables.
+    nodes = []
+
+    class Recording(LinearOrdersAge):
+        def step_ok(self, size, present, pending, atom, is_present):
+            ok = super().step_ok(size, present, pending, atom, is_present)
+            if ok:
+                nodes.append((frozenset(present), frozenset(pending)))
+            return ok
+
+    assert len(list(_members(Recording(), 5))) == 120
+    for present, pending in nodes:
+        for (_, (i, j)), (_, (k, w)) in itertools.product(present, present):
+            iw = ("<", (i, w))
+            assert not (j == k and i != w and iw not in present and iw not in pending)
