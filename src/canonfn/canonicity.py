@@ -11,11 +11,13 @@ behaviors push and pop one image per level of their behaviors.depth_first
 search.  It labels tuples by int ids on point indices (groups.PointLabels),
 so a label record is built once per distinct label, not once per tuple.  A
 push labels the source tuples of its position once, on the position's first
-push, and only image tuples after that.  On a target whose symbols are
-unary or binary, check_canonical compares image labels only up to arity 2:
-a conflict among larger tuples implies one among their 1- and 2-subtuples,
-which comes first in scan order.  A target with a symbol of arity > 2 keeps
-the comparison at every arity.
+push, and only image tuples after that.  check_canonical labels a whole row
+of tuples at a time.  On a target whose symbols are unary or binary, it
+compares image labels only up to arity 2: a conflict among larger tuples
+implies one among their 1- and 2-subtuples, which comes first in scan
+order; above arity 2 it only records the behavior table, and stops once
+every source label of the arity is met.  A target with a symbol of arity
+> 2 keeps the comparison at every arity.
 The module also computes induced behavior tables, the local equality relation
 modulo a group, coherent tower witnesses for lifted equalities, and a harness
 comparing the three equivalent formulations of canonicity at finite scale.
@@ -38,6 +40,7 @@ from .groups import (
     aut_power,
     automorphism_extending,
     columns,
+    count_orbits_g,
     format_point,
     label_key,
     orbit_label,
@@ -371,10 +374,12 @@ class BehaviorScan:
     label's arity, so the first image is kept by source id alone.  Ids turn
     back into labels only for a Counterexample, a BehaviorTable or recorded.
 
-    Full mode (run) visits every tuple in (arity, lexicographic index) order,
-    so the first conflict is the first counterexample, and calls the oracle
-    on a point only when the scan first reaches it; on a binary target it
-    compares only up to arity 2 (see run).  Incremental mode (push/pop)
+    Full mode (run) compares the tuples in (arity, lexicographic index)
+    order, so the first conflict is the first counterexample, and calls the
+    oracle on a point only when the scan first reaches it.  Above arity 1
+    it ids a row of tuples at a time; on a binary target it compares only
+    up to arity 2 and stops a larger arity's pass at the count of its
+    source labels (see run).  Incremental mode (push/pop)
     gives the next position its image and visits only the tuples that
     contain that position; a push that conflicts undoes its own entries,
     leaves the scan as it was and names the two conflicting tuples in
@@ -417,38 +422,84 @@ class BehaviorScan:
     def run(self, f: FunctionOracle) -> Counterexample | None:
         """Full mode: the first tuple whose image label conflicts, or None.
 
-        On a binary target (PointLabels.binary) a pass above arity 2 takes
-        each tuple's source id, and its image id only for a source id met
-        first, for the behavior table; it compares nothing.  No conflict is
-        lost: one at arity k > 2 gives one at arity <= 2 among the same
-        points, which the scan met first.  The arity-1 pass has taken
-        every image by then.
+        The arity-1 pass takes the points one at a time, each image when
+        the pass reaches its point.  A pass of arity k >= 2 goes row by
+        row: a row is the tuples prefix + (e,) over every point e, for the
+        prefixes in lexicographic order, and both sides id a whole row at
+        once (PointLabels.ids).  On a binary target (PointLabels.binary) a
+        pass above arity 2 compares nothing: it records, for each source
+        id met first, the image id of that tuple, for the behavior table,
+        and it stops once it has met all count_orbits_g(g, k) source
+        labels.  No conflict is lost: one at arity k > 2 gives one at arity
+        <= 2 among the same points, which the scan met first.
         """
-        added: list = []
-        for k in range(1, self.arity + 1):
-            tuples = itertools.product(range(len(self.points)), repeat=k)
-            if k > 2 and self.target.binary:
-                source_id, seen = self.source.id_of, self._seen
-                for idx in tuples:
-                    src = source_id(idx)
-                    if src not in seen:
-                        self._known(idx, src, self.target.id_of(idx), added)
+        source, target = self.source, self.target
+        n = len(self.points)
+        first = source.ids(())
+        for i, p in enumerate(self.points):
+            try:
+                image = f(p)
+            except DomainGap:
+                raise DomainGap(f"oracle undefined at {p}") from None
+            target.append(image)
+            found = self._meet((), first[i:i + 1], [target.id_of((i,))], i)
+            if found is not None:
+                return found
+        for k in range(2, self.arity + 1):
+            rows = itertools.product(range(n), repeat=k - 1)
+            if k > 2 and target.binary:
+                self._meet_sources(k, rows)
                 continue
-            for idx in tuples:
-                while len(self.images) <= max(idx):
-                    p = self.points[len(self.images)]
-                    try:
-                        image = f(p)
-                    except DomainGap:
-                        raise DomainGap(f"oracle undefined at {p}") from None
-                    self.target.append(image)
-                src, img = self.source.id_of(idx), self.target.id_of(idx)
-                img0, idx0 = self._known(idx, src, img, added)
-                if img0 != img:
-                    labels = self.target.labels
-                    return Counterexample(k, self._points_at(idx0), self._points_at(idx),
-                                          self.source.labels[src], labels[img0], labels[img])
+            for prefix in rows:
+                found = self._meet(prefix, source.ids(prefix), target.ids(prefix))
+                if found is not None:
+                    return found
         return None
+
+    def _meet(self, prefix: tuple, src_ids: list, img_ids: list, start: int = 0):
+        """Compare the tuples prefix + (start + e,), whose source and image
+        ids are src_ids[e] and img_ids[e], in that order: the first
+        conflict as a Counterexample, or None after recording the first
+        image of each source id met first.  Only the first tuple with a
+        given pair of ids can be the first conflict or a first meeting, so
+        each distinct pair is looked at once, in the order it first comes."""
+        pairs = list(zip(src_ids, img_ids))
+        for src, img in dict.fromkeys(pairs):
+            known = self._seen.get(src)
+            if known is None:
+                self._seen[src] = (img, prefix + (start + pairs.index((src, img)),))
+            elif known[0] != img:
+                img0, idx0 = known
+                idx = prefix + (start + pairs.index((src, img)),)
+                labels = self.target.labels
+                return Counterexample(len(idx), self._points_at(idx0), self._points_at(idx),
+                                      self.source.labels[src], labels[img0], labels[img])
+        return None
+
+    def _meet_sources(self, k: int, rows) -> None:
+        """The arity-k pass on a binary target: the image id of the first
+        tuple of each source id, row by row, until every source label of
+        arity k is met.  Their number is counted only up to a cap, twice
+        the larger of the labels met and the row's length: at the end of the
+        first row, and again once the labels met reach the last cap, until
+        a count falls within its cap and so is exact.  A count then costs
+        at most a share of the pass's own work, and the pass still stops at
+        the end of the row that meets the last label: the count is exact by
+        then."""
+        need, cap, met = None, 0, 0
+        for prefix in rows:
+            ids = self.source.ids(prefix)
+            for src in dict.fromkeys(ids):
+                if src not in self._seen:
+                    idx = prefix + (ids.index(src),)
+                    self._seen[src] = (self.target.id_of(idx), idx)
+                    met += 1
+            if need is None and met >= cap:
+                cap = 2 * max(met, len(ids))
+                found = count_orbits_g(self.source.g, k, cap=cap)
+                need = found if found <= cap else None
+            if met == need:
+                return
 
     def _touching(self, new: int):
         """Index tuples over 0..new that contain new, in lexicographic order."""

@@ -575,12 +575,34 @@ def enumerate_types(limit: "LimitStructure", k: int) -> list[TupleTypeRecord]:
     return out
 
 
-def count_types(limit: "LimitStructure", k: int) -> int:
-    """len(enumerate_types(limit, k)), without building a record: the sum
-    over the patterns of the number of members on their blocks."""
+def count_types(limit: "LimitStructure", k: int, anchor: tuple = (),
+                cap: float = math.inf) -> int:
+    """len(enumerate_types(limit, k)), without building a record; with an
+    anchor (a tuple of elements, n of them), the number of (k+n)-types
+    whose last n positions have the anchor's type.  Counting stops at the
+    first partial count past cap, which it returns.
+
+    Such a type is a pattern whose tail is the anchor's pattern, on the
+    anchor's d blocks and some more, and a member on those blocks that
+    extends the anchor's diagram.  Collapsing the tail to one position per
+    block, the patterns are those on k + d positions whose last d differ;
+    the members on b points that extend the diagram on the first d are
+    enumerated once per b: relabeling puts any d blocks first, so their
+    number depends on b alone.  Without an anchor, d is 0."""
     _check_arity(k)
-    return sum(len(patterns) * sum(1 for _ in _members(limit.age, b))
-               for b, patterns in _patterns_by_blocks(k).items())
+    age = limit.age
+    base = limit.qf_type(anchor).diagram() if anchor else empty_structure(age.signature)
+    d = base.size
+    total = 0
+    for b, patterns in _patterns_by_blocks(k + d).items():
+        fitting = sum(len(set(pattern[k:])) == d for pattern in patterns)
+        if fitting:
+            extensions = _table_dfs(age, b, base.atoms, _all_atoms(age.signature, range(d, b), b))
+            for _ in extensions:
+                total += fitting
+                if total > cap:
+                    return total
+    return total
 
 
 def format_type(record: TupleTypeRecord) -> str:
@@ -640,6 +662,35 @@ class LimitStructure:
                     atoms.add((sym.name, t))
         return TupleTypeRecord(self.age.signature, k, pattern, frozenset(atoms))
 
+    def pair_codes(self, x, y, diagonal: bool) -> tuple[int, int]:
+        """The codes of (x, y) and of (y, x) on a signature of unary and
+        binary symbols: bit 0 says the two are equal, bit s + 1 that the
+        signature's s-th symbol holds, a unary one read only on the diagonal
+        (x and y at one index of a tuple), where both codes are the same."""
+        there = back = int(x == y)
+        bit = 2
+        for sym in self.age.signature.symbols:
+            if sym.arity == 1:
+                if diagonal and self.eval_relation(sym.name, (x,)):
+                    there |= bit
+            else:
+                if self.eval_relation(sym.name, (x, y)):
+                    there |= bit
+                if not diagonal and self.eval_relation(sym.name, (y, x)):
+                    back |= bit
+            bit <<= 1
+        return there, there if diagonal else back
+
+    def code_reader(self, values: list):
+        """row(i) for the column values, which must not change while row is
+        used: the pair_codes of (values[i], v) and of (v, values[i]), as
+        two lists over the values v."""
+        def row(i: int) -> tuple[list, list]:
+            x = values[i]
+            codes = [self.pair_codes(x, y, i == j) for j, y in enumerate(values)]
+            return [c for c, _ in codes], [c for _, c in codes]
+        return row
+
     def germ(self, pairs: Iterable[tuple] = ()) -> "PartialAutomorphism":
         """A type-preserving partial map of this limit, seeded with pairs."""
         return PartialAutomorphism(self, pairs)
@@ -649,7 +700,9 @@ class LimitStructure:
 
 
 class DloLimit(LimitStructure):
-    """The rational order (Q;<) with exact arithmetic; nothing is materialized."""
+    """The rational order (Q;<) with exact arithmetic; nothing is materialized.
+    Its pair codes come from one comparison per pair, and a column's rows
+    of codes from one rank of the column."""
 
     name = "dlo"
 
@@ -672,6 +725,33 @@ class DloLimit(LimitStructure):
         # Cross-multiplied on the ints: exact for ints and Fractions (whose
         # denominators are positive), without Fraction.__lt__'s type checks.
         return a.numerator * b.denominator < b.numerator * a.denominator
+
+    def pair_codes(self, x, y, diagonal: bool) -> tuple[int, int]:
+        # One cross-multiplied comparison settles =, x < y and y < x.
+        d = x.numerator * y.denominator - y.numerator * x.denominator
+        if not d:
+            return 1, 1
+        return (2, 0) if d < 0 else (0, 2)
+
+    def code_reader(self, values: list):
+        """The same codes read off one rank of the column: the values are
+        sorted by float shadow, compared exactly only where shadows tie, and
+        a row reads each value's code off a list indexed by rank."""
+        shadows = list(map(_shadow, values))
+        order = sorted(range(len(values)), key=lambda i: (shadows[i], values[i]))
+        ranks = [0] * len(values)
+        rank, last = -1, None
+        for i in order:
+            if last is None or shadows[i] != shadows[last] or values[i] != values[last]:
+                rank += 1
+            ranks[i], last = rank, i
+
+        def row(i: int) -> tuple[list, list]:
+            r, above = ranks[i], rank - ranks[i]
+            there = [0] * r + [1] + [2] * above    # the code of (values[i], v) by v's rank
+            back = [2] * r + [1] + [0] * above
+            return list(map(there.__getitem__, ranks)), list(map(back.__getitem__, ranks))
+        return row
 
     def germ(self, pairs: Iterable[tuple] = ()) -> "DloGerm":
         return DloGerm(self, pairs)

@@ -14,11 +14,12 @@ complete.
 A PointLabels is the one label interner: each distinct label of one
 presentation takes the next int id, and reindex maps ids through
 reindex_label once per (label, sigma).  The tuple scan interns the labels
-of tuples of concrete points: it reads each pair of point indices once
-through eval_relation, keys a tuple by the int codes of its pairs, and
-calls orbit_label once per new key.  The behavior-table layer
-(enumerate_behaviors, coherence_check) interns labels directly and turns
-ids back into labels only where it builds a BehaviorTable or a Violation.
+of tuples of concrete points: it reads the pairs of point indices through
+the limit's pair codes, keys a tuple (or a whole row of tuples) by the int
+codes of its pairs, and builds the label of a new key from its codes.  The
+behavior-table layer (enumerate_behaviors, coherence_check) interns labels
+directly and turns ids back into labels only where it builds a
+BehaviorTable or a Violation.
 LabelTexts formats each distinct label once per command.
 
 The point shape lives here: a point is a bare element on one column and
@@ -33,9 +34,10 @@ extends on demand.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, prod
+from math import comb, inf, prod
 
 from .errors import PresentationError
 from .fraisse import (
@@ -233,13 +235,15 @@ def orbit_labels(g: GroupPresentation, k: int) -> list:
     return columns[0] if g.m == 1 else list(itertools.product(*columns))
 
 
-def count_orbits_g(g: GroupPresentation, k: int) -> int:
-    """Number of admissible labels of arity k: the limit's k-types counted
-    per column without building their records, or, under a stabilizer, the
-    product of the columns' filtered records."""
-    if g.constants:
-        return prod(len(column) for column in _column_labels(g, k))
-    return count_types(g.limit, k) ** g.m
+def count_orbits_g(g: GroupPresentation, k: int, cap: float = inf) -> int:
+    """Number of admissible labels of arity k, without building a record:
+    per column, the limit's (k+n)-types whose last n positions have the
+    type of that column of the n constants (fraisse.count_types with the
+    column as its anchor), multiplied over the columns, each distinct
+    anchor counted once.  With a cap, a number past cap may stand for any
+    larger one: a column stops counting past it."""
+    anchors = Counter(tuple(columns(c)[i] for c in g.constants) for i in range(g.m))
+    return prod(count_types(g.limit, k, anchor, cap) ** times for anchor, times in anchors.items())
 
 
 def format_label(label) -> str:
@@ -259,15 +263,21 @@ class PointLabels:
     The tuple scan interns the labels of tuples of scanned points: points
     lists them by index; a stabilizer's constants sit before them, and each
     of the g.m columns keeps its own values.
-    On a signature of unary and binary symbols a tuple's label is fixed by
-    its pair codes: per column, for each ordered pair of positions of the
-    tuple extended by the constants, one equality bit and one bit per
-    symbol, read through the limit's eval_relation once per pair of point
-    indices, on first need.  A point appended at index k drops the codes
-    from k on.  The codes are the tuple's key; each new key
-    takes the next id, and labels[id] is orbit_label of the first tuple met
-    with that key.  A symbol of arity > 2 makes orbit_label itself the key.
-    binary is True on a signature of unary and binary symbols only.
+    On a signature of unary and binary symbols (binary is True) a tuple's
+    label is fixed by the codes of the pairs of its points and constants:
+    the limit's pair_codes, an equality bit and a bit per symbol, side by
+    side for the g.m columns.  A point's unit packs its codes with itself
+    and with the constants, taken when it is appended; the other codes are
+    read on first need, one pair of point indices at a time.  A point
+    appended at index k drops the codes from k on.
+    A tuple's key is, per position, its point's unit and then its codes
+    with each earlier position, both ways; so a tuple's key starts with its
+    prefix's.  id_of keys one tuple; ids keys a whole row, the tuples
+    prefix + (e,) for every point e, by extending the prefix's key with
+    columns of codes that the limit's code_reader reads once per point of
+    the prefix.  Each new key takes the next id, and its label is built
+    from its codes: the equality bits give the pattern, the symbol bits the
+    atoms.  A symbol of arity > 2 makes orbit_label itself the key.
     """
 
     def __init__(self, g: GroupPresentation):
@@ -279,10 +289,12 @@ class PointLabels:
         self._anchor = tuple(range(self._shift))
         symbols = self._limit.age.signature.symbols
         self.binary = all(1 <= s.arity <= 2 for s in symbols)
-        self._unary = [s.name for s in symbols if s.arity == 1]
-        self._pair = [s.name for s in symbols if s.arity == 2]
+        self._width = len(symbols) + 1           # bits of one column's code
         self._columns: list[list] = [[] for _ in range(g.m)]
-        self._codes: list[list[dict]] = [[] for _ in range(g.m)]  # [column][i][j]
+        self._codes: list[dict] = []             # [i][j]: the code of the pair (i, j)
+        self._units: list = [None] * self._shift  # per point index, shifted past the constants
+        self._rows: dict = {}                    # point index -> its codes with every point
+        self._readers: list | None = None
         self._ids: dict = {}
         self._label_ids: dict = {}
         self._reindexed: dict = {}
@@ -290,64 +302,139 @@ class PointLabels:
             self._put(k, c)
 
     def _put(self, k: int, p) -> None:
-        """Store point p at index k, dropping the rows from index k on.  A
+        """Store point p at index k, dropping the codes from index k on.  A
         code (i, j) left in a lower row is rewritten before it is read: a
         key reads (j, i) too, which is missing, and _fill writes both."""
         cols = p if len(self._columns) > 1 else (p,)
-        for values, codes, v in zip(self._columns, self._codes, cols):
-            del values[k:], codes[k:]
+        for values, v in zip(self._columns, cols):
+            del values[k:]
             values.append(v)
-            codes.append({})
+        del self._codes[k:]
+        self._codes.append({})
+        self._rows.clear()
+        self._readers = None
 
     def append(self, p) -> None:
-        self._put(self._shift + len(self.points), p)
+        a = self._shift + len(self.points)
+        self._put(a, p)
         self.points.append(p)
+        if self.binary:
+            for t in (a,) + self._anchor:
+                self._fill(a, t)
+            row, unit = self._codes[a], 0
+            for code in reversed([row[a]] + [c for t in self._anchor
+                                             for c in (row[t], self._codes[t][a])]):
+                unit = unit << self._width * len(self._columns) | code
+            self._units.append(unit)
 
     def pop(self) -> None:
         """Drop the last point; its codes go when the next point is appended."""
         self.points.pop()
+        del self._units[self._shift + len(self.points):]
 
-    def _fill(self, values: list, codes: list, i: int, j: int) -> None:
-        """Read the codes of the pairs (i, j) and (j, i) of one column."""
-        x, y = values[i], values[j]
-        there = back = int(x == y)
-        bit = 2
-        for name in self._unary:
-            if i == j and self._limit.eval_relation(name, (x,)):
-                there |= bit
-            bit <<= 1
-        for name in self._pair:
-            if self._limit.eval_relation(name, (x, y)):
-                there |= bit
-            if i != j and self._limit.eval_relation(name, (y, x)):
-                back |= bit
-            bit <<= 1
-        codes[j][i] = back
-        codes[i][j] = there    # on the diagonal, this write wins
+    def _fill(self, i: int, j: int) -> None:
+        """Read the codes of the pairs (i, j) and (j, i), on all columns."""
+        there = back = shift = 0
+        for values in self._columns:
+            x, y = self._limit.pair_codes(values[i], values[j], i == j)
+            there |= x << shift
+            back |= y << shift
+            shift += self._width
+        self._codes[j][i] = back
+        self._codes[i][j] = there    # on the diagonal, this write wins
+
+    def _fill_missing(self, ext) -> None:
+        codes = self._codes
+        for i in ext:
+            for j in ext:
+                if j not in codes[i]:
+                    self._fill(i, j)
 
     def _key(self, idx: tuple) -> tuple:
-        ext = tuple(i + self._shift for i in idx) + self._anchor if self._shift else idx
+        ext = [i + self._shift for i in idx] if self._shift else idx
+        units, codes = self._units, self._codes
         try:
-            return tuple([codes[i][j] for codes in self._codes for i in ext for j in ext])
+            key = []
+            for p, a in enumerate(ext):
+                key.append(units[a])
+                row = codes[a]
+                for b in ext[:p]:
+                    key += codes[b][a], row[b]
         except KeyError:
-            for values, codes in zip(self._columns, self._codes):
-                for i in ext:
-                    row = codes[i]
-                    for j in ext:
-                        if j not in row:
-                            self._fill(values, codes, i, j)
-            return tuple([codes[i][j] for codes in self._codes for i in ext for j in ext])
+            self._fill_missing(ext)
+            return self._key(idx)
+        return tuple(key)
+
+    def _row(self, a: int) -> tuple[list, list]:
+        """The codes of (a, e) and of (e, a) for every point index e, from
+        the limit's code_reader over each column."""
+        row = self._rows.get(a)
+        if row is None:
+            if self._readers is None:
+                self._readers = [self._limit.code_reader(values) for values in self._columns]
+            s = self._shift
+            there, back = self._readers[0](a + s)
+            there, back = there[s:], back[s:]
+            for c, read in enumerate(self._readers[1:], start=1):
+                shift = c * self._width
+                x, y = read(a + s)
+                there = [u | v << shift for u, v in zip(there, x[s:])]
+                back = [u | v << shift for u, v in zip(back, y[s:])]
+            row = self._rows[a] = (there, back)
+        return row
+
+    def _id(self, key: tuple, idx: tuple) -> int:
+        found = self._ids.get(key)
+        if found is None:
+            found = self._ids[key] = self.id_of_label(self._label(idx))
+        return found
+
+    def _label(self, idx: tuple):
+        """orbit_label of the tuple at idx, built from its codes."""
+        ext = [i + self._shift for i in idx] + list(self._anchor)
+        self._fill_missing(ext)
+        codes = [[self._codes[a][b] for b in ext] for a in ext]
+        signature = self._limit.age.signature
+        k = len(ext)
+        parts = []
+        for c in range(len(self._columns)):
+            shift = c * self._width
+            pattern: list = []
+            for p in range(k):
+                q = next((q for q in range(p) if codes[q][p] >> shift & 1), p)
+                pattern.append(pattern[q] if q < p else max(pattern, default=-1) + 1)
+            atoms = []
+            bit = 2 << shift
+            for sym in signature.symbols:
+                if sym.arity == 1:
+                    atoms += [(sym.name, (p,)) for p in range(k) if codes[p][p] & bit]
+                else:
+                    atoms += [(sym.name, (p, q)) for p in range(k) for q in range(k)
+                              if codes[p][q] & bit]
+                bit <<= 1
+            parts.append(TupleTypeRecord(signature, k, tuple(pattern), frozenset(atoms)))
+        return parts[0] if len(parts) == 1 else tuple(parts)
 
     def id_of(self, idx: tuple) -> int:
         """Id of the label of the tuple of points at the indices idx."""
         if not self.binary:
             return self.id_of_label(orbit_label(self.g, tuple(self.points[i] for i in idx)))
-        key = self._key(idx)
-        found = self._ids.get(key)
-        if found is None:
-            label = orbit_label(self.g, tuple(self.points[i] for i in idx))
-            found = self._ids[key] = self.id_of_label(label)
-        return found
+        return self._id(self._key(idx), idx)
+
+    def ids(self, prefix: tuple) -> list[int]:
+        """Ids of the tuples prefix + (e,), for every point index e in order."""
+        if not self.binary:
+            return [self.id_of(prefix + (e,)) for e in range(len(self.points))]
+        columns = [self._units[self._shift:]]
+        for a in prefix:
+            columns += self._row(a)
+        keys = list(map(self._key(prefix).__add__, zip(*columns)))
+        ids = list(map(self._ids.get, keys))
+        if None in ids:
+            for e, found in enumerate(ids):
+                if found is None:
+                    ids[e] = self._id(keys[e], prefix + (e,))
+        return ids
 
     def id_of_label(self, label) -> int:
         """Id of a label; a label not met yet takes the next id."""

@@ -91,6 +91,16 @@ def test_criterion_01_rado_orbit_count_at_arity_6():
     report_line("criterion 1 (rado orbits at arity 6)", 1.5, started)
 
 
+def test_criterion_01_stabilizer_orbit_count():
+    # The anchored count (ROADMAP item 11 (b)): members on up to 6 points
+    # extending the constant's diagram, not a filter over 53,071 records,
+    # which took 3.7 s.
+    started = time.monotonic()
+    stab = StabilizerGroup(AutLimit(builtin_limit("rado")), (0,))
+    assert count_orbits_g(stab, 5) == 53071
+    report_line("criterion 1 (stab(aut(rado); 0) orbits at arity 5)", 1.5, started)
+
+
 def test_criterion_02_behavior_taxonomy():
     started = time.monotonic()
     for arity in (2, 3):
@@ -125,6 +135,24 @@ def test_criterion_03_checker_soundness():
         assert qf_type(dlo, tuple(oracle(p) for p in t)) == verdict.image_label_t
         assert verdict.image_label_s != verdict.image_label_t
     report_line("criterion 3 (checker soundness, counterexamples recompute)", 10, started)
+
+
+def test_criterion_03_check_stops_at_the_orbit_count_in_a_fresh_process():
+    # Above arity 2 on a binary target the scan stops once it has met every
+    # source label (ROADMAP item 8 (c)): here after 454,471 of the 60^5
+    # tuples, for 541 labels.  Before, this did not end within 150 s.  The
+    # bound covers the interpreter's start-up.
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(__file__).resolve().parents[1] / "src")}
+    started = time.monotonic()
+    done = subprocess.run([sys.executable, "-m", "canonfn", "check", "--f", "id",
+                           "--source", "aut(dlo)", "--target", "aut(dlo)",
+                           "--horizon", "60", "--arity", "5"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[:3] == ["verdict: canonical-up-to", "horizon: 60", "arity: 5"]
+    assert sum(line.startswith("5: ") for line in lines) == 541
+    report_line("criterion 3 (check --f id, arity 5, h60, fresh process)", 3, started)
 
 
 def test_criterion_04_canonisation_suite():

@@ -1,4 +1,6 @@
 import itertools
+import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -20,6 +22,7 @@ from canonfn import (
     qf_type,
 )
 from canonfn.formats import load_structures, parse_group_spec
+from canonfn.fraisse import GRAPH_SIG, FiniteStructure, ForbiddenSubstructuresAge, GenericLimit
 from canonfn.groups import columns, joined, label_key, point, reindex_label
 
 import oracles
@@ -269,11 +272,113 @@ def test_flat_reading_matches_recursive_reference(g, data):
     ("stab(power(aut(dlo),2); (0,1))", 2), ("stab(power(aut(rado),2); (1,3))", 2),
 ])
 def test_count_orbits_matches_recursive_reference(spec, k):
-    # Without constants the count comes from count_types, with them from the
-    # filtered records; the reference lists the labels of either.
+    # The count comes from count_types, anchored at the constants' columns
+    # under a stabilizer; the reference lists the labels of either.
     g = parse_group_spec(spec)
     for j in range(1, k + 1):
         assert count_orbits_g(g, j) == oracles.count_orbits_g(g, j)
+
+
+# The anchored count (ROADMAP item 11 (b)) against the record filter.  The
+# reference lists every (k+n)-type, which takes seconds past 6 positions on
+# dlo, 5 on rado and 4 on ordered-rado; larger counts meet closed forms.
+# The pure set and the triangle-free graphs are step-complete ages whose
+# anchored searches rest on step_ok alone (no leaf check), which the
+# reference does not trust: it checks every leaf with contains.
+ANCHOR_LIMITS = {"dlo": 6, "rado": 5, "ordered-rado": 4, "pureset": 7, "triangle-free": 5}
+
+
+def _anchor_limit(name):
+    if name != "triangle-free":
+        return builtin_limit(name)
+    loop = FiniteStructure(GRAPH_SIG, 1, frozenset({("edge", (0, 0))}))
+    one_way = FiniteStructure(GRAPH_SIG, 2, frozenset({("edge", (0, 1))}))
+    k3 = FiniteStructure(GRAPH_SIG, 3, frozenset(
+        ("edge", (a, b)) for a in range(3) for b in range(3) if a != b))
+    age = ForbiddenSubstructuresAge(GRAPH_SIG, [loop, one_way, k3], name=name)
+    assert age.step_complete
+    return GenericLimit(age)
+
+
+def _drawn_stabilizers(rng):
+    """Per limit, stabilizers of aut with one constant, two distinct ones and
+    one repeated, and of power(aut(dlo),2) with one constant, drawn from the
+    limit's first 8 elements; and two distinct ones of the other 2-type
+    (the other order, adjacency or both) where one is among them."""
+    for name, positions in ANCHOR_LIMITS.items():
+        limit = _anchor_limit(name)
+        aut = AutLimit(limit)
+        elements = [limit.element(i) for i in range(8)]
+        a, b = rng.sample(elements, 2)
+        other = [(a, c) for c in elements
+                 if c != a and limit.qf_type((a, c)) != limit.qf_type((a, b))]
+        for constants in [(a,), (a, b), (b, b)] + other[:1]:
+            yield StabilizerGroup(aut, constants), positions
+    dlo = builtin_limit("dlo")
+    for _ in range(3):
+        c = tuple(dlo.element(rng.randrange(8)) for _ in range(2))
+        yield StabilizerGroup(PowerGroup(AutLimit(dlo), 2), (c,)), 4
+
+
+def test_anchored_count_matches_the_record_filter(monkeypatch):
+    # Each size's reference records are listed once for all the stabilizers.
+    cache: dict = {}
+    enumerate_types = oracles.reference_enumerate_types
+
+    def listed_once(limit, k):
+        if (limit.name, k) not in cache:
+            cache[limit.name, k] = enumerate_types(limit, k)
+        return cache[limit.name, k]
+
+    monkeypatch.setattr(oracles, "reference_enumerate_types", listed_once)
+    for g, positions in _drawn_stabilizers(random.Random(11)):
+        for k in range(1, positions - len(g.constants) + 1):
+            assert count_orbits_g(g, k) == oracles.count_orbits_g(g, k), (g, k)
+
+
+def _stirling2(n, b):
+    if n == b:
+        return 1
+    if not n or not b:
+        return 0
+    return b * _stirling2(n - 1, b) + _stirling2(n - 1, b - 1)
+
+
+def _types(k, members):
+    """The k-types of an age with members(b) labeled members on b points."""
+    return sum(_stirling2(k, b) * members(b) for b in range(1, k + 1))
+
+
+def _fubini(k):
+    return _types(k, math.factorial)
+
+
+def _rado(k):
+    return _types(k, lambda b: 2 ** math.comb(b, 2))
+
+
+def _ordered_rado(k):
+    return _types(k, lambda b: math.factorial(b) * 2 ** math.comb(b, 2))
+
+
+@pytest.mark.parametrize("name,closed,arity", [
+    ("dlo", _fubini, 5), ("rado", _rado, 5), ("ordered-rado", _ordered_rado, 3)])
+def test_anchored_count_closed_forms(name, closed, arity):
+    # Every element of these limits has one 1-type, so one constant leaves
+    # all (k+1)-types.  Two distinct constants leave those whose last two
+    # positions differ and have the constants' 2-type: half of them on dlo
+    # and rado, whose 2-types of distinct points swap under reversal and
+    # under complement.  A repeated constant is one constant.  Two distinct
+    # constants stop at arity 4: past it rado's count walks 2^20 members.
+    limit = builtin_limit(name)
+    aut = AutLimit(limit)
+    a, b = limit.element(1), limit.element(2)
+    for k in range(1, arity + 1):
+        assert count_orbits_g(StabilizerGroup(aut, (a,)), k) == closed(k + 1)
+        assert count_orbits_g(StabilizerGroup(aut, (b, b)), k) == closed(k + 1)
+        if name != "ordered-rado" and k <= 4:
+            halves = (closed(k + 2) - closed(k + 1)) // 2
+            assert count_orbits_g(StabilizerGroup(aut, (a, b)), k) == halves
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)

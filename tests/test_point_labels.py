@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from canonfn import AutLimit, PowerGroup, StabilizerGroup, builtin_limit
 from canonfn.formats import load_forbidden_age
-from canonfn.fraisse import GenericLimit
+from canonfn.fraisse import GenericLimit, LimitStructure
 from canonfn.groups import PointLabels, orbit_label, point
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
@@ -88,3 +88,72 @@ def test_a_popped_index_is_read_again(name):
             for j in range(POINTS):
                 t = (order[i], order[j])
                 assert labels.labels[labels.id_of((i, j))] == orbit_label(g, t)
+
+
+# ---------------------------------------------------------------------------
+# rows against single tuples, and labels built from codes
+
+LIMITS = {name: builtin_limit(name) for name in ("dlo", "rado", "ordered-rado")}
+
+
+@st.composite
+def row_presentations(draw):
+    """aut, power or stab (of aut or power, 1-2 constants) over dlo, rado
+    or ordered-rado; a constant may be a point of the pool."""
+    limit = LIMITS[draw(st.sampled_from(sorted(LIMITS)))]
+    aut = AutLimit(limit)
+    shape = draw(st.sampled_from(["aut", "power", "stab", "stab-power"]))
+    if shape == "aut":
+        return aut
+    base = aut if shape == "stab" else PowerGroup(aut, 2)
+    if shape == "power":
+        return base
+    element = st.integers(0, 5).map(limit.element)
+    constant = element if base is aut else st.tuples(element, element)
+    return StabilizerGroup(base, tuple(draw(st.lists(constant, min_size=1, max_size=2))))
+
+
+@SETTINGS
+@given(g=row_presentations(), data=st.data())
+def test_row_ids_are_single_tuple_ids(g, data):
+    # Two interners meet the same points and tuples: rows keys one side by
+    # ids(prefix) first, so its labels are built from row codes; single
+    # keys the other by id_of only.  A row id names the label id_of gives
+    # on the same side, and every label is orbit_label of its tuple.
+    pool = [point(g, i) for i in range(POINTS)]
+    rows, single = PointLabels(g), PointLabels(g)
+    ops = data.draw(st.lists(st.one_of(st.integers(0, POINTS - 1), st.none()),
+                             min_size=1, max_size=10))
+    for op in ops:
+        for labels in (rows, single):
+            if op is None:
+                if labels.points:
+                    labels.pop()
+            else:
+                labels.append(pool[op])
+        n = len(rows.points)
+        if not n:
+            continue
+        prefix = tuple(data.draw(st.lists(st.integers(0, n - 1), max_size=2)))
+        ids = rows.ids(prefix)
+        assert len(ids) == n
+        for e, i in enumerate(ids):
+            idx = prefix + (e,)
+            label = orbit_label(g, tuple(rows.points[j] for j in idx))
+            assert rows.labels[i] == label
+            assert rows.id_of(idx) == i
+            assert single.labels[single.id_of(idx)] == label
+        # A row keys a tuple as id_of does: no label has two keys.
+        assert len(rows._ids) == len(rows.labels)
+
+
+def test_dlo_rank_codes_match_pair_codes():
+    # DloLimit reads a row's codes off one rank of the column, with ties
+    # between equal values of either type; the generic reader asks
+    # pair_codes of every pair.
+    dlo = LIMITS["dlo"]
+    values = [F(1, 2), 0, F(-3), F(0), F(1, 2), F(7, 3), 2, F(2), F(10**30 + 1, 10**30)]
+    rank_row = dlo.code_reader(values)
+    pair_row = LimitStructure.code_reader(dlo, values)
+    for i in range(len(values)):
+        assert rank_row(i) == pair_row(i)

@@ -5,8 +5,10 @@ alone (oracles.canonical), and the lazy image contract of the full mode."""
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from canonfn import (
@@ -26,10 +28,11 @@ from canonfn import (
     check_canonical,
     count_orbits_g,
 )
-from canonfn.canonicity import AffinePiece, BehaviorScan, Interval
+from canonfn import canonicity
+from canonfn.canonicity import AffinePiece, BehaviorScan, CanonicalUpTo, Interval
 from canonfn.formats import load_forbidden_age
 from canonfn.fraisse import DloLimit, GenericLimit, LimitStructure
-from canonfn.groups import point
+from canonfn.groups import PointLabels, point
 
 import oracles
 from oracles import reference_scan
@@ -184,10 +187,13 @@ def _count_calls(monkeypatch, cls, name) -> list:
 
 def test_scan_types_each_label_once(monkeypatch):
     # neg is canonical on aut(dlo), so the scan meets every dlo type of arity
-    # <= 3 on each side; a label id is typed on the first tuple with its key.
-    calls = _count_calls(monkeypatch, LimitStructure, "qf_type")
+    # <= 3 on each side; a label is built from the codes of the first tuple
+    # with its key, and never typed by qf_type.
+    built = _count_calls(monkeypatch, PointLabels, "_label")
+    typed = _count_calls(monkeypatch, LimitStructure, "qf_type")
     assert check_canonical(NegationOracle(DLO), AUT, AUT, 24, 3)
-    assert len(calls) <= 2 * sum(count_orbits_g(AUT, k) for k in (1, 2, 3)) == 2 * 17
+    assert len(built) <= 2 * sum(count_orbits_g(AUT, k) for k in (1, 2, 3)) == 2 * 17
+    assert not typed
 
 
 def test_arity_one_scan_reads_linearly_many_relations(monkeypatch):
@@ -319,3 +325,72 @@ def test_failed_push_names_the_conflicting_tuples():
     assert not scan.push(F(-1))                # 0 < 2 goes down, 0 < 1 went up
     assert scan.conflict == ((0, 2), (0, 1))
     assert scan.images == [F(0), F(1)]
+
+
+# ---------------------------------------------------------------------------
+# the stop rule above arity 2
+
+def _stop_case(f, g, horizon, arity):
+    h = AUT if f.target is DLO else AutLimit(f.target)
+    return f, g, h, horizon, arity
+
+
+STOP_CASES = {
+    # 2 points give 8 triples, fewer than the 13 triple labels: no stop.
+    "id-dlo-h2": (_stop_case(IdentityOracle(DLO, DLO), AUT, 2, 3), False),
+    "neg-dlo-h3-arity-4": (_stop_case(NegationOracle(DLO), AUT, 3, 4), False),
+    "stab-dlo-h2": (_stop_case(IdentityOracle(DLO, DLO), StabilizerGroup(AUT, (F(1, 2),)), 2, 3),
+                    False),
+    # The first point, 0, lies between -1 and 1, so every triple label is
+    # met in a row whose prefix starts at index 0: the pass stops there.
+    "id-dlo-h7": (_stop_case(IdentityOracle(DLO, DLO), AUT, 7, 3), True),
+    "neg-dlo-h12": (_stop_case(NegationOracle(DLO), AUT, 12, 3), True),
+    "pieces-dlo-h24": (_stop_case(piecewise_map(random.Random(5), min_breaks=1), AUT, 24, 3),
+                       True),
+    # The first 12 elements of rado miss a triple label; the first 16 do not.
+    "id-rado-h12": (_stop_case(IdentityOracle(LIMITS["rado"], LIMITS["rado"]),
+                               AutLimit(LIMITS["rado"]), 12, 3), False),
+    "id-rado-h16": (_stop_case(IdentityOracle(LIMITS["rado"], LIMITS["rado"]),
+                               AutLimit(LIMITS["rado"]), 16, 3), True),
+    # 4 points of ordered-rado meet few of its 1,853 quadruple labels.
+    "id-ordered-rado-h4-arity-4": (_stop_case(
+        IdentityOracle(LIMITS["ordered-rado"], LIMITS["ordered-rado"]),
+        AutLimit(LIMITS["ordered-rado"]), 4, 4), False),
+}
+
+
+@pytest.mark.parametrize("name", STOP_CASES)
+def test_stop_rule_matches_full_scan(monkeypatch, name):
+    (f, g, h, horizon, arity), stops_in_row_0 = STOP_CASES[name]
+    scan = BehaviorScan(g, h, arity, [point(g, i) for i in range(horizon)])
+    calls = _count_calls(monkeypatch, PointLabels, "ids")
+    counts = []
+
+    def count(g, k, cap):
+        n = count_orbits_g(g, k, cap=cap)
+        counts.append((k, cap, n))
+        return n
+
+    monkeypatch.setattr(canonicity, "count_orbits_g", count)
+    found = scan.run(f)
+    verdict = found if found is not None else CanonicalUpTo(horizon, arity, scan.behavior())
+    assert verdict == reference_scan(f, g, h, horizon, arity)
+    if found is None:
+        # Each pass above arity 2 counts its labels only up to twice the
+        # larger of the labels it met and the row; a pass that met them all
+        # ended on an exact count.
+        met = Counter(len(idx) for _, idx in scan._seen.values())
+        assert {k for k, _, _ in counts} == set(range(3, arity + 1))
+        for k, cap, n in counts:
+            assert cap <= 2 * max(met[k], horizon)
+        for k in range(3, arity + 1):
+            last = [(cap, n) for j, cap, n in counts if j == k][-1]
+            assert (last[1] == met[k] <= last[0]) == (met[k] == count_orbits_g(g, k))
+        # The prefixes of the source rows the last pass took.
+        prefixes = [prefix for labels, prefix in calls
+                    if labels is scan.source and len(prefix) == arity - 1]
+        if stops_in_row_0:
+            assert {p[0] for p in prefixes} == {0}
+            assert len(prefixes) < horizon ** (arity - 1)
+        else:
+            assert len(prefixes) == horizon ** (arity - 1)
