@@ -468,41 +468,22 @@ def _table_dfs(age, size, present, candidates):
             return
 
 
-def _members(age: AgeOracle, b: int) -> Iterator[FiniteStructure]:
-    """The age's members on points 0..b-1, in lexicographic table order."""
-    return _table_dfs(age, b, (), _all_atoms(age.signature, range(b), b))
-
-
-def _extension_stream(age: AgeOracle, base: FiniteStructure) -> Iterator[FiniteStructure]:
-    size = base.size + 1
-    candidates = _all_atoms(age.signature, [base.size], size)
-    yield from _table_dfs(age, size, base.atoms, candidates)
+def _members(age: AgeOracle, b: int, base: FiniteStructure | None = None) -> Iterator[FiniteStructure]:
+    """The age's members on points 0..b-1 that extend base on its points
+    (the first base.size), in lexicographic table order."""
+    present, d = (base.atoms, base.size) if base else ((), 0)
+    return _table_dfs(age, b, present, _all_atoms(age.signature, range(d, b), b))
 
 
 def one_point_extensions(age: AgeOracle, base: FiniteStructure) -> list[FiniteStructure]:
     """All age members on one extra point (new point last), lexicographic order."""
     if not age.contains(base):
         raise ValueError("base structure is not in the age")
-    return list(_extension_stream(age, base))
+    return list(_members(age, base.size + 1, base))
 
 
 # ---------------------------------------------------------------------------
 # type records
-
-
-def canonical_partitions(k: int) -> Iterator[tuple[int, ...]]:
-    """Partitions of k positions as first-occurrence block-id tuples, lex order."""
-
-    def rec(prefix, nblocks):
-        if len(prefix) == k:
-            yield tuple(prefix)
-            return
-        for b in range(nblocks + 1):
-            prefix.append(b)
-            yield from rec(prefix, max(nblocks, b + 1))
-            prefix.pop()
-
-    yield from rec([], 0)
 
 
 def pattern_of(values: tuple) -> tuple[int, ...]:
@@ -555,32 +536,23 @@ class TupleTypeRecord:
 
 
 def _patterns_by_blocks(k: int) -> dict[int, list[tuple[int, ...]]]:
-    """The canonical partitions of k positions, grouped by their block count."""
+    """The partitions of k positions as first-occurrence block-id tuples,
+    grouped by their block count, each group in lexicographic order."""
+    patterns = [()]
+    for _ in range(k):
+        patterns = [p + (b,) for p in patterns for b in range(max(p, default=-1) + 2)]
     out: dict[int, list[tuple[int, ...]]] = {}
-    for pattern in canonical_partitions(k):
+    for pattern in patterns:
         out.setdefault(max(pattern) + 1, []).append(pattern)
     return out
 
 
-def enumerate_types(limit: "LimitStructure", k: int) -> list[TupleTypeRecord]:
-    """All admissible type records of arity k, sorted canonically: each
-    age member on b points pulled back along each pattern with b blocks.
-    The members depend on b alone, so each b's are enumerated once."""
-    _check_arity(k)
-    age = limit.age
-    out = [TupleTypeRecord(age.signature, k, pattern, _pullback(diagram.atoms, pattern))
-           for b, patterns in _patterns_by_blocks(k).items()
-           for diagram in _members(age, b) for pattern in patterns]
-    out.sort(key=TupleTypeRecord.sort_key)
-    return out
-
-
-def count_types(limit: "LimitStructure", k: int, anchor: tuple = (),
-                cap: float = math.inf) -> int:
-    """len(enumerate_types(limit, k)), without building a record; with an
-    anchor (a tuple of elements, n of them), the number of (k+n)-types
-    whose last n positions have the anchor's type.  Counting stops at the
-    first partial count past cap, which it returns.
+def _admissible(limit: "LimitStructure", k: int, anchor: tuple):
+    """The one walk over the admissible types of arity k, or with an anchor
+    (a tuple of elements, n of them) over the (k+n)-types whose last n
+    positions have the anchor's type: per block count b, the index maps
+    from the type's positions to a member's points, and an iterator over
+    the members on b points, each map and member giving one type.
 
     Such a type is a pattern whose tail is the anchor's pattern, on the
     anchor's d blocks and some more, and a member on those blocks that
@@ -588,20 +560,50 @@ def count_types(limit: "LimitStructure", k: int, anchor: tuple = (),
     block, the patterns are those on k + d positions whose last d differ;
     the members on b points that extend the diagram on the first d are
     enumerated once per b: relabeling puts any d blocks first, so their
-    number depends on b alone.  Without an anchor, d is 0."""
-    _check_arity(k)
+    number depends on b alone.  A map sends the tail to the member's first
+    d points and the other blocks, in order, to the points after them.
+    Without an anchor, d is 0 and each map is its pattern."""
     age = limit.age
-    base = limit.qf_type(anchor).diagram() if anchor else empty_structure(age.signature)
-    d = base.size
+    base, tail = None, ()
+    if anchor:
+        record = limit.qf_type(anchor)
+        base, tail = record.diagram(), record.pattern
+    d = base.size if base else 0
+    for b, maps in _patterns_by_blocks(k + d).items():
+        if d:
+            maps = [pattern_of(p[k:] + p[:k])[d:] + tail for p in maps if len(set(p[k:])) == d]
+        if maps:
+            yield maps, _members(age, b, base)
+
+
+def enumerate_types(limit: "LimitStructure", k: int, anchor: tuple = ()) -> list[TupleTypeRecord]:
+    """The types of _admissible's walk as records of k + n positions (at
+    most ARITY_LIMIT), sorted canonically: each member pulled back along
+    each map."""
+    arity = k + len(anchor)
+    _check_arity(arity)
+    signature = limit.age.signature
+    out = []
+    for maps, members in _admissible(limit, k, anchor):
+        spread = [(sigma, pattern_of(sigma) if anchor else sigma) for sigma in maps]
+        out += [TupleTypeRecord(signature, arity, pattern, _pullback(member.atoms, sigma))
+                for member in members for sigma, pattern in spread]
+    out.sort(key=TupleTypeRecord.sort_key)
+    return out
+
+
+def count_types(limit: "LimitStructure", k: int, anchor: tuple = (),
+                cap: float = math.inf) -> int:
+    """len(enumerate_types(limit, k, anchor)), counted on the same walk
+    without building a record.  Counting stops at the first partial count
+    past cap, which it returns."""
+    _check_arity(k)
     total = 0
-    for b, patterns in _patterns_by_blocks(k + d).items():
-        fitting = sum(len(set(pattern[k:])) == d for pattern in patterns)
-        if fitting:
-            extensions = _table_dfs(age, b, base.atoms, _all_atoms(age.signature, range(d, b), b))
-            for _ in extensions:
-                total += fitting
-                if total > cap:
-                    return total
+    for maps, members in _admissible(limit, k, anchor):
+        for _ in members:
+            total += len(maps)
+            if total > cap:
+                return total
     return total
 
 
@@ -830,7 +832,7 @@ class GenericLimit(LimitStructure):
             self._step()
 
     def _seed(self) -> None:
-        first = next(_extension_stream(self.age, empty_structure(self.age.signature)), None)
+        first = next(_members(self.age, 1), None)
         if first is None:
             raise AmalgamationFailure("age admits no one-point structure")
         self._whole = first
@@ -847,7 +849,7 @@ class GenericLimit(LimitStructure):
         # prefix's atoms never change, so one stream answers all its demands.
         if m > len(self._streams):
             base = self._whole.substructure(tuple(range(m)))
-            self._streams.append(_extension_stream(self.age, base))
+            self._streams.append(_members(self.age, base.size + 1, base))
         ext = next(self._streams[m - 1], None)
         if ext is None:
             if e == 0 and m == self.size:
@@ -1228,7 +1230,7 @@ def _members_by_size(age: AgeOracle, bound: int) -> tuple[dict[int, list[FiniteS
         else:
             # No two grown extensions are equal: each restricts to its base,
             # and the bases are distinct.
-            members[s] = [ext for base in members[s - 1] for ext in _extension_stream(age, base)]
+            members[s] = [ext for base in members[s - 1] for ext in _members(age, base.size + 1, base)]
             note = f"; sizes above {_FULL_ENUM_MAX} grown from smaller members"
     return members, note
 
@@ -1263,7 +1265,7 @@ def verify_amalgamation(age: AgeOracle, bound: int = 3) -> AmalgamationReport:
         for base in members[s]:
             exts = one_point_extensions(age, base)
             for b1 in exts:
-                glued = {c.substructure(glue) for c in _extension_stream(age, b1)}
+                glued = {c.substructure(glue) for c in _members(age, b1.size + 1, b1)}
                 for b2 in exts:
                     if b2 != b1 and b2 not in glued:
                         return AmalgamationReport(

@@ -215,34 +215,28 @@ def reindex_label(g: GroupPresentation, label, sigma: tuple[int, ...]):
     return tuple(part.reindexed(sigma) for part in label)
 
 
-def _column_labels(g: GroupPresentation, k: int) -> list[list]:
-    """Per column of the points, the limit's (k+n)-types, sorted, whose last
-    n positions have the type of that column of the n constants."""
-    n = len(g.constants)
-    types = enumerate_types(g.limit, k + n)
-    if not n:
-        return [types] * g.m
-    tail = tuple(range(k, k + n))
-    anchors = [g.limit.qf_type(tuple(columns(c)[i] for c in g.constants))
-               for i in range(g.m)]
-    return [[lbl for lbl in types if lbl.reindexed(tail) == a] for a in anchors]
+def _column_anchors(g: GroupPresentation) -> list[tuple]:
+    """Per column of the points, that column of the constants."""
+    return [tuple(columns(c)[i] for c in g.constants) for i in range(g.m)]
 
 
 def orbit_labels(g: GroupPresentation, k: int) -> list:
-    """All admissible labels of arity k, sorted by label_key: the product of
-    the columns' sorted labels keeps that order."""
-    columns = _column_labels(g, k)
-    return columns[0] if g.m == 1 else list(itertools.product(*columns))
+    """All admissible labels of arity k, sorted by label_key: per column,
+    fraisse.enumerate_types anchored at that column of the constants (the
+    walk that count_orbits_g counts), listed once per distinct anchor; the
+    product of the columns' sorted lists keeps that order."""
+    anchors = _column_anchors(g)
+    listed = {anchor: enumerate_types(g.limit, k, anchor) for anchor in set(anchors)}
+    return listed[anchors[0]] if g.m == 1 else list(itertools.product(*map(listed.get, anchors)))
 
 
 def count_orbits_g(g: GroupPresentation, k: int, cap: float = inf) -> int:
-    """Number of admissible labels of arity k, without building a record:
-    per column, the limit's (k+n)-types whose last n positions have the
-    type of that column of the n constants (fraisse.count_types with the
-    column as its anchor), multiplied over the columns, each distinct
-    anchor counted once.  With a cap, a number past cap may stand for any
-    larger one: a column stops counting past it."""
-    anchors = Counter(tuple(columns(c)[i] for c in g.constants) for i in range(g.m))
+    """len(orbit_labels(g, k)), without building a record: per distinct
+    column anchor, fraisse.count_types on the walk that enumerate_types
+    lists, raised to the number of columns with that anchor.  With a cap,
+    a number past cap may stand for any larger one: a column stops counting
+    past it."""
+    anchors = Counter(_column_anchors(g))
     return prod(count_types(g.limit, k, anchor, cap) ** times for anchor, times in anchors.items())
 
 

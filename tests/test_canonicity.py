@@ -38,9 +38,11 @@ from canonfn import (
     rationals_set,
     tower_witness,
 )
+from canonfn import canonicity
 from canonfn.canonicity import AffinePiece, AutomorphismOracle, Interval, _same_label_seeds
+from canonfn.cli import parse_command, run
 from canonfn.errors import CanonFnError
-from canonfn.groups import label_key
+from canonfn.groups import label_key, reindex_label
 
 import oracles
 
@@ -258,6 +260,24 @@ class TestTowerWitness:
         outcome = tower_witness([(MinOracle(dlo, dlo), MaxOracle(dlo, dlo))], aut_dlo, 3)
         assert outcome == LocalFailure(0, ((F(0), F(0)), (F(0), F(1))))
 
+    def test_check_rejects_a_broken_witness(self, dlo, aut_dlo):
+        # id and x+1 are locally equal with f(x) < g(x) everywhere, so a
+        # level with its f and g blocks swapped no longer restricts to the
+        # level below.
+        shift = PiecewiseAffineOracle(dlo, [
+            AffinePiece(Interval(None, False, None, False), F(1), F(1)),
+        ])
+        pair = [(IdentityOracle(dlo, dlo), shift)]
+        witness = tower_witness(pair, aut_dlo, 2)
+        assert witness.check(pair, aut_dlo)
+        swapped = reindex_label(aut_dlo, witness.levels[1], (2, 3, 0, 1))
+        assert not TowerWitness(1, 2, (witness.levels[0], swapped)).check(pair, aut_dlo)
+        # Level 2 restricts to level 1, but its f block rises where its g
+        # block falls.
+        levels = (orbit_label(aut_dlo, (F(0), F(5))),
+                  orbit_label(aut_dlo, (F(0), F(1), F(5), F(4))))
+        assert not TowerWitness(1, 2, levels).check(pair, aut_dlo)
+
     def test_multi_pair_witness(self, dlo, aut_dlo, neg):
         shift = PiecewiseAffineOracle(dlo, [
             AffinePiece(Interval(None, False, None, False), F(1), F(1)),
@@ -289,6 +309,33 @@ class TestHarness:
             assert r.local_pass == r.tower_pass
             if not r.local_pass and r.tower_failure is not None:
                 assert r.local_failure == r.tower_failure
+
+    # Each disagreement of the three checks, made by replacing local_equal
+    # or tower_witness, which the harness reads from the module.
+    def test_certificate_with_failing_germs_through_the_cli(self, monkeypatch):
+        monkeypatch.setattr(canonicity, "local_equal", lambda *args: False)
+        assert run(parse_command(["harness", "--f", "id", "--source", "aut(dlo)", "--target",
+                                  "aut(dlo)", "--horizon", "4", "--arity", "2"])) == (0, (
+            "proxy-canonicity: pass\nproxy-local: fail\nproxy-tower: fail\nseeds: 64\n"
+            "agreement: no\ndiscrepancy: certificate passed but a germ check failed\n"))
+
+    def test_refutation_with_passing_germs(self, aut_dlo, mixed_map, monkeypatch):
+        monkeypatch.setattr(canonicity, "local_equal", lambda *args: True)
+        report = proposition_harness(mixed_map, aut_dlo, aut_dlo, 6, 2)
+        assert isinstance(report.verdict, Counterexample)
+        assert all(r.local_pass and r.tower_pass for r in report.seed_results)
+        assert not report.agreement
+        assert report.discrepancy == "refuted but every sampled germ passed the local check"
+
+    def test_local_and_tower_disagree(self, aut_dlo, mixed_map, monkeypatch):
+        monkeypatch.setattr(canonicity, "tower_witness",
+                            lambda pairs, h, depth: TowerWitness(len(pairs), 0, ()))
+        report = proposition_harness(mixed_map, aut_dlo, aut_dlo, 6, 2)
+        assert isinstance(report.verdict, Counterexample)
+        assert any(not r.local_pass for r in report.seed_results)
+        assert all(r.tower_pass for r in report.seed_results)
+        assert not report.agreement
+        assert report.discrepancy == "local and tower checks disagree"
 
     def test_proxy_biconditional(self, dlo, aut_dlo, neg, mixed_map):
         for oracle in (neg, mixed_map, IdentityOracle(dlo, dlo), ConstantOracle(dlo, F(2))):

@@ -23,6 +23,7 @@ from canonfn import (
     ProjectionOracle,
     StabilizerGroup,
     TableOracle,
+    builtin_limit,
     canonize,
     canonize_with_constants,
     check_canonical,
@@ -263,7 +264,26 @@ def search_case(dlo, seed: int):
 @given(seed=st.integers(0, 2**32))
 def test_search_matches_reference_loop(dlo, seed):
     f, g, arity, depth, horizon = search_case(dlo, seed)
-    h = AutLimit(f.target)
+    _canonize_against_reference(f, g, AutLimit(f.target), arity, depth, horizon)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("name", ["rado", "ordered-rado"])
+def test_generic_limit_search_matches_reference_loop(name, seed):
+    # Tables of values below 12 over a generic limit, whose germs probe
+    # images by qf_type (PartialAutomorphism), not by order position.  All
+    # four find a tower on rado; on ordered-rado only the first does, and
+    # the others exhaust the horizon.
+    limit = builtin_limit(name)
+    rng = random.Random(seed)
+    f = TableOracle(limit, limit, {limit.element(i): limit.element(rng.randrange(12))
+                                   for i in range(12)})
+    g = AutLimit(limit)
+    result = _canonize_against_reference(f, g, g, 2, 4, 12)
+    assert isinstance(result, HorizonExhausted) == (name == "ordered-rado" and seed > 0)
+
+
+def _canonize_against_reference(f, g, h, arity, depth, horizon):
     result = canonize(f, g, h, arity, depth, horizon)
     expected = reference_search(f, g, h, arity, depth, horizon)
     if isinstance(expected, HorizonExhausted):
@@ -278,7 +298,8 @@ def test_search_matches_reference_loop(dlo, seed):
         # the sample's points must give the same one.
         points = list(result.sample.mapping)
         fresh = check_canonical(result.sample, g, h, len(points), arity, points=points)
-        assert result.certificate == fresh
+        assert fresh and result.certificate == fresh
+    return result
 
 
 class CountingOracle(FunctionOracle):

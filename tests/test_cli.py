@@ -6,8 +6,11 @@ import time
 
 import pytest
 
-from canonfn import UsageError
+from canonfn import UsageError, builtin_age, cli
 from canonfn.cli import main, parse_command, run
+from canonfn.fraisse import GRAPH_SIG
+
+import oracles
 
 
 def run_argv(argv):
@@ -141,6 +144,39 @@ class TestRun:
         assert code == 0 and "demand prefix=1 extension=0 -> new 1" in report
         code, report = run_argv(["verify-age", "--age", "linear-orders", "--bound", "3"])
         assert code == 0 and "result: ok" in report
+
+    def test_verify_age_reports_an_amalgamation_violation(self, tmp_path):
+        # The cographs (no loop, no one-way edge, no induced path on 4
+        # points) are hereditary, but two extensions of the 3-point
+        # independent set do not amalgamate.
+        forb = tmp_path / "cographs.forb"
+        forb.write_text(
+            "size 1; edge(0,0)\n"
+            "size 2; edge(0,1)\n"
+            "size 4; edge(0,1); edge(1,0); edge(1,2); edge(2,1); edge(2,3); edge(3,2)\n"
+        )
+        assert run_argv(["verify-age", "--age", "forbidden", "--forbidden", str(forb),
+                         "--bound", "5"]) == (0, (
+            "result: amalgamation-violation\n"
+            "bound: 5\n"
+            "detail: extensions of a size-3 member cannot be amalgamated\n"
+            "witness: size 3\n"
+            "witness: size 4; edge(1,3); edge(2,3); edge(3,1); edge(3,2)\n"
+            "witness: size 4; edge(0,3); edge(2,3); edge(3,0); edge(3,2)\n"))
+
+    def test_verify_age_reports_a_hereditariness_violation(self, monkeypatch):
+        # A forbidden age is hereditary by construction, so a predicate age
+        # (graphs without an edgeless pair) stands in for the parsed one.
+        graphs = builtin_age("graphs")
+        age = oracles.PredicateAge(
+            GRAPH_SIG, lambda s: graphs.contains(s) and not (s.size == 2 and not s.atoms))
+        monkeypatch.setattr(cli, "_age_from_options", lambda options: age)
+        assert run_argv(["verify-age", "--age", "graphs", "--bound", "3"]) == (0, (
+            "result: hereditariness-violation\n"
+            "bound: 3\n"
+            "detail: member of size 3 has a non-member induced substructure (dropped point 0)\n"
+            "witness: size 3\n"
+            "witness: size 2\n"))
 
     def test_iso_report(self):
         code, report = run_argv(["iso", "--source", "q", "--target", "q-minus-0", "--points", "3"])

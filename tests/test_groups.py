@@ -22,7 +22,15 @@ from canonfn import (
     qf_type,
 )
 from canonfn.formats import load_structures, parse_group_spec
-from canonfn.fraisse import GRAPH_SIG, FiniteStructure, ForbiddenSubstructuresAge, GenericLimit
+from canonfn.fraisse import (
+    ARITY_LIMIT,
+    GRAPH_SIG,
+    FiniteStructure,
+    ForbiddenSubstructuresAge,
+    GenericLimit,
+    count_types,
+    enumerate_types,
+)
 from canonfn.groups import columns, joined, label_key, point, reindex_label
 
 import oracles
@@ -304,7 +312,9 @@ def _drawn_stabilizers(rng):
     """Per limit, stabilizers of aut with one constant, two distinct ones and
     one repeated, and of power(aut(dlo),2) with one constant, drawn from the
     limit's first 8 elements; and two distinct ones of the other 2-type
-    (the other order, adjacency or both) where one is among them."""
+    (the other order, adjacency or both) where one is among them.  Last, a
+    stabilizer of power(aut(rado),2) with two constants whose columns have
+    different 2-types, so that the two columns list different labels."""
     for name, positions in ANCHOR_LIMITS.items():
         limit = _anchor_limit(name)
         aut = AutLimit(limit)
@@ -318,22 +328,37 @@ def _drawn_stabilizers(rng):
     for _ in range(3):
         c = tuple(dlo.element(rng.randrange(8)) for _ in range(2))
         yield StabilizerGroup(PowerGroup(AutLimit(dlo), 2), (c,)), 4
+    rado = builtin_limit("rado")
+    elements = [rado.element(i) for i in range(8)]
+    a, c = rng.sample(elements, 2)
+    b, d = next((b, d) for b, d in itertools.permutations(elements, 2)
+                if rado.qf_type((b, d)) != rado.qf_type((a, c)))
+    yield StabilizerGroup(PowerGroup(AutLimit(rado), 2), ((a, b), (c, d))), 4
 
 
 def test_anchored_count_matches_the_record_filter(monkeypatch):
     # Each size's reference records are listed once for all the stabilizers.
     cache: dict = {}
-    enumerate_types = oracles.reference_enumerate_types
+    reference = oracles.reference_enumerate_types
 
     def listed_once(limit, k):
         if (limit.name, k) not in cache:
-            cache[limit.name, k] = enumerate_types(limit, k)
+            cache[limit.name, k] = reference(limit, k)
         return cache[limit.name, k]
 
     monkeypatch.setattr(oracles, "reference_enumerate_types", listed_once)
+    # orbit_labels lists and count_orbits_g counts the same walk, the list
+    # up to records of ARITY_LIMIT positions.  The reference's count under
+    # a stabilizer is its list's length.
     for g, positions in _drawn_stabilizers(random.Random(11)):
         for k in range(1, positions - len(g.constants) + 1):
-            assert count_orbits_g(g, k) == oracles.count_orbits_g(g, k), (g, k)
+            expected = oracles.orbit_labels(g, k)
+            assert count_orbits_g(g, k) == len(expected), (g, k)
+            if k + len(g.constants) <= ARITY_LIMIT:
+                assert orbit_labels(g, k) == expected, (g, k)
+                if g.m == 1:
+                    anchored = (g.limit, k, g.constants)
+                    assert count_types(*anchored) == len(enumerate_types(*anchored)), (g, k)
 
 
 def _stirling2(n, b):
