@@ -724,9 +724,11 @@ def proposition_harness(f: FunctionOracle, g: GroupPresentation,
 
     (1) the tuple-pair scan of check_canonical; (2) for automorphism germs
     built from same-label tuple pairs, local equality of f after the germ and
-    f itself on fragments inside the horizon; (3) a coherent tower witness for
-    the same pair of functions.  The report records agreement or the first
-    discrepancy between the implemented checks.
+    f itself on the initial segments inside the horizon and on the seed's own
+    point set; (3) a coherent tower witness for the same pair of functions.
+    Each seed builds one tower, whose first failing level is also its first
+    failing segment, and checks its point set apart.  The report records
+    agreement or the first discrepancy between the implemented checks.
     """
     if not isinstance(g, AutLimit):
         raise PresentationError("the harness samples germs of aut(limit) sources")
@@ -743,11 +745,10 @@ def proposition_harness(f: FunctionOracle, g: GroupPresentation,
     for s, t in seeds:
         germ = automorphism_extending(g, tuple(zip(s, t)))
         f_alpha = ComposeOracle(f, AutomorphismOracle(germ))
-        # Fragments: initial segments whose germ images stay inside the
-        # horizon (a new point takes its least admissible image in the pool),
-        # then the seed's own domain set (whose images are the other seed tuple).
-        fragments = []
-        for n, x in enumerate(pool, start=1):
+        # The clip: the initial segments whose germ images stay inside the
+        # horizon (a new point takes its least admissible image in the pool).
+        clip_depth = 0
+        for x in pool:
             if x not in germ.mapping:
                 y = next(iter(germ.images(x, pool)), None)
                 if y is None:
@@ -755,28 +756,24 @@ def proposition_harness(f: FunctionOracle, g: GroupPresentation,
                 germ.commit(x, y)
             elif limit.element_index(germ.mapping[x]) >= horizon:
                 break
-            fragments.append(pool[:n])
-        clip_depth = len(fragments)
+            clip_depth += 1
+        # The seed's own domain set, whose images are the other seed tuple.
+        # A failing set fails every prefix that covers it, so the tower is
+        # built to the least such prefix.
         seed_set = tuple(dict.fromkeys(s))
-        fragments.append(seed_set)
-        local_pass, local_failure = True, None
-        for fragment in fragments:
-            if not local_equal(f_alpha, f, fragment, h):
-                local_pass, local_failure = False, fragment
-                break
-        # Tower depth: to the first failing prefix when the local check
-        # failed there; to a prefix covering the seed set when only the seed
-        # fragment failed; otherwise the clipped depth.
-        if local_pass:
-            depth = clip_depth
-        elif local_failure != seed_set or local_failure in fragments[:-1]:
-            depth = len(local_failure)
-        else:
-            depth = max(limit.element_index(x) for x in seed_set) + 1
+        seed_pass = local_equal(f_alpha, f, seed_set, h)
+        depth = clip_depth if seed_pass else max(map(limit.element_index, seed_set)) + 1
+        # Tower level l exists exactly when the prefix pool[:l] is locally
+        # equal, so its first failing level is the first failing prefix.
         outcome = tower_witness([(f_alpha, f)], h, depth)
         tower_pass = isinstance(outcome, TowerWitness)
         tower_failure = None if tower_pass else outcome.fragment
-        results.append(SeedResult((s, t), local_pass, local_failure, tower_pass, tower_failure))
+        if not tower_pass and len(tower_failure) <= clip_depth:
+            local_failure = tower_failure
+        else:
+            local_failure = None if seed_pass else seed_set
+        results.append(SeedResult((s, t), local_failure is None, local_failure,
+                                  tower_pass, tower_failure))
 
     any_local_fail = any(not r.local_pass for r in results)
     any_tower_fail = any(not r.tower_pass for r in results)

@@ -577,11 +577,11 @@ def _admissible(limit: "LimitStructure", k: int, anchor: tuple):
 
 
 def enumerate_types(limit: "LimitStructure", k: int, anchor: tuple = ()) -> list[TupleTypeRecord]:
-    """The types of _admissible's walk as records of k + n positions (at
-    most ARITY_LIMIT), sorted canonically: each member pulled back along
-    each map."""
+    """The types of _admissible's walk as records of k + n positions (k at
+    most ARITY_LIMIT, as count_types checks), sorted canonically: each
+    member pulled back along each map."""
+    _check_arity(k)
     arity = k + len(anchor)
-    _check_arity(arity)
     signature = limit.age.signature
     out = []
     for maps, members in _admissible(limit, k, anchor):

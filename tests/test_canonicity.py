@@ -39,7 +39,8 @@ from canonfn import (
     tower_witness,
 )
 from canonfn import canonicity
-from canonfn.canonicity import AffinePiece, AutomorphismOracle, Interval, _same_label_seeds
+from canonfn.canonicity import (
+    AffinePiece, AutomorphismOracle, Interval, SeedResult, _same_label_seeds)
 from canonfn.cli import parse_command, run
 from canonfn.errors import CanonFnError
 from canonfn.groups import label_key, reindex_label
@@ -457,6 +458,29 @@ def test_harness_calls_the_oracle_once_per_point():
     assert report.agreement and len(report.seed_results) == 64
     assert set(calls) <= {dlo.element(i) for i in range(8)}
     assert set(calls.values()) == {1}
+
+
+@pytest.mark.parametrize("seed,horizon,arity,local_failure,tower_failure,levels", [
+    # A prefix inside the clip fails, on both proxies.
+    (((F(0),), (F(-1),)), 3, 1, (F(0), F(1)), (F(0), F(1)), 2),
+    # Only the seed's own point set fails; its tower fails past a clip of 0.
+    (((F(1), F(2)), (F(-2), F(-1))), 4, 2, (F(1), F(2)), (F(0), F(1)), 2),
+    # The germ is the identity on the pool: every check passes.
+    (((F(0),), (F(0),)), 4, 1, None, None, 4),
+])
+def test_harness_paths_by_example(aut_dlo, mixed_map, monkeypatch, seed, horizon, arity,
+                                  local_failure, tower_failure, levels):
+    # Each seed checks its point set once and its tower once per level reached.
+    calls = []
+    local_equal = canonicity.local_equal
+    monkeypatch.setattr(canonicity, "local_equal", lambda *args: calls.append(1) or local_equal(*args))
+    report = proposition_harness(mixed_map, aut_dlo, aut_dlo, horizon, arity, seeds=[seed])
+    assert len(calls) == levels + 1
+    assert report.seed_results == (SeedResult(seed, local_failure is None, local_failure,
+                                              tower_failure is None, tower_failure),)
+    monkeypatch.undo()
+    expected = oracles.reference_harness(mixed_map, aut_dlo, aut_dlo, horizon, arity, seeds=[seed])
+    assert report.seed_results == expected.seed_results
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

@@ -528,6 +528,17 @@ def test_behaviors_arity_above_limit_keeps_its_message():
                      "--arity", "7"]) == (1, "error: ArityLimitExceeded: arity 7 exceeds limit 6\n")
 
 
+def test_behaviors_stabilizer_arity_is_the_given_arity():
+    # The constant adds a position to each source record; the guardrail reads
+    # --arity alone, as check does on the same source.
+    argv = ["behaviors", "--source", "stab(aut(pureset); 0)", "--target", "aut(pureset)",
+            "--budget", "1", "--arity"]
+    assert run_argv(argv + ["6"]) == (2, (
+        "result: budget-exhausted\n"
+        "reason: slot-search budget of 1 nodes ran out; 0 tables found so far\n"))
+    assert run_argv(argv + ["7"]) == (1, "error: ArityLimitExceeded: arity 7 exceeds limit 6\n")
+
+
 class TestFileErrors:
     """Unreadable inputs and unwritable outputs end in one `error:` line."""
 

@@ -500,6 +500,42 @@ def test_dlo_germ_images_match_the_filter(query):
             assert set(germ.constraints(x)) == {a for a, y in pairs if y in (lo, hi)}
 
 
+@HYPOTHESIS
+@given(germ_pools())
+def test_dlo_germ_images_ignore_pairs_outside_the_conflict_set(query):
+    # Backjumping rests on this: a level's candidates change only when a
+    # pair of its conflict set is taken back.
+    pairs, xs, pools = query
+    for x in xs:
+        outside = [a for a, _ in pairs if a not in DLO.germ(pairs).constraints(x)]
+        for pool in pools:
+            expected = DLO.germ(pairs).images(x, pool)
+            for a in outside:
+                germ = DLO.germ(pairs)
+                germ.uncommit(a)
+                assert germ.images(x, pool) == expected
+
+
+@HYPOTHESIS
+@given(name=st.sampled_from(["rado", "ordered-rado"]),
+       indices=st.lists(st.integers(0, 15), unique=True, max_size=7), data=st.data())
+def test_generic_germ_conflict_set_is_the_whole_mapping(name, indices, data):
+    # A generic germ reads x's type over every committed point, not only
+    # over the latest pair, which belongs to the level before.  The germ
+    # gives each drawn point its least admissible image in the first 16
+    # elements, where there is one.
+    limit = builtin_limit(name)
+    pool = [limit.element(i) for i in range(16)]
+    germ = limit.germ()
+    for i in indices:
+        for y in germ.images(pool[i], pool):
+            germ.commit(pool[i], y)
+            break
+    assert type(germ) is PartialAutomorphism
+    x = pool[data.draw(st.integers(0, 15).filter(lambda i: i not in indices))]
+    assert germ.constraints(x) == tuple(germ.mapping)
+
+
 # Values whose floats tie (a third and its neighbors 1e-30 away; the
 # underflows beside 0; the overflows, as ints and Fractions), beside ints
 # and Fractions of all sizes.

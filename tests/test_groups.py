@@ -287,6 +287,13 @@ def test_count_orbits_matches_recursive_reference(spec, k):
         assert count_orbits_g(g, j) == oracles.count_orbits_g(g, j)
 
 
+def test_stabilizer_lists_records_past_arity_limit_positions():
+    # Arity 6 under one constant: records of 7 positions, one per partition
+    # of 7 points (Bell number 877), listed as they are counted.
+    g = parse_group_spec("stab(aut(pureset); 0)")
+    assert len(orbit_labels(g, 6)) == count_orbits_g(g, 6) == 877
+
+
 # The anchored count (ROADMAP item 11 (b)) against the record filter.  The
 # reference lists every (k+n)-type, which takes seconds past 6 positions on
 # dlo, 5 on rado and 4 on ordered-rado; larger counts meet closed forms.
