@@ -20,7 +20,9 @@ every source label of the arity is met.  A target with a symbol of arity
 > 2 keeps the comparison at every arity.
 The module also computes induced behavior tables, the local equality relation
 modulo a group, coherent tower witnesses for lifted equalities, and a harness
-comparing the three equivalent formulations of canonicity at finite scale.
+comparing the three equivalent formulations of canonicity at finite scale: a
+seed's tower over the clip, extended over the seed's points, reads the oracle
+only on the pool and the seed's points.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from .fraisse import DloLimit, LimitStructure, _check_arity
 from .groups import (
     AutLimit,
     GroupPresentation,
-    PartialAutomorphism,
     PointLabels,
     aut_power,
     automorphism_extending,
@@ -222,20 +223,6 @@ class TableOracle(FunctionOracle):
 
     def spec_str(self):
         return f"table[{len(self.mapping)}]"
-
-
-class AutomorphismOracle(FunctionOracle):
-    """A partial automorphism germ used as a total map (extending on demand)."""
-
-    def __init__(self, germ: PartialAutomorphism):
-        super().__init__(germ.limit, germ.limit)
-        self.germ = germ
-
-    def __call__(self, p):
-        return self.germ.extend(p)
-
-    def spec_str(self):
-        return f"germ[{len(self.germ.pairs)}]"
 
 
 class BackAndForthOracle(FunctionOracle):
@@ -662,17 +649,23 @@ def tower_witness(pairs, h: GroupPresentation, depth: int):
     """
     pairs = list(pairs)
     sources = [aut_power(f_i.source, f_i.m) for f_i, _ in pairs]
+    return _tower(pairs, h, [[point(src, j) for src in sources] for j in range(depth)])
+
+
+def _tower(pairs, h: GroupPresentation, chain):
+    """tower_witness over a chain of points: chain[j] holds each pair's j-th
+    point, and level l reads, for pair i, the i-th points of chain[:l]."""
     levels = []
-    for level in range(1, depth + 1):
+    for level in range(1, len(chain) + 1):
         joint: list = []
         for i, (f_i, g_i) in enumerate(pairs):
-            fragment = tuple(point(sources[i], j) for j in range(level))
+            fragment = tuple(row[i] for row in chain[:level])
             if not local_equal(f_i, g_i, fragment, h):
                 return LocalFailure(i, fragment)
             joint.extend(apply_tuple(f_i, fragment))
             joint.extend(apply_tuple(g_i, fragment))
         levels.append(orbit_label(h, tuple(joint)))
-    return TowerWitness(len(pairs), depth, tuple(levels))
+    return TowerWitness(len(pairs), len(chain), tuple(levels))
 
 
 # ---------------------------------------------------------------------------
@@ -726,9 +719,9 @@ def proposition_harness(f: FunctionOracle, g: GroupPresentation,
     built from same-label tuple pairs, local equality of f after the germ and
     f itself on the initial segments inside the horizon and on the seed's own
     point set; (3) a coherent tower witness for the same pair of functions.
-    Each seed builds one tower, whose first failing level is also its first
-    failing segment, and checks its point set apart.  The report records
-    agreement or the first discrepancy between the implemented checks.
+    Each seed builds one tower over the clip, extended over its points when
+    their set fails, so f is read only on the pool and the seed's points.
+    The report records agreement or the first discrepancy between the checks.
     """
     if not isinstance(g, AutLimit):
         raise PresentationError("the harness samples germs of aut(limit) sources")
@@ -744,7 +737,6 @@ def proposition_harness(f: FunctionOracle, g: GroupPresentation,
     results = []
     for s, t in seeds:
         germ = automorphism_extending(g, tuple(zip(s, t)))
-        f_alpha = ComposeOracle(f, AutomorphismOracle(germ))
         # The clip: the initial segments whose germ images stay inside the
         # horizon (a new point takes its least admissible image in the pool).
         clip_depth = 0
@@ -757,15 +749,18 @@ def proposition_harness(f: FunctionOracle, g: GroupPresentation,
             elif limit.element_index(germ.mapping[x]) >= horizon:
                 break
             clip_depth += 1
-        # The seed's own domain set, whose images are the other seed tuple.
-        # A failing set fails every prefix that covers it, so the tower is
-        # built to the least such prefix.
+        # The germ is read only where the clip and the seed committed it.
+        f_alpha = ComposeOracle(f, TableOracle(limit, limit, germ.mapping))
+        # The seed's own point set, whose images are the other seed tuple.
         seed_set = tuple(dict.fromkeys(s))
         seed_pass = local_equal(f_alpha, f, seed_set, h)
-        depth = clip_depth if seed_pass else max(map(limit.element_index, seed_set)) + 1
-        # Tower level l exists exactly when the prefix pool[:l] is locally
-        # equal, so its first failing level is the first failing prefix.
-        outcome = tower_witness([(f_alpha, f)], h, depth)
+        # Tower level l exists exactly when chain[:l] is locally equal.  A
+        # failing seed set fails every level that covers it, so its other
+        # points, in enumeration order, end the chain.
+        chain = pool[:clip_depth]
+        if not seed_pass:
+            chain += tuple(sorted(set(seed_set).difference(chain), key=limit.element_index))
+        outcome = _tower([(f_alpha, f)], h, [(x,) for x in chain])
         tower_pass = isinstance(outcome, TowerWitness)
         tower_failure = None if tower_pass else outcome.fragment
         if not tower_pass and len(tower_failure) <= clip_depth:
@@ -785,6 +780,8 @@ def proposition_harness(f: FunctionOracle, g: GroupPresentation,
     if not bool(verdict) and not any_local_fail:
         agreement = False
         discrepancy = "refuted but every sampled germ passed the local check"
+    # Reached only through a replaced check: a seed's tower covers its clip,
+    # and its seed set when that fails, so it fails exactly when local does.
     if any_local_fail != any_tower_fail:
         agreement = False
         discrepancy = "local and tower checks disagree"

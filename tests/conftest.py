@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from canonfn import (
     AutLimit,
     NegationOracle,
     PiecewiseAffineOracle,
+    TableOracle,
     builtin_age,
     builtin_limit,
 )
@@ -43,6 +45,14 @@ def make_mixed(dlo):
         AffinePiece(Interval(None, False, Fraction(0), False), Fraction(-1), Fraction(0)),
         AffinePiece(Interval(Fraction(0), True, None, False), Fraction(1), Fraction(0)),
     ])
+
+
+def ordered_rado_table(seed: int, horizon: int):
+    """A drawn table on a fresh ordered-rado limit, sending each of its first
+    horizon elements to one of them."""
+    limit = builtin_limit("ordered-rado")
+    rng = random.Random(seed)
+    return TableOracle(limit, limit, {i: rng.randrange(horizon) for i in range(horizon)})
 
 
 @pytest.fixture

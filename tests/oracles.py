@@ -33,8 +33,9 @@ powers is also decided from the definition alone (`canonical`): comparisons
 give the 1-types of points and the 2-types of pairs, which fix every orbit
 on a binary signature, with no qf_type, PointLabels or BehaviorScan.
 The three-way harness is replayed with its first fragment clip: every
-prefix is re-extended through the germ's own probe, which may run past the
-horizon, and local equality reads each fragment sorted by element index.
+prefix is re-extended, a new point taking its least admissible image in the
+pool; local equality reads each fragment sorted by element index, and the
+tower's first failing level is the first failing prefix of its chain.
 """
 
 import bisect
@@ -53,17 +54,16 @@ from canonfn.fraisse import (
 from canonfn.behaviors import BehaviorTable, _generators
 from canonfn.canonicity import (
     _SEED_CAP,
-    AutomorphismOracle,
     CanonicalUpTo,
     ComposeOracle,
     Counterexample,
+    FunctionOracle,
     HarnessReport,
     SeedResult,
-    TowerWitness,
+    TableOracle,
     _same_label_seeds,
     apply_tuple,
     check_canonical,
-    tower_witness,
 )
 from canonfn.errors import BudgetExhausted
 from canonfn.groups import AutLimit, PointLabels, PowerGroup, automorphism_extending
@@ -635,25 +635,43 @@ def sorted_local_equal(f, g_fn, fragment, h):
     return orbit_label(h, apply_tuple(f, t)) == orbit_label(h, apply_tuple(g_fn, t))
 
 
+class GermOracle(FunctionOracle):
+    """A partial automorphism germ as a total map, extended on demand."""
+
+    def __init__(self, germ):
+        super().__init__(germ.limit, germ.limit)
+        self.germ = germ
+
+    def __call__(self, p):
+        return self.germ.extend(p)
+
+
 def reference_harness(f, g, h, horizon, arity, seeds=None):
-    """proposition_harness with the clip that re-extends every prefix."""
+    """proposition_harness with the clip that re-extends every prefix, inside
+    the pool, and the tower read level by level off its chain."""
     verdict = check_canonical(f, g, h, horizon, arity)
     if seeds is None:
         seeds = _same_label_seeds(g, horizon, arity, _SEED_CAP)
         if isinstance(verdict, Counterexample):
             seeds = list(seeds) + [(verdict.witness_s, verdict.witness_t)]
     limit = g.limit
+    pool = tuple(limit.element(i) for i in range(horizon))
     results = []
     for s, t in seeds:
         germ = automorphism_extending(g, tuple(zip(s, t)))
-        f_alpha = ComposeOracle(f, AutomorphismOracle(germ))
         fragments = []
         for n in range(1, horizon + 1):
-            prefix = tuple(limit.element(i) for i in range(n))
-            if any(limit.element_index(germ.extend(x)) >= horizon for x in prefix):
+            prefix = pool[:n]
+            for x in prefix:
+                if x not in germ.mapping:
+                    y = next(iter(germ.images(x, pool)), None)
+                    if y is not None:
+                        germ.commit(x, y)
+            if any(germ.mapping.get(x) not in pool for x in prefix):
                 break
             fragments.append(prefix)
         clip_depth = len(fragments)
+        f_alpha = ComposeOracle(f, TableOracle(limit, limit, germ.mapping))
         seed_set = tuple(dict.fromkeys(s))
         fragments.append(seed_set)
         local_pass, local_failure = True, None
@@ -661,16 +679,14 @@ def reference_harness(f, g, h, horizon, arity, seeds=None):
             if not sorted_local_equal(f_alpha, f, fragment, h):
                 local_pass, local_failure = False, fragment
                 break
-        if local_pass:
-            depth = clip_depth
-        elif local_failure != seed_set or local_failure in fragments[:-1]:
-            depth = len(local_failure)
-        else:
-            depth = max(limit.element_index(x) for x in seed_set) + 1
-        outcome = tower_witness([(f_alpha, f)], h, depth)
-        tower_pass = isinstance(outcome, TowerWitness)
-        tower_failure = None if tower_pass else outcome.fragment
-        results.append(SeedResult((s, t), local_pass, local_failure, tower_pass, tower_failure))
+        chain = pool[:clip_depth]
+        if not sorted_local_equal(f_alpha, f, seed_set, h):
+            chain += tuple(sorted(set(seed_set) - set(chain), key=limit.element_index))
+        # Tower level n exists exactly when chain[:n] is locally equal.
+        tower_failure = next((chain[:n] for n in range(1, len(chain) + 1)
+                              if not sorted_local_equal(f_alpha, f, chain[:n], h)), None)
+        results.append(SeedResult((s, t), local_pass, local_failure,
+                                  tower_failure is None, tower_failure))
     any_local_fail = any(not r.local_pass for r in results)
     any_tower_fail = any(not r.tower_pass for r in results)
     agreement, discrepancy = True, None

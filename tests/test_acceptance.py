@@ -51,7 +51,7 @@ from canonfn.cli import parse_command, run
 from canonfn.formats import parse_oracle_spec
 from canonfn.groups import label_key
 
-from conftest import make_mixed
+from conftest import make_mixed, ordered_rado_table
 from oracles import (
     count_weak_orders,
     find_order_isomorphism,
@@ -378,3 +378,12 @@ def test_criterion_10_proposition_harness():
         assert report.agreement
     assert checked == 20
     report_line("criterion 10 (harness agreement on 20 samples)", 30, started)
+    # Drawn tables on a generic limit: the harness reads them only on its
+    # pool, so it neither leaves the table nor grows the limit.
+    started = time.monotonic()
+    for seed in range(8):
+        f = ordered_rado_table(seed, 5)
+        g = AutLimit(f.source)
+        assert proposition_harness(f, g, g, 5, 2).agreement
+        assert f.source.size == 5
+    report_line("criterion 10 (harness on 8 ordered-rado tables, h5)", 2, started)

@@ -13,6 +13,7 @@ from canonfn import (
     ConstantOracle,
     Counterexample,
     DomainGap,
+    FunctionOracle,
     IdentityOracle,
     LocalFailure,
     MaxOracle,
@@ -39,13 +40,13 @@ from canonfn import (
     tower_witness,
 )
 from canonfn import canonicity
-from canonfn.canonicity import (
-    AffinePiece, AutomorphismOracle, Interval, SeedResult, _same_label_seeds)
+from canonfn.canonicity import AffinePiece, Interval, SeedResult, _same_label_seeds
 from canonfn.cli import parse_command, run
 from canonfn.errors import CanonFnError
 from canonfn.groups import label_key, reindex_label
 
 import oracles
+from conftest import ordered_rado_table
 
 
 def behavior_strings(table, arity):
@@ -312,7 +313,7 @@ class TestHarness:
                 assert r.local_failure == r.tower_failure
 
     # Each disagreement of the three checks, made by replacing local_equal
-    # or tower_witness, which the harness reads from the module.
+    # or _tower, which the harness reads from the module.
     def test_certificate_with_failing_germs_through_the_cli(self, monkeypatch):
         monkeypatch.setattr(canonicity, "local_equal", lambda *args: False)
         assert run(parse_command(["harness", "--f", "id", "--source", "aut(dlo)", "--target",
@@ -329,8 +330,8 @@ class TestHarness:
         assert report.discrepancy == "refuted but every sampled germ passed the local check"
 
     def test_local_and_tower_disagree(self, aut_dlo, mixed_map, monkeypatch):
-        monkeypatch.setattr(canonicity, "tower_witness",
-                            lambda pairs, h, depth: TowerWitness(len(pairs), 0, ()))
+        monkeypatch.setattr(canonicity, "_tower",
+                            lambda pairs, h, chain: TowerWitness(len(pairs), 0, ()))
         report = proposition_harness(mixed_map, aut_dlo, aut_dlo, 6, 2)
         assert isinstance(report.verdict, Counterexample)
         assert any(not r.local_pass for r in report.seed_results)
@@ -374,7 +375,7 @@ class TestComposedOracles:
     def test_pham_after_automorphism_locally_equal(self, dlo, aut_dlo):
         f = BackAndForthOracle(canonical_iso(rationals_set(), punctured_rationals()), dlo)
         germ = automorphism_extending(aut_dlo, {F(0): F(1)})
-        f_alpha = ComposeOracle(f, AutomorphismOracle(germ))
+        f_alpha = ComposeOracle(f, oracles.GermOracle(germ))
         fragment = [dlo.element(i) for i in range(5)]
         assert local_equal(f_alpha, f, fragment, aut_dlo)
 
@@ -444,27 +445,56 @@ def test_harness_matches_reference_clip(case):
 
 
 def test_harness_calls_the_oracle_once_per_point():
-    # The scan, each of the 64 seeds and their towers all read neg on the
-    # pool; each point is evaluated once.
+    # The scan, each seed and its tower read f only on the pool and the
+    # seeds' points, each point once: neg on 64 seeds over the dlo pool, and
+    # a table on an ordered-rado limit, which raises DomainGap off its keys.
     calls: dict = {}
 
-    class CountingNeg(NegationOracle):
+    class Counting(FunctionOracle):
+        def __init__(self, f):
+            super().__init__(f.source, f.target)
+            self.f = f
+
         def __call__(self, p):
             calls[p] = calls.get(p, 0) + 1
-            return super().__call__(p)
+            return self.f(p)
 
     dlo = HARNESS_LIMITS["dlo"]
-    report = proposition_harness(CountingNeg(dlo), AutLimit(dlo), AutLimit(dlo), 8, 2)
+    report = proposition_harness(Counting(NegationOracle(dlo)), AutLimit(dlo), AutLimit(dlo), 8, 2)
     assert report.agreement and len(report.seed_results) == 64
     assert set(calls) <= {dlo.element(i) for i in range(8)}
     assert set(calls.values()) == {1}
+
+    calls.clear()
+    table = ordered_rado_table(0, 5)
+    limit = table.source
+    f = TableOracle(limit, limit, {**table.mapping, 6: 0, 7: 3})
+    g = AutLimit(limit)
+    seeds = _same_label_seeds(g, 5, 2, 64) + [((6,), (7,)), ((7,), (6,))]
+    report = proposition_harness(Counting(f), g, g, 5, 2, seeds=seeds)
+    assert report.agreement and len(report.seed_results) == 66
+    assert set(calls) == {0, 1, 2, 3, 4, 6, 7}
+    assert set(calls.values()) == {1}
+
+
+@pytest.mark.parametrize("horizon", [3, 4, 5])
+def test_harness_on_ordered_rado_tables_stays_in_the_pool(horizon):
+    # A tower grown past the clip read these tables off their keys, or grew
+    # the limit by hundreds of points.
+    for seed in range(8):
+        f = ordered_rado_table(seed, horizon)
+        g = AutLimit(f.source)
+        report = proposition_harness(f, g, g, horizon, 2)
+        assert report.agreement
+        assert f.source.size == horizon
 
 
 @pytest.mark.parametrize("seed,horizon,arity,local_failure,tower_failure,levels", [
     # A prefix inside the clip fails, on both proxies.
     (((F(0),), (F(-1),)), 3, 1, (F(0), F(1)), (F(0), F(1)), 2),
-    # Only the seed's own point set fails; its tower fails past a clip of 0.
-    (((F(1), F(2)), (F(-2), F(-1))), 4, 2, (F(1), F(2)), (F(0), F(1)), 2),
+    # Only the seed's own point set fails; its tower, over the seed's points
+    # past a clip of 0, fails on that set.
+    (((F(1), F(2)), (F(-2), F(-1))), 4, 2, (F(1), F(2)), (F(1), F(2)), 2),
     # The germ is the identity on the pool: every check passes.
     (((F(0),), (F(0),)), 4, 1, None, None, 4),
 ])

@@ -190,13 +190,26 @@ class TestRun:
         ])
         assert code == 0 and "agreement: yes" in report
 
+    def test_harness_reads_a_table_only_on_pool_and_seed_points(self, tmp_path):
+        # No germ image of 1 lies in the pool {0, 1, -1, 1/2}, so a tower
+        # grown past the clip would read the table at 2.
+        table = tmp_path / "t.txt"
+        table.write_text("0 -> -4\n1 -> -4\n-1 -> 0\n1/2 -> -3\n")
+        assert run_argv(["harness", "--f", f"table:{table}", "--source", "aut(dlo)",
+                         "--target", "aut(dlo)", "--horizon", "4", "--arity", "2"]) == (0, (
+            "proxy-canonicity: fail\nproxy-local: fail\nproxy-tower: fail\nseeds: 65\n"
+            "agreement: yes\nverdict: counterexample\narity: 2\nwitness_s: (0, 1)\n"
+            "witness_t: (0, 1/2)\nsource_label: 1<2\nimage_label_s: 1=2\n"
+            "image_label_t: 1<2\n"))
+
     def test_check_on_power_source(self):
-        code, report = run_argv([
-            "check", "--f", "min", "--source", "power(aut(dlo),2)",
-            "--target", "aut(dlo)", "--horizon", "6", "--arity", "2",
-        ])
-        assert code == 0
-        assert "verdict: counterexample" in report
+        for f in ("min", "max"):
+            code, report = run_argv([
+                "check", "--f", f, "--source", "power(aut(dlo),2)",
+                "--target", "aut(dlo)", "--horizon", "6", "--arity", "2",
+            ])
+            assert code == 0
+            assert "verdict: counterexample" in report
 
     def test_orbits_with_structures_file(self, tmp_path):
         forb = tmp_path / "tf.forb"
@@ -265,6 +278,19 @@ class TestCanonizeSizeGuard:
         code, report = run_argv(["canonize", "--f", "min", "--arity", "2", "--depth", "3",
                                  "--horizon", "0"])
         assert (code, report) == (1, "error: ValueError: horizon must be positive\n")
+
+
+@pytest.mark.parametrize("spelling,canonical,source", [
+    # The pieces out of order: the first piece's lower bound rejects x < 0.
+    ("pieces:[[0,inf):x; (-inf,0):x*-1]", "pieces:[(-inf,0):x*-1; [0,inf):x]", "aut(dlo)"),
+    ("pieces:[(-inf,0):-x; [0,inf):x]", "pieces:[(-inf,0):x*-1; [0,inf):x]", "aut(dlo)"),
+    ("pieces:[(-inf,0):x*-1;; [0,inf):x]", "pieces:[(-inf,0):x*-1; [0,inf):x]", "aut(dlo)"),
+    ("proj:2", "proj:2/2", "power(aut(dlo),2)"),
+])
+def test_oracle_spellings_check_as_their_canonical_form(spelling, canonical, source):
+    argv = ["check", "--source", source, "--target", "aut(dlo)", "--horizon", "6",
+            "--arity", "2", "--f"]
+    assert run_argv(argv + [spelling]) == run_argv(argv + [canonical])
 
 
 class TestOracleFitsSource:
