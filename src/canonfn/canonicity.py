@@ -728,6 +728,10 @@ def proposition_harness(f: FunctionOracle, g: GroupPresentation,
     # The scan, every seed and its tower read f on the same pool points.
     f = _MemoOracle(f)
     verdict = check_canonical(f, g, h, horizon, arity)
+    # The seeds compare whole fragments, whose h-labels only tuples of least points fix.
+    least = max([2] + [s.arity for s in h.limit.age.signature.symbols])
+    if arity < least:
+        raise ValueError(f"the harness needs arity at least {least} on target {h!r}")
     if seeds is None:
         seeds = _same_label_seeds(g, horizon, arity, _SEED_CAP)
         if isinstance(verdict, Counterexample):

@@ -6,12 +6,13 @@ of one-point-extension demands is processed in diagonal order, each demand
 either witnessed by an existing element or satisfied by adjoining a fresh
 one with the lexicographically least admissible relation table.  Tuples are
 classified by quantifier-free type records, the computable stand-in for
-orbits of the automorphism group.  Restricting a structure, reindexing a
-record and spreading a diagram over a pattern all pull atoms back along an
-index map through the one `_pullback`.  A limit's germ() is its finite
-type-preserving partial map (PartialAutomorphism), which canonize, the
-automorphism germs and the back-and-forth grow; on (Q;<) it is a DloGerm,
-whose images are found by order position.
+orbits of the automorphism group, read off pair codes (record_of_codes) and
+through eval_relation only for symbols of arity > 2.  Restricting a
+structure, reindexing a record and spreading a diagram over a pattern all
+pull atoms back along an index map through the one `_pullback`.  A limit's
+germ() is its finite type-preserving partial map (PartialAutomorphism),
+which canonize, the automorphism germs and the back-and-forth grow; on (Q;<)
+it is a DloGerm, whose images are found by order position.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import bisect
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Iterator
 
@@ -632,6 +633,22 @@ def format_type(record: TupleTypeRecord) -> str:
 # limit structures
 
 
+def record_of_codes(signature: Signature, codes: list, shift: int = 0) -> TupleTypeRecord:
+    """The record of a k-tuple from its k x k pair codes shifted right by
+    shift: bit 0 of codes[p][q] says p and q are equal (always when p = q),
+    bit s + 1 that symbol s holds, a unary one on the diagonal, none of arity > 2."""
+    k = len(codes)
+    first_equal = [[c >> shift & 1 for c in row].index(1) for row in codes]
+    atoms = []
+    for s, sym in enumerate(signature.symbols, shift + 1):
+        if sym.arity == 1:
+            atoms += [(sym.name, (p,)) for p in range(k) if codes[p][p] >> s & 1]
+        elif sym.arity == 2:
+            atoms += [(sym.name, (p, q)) for p in range(k) for q in range(k)
+                      if codes[p][q] >> s & 1]
+    return TupleTypeRecord(signature, k, pattern_of(first_equal), frozenset(atoms))
+
+
 class LimitStructure:
     """Common interface of the materialized countable structures."""
 
@@ -656,32 +673,14 @@ class LimitStructure:
         if not elements:
             raise ValueError("qf_type needs a nonempty tuple")
         k = len(elements)
-        pattern = pattern_of(tuple(elements))
-        atoms = set()
-        for sym in self.age.signature.symbols:
-            for t in itertools.product(range(k), repeat=sym.arity):
-                if self.eval_relation(sym.name, tuple(elements[i] for i in t)):
-                    atoms.add((sym.name, t))
-        return TupleTypeRecord(self.age.signature, k, pattern, frozenset(atoms))
-
-    def pair_codes(self, x, y, diagonal: bool) -> tuple[int, int]:
-        """The codes of (x, y) and of (y, x) on a signature of unary and
-        binary symbols: bit 0 says the two are equal, bit s + 1 that the
-        signature's s-th symbol holds, a unary one read only on the diagonal
-        (x and y at one index of a tuple), where both codes are the same."""
-        there = back = int(x == y)
-        bit = 2
-        for sym in self.age.signature.symbols:
-            if sym.arity == 1:
-                if diagonal and self.eval_relation(sym.name, (x,)):
-                    there |= bit
-            else:
-                if self.eval_relation(sym.name, (x, y)):
-                    there |= bit
-                if not diagonal and self.eval_relation(sym.name, (y, x)):
-                    back |= bit
-            bit <<= 1
-        return there, there if diagonal else back
+        codes = [[0] * k for _ in range(k)]
+        for i, j in itertools.combinations_with_replacement(range(k), 2):
+            codes[i][j], codes[j][i] = self.pair_codes(elements[i], elements[j], i == j)
+        record = record_of_codes(self.age.signature, codes)
+        wide = frozenset((sym.name, t) for sym in self.age.signature.symbols if sym.arity > 2
+                         for t in itertools.product(range(k), repeat=sym.arity)
+                         if self.eval_relation(sym.name, tuple(elements[i] for i in t)))
+        return replace(record, atoms=record.atoms | wide) if wide else record
 
     def code_reader(self, values: list):
         """row(i) for the column values, which must not change while row is
@@ -729,7 +728,7 @@ class DloLimit(LimitStructure):
         return a.numerator * b.denominator < b.numerator * a.denominator
 
     def pair_codes(self, x, y, diagonal: bool) -> tuple[int, int]:
-        # One cross-multiplied comparison settles =, x < y and y < x.
+        """The codes of (x, y) and (y, x), from one cross-multiplied comparison."""
         d = x.numerator * y.denominator - y.numerator * x.denominator
         if not d:
             return 1, 1
@@ -826,6 +825,21 @@ class GenericLimit(LimitStructure):
             raise KeyError(name)
         self.ensure_size(max(elements) + 1)
         return (name, tuple(int(e) for e in elements)) in self._whole.atoms
+
+    def pair_codes(self, x, y, diagonal: bool) -> tuple[int, int]:
+        """The codes of (x, y) and (y, x) that record_of_codes decodes, off
+        the fragment's atoms: unary ones on the diagonal (one index) only."""
+        if max(x, y) >= self._whole.size:
+            self.ensure_size(max(x, y) + 1)
+        atoms = self._whole.atoms
+        there = back = int(x == y)
+        for s, sym in enumerate(self.age.signature.symbols, 1):
+            if sym.arity == 1 and diagonal:
+                there |= ((sym.name, (x,)) in atoms) << s
+            elif sym.arity == 2:
+                there |= ((sym.name, (x, y)) in atoms) << s
+                back |= ((sym.name, (y, x)) in atoms) << s
+        return there, there if diagonal else back
 
     def ensure_size(self, n: int) -> None:
         while self.size < n:

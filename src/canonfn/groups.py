@@ -13,13 +13,12 @@ complete.
 
 A PointLabels is the one label interner: each distinct label of one
 presentation takes the next int id, and reindex maps ids through
-reindex_label once per (label, sigma).  The tuple scan interns the labels
-of tuples of concrete points: it reads the pairs of point indices through
-the limit's pair codes, keys a tuple (or a whole row of tuples) by the int
-codes of its pairs, and builds the label of a new key from its codes.  The
-behavior-table layer (enumerate_behaviors, coherence_check) interns labels
-directly and turns ids back into labels only where it builds a
-BehaviorTable or a Violation.
+reindex_label once per (label, sigma).  The tuple scan keys a tuple of
+concrete points (or a whole row of tuples) by the codes of its pairs and
+reads a new key's label off them (fraisse.record_of_codes); only a symbol
+of arity > 2 is read through eval_relation.  The behavior-table layer
+(enumerate_behaviors, coherence_check) interns labels directly and turns
+ids back into labels only where it builds a BehaviorTable or a Violation.
 LabelTexts formats each distinct label once per command.
 
 The point shape lives here: a point is a bare element on one column and
@@ -47,6 +46,7 @@ from .fraisse import (
     count_types,
     enumerate_types,
     format_type,
+    record_of_codes,
 )
 from .rationals import format_rational
 
@@ -258,20 +258,19 @@ class PointLabels:
     lists them by index; a stabilizer's constants sit before them, and each
     of the g.m columns keeps its own values.
     On a signature of unary and binary symbols (binary is True) a tuple's
-    label is fixed by the codes of the pairs of its points and constants:
-    the limit's pair_codes, an equality bit and a bit per symbol, side by
-    side for the g.m columns.  A point's unit packs its codes with itself
-    and with the constants, taken when it is appended; the other codes are
-    read on first need, one pair of point indices at a time.  A point
-    appended at index k drops the codes from k on.
+    label is read off the codes of the pairs of its points and constants,
+    the limit's pair_codes side by side for the g.m columns, by
+    record_of_codes once per column.  A point's unit packs its codes with
+    itself and with the constants, taken when it is appended; the other
+    codes are read on first need, one pair of point indices at a time.  A
+    point appended at index k drops the codes from k on.
     A tuple's key is, per position, its point's unit and then its codes
     with each earlier position, both ways; so a tuple's key starts with its
     prefix's.  id_of keys one tuple; ids keys a whole row, the tuples
     prefix + (e,) for every point e, by extending the prefix's key with
     columns of codes that the limit's code_reader reads once per point of
-    the prefix.  Each new key takes the next id, and its label is built
-    from its codes: the equality bits give the pattern, the symbol bits the
-    atoms.  A symbol of arity > 2 makes orbit_label itself the key.
+    the prefix.  Each new key takes the next id and decodes its label.  A
+    symbol of arity > 2 makes orbit_label itself the key.
     """
 
     def __init__(self, g: GroupPresentation):
@@ -388,25 +387,8 @@ class PointLabels:
         ext = [i + self._shift for i in idx] + list(self._anchor)
         self._fill_missing(ext)
         codes = [[self._codes[a][b] for b in ext] for a in ext]
-        signature = self._limit.age.signature
-        k = len(ext)
-        parts = []
-        for c in range(len(self._columns)):
-            shift = c * self._width
-            pattern: list = []
-            for p in range(k):
-                q = next((q for q in range(p) if codes[q][p] >> shift & 1), p)
-                pattern.append(pattern[q] if q < p else max(pattern, default=-1) + 1)
-            atoms = []
-            bit = 2 << shift
-            for sym in signature.symbols:
-                if sym.arity == 1:
-                    atoms += [(sym.name, (p,)) for p in range(k) if codes[p][p] & bit]
-                else:
-                    atoms += [(sym.name, (p, q)) for p in range(k) for q in range(k)
-                              if codes[p][q] & bit]
-                bit <<= 1
-            parts.append(TupleTypeRecord(signature, k, tuple(pattern), frozenset(atoms)))
+        parts = [record_of_codes(self._limit.age.signature, codes, c * self._width)
+                 for c in range(len(self._columns))]
         return parts[0] if len(parts) == 1 else tuple(parts)
 
     def id_of(self, idx: tuple) -> int:

@@ -19,7 +19,8 @@ Type records are enumerated by the per-pattern loop: for each partition of
 the positions, every member on its blocks (by the recursive table search)
 is pulled back to the positions by reading each atom over the positions
 through the pattern.
-Orbit labels are read as the presentation's recursive structure:
+A tuple's type record is read atom by atom through eval_relation, with no
+pair codes.  Orbit labels are read as the presentation's recursive structure:
 a power splits a tuple into its columns and asks its base, a stabilizer
 extends a tuple by its constants and asks its base, and the n-th point of a
 power is found by listing the diagonals of N^m.
@@ -444,9 +445,21 @@ def point(g, n):
     return point(g.base, n)
 
 
+def qf_type(limit, elements):
+    """The record of a tuple by its definition: the first-occurrence
+    pattern of its elements, and every atom over its positions on which
+    eval_relation holds, one call per atom."""
+    ids = {}
+    pattern = tuple(ids.setdefault(e, len(ids)) for e in elements)
+    atoms = frozenset((sym.name, t) for sym in limit.age.signature.symbols
+                      for t in itertools.product(range(len(elements)), repeat=sym.arity)
+                      if limit.eval_relation(sym.name, tuple(elements[i] for i in t)))
+    return TupleTypeRecord(limit.age.signature, len(elements), pattern, atoms)
+
+
 def orbit_label(g, t):
     if isinstance(g, AutLimit):
-        return g.limit.qf_type(t)
+        return qf_type(g.limit, tuple(t))
     if isinstance(g, PowerGroup):
         return tuple(orbit_label(g.base, tuple(p[i] for p in t)) for i in range(g.m))
     return orbit_label(g.base, tuple(t) + tuple(g.constants))
@@ -650,6 +663,12 @@ def reference_harness(f, g, h, horizon, arity, seeds=None):
     """proposition_harness with the clip that re-extends every prefix, inside
     the pool, and the tower read level by level off its chain."""
     verdict = check_canonical(f, g, h, horizon, arity)
+    # A target's labels are fixed by its sub-tuples of max(2, r) points, r
+    # the largest arity of its symbols; a scan of shorter tuples leaves the
+    # labels of whole fragments open.
+    least = max(2, max((sym.arity for sym in h.limit.age.signature.symbols), default=0))
+    if arity < least:
+        raise ValueError(f"the harness needs arity at least {least} on target {h!r}")
     if seeds is None:
         seeds = _same_label_seeds(g, horizon, arity, _SEED_CAP)
         if isinstance(verdict, Counterexample):

@@ -43,6 +43,8 @@ from canonfn import canonicity
 from canonfn.canonicity import AffinePiece, Interval, SeedResult, _same_label_seeds
 from canonfn.cli import parse_command, run
 from canonfn.errors import CanonFnError
+from canonfn.formats import load_forbidden_age
+from canonfn.fraisse import GenericLimit
 from canonfn.groups import label_key, reindex_label
 
 import oracles
@@ -339,6 +341,18 @@ class TestHarness:
         assert not report.agreement
         assert report.discrepancy == "local and tower checks disagree"
 
+    def test_arity_below_the_target_symbols_is_error(self, aut_dlo, mixed_map):
+        # The harness compares whole fragments, whose labels the scan fixes
+        # only from tuples of max(2, r) points, r the target's largest arity.
+        with pytest.raises(ValueError, match=r"^the harness needs arity at least 2 "
+                                             r"on target aut\(dlo\)$"):
+            proposition_harness(mixed_map, aut_dlo, aut_dlo, 6, 1)
+        r3 = GenericLimit(load_forbidden_age("size 1; R(0,0,0)\n"), name="r3")
+        g = AutLimit(r3)
+        with pytest.raises(ValueError, match=r"at least 3 on target aut\(r3\)$"):
+            proposition_harness(IdentityOracle(r3, r3), g, g, 4, 2)
+        assert proposition_harness(IdentityOracle(r3, r3), g, g, 4, 3).agreement
+
     def test_proxy_biconditional(self, dlo, aut_dlo, neg, mixed_map):
         for oracle in (neg, mixed_map, IdentityOracle(dlo, dlo), ConstantOracle(dlo, F(2))):
             report = proposition_harness(oracle, aut_dlo, aut_dlo, 6, 2)
@@ -434,7 +448,7 @@ def harness_cases(draw):
 def _outcome(harness, f, g, horizon, arity, seeds):
     try:
         return harness(f, g, g, horizon, arity, seeds=seeds)
-    except CanonFnError as exc:
+    except (CanonFnError, ValueError) as exc:
         return type(exc), str(exc)
 
 
@@ -491,12 +505,12 @@ def test_harness_on_ordered_rado_tables_stays_in_the_pool(horizon):
 
 @pytest.mark.parametrize("seed,horizon,arity,local_failure,tower_failure,levels", [
     # A prefix inside the clip fails, on both proxies.
-    (((F(0),), (F(-1),)), 3, 1, (F(0), F(1)), (F(0), F(1)), 2),
+    (((F(0),), (F(-1),)), 3, 2, (F(0), F(1)), (F(0), F(1)), 2),
     # Only the seed's own point set fails; its tower, over the seed's points
     # past a clip of 0, fails on that set.
     (((F(1), F(2)), (F(-2), F(-1))), 4, 2, (F(1), F(2)), (F(1), F(2)), 2),
     # The germ is the identity on the pool: every check passes.
-    (((F(0),), (F(0),)), 4, 1, None, None, 4),
+    (((F(0),), (F(0),)), 4, 2, None, None, 4),
 ])
 def test_harness_paths_by_example(aut_dlo, mixed_map, monkeypatch, seed, horizon, arity,
                                   local_failure, tower_failure, levels):
@@ -511,6 +525,60 @@ def test_harness_paths_by_example(aut_dlo, mixed_map, monkeypatch, seed, horizon
     monkeypatch.undo()
     expected = oracles.reference_harness(mixed_map, aut_dlo, aut_dlo, horizon, arity, seeds=[seed])
     assert report.seed_results == expected.seed_results
+
+
+# Canonical tables among the 27 at arities 1, 2 and 3, per source (the
+# target is aut(dlo) for the stabilizer, else aut of the source's limit).
+CANONICAL_ON_THREE_POINTS = {
+    "aut(dlo)": (27, 5, 5), "aut(rado)": (27, 11, 11), "aut(ordered-rado)": (27, 5, 5),
+    "aut(pureset)": (27, 9, 9), "stab(aut(dlo); 1/2)": (27, 13, 13),
+}
+
+
+@pytest.mark.parametrize("source", CANONICAL_ON_THREE_POINTS)
+def test_every_table_on_three_points(source):
+    # Every map from the first 3 points into themselves, at arities 1-3: the
+    # scan's verdict is the brute-force truth, each counterexample
+    # recomputes under the reference, and on an aut source the harness
+    # agrees with the verdict at arities 2 and 3 and refuses arity 1, whose
+    # tuples do not fix the labels of the fragments it compares.  The
+    # canonical counts are facts about the structures.
+    if source.startswith("stab"):
+        limit = builtin_limit("dlo")
+        g, h = StabilizerGroup(AutLimit(limit), (F(1, 2),)), AutLimit(limit)
+    else:
+        limit = builtin_limit(source[4:-1])
+        g = h = AutLimit(limit)
+    pts = [limit.element(i) for i in range(3)]
+    # The truth by brute force: every tuple's labels through the reference qf_type.
+    tuples = [t for k in (1, 2, 3) for t in itertools.product(pts, repeat=k)]
+    source_label = {t: oracles.orbit_label(g, t) for t in tuples}
+    canonical = [0, 0, 0]
+    for images in itertools.product(pts, repeat=3):
+        f = TableOracle(limit, limit, dict(zip(pts, images)))
+        image_label = {t: oracles.orbit_label(h, tuple(map(f, t))) for t in tuples}
+        for arity in (1, 2, 3):
+            first: dict = {}
+            truth = all(first.setdefault(source_label[t], image_label[t]) == image_label[t]
+                        for t in tuples if len(t) <= arity)
+            verdict = check_canonical(f, g, h, 3, arity)
+            assert bool(verdict) == truth
+            canonical[arity - 1] += bool(verdict)
+            if isinstance(verdict, Counterexample):
+                s, t = verdict.witness_s, verdict.witness_t
+                assert oracles.orbit_label(g, s) == oracles.orbit_label(g, t) == verdict.source_label
+                assert oracles.orbit_label(h, tuple(map(f, s))) == verdict.image_label_s
+                assert oracles.orbit_label(h, tuple(map(f, t))) == verdict.image_label_t
+                assert verdict.image_label_s != verdict.image_label_t
+            if g is not h:
+                continue
+            if arity == 1:
+                with pytest.raises(ValueError, match="needs arity at least 2"):
+                    proposition_harness(f, g, h, 3, arity)
+            else:
+                report = proposition_harness(f, g, h, 3, arity)
+                assert report.agreement and bool(report.verdict) == bool(verdict)
+    assert tuple(canonical) == CANONICAL_ON_THREE_POINTS[source]
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

@@ -256,6 +256,13 @@ class TestScanSizeGuard:
         code, report = run_argv(self.HARNESS + ["--horizon", "6", "--arity", "0"])
         assert (code, report) == (1, "error: ValueError: arity must be positive\n")
 
+    def test_harness_below_the_target_arity_is_error(self):
+        # At arity 1 the scan passed this map while its germ checks failed.
+        assert run_argv(["harness", "--f", "pieces:[(-inf,0):x*-1; [0,inf):x]",
+                         "--source", "aut(dlo)", "--target", "aut(dlo)",
+                         "--horizon", "6", "--arity", "1"]) == (
+            1, "error: ValueError: the harness needs arity at least 2 on target aut(dlo)\n")
+
     def test_check_arity_above_limit_is_error(self):
         code, report = run_argv(self.CHECK + ["--horizon", "40", "--arity", "7"])
         assert (code, report) == (1, "error: ArityLimitExceeded: arity 7 exceeds limit 6\n")

@@ -1,7 +1,9 @@
 """Differential tests of the scan's label ids: PointLabels, which labels
-tuples of points by pair codes on point indices, against orbit_label on the
-tuples themselves, over every presentation shape and through pushes and
-pops."""
+tuples of points by pair codes on point indices, against the reference
+orbit_label on the tuples themselves, over every presentation shape and
+through pushes and pops.  The records that LimitStructure.qf_type and
+PointLabels decode from pair codes are checked against the reference
+qf_type, which reads every atom through eval_relation."""
 
 from fractions import Fraction as F
 
@@ -11,7 +13,10 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from canonfn import AutLimit, PowerGroup, StabilizerGroup, builtin_limit
 from canonfn.formats import load_forbidden_age
 from canonfn.fraisse import GenericLimit, LimitStructure
-from canonfn.groups import PointLabels, orbit_label, point
+from canonfn.groups import PointLabels, point
+
+import oracles
+from oracles import orbit_label
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -36,6 +41,11 @@ PRESENTATIONS = {
     # A ternary symbol: the one fallback, orbit_label as the key.
     "forbidden R/3": AutLimit(GenericLimit(
         load_forbidden_age("size 1; R(0,0,0)\n"), name="r3")),
+    # All three arities.  A/3 comes first in the signature, so the codes of
+    # E and P sit past its unread bit; an A loop allows an E loop.
+    "forbidden A/3, E/2, P/1": AutLimit(GenericLimit(
+        load_forbidden_age("size 1; E(0,0)\nsize 1; P(0); E(0,0)\nsize 1; A(0,0,0)\n"),
+        name="aep")),
 }
 
 POINTS = 12
@@ -157,3 +167,42 @@ def test_dlo_rank_codes_match_pair_codes():
     pair_row = LimitStructure.code_reader(dlo, values)
     for i in range(len(values)):
         assert rank_row(i) == pair_row(i)
+
+
+# ---------------------------------------------------------------------------
+# qf_type and pair codes against the per-atom definition
+
+QF_LIMITS = {name: PRESENTATIONS[name].limit for name in (
+    "aut(dlo)", "aut(rado)", "aut(ordered-rado)", "aut(pureset)",
+    "forbidden P/1, E/2", "forbidden R/3", "forbidden A/3, E/2, P/1")}
+# Past the first points: the first A atoms of aep, loops on 22 and 29.
+QF_INDICES = list(range(POINTS)) + [22, 29]
+
+
+def codes_by_definition(limit, x, y, diagonal):
+    """The codes of (x, y) and (y, x) that record_of_codes reads, taken off
+    the reference record of (x, y): bit 0 for equality, bit s + 1 for the
+    s-th symbol, a unary one only on the diagonal, none of arity > 2."""
+    record = oracles.qf_type(limit, (x, y))
+    there = back = int(record.pattern == (0, 0))
+    for s, sym in enumerate(limit.age.signature.symbols, 1):
+        if sym.arity == 1 and diagonal:
+            there |= ((sym.name, (0,)) in record.atoms) << s
+        elif sym.arity == 2:
+            there |= ((sym.name, (0, 1)) in record.atoms) << s
+            back |= ((sym.name, (1, 0)) in record.atoms) << s
+    return there, there if diagonal else back
+
+
+@settings(SETTINGS, max_examples=300)
+@given(name=st.sampled_from(sorted(QF_LIMITS)), data=st.data())
+def test_qf_type_is_the_per_atom_definition(name, data):
+    # Tuples of 1-6 elements drawn from a few, so that elements repeat.
+    limit = QF_LIMITS[name]
+    few = data.draw(st.lists(st.sampled_from(QF_INDICES), min_size=1, max_size=4, unique=True))
+    t = tuple(map(limit.element, data.draw(st.lists(st.sampled_from(few), min_size=1,
+                                                    max_size=6))))
+    assert limit.qf_type(t) == oracles.qf_type(limit, t)
+    for i, x in enumerate(t):
+        for j, y in enumerate(t):
+            assert limit.pair_codes(x, y, i == j) == codes_by_definition(limit, x, y, i == j)
