@@ -20,9 +20,10 @@ every source label of the arity is met.  A target with a symbol of arity
 > 2 keeps the comparison at every arity.
 The module also computes induced behavior tables, the local equality relation
 modulo a group, coherent tower witnesses for lifted equalities, and a harness
-comparing the three equivalent formulations of canonicity at finite scale: a
-seed's tower over the clip, extended over the seed's points, reads the oracle
-only on the pool and the seed's points.
+comparing the three equivalent formulations of canonicity at finite scale.
+It runs on its own scan: the seeds, each seed's local check and its tower
+read ids off the scan's two interners, so the oracle is read once per point,
+only on the pool and the seeds' points.
 """
 
 from __future__ import annotations
@@ -294,23 +295,6 @@ class ProjectionOracle(FunctionOracle):
         return f"proj:{self.coordinate + 1}/{self.m}"
 
 
-class _MemoOracle(FunctionOracle):
-    """f evaluated once per point: each value f gives is kept, and a miss
-    falls through to f, so a point where f raises DomainGap raises it again."""
-
-    def __init__(self, f: FunctionOracle):
-        super().__init__(f.source, f.target)
-        self.m = f.m
-        self.f = f
-        self._values: dict = {}
-
-    def __call__(self, p):
-        value = self._values.get(p)
-        if value is None:
-            value = self._values[p] = self.f(p)
-        return value
-
-
 def apply_tuple(f: FunctionOracle, t: tuple) -> tuple:
     return tuple(f(p) for p in t)
 
@@ -560,6 +544,12 @@ def check_canonical(f: FunctionOracle, g: GroupPresentation, h: GroupPresentatio
     (or an explicit point list, each a point of g's elements); return the
     lexicographically first pair of same-source-label tuples with different
     image labels, else a certificate carrying the observed behavior table."""
+    return _scanned(f, g, h, horizon, arity, points)[0]
+
+
+def _scanned(f: FunctionOracle, g: GroupPresentation, h: GroupPresentation,
+             horizon: int, arity: int, points=None) -> tuple:
+    """(check_canonical's verdict, the BehaviorScan that reached it)."""
     check_fit(f, g, h)
     _check_arity(arity)
     if points is None:
@@ -571,9 +561,9 @@ def check_canonical(f: FunctionOracle, g: GroupPresentation, h: GroupPresentatio
             _check_point(p, g.m, g.limit, "point")
     scan = BehaviorScan(g, h, arity, points)
     found = scan.run(f)
-    if found is not None:
-        return found
-    return CanonicalUpTo(len(scan.points), arity, scan.behavior())
+    if found is None:
+        found = CanonicalUpTo(len(scan.points), arity, scan.behavior())
+    return found, scan
 
 
 # ---------------------------------------------------------------------------
@@ -649,23 +639,39 @@ def tower_witness(pairs, h: GroupPresentation, depth: int):
     """
     pairs = list(pairs)
     sources = [aut_power(f_i.source, f_i.m) for f_i, _ in pairs]
-    return _tower(pairs, h, [[point(src, j) for src in sources] for j in range(depth)])
+    images = PointLabels(h)
+
+    def place(i, p):
+        for fn in pairs[i]:
+            images.append(fn(p))
+        return len(images.points) - 2, len(images.points) - 1
+
+    chain = [[point(src, j) for src in sources] for j in range(depth)]
+    return _tower(images, len(pairs), chain, place)
 
 
-def _tower(pairs, h: GroupPresentation, chain):
+def _equal_labels(images: PointLabels, s: tuple, t: tuple) -> bool:
+    """Whether the tuples at the indices s and t of images have one label."""
+    return images.id_of(s) == images.id_of(t)
+
+
+def _tower(images: PointLabels, pair_count: int, chain, place):
     """tower_witness over a chain of points: chain[j] holds each pair's j-th
-    point, and level l reads, for pair i, the i-th points of chain[:l]."""
+    point, and place(i, p) the indices in images of pair i's f- and g-image
+    of p.  Level l reads chain[:l] only: each pair's two image tuples must
+    have one id, and the level is the label of their joint tuple."""
+    spots = [((), ())] * pair_count
     levels = []
-    for level in range(1, len(chain) + 1):
-        joint: list = []
-        for i, (f_i, g_i) in enumerate(pairs):
-            fragment = tuple(row[i] for row in chain[:level])
-            if not local_equal(f_i, g_i, fragment, h):
-                return LocalFailure(i, fragment)
-            joint.extend(apply_tuple(f_i, fragment))
-            joint.extend(apply_tuple(g_i, fragment))
-        levels.append(orbit_label(h, tuple(joint)))
-    return TowerWitness(len(pairs), len(chain), tuple(levels))
+    for row in chain:
+        joint: tuple = ()
+        for i, (fs, gs) in enumerate(spots):
+            a, b = place(i, row[i])
+            fs, gs = spots[i] = fs + (a,), gs + (b,)
+            if not _equal_labels(images, fs, gs):
+                return LocalFailure(i, tuple(r[i] for r in chain[:len(fs)]))
+            joint += fs + gs
+        levels.append(images.labels[images.id_of(joint)])
+    return TowerWitness(pair_count, len(chain), tuple(levels))
 
 
 # ---------------------------------------------------------------------------
@@ -689,16 +695,13 @@ class HarnessReport:
     discrepancy: str | None
 
 
-def _same_label_seeds(g: GroupPresentation, horizon: int, arity: int, cap: int):
-    """Ordered pairs of distinct same-label tuples over the first horizon
-    elements, in lexicographic index order, capped deterministically."""
-    labels = PointLabels(g)
-    for i in range(horizon):
-        labels.append(point(g, i))
+def _same_label_seeds(labels: PointLabels, arity: int, cap: int):
+    """Ordered pairs of distinct same-label tuples over the points of labels,
+    in lexicographic index order, capped deterministically."""
     seeds = []
     for k in range(1, arity + 1):
         by_label: dict = {}
-        for idx in itertools.product(range(horizon), repeat=k):
+        for idx in itertools.product(range(len(labels.points)), repeat=k):
             t = tuple(labels.points[i] for i in idx)
             by_label.setdefault(labels.id_of(idx), []).append(t)
         for src in sorted(by_label, key=lambda i: label_key(labels.labels[i])):
@@ -720,51 +723,58 @@ def proposition_harness(f: FunctionOracle, g: GroupPresentation,
     f itself on the initial segments inside the horizon and on the seed's own
     point set; (3) a coherent tower witness for the same pair of functions.
     Each seed builds one tower over the clip, extended over its points when
-    their set fails, so f is read only on the pool and the seed's points.
+    their set fails.  Both checks compare ids in the scan's target labels,
+    so f is read once per point, only on the pool and the seeds' points.
     The report records agreement or the first discrepancy between the checks.
     """
     if not isinstance(g, AutLimit):
         raise PresentationError("the harness samples germs of aut(limit) sources")
-    # The scan, every seed and its tower read f on the same pool points.
-    f = _MemoOracle(f)
-    verdict = check_canonical(f, g, h, horizon, arity)
+    verdict, scan = _scanned(f, g, h, horizon, arity)
     # The seeds compare whole fragments, whose h-labels only tuples of least points fix.
     least = max([2] + [s.arity for s in h.limit.age.signature.symbols])
     if arity < least:
         raise ValueError(f"the harness needs arity at least {least} on target {h!r}")
     if seeds is None:
-        seeds = _same_label_seeds(g, horizon, arity, _SEED_CAP)
+        seeds = _same_label_seeds(scan.source, arity, _SEED_CAP)
         if isinstance(verdict, Counterexample):
             seeds = list(seeds) + [(verdict.witness_s, verdict.witness_t)]
     limit = g.limit
-    pool = tuple(limit.element(i) for i in range(horizon))
+    pool = tuple(scan.points)
+    # An image is its index in the scan's target labels: the scan's images
+    # of the pool, then the image of any other point, appended on first need.
+    images = scan.target
+    index = dict(zip(pool, range(len(images.points))))
+
+    def at(x) -> int:
+        if x not in index:
+            images.append(f(x))
+            index[x] = len(images.points) - 1
+        return index[x]
+
     results = []
     for s, t in seeds:
         germ = automorphism_extending(g, tuple(zip(s, t)))
         # The clip: the initial segments whose germ images stay inside the
-        # horizon (a new point takes its least admissible image in the pool).
+        # horizon (a new point takes its first admissible image in the pool).
         clip_depth = 0
         for x in pool:
-            if x not in germ.mapping:
-                y = next(iter(germ.images(x, pool)), None)
-                if y is None:
-                    break
-                germ.commit(x, y)
-            elif limit.element_index(germ.mapping[x]) >= horizon:
+            y = germ.extend(x, pool)
+            if y is None or limit.element_index(y) >= horizon:
                 break
             clip_depth += 1
         # The germ is read only where the clip and the seed committed it.
-        f_alpha = ComposeOracle(f, TableOracle(limit, limit, germ.mapping))
+        place = lambda i, x: (at(germ.mapping[x]), at(x))
         # The seed's own point set, whose images are the other seed tuple.
         seed_set = tuple(dict.fromkeys(s))
-        seed_pass = local_equal(f_alpha, f, seed_set, h)
+        seed_pass = _equal_labels(images, tuple(at(germ.mapping[x]) for x in seed_set),
+                                  tuple(map(at, seed_set)))
         # Tower level l exists exactly when chain[:l] is locally equal.  A
         # failing seed set fails every level that covers it, so its other
         # points, in enumeration order, end the chain.
         chain = pool[:clip_depth]
         if not seed_pass:
             chain += tuple(sorted(set(seed_set).difference(chain), key=limit.element_index))
-        outcome = _tower([(f_alpha, f)], h, [(x,) for x in chain])
+        outcome = _tower(images, 1, [(x,) for x in chain], place)
         tower_pass = isinstance(outcome, TowerWitness)
         tower_failure = None if tower_pass else outcome.fragment
         if not tower_pass and len(tower_failure) <= clip_depth:
@@ -776,17 +786,13 @@ def proposition_harness(f: FunctionOracle, g: GroupPresentation,
 
     any_local_fail = any(not r.local_pass for r in results)
     any_tower_fail = any(not r.tower_pass for r in results)
-    agreement = True
     discrepancy = None
     if bool(verdict) and (any_local_fail or any_tower_fail):
-        agreement = False
         discrepancy = "certificate passed but a germ check failed"
     if not bool(verdict) and not any_local_fail:
-        agreement = False
         discrepancy = "refuted but every sampled germ passed the local check"
     # Reached only through a replaced check: a seed's tower covers its clip,
     # and its seed set when that fails, so it fails exactly when local does.
     if any_local_fail != any_tower_fail:
-        agreement = False
         discrepancy = "local and tower checks disagree"
-    return HarnessReport(verdict, tuple(results), agreement, discrepancy)
+    return HarnessReport(verdict, tuple(results), discrepancy is None, discrepancy)

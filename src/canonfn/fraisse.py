@@ -11,7 +11,7 @@ through eval_relation only for symbols of arity > 2.  Restricting a
 structure, reindexing a record and spreading a diagram over a pattern all
 pull atoms back along an index map through the one `_pullback`.  A limit's
 germ() is its finite type-preserving partial map (PartialAutomorphism),
-which canonize, the automorphism germs and the back-and-forth grow; on (Q;<)
+which canonize, the harness's clip and the back-and-forth grow; on (Q;<)
 it is a DloGerm, whose images are found by order position.
 """
 
@@ -25,8 +25,8 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .errors import AmalgamationFailure, ArityLimitExceeded, PresentationError, TypeMismatch
-from .rationals import index_of_rational, least_enum_in_interval, rational_of_index
+from .errors import AmalgamationFailure, ArityLimitExceeded, TypeMismatch
+from .rationals import index_of_rational, rational_of_index
 
 ARITY_LIMIT = 6    # the tuple-arity guardrail of every check and search
 
@@ -935,20 +935,17 @@ def builtin_limit(kind: str) -> LimitStructure:
 # ---------------------------------------------------------------------------
 # partial automorphisms
 
-_PROBE_CAP = 1 << 21
-
-
 class PartialAutomorphism:
     """A finite type-preserving partial map of a limit, grown on demand.
 
     mapping holds the pairs in commit order; commit, extend and uncommit
     change it.  images(x, candidates) yields the candidates y, in their
     order, with which the pairs stay type-preserving when (x, y) is added:
-    the qf_type test, with x's type computed once.  extend commits the
-    enumeration-least admissible image, probing the first _PROBE_CAP
-    elements, so the germ is deterministic given its seed pairs.  verify()
-    recomputes the types from scratch.  LimitStructure.germ makes a limit's
-    germs.
+    the qf_type test, with x's type computed once.  extend(x, candidates)
+    commits the first admissible candidate, so the germ is deterministic
+    given its seed pairs and the candidates, which are finite (an
+    enumeration prefix, say).  verify() recomputes the types from scratch.
+    LimitStructure.germ makes a limit's germs.
     """
 
     def __init__(self, limit: LimitStructure, pairs: Iterable[tuple] = ()):
@@ -986,17 +983,14 @@ class PartialAutomorphism:
         """Take back the pair of x."""
         del self.mapping[x]
 
-    def extend(self, x):
-        """Image of x, committing the enumeration-least admissible value."""
-        if x in self.mapping:
-            return self.mapping[x]
-        return self._grow(x)
-
-    def _grow(self, x):
-        for y in self.images(x, map(self.limit.element, range(_PROBE_CAP))):
-            self.mapping[x] = y
-            return y
-        raise PresentationError(f"no admissible image for {x} within the probe cap")
+    def extend(self, x, candidates):
+        """The image of x: its committed one, else the first admissible
+        candidate, committed; None, committing nothing, when none is."""
+        if x not in self.mapping:
+            for y in self.images(x, candidates):
+                self.commit(x, y)
+                break
+        return self.mapping.get(x)
 
     def verify(self) -> bool:
         if not self.mapping:
@@ -1118,16 +1112,15 @@ class DloGerm(PartialAutomorphism):
     A type over Q is an order pattern, so the pairs also sit sorted on both
     sides at once, in a _PairIndex, and the admissible images of an
     uncommitted x are the rationals strictly between the images of its
-    nearest committed neighbors: one lookup finds them, and the least image
-    is the enumeration-least of them (no probe cap needed).  images takes
-    those among its candidates by two more bisects, over a value-sorted
-    view of the candidate list (with the values' shadows) made on the first
-    call with that list and kept while the same list object comes back (so
-    the list must not change in between).  place runs the same search from
-    either side with a given choice of partner, for the back-and-forth
-    between Q and Q minus 0; it and partner read a paired value's partner
-    off the same lookup, so no dict is probed.  Every answer is exact:
-    floats only route the bisects.
+    nearest committed neighbors: one lookup finds them.  images takes those
+    among its candidates, which it lists (so they are finite), by two more
+    bisects, over a value-sorted view of the candidate list (with the
+    values' shadows) made on the first call with that list and kept while
+    the same list object comes back (so the list must not change in
+    between).  place runs the same search from either side with a given
+    choice of partner, for the back-and-forth between Q and Q minus 0; it
+    and partner read a paired value's partner off the same lookup, so no
+    dict is probed.  Every answer is exact: floats only route the bisects.
     """
 
     def __init__(self, limit: LimitStructure, pairs: Iterable[tuple] = ()):
@@ -1171,9 +1164,6 @@ class DloGerm(PartialAutomorphism):
         del self.mapping[x]
         j, i, *_ = self._index.gap(0, x, 0)
         self._index.delete(j, i)
-
-    def _grow(self, x):
-        return self.place(x, least_enum_in_interval)[0]
 
     def partner(self, v, inverse: bool = False):
         """The image of v (with inverse, the point whose image v is), or

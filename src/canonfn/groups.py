@@ -27,7 +27,7 @@ and format_point writes it.  A presentation's repr is its spec string.
 
 automorphism_extending certifies a finite partial map of a limit as the
 limit's germ (fraisse.PartialAutomorphism, re-exported here), which
-extends on demand.
+extends over finite lists of candidates.
 """
 
 from __future__ import annotations

@@ -33,10 +33,14 @@ one met for its source label.  Canonicity on aut(Q;<), its stabilizers and
 powers is also decided from the definition alone (`canonical`): comparisons
 give the 1-types of points and the 2-types of pairs, which fix every orbit
 on a binary signature, with no qf_type, PointLabels or BehaviorScan.
-The three-way harness is replayed with its first fragment clip: every
-prefix is re-extended, a new point taking its least admissible image in the
-pool; local equality reads each fragment sorted by element index, and the
-tower's first failing level is the first failing prefix of its chain.
+The three-way harness is replayed with its first fragment clip: its seeds
+are the pairs of the definitional buckets of the recursive orbit labels,
+every prefix is re-extended, a new point taking its least admissible image
+in the pool; local equality reads each fragment sorted by element index
+through the recursive orbit labels, and the tower's first failing level is
+the first failing prefix of its chain; its verdict is the full scan's.  No
+interner ids are read there.  GermOracle reads a germ as a map, extending it
+over an explicit enumeration prefix.
 """
 
 import bisect
@@ -62,11 +66,9 @@ from canonfn.canonicity import (
     HarnessReport,
     SeedResult,
     TableOracle,
-    _same_label_seeds,
     apply_tuple,
-    check_canonical,
 )
-from canonfn.errors import BudgetExhausted
+from canonfn.errors import BudgetExhausted, DomainGap
 from canonfn.groups import AutLimit, PointLabels, PowerGroup, automorphism_extending
 from canonfn.symbolic import ComputableDenseSet
 
@@ -649,20 +651,42 @@ def sorted_local_equal(f, g_fn, fragment, h):
 
 
 class GermOracle(FunctionOracle):
-    """A partial automorphism germ as a total map, extended on demand."""
+    """A partial automorphism germ as a map, extended on demand over an
+    explicit enumeration prefix; a point with no admissible image there
+    raises DomainGap."""
 
-    def __init__(self, germ):
+    def __init__(self, germ, prefix):
         super().__init__(germ.limit, germ.limit)
         self.germ = germ
+        self.prefix = list(prefix)
 
     def __call__(self, p):
-        return self.germ.extend(p)
+        image = self.germ.extend(p, self.prefix)
+        if image is None:
+            raise DomainGap(f"no image of {p} in the prefix")
+        return image
+
+
+def definitional_seeds(g, horizon, arity, cap):
+    """The first cap ordered pairs of distinct same-label tuples over the
+    first horizon elements: buckets by the recursive orbit_label, in (arity,
+    sort key) order, each bucket's pairs in index order."""
+    buckets = {}
+    for k in range(1, arity + 1):
+        for idx in itertools.product(range(horizon), repeat=k):
+            t = tuple(g.limit.element(i) for i in idx)
+            buckets.setdefault(orbit_label(g, t), []).append(t)
+    pairs = [(s, t)
+             for label in sorted(buckets, key=lambda l: (_label_arity(l), _sort_key(l)))
+             for s, t in itertools.product(buckets[label], repeat=2) if s != t]
+    return pairs[:cap]
 
 
 def reference_harness(f, g, h, horizon, arity, seeds=None):
     """proposition_harness with the clip that re-extends every prefix, inside
-    the pool, and the tower read level by level off its chain."""
-    verdict = check_canonical(f, g, h, horizon, arity)
+    the pool, and the tower read level by level off its chain; the verdict
+    is reference_scan's, so f must be defined on the pool."""
+    verdict = reference_scan(f, g, h, horizon, arity)
     # A target's labels are fixed by its sub-tuples of max(2, r) points, r
     # the largest arity of its symbols; a scan of shorter tuples leaves the
     # labels of whole fragments open.
@@ -670,7 +694,7 @@ def reference_harness(f, g, h, horizon, arity, seeds=None):
     if arity < least:
         raise ValueError(f"the harness needs arity at least {least} on target {h!r}")
     if seeds is None:
-        seeds = _same_label_seeds(g, horizon, arity, _SEED_CAP)
+        seeds = definitional_seeds(g, horizon, arity, _SEED_CAP)
         if isinstance(verdict, Counterexample):
             seeds = list(seeds) + [(verdict.witness_s, verdict.witness_t)]
     limit = g.limit

@@ -40,12 +40,12 @@ from canonfn import (
     tower_witness,
 )
 from canonfn import canonicity
-from canonfn.canonicity import AffinePiece, Interval, SeedResult, _same_label_seeds
+from canonfn.canonicity import AffinePiece, Interval, SeedResult, _same_label_seeds, apply_tuple
 from canonfn.cli import parse_command, run
 from canonfn.errors import CanonFnError
 from canonfn.formats import load_forbidden_age
 from canonfn.fraisse import GenericLimit
-from canonfn.groups import label_key, reindex_label
+from canonfn.groups import PointLabels, reindex_label
 
 import oracles
 from conftest import ordered_rado_table
@@ -292,6 +292,46 @@ class TestTowerWitness:
         assert witness.pair_count == 2
         assert witness.check(pairs, aut_dlo)
 
+    def test_multi_pair_levels_are_the_definitional_joint_labels(self, dlo, aut_dlo, neg):
+        # Pairs over different sources, neg on aut(dlo) and min and max on
+        # power(aut(dlo),2), each beside itself after x + 1, so a pair's f-
+        # and g-images differ and their order in the joint tuple shows.
+        shift = PiecewiseAffineOracle(dlo, [
+            AffinePiece(Interval(None, False, None, False), F(1), F(1)),
+        ])
+        low, high = MinOracle(dlo, dlo), MaxOracle(dlo, dlo)
+        pairs = [(neg, ComposeOracle(shift, neg)), (low, ComposeOracle(shift, low)),
+                 (ComposeOracle(shift, high), high)]
+        sources = [aut_dlo, PowerGroup(aut_dlo, 2), PowerGroup(aut_dlo, 2)]
+        witness = tower_witness(pairs, aut_dlo, 5)
+        assert isinstance(witness, TowerWitness)
+        assert witness.check(pairs, aut_dlo)
+        for level, label in enumerate(witness.levels, start=1):
+            joint = ()
+            for (f, g_fn), source in zip(pairs, sources):
+                fragment = tuple(oracles.point(source, j) for j in range(level))
+                joint += apply_tuple(f, fragment) + apply_tuple(g_fn, fragment)
+            assert label == oracles.orbit_label(aut_dlo, joint)
+
+    def test_a_failing_level_reads_no_later_point(self, dlo, aut_dlo, neg):
+        read = []
+
+        class Counting(FunctionOracle):
+            def __init__(self, f):
+                super().__init__(f.source, f.target)
+                self.m, self.f = f.m, f
+
+            def __call__(self, p):
+                read.append(p)
+                return self.f(p)
+
+        pairs = [(Counting(neg), Counting(neg)),
+                 (Counting(MinOracle(dlo, dlo)), Counting(MaxOracle(dlo, dlo)))]
+        outcome = tower_witness(pairs, aut_dlo, 6)
+        assert outcome == LocalFailure(1, ((F(0), F(0)), (F(0), F(1))))
+        # Level 2 fails, so only the first two points of each chain are read.
+        assert set(read) == {F(0), F(1), (F(0), F(0)), (F(0), F(1))}
+
 
 class TestHarness:
     def test_negation_all_pass(self, dlo, aut_dlo, neg):
@@ -314,17 +354,18 @@ class TestHarness:
             if not r.local_pass and r.tower_failure is not None:
                 assert r.local_failure == r.tower_failure
 
-    # Each disagreement of the three checks, made by replacing local_equal
-    # or _tower, which the harness reads from the module.
+    # Each disagreement of the three checks, made by replacing _equal_labels,
+    # through which the seed check and every tower level compare ids, or
+    # _tower, which the harness reads from the module.
     def test_certificate_with_failing_germs_through_the_cli(self, monkeypatch):
-        monkeypatch.setattr(canonicity, "local_equal", lambda *args: False)
+        monkeypatch.setattr(canonicity, "_equal_labels", lambda *args: False)
         assert run(parse_command(["harness", "--f", "id", "--source", "aut(dlo)", "--target",
                                   "aut(dlo)", "--horizon", "4", "--arity", "2"])) == (0, (
             "proxy-canonicity: pass\nproxy-local: fail\nproxy-tower: fail\nseeds: 64\n"
             "agreement: no\ndiscrepancy: certificate passed but a germ check failed\n"))
 
     def test_refutation_with_passing_germs(self, aut_dlo, mixed_map, monkeypatch):
-        monkeypatch.setattr(canonicity, "local_equal", lambda *args: True)
+        monkeypatch.setattr(canonicity, "_equal_labels", lambda *args: True)
         report = proposition_harness(mixed_map, aut_dlo, aut_dlo, 6, 2)
         assert isinstance(report.verdict, Counterexample)
         assert all(r.local_pass and r.tower_pass for r in report.seed_results)
@@ -333,7 +374,8 @@ class TestHarness:
 
     def test_local_and_tower_disagree(self, aut_dlo, mixed_map, monkeypatch):
         monkeypatch.setattr(canonicity, "_tower",
-                            lambda pairs, h, chain: TowerWitness(len(pairs), 0, ()))
+                            lambda images, pair_count, chain, place:
+                            TowerWitness(pair_count, 0, ()))
         report = proposition_harness(mixed_map, aut_dlo, aut_dlo, 6, 2)
         assert isinstance(report.verdict, Counterexample)
         assert any(not r.local_pass for r in report.seed_results)
@@ -361,35 +403,24 @@ class TestHarness:
             assert refuted == local_fail
 
 
-def definitional_seeds(g, horizon, arity, cap):
-    """The first cap ordered pairs of distinct same-label tuples over the
-    first horizon elements: buckets by orbit_label, in (arity, label_key)
-    order, each bucket's pairs in index order."""
-    buckets = {}
-    for k in range(1, arity + 1):
-        for idx in itertools.product(range(horizon), repeat=k):
-            t = tuple(g.limit.element(i) for i in idx)
-            buckets.setdefault(orbit_label(g, t), []).append(t)
-    pairs = [(s, t)
-             for label in sorted(buckets, key=lambda l: (l.arity, label_key(l)))
-             for s, t in itertools.product(buckets[label], repeat=2) if s != t]
-    return pairs[:cap]
-
-
 @pytest.mark.parametrize("name", ["dlo", "rado", "ordered-rado"])
 def test_same_label_seeds_match_definitional_buckets(name):
     g = AutLimit(builtin_limit(name))
     for arity, horizon in itertools.product(range(1, 4), range(1, 6)):
+        labels = PointLabels(g)
+        for i in range(horizon):
+            labels.append(g.limit.element(i))
         for cap in (1, 7, 64):
-            assert (_same_label_seeds(g, horizon, arity, cap)
-                    == definitional_seeds(g, horizon, arity, cap))
+            assert (_same_label_seeds(labels, arity, cap)
+                    == oracles.definitional_seeds(g, horizon, arity, cap))
 
 
 class TestComposedOracles:
     def test_pham_after_automorphism_locally_equal(self, dlo, aut_dlo):
         f = BackAndForthOracle(canonical_iso(rationals_set(), punctured_rationals()), dlo)
         germ = automorphism_extending(aut_dlo, {F(0): F(1)})
-        f_alpha = ComposeOracle(f, oracles.GermOracle(germ))
+        pool = [dlo.element(i) for i in range(64)]
+        f_alpha = ComposeOracle(f, oracles.GermOracle(germ, pool))
         fragment = [dlo.element(i) for i in range(5)]
         assert local_equal(f_alpha, f, fragment, aut_dlo)
 
@@ -484,7 +515,7 @@ def test_harness_calls_the_oracle_once_per_point():
     limit = table.source
     f = TableOracle(limit, limit, {**table.mapping, 6: 0, 7: 3})
     g = AutLimit(limit)
-    seeds = _same_label_seeds(g, 5, 2, 64) + [((6,), (7,)), ((7,), (6,))]
+    seeds = oracles.definitional_seeds(g, 5, 2, 64) + [((6,), (7,)), ((7,), (6,))]
     report = proposition_harness(Counting(f), g, g, 5, 2, seeds=seeds)
     assert report.agreement and len(report.seed_results) == 66
     assert set(calls) == {0, 1, 2, 3, 4, 6, 7}
@@ -514,10 +545,11 @@ def test_harness_on_ordered_rado_tables_stays_in_the_pool(horizon):
 ])
 def test_harness_paths_by_example(aut_dlo, mixed_map, monkeypatch, seed, horizon, arity,
                                   local_failure, tower_failure, levels):
-    # Each seed checks its point set once and its tower once per level reached.
+    # Each seed compares ids once for its point set and once per tower level reached.
     calls = []
-    local_equal = canonicity.local_equal
-    monkeypatch.setattr(canonicity, "local_equal", lambda *args: calls.append(1) or local_equal(*args))
+    equal_labels = canonicity._equal_labels
+    monkeypatch.setattr(canonicity, "_equal_labels",
+                        lambda *args: calls.append(1) or equal_labels(*args))
     report = proposition_harness(mixed_map, aut_dlo, aut_dlo, horizon, arity, seeds=[seed])
     assert len(calls) == levels + 1
     assert report.seed_results == (SeedResult(seed, local_failure is None, local_failure,

@@ -403,12 +403,13 @@ def germ_steps(draw):
     with them: ("images", x, pool) with x new or a committed source point
     and a pool that may miss the committed images, as stabilizer constants'
     images are missed; ("commit", x, y) with y admissible or not; ("extend",
-    x); ("uncommit",), which takes back the latest pair the steps added."""
+    x, pool) with x and pool drawn as for images; ("uncommit",), which takes
+    back the latest pair the steps added."""
     pairs = draw(order_preserving_pairs())
     steps = []
     for _ in range(draw(st.integers(1, 6))):
         kind = draw(st.sampled_from(["images", "commit", "extend", "uncommit"]))
-        if kind == "images":
+        if kind in ("images", "extend"):
             if pairs and draw(st.booleans()):
                 x = draw(st.sampled_from([a for a, _ in pairs]))
             else:
@@ -416,8 +417,6 @@ def germ_steps(draw):
             steps.append((kind, x, draw(st.lists(RATIONALS, unique=True, max_size=12))))
         elif kind == "commit":
             steps.append((kind, draw(RATIONALS), draw(RATIONALS)))
-        elif kind == "extend":
-            steps.append((kind, draw(RATIONALS)))
         else:
             steps.append((kind,))
     return pairs, steps
@@ -438,7 +437,7 @@ def _germ_run(germ, steps) -> list:
             except TypeMismatch:
                 out.append("mismatch")
         elif kind == "extend":
-            out.append(germ.extend(args[0]))
+            out.append(germ.extend(*args))
         elif added:
             x, earlier = added.pop()
             germ.uncommit(x)
@@ -466,11 +465,38 @@ def test_dlo_germ_answers_by_order_position():
     assert list(germ.images(F(2), pool)) == [F(4)]
     with pytest.raises(TypeMismatch):
         germ.commit(F(1), F(5))
-    assert germ.extend(F(1)) == F(1)
+    assert germ.extend(F(1), pool) == F(1)
     assert list(germ.images(F(3, 2), pool)) == [y for y in pool if 1 < y < 4]
     germ.uncommit(F(1))
     assert list(germ.images(F(3, 2), pool)) == [y for y in pool if 0 < y < 4]
     assert germ.pairs == ((F(0), F(0)), (F(2), F(4)))
+
+
+def _both_germs(pairs):
+    return DLO.germ(pairs), PartialAutomorphism(DLO, pairs)
+
+
+def test_extend_with_no_admissible_candidate_commits_nothing():
+    # Nothing in the pool lies strictly between the images 0 and 1.
+    pairs = [(F(0), F(0)), (F(2), F(1))]
+    for germ in _both_germs(pairs):
+        assert germ.extend(F(1), [F(-1), F(0), F(1), F(2)]) is None
+        assert germ.extend(F(1), iter([])) is None
+        assert germ.pairs == tuple(pairs)
+        assert germ.extend(F(2), []) == F(1)
+
+
+@HYPOTHESIS
+@given(pairs=order_preserving_pairs(), x=RATIONALS,
+       pool=st.lists(RATIONALS, unique=True, max_size=12))
+def test_extend_reads_a_list_and_an_iterator_over_it_alike(pairs, x, pool):
+    answers = set()
+    for make in (DLO.germ, lambda p: PartialAutomorphism(DLO, p)):
+        for candidates in (pool, iter(pool)):
+            germ = make(pairs)
+            answers.add((germ.extend(x, candidates), germ.pairs))
+    assert len(answers) == 1
+
 
 
 @st.composite
@@ -522,15 +548,12 @@ def test_dlo_germ_images_ignore_pairs_outside_the_conflict_set(query):
 def test_generic_germ_conflict_set_is_the_whole_mapping(name, indices, data):
     # A generic germ reads x's type over every committed point, not only
     # over the latest pair, which belongs to the level before.  The germ
-    # gives each drawn point its least admissible image in the first 16
-    # elements, where there is one.
+    # extends each drawn point over the first 16 elements.
     limit = builtin_limit(name)
     pool = [limit.element(i) for i in range(16)]
     germ = limit.germ()
     for i in indices:
-        for y in germ.images(pool[i], pool):
-            germ.commit(pool[i], y)
-            break
+        germ.extend(pool[i], pool)
     assert type(germ) is PartialAutomorphism
     x = pool[data.draw(st.integers(0, 15).filter(lambda i: i not in indices))]
     assert germ.constraints(x) == tuple(germ.mapping)

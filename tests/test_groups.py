@@ -112,18 +112,18 @@ class TestReindexLabel:
 
 
 class TestPartialAutomorphisms:
-    def test_certified_and_extends_in_gap(self, aut_dlo):
+    def test_certified_and_extends_in_gap(self, dlo, aut_dlo):
         germ = automorphism_extending(aut_dlo, {F(1): F(10), F(2): F(20)})
-        image = germ.extend(F(3, 2))
+        image = germ.extend(F(3, 2), [dlo.element(i) for i in range(4096)])
         assert F(10) < image < F(20)
         # 11 is the enumeration-least rational strictly between 10 and 20.
-        assert image == F(11)
+        assert image == F(11) == dlo.element(4093)
         assert germ.verify()
 
-    def test_empty_germ(self, aut_dlo):
+    def test_empty_germ(self, dlo, aut_dlo):
         germ = automorphism_extending(aut_dlo, {})
         assert germ.pairs == ()
-        assert germ.extend(F(7)) == F(0)
+        assert germ.extend(F(7), [dlo.element(i) for i in range(8)]) == F(0)
 
     def test_type_mismatch(self, aut_dlo):
         with pytest.raises(TypeMismatch):
@@ -132,8 +132,9 @@ class TestPartialAutomorphisms:
     def test_ten_extensions_keep_certificate(self, dlo, aut_dlo):
         germ = automorphism_extending(aut_dlo, {F(0): F(1)})
         probes = [F(1), F(-1), F(1, 2), F(5), F(-3), F(2, 3), F(7, 2), F(-1, 4), F(9), F(1, 8)]
+        prefix = [dlo.element(i) for i in range(4096)]
         for x in probes:
-            germ.extend(x)
+            assert germ.extend(x, prefix) is not None
         assert germ.verify()
         dom = tuple(p[0] for p in germ.pairs)
         rng = tuple(p[1] for p in germ.pairs)
@@ -141,7 +142,7 @@ class TestPartialAutomorphisms:
 
     def test_extension_follows_the_limit_not_its_name(self, tmp_path):
         # A structures file may call a generic limit `dlo`; its germs still
-        # extend by probing the enumeration for the type, never by rational
+        # extend over an enumeration prefix by the type, never by rational
         # order.
         tf = tmp_path / "triangle-free.txt"
         tf.write_text(
@@ -153,7 +154,7 @@ class TestPartialAutomorphisms:
                                  f"structure tf = forbidden:{tf}\n")
         for limit in limits.values():
             germ = PartialAutomorphism(limit, [(0, 1)])
-            assert germ.extend(2) == 4
+            assert germ.extend(2, [limit.element(i) for i in range(8)]) == 4
             assert germ.verify()
 
     def test_rejects_non_aut_presentation(self, aut_dlo):
