@@ -1033,8 +1033,10 @@ def _bisect_exact(shadows: list, values: list, f: float, v, right: bool = False)
 
 
 class _PairIndex:
-    """The pairs of a DloGerm, sorted on both sides at once (the germ is
-    order-preserving, so the two sides stay aligned), found from either.
+    """The pairs of a finite order isomorphism between subsets of Q (a
+    DloGerm, or symbolic.BackAndForthMap's stages), sorted on both sides at
+    once (the map is order-preserving, so the two sides stay aligned),
+    found from either.
 
     The pairs sit in consecutive blocks of at most 2 * _BLOCK; a block
     splits in two when it grows past that and is dropped when emptied.
@@ -1117,10 +1119,9 @@ class DloGerm(PartialAutomorphism):
     bisects, over a value-sorted view of the candidate list (with the
     values' shadows) made on the first call with that list and kept while
     the same list object comes back (so the list must not change in
-    between).  place runs the same search from either side with a given
-    choice of partner, for the back-and-forth between Q and Q minus 0; it
-    and partner read a paired value's partner off the same lookup, so no
-    dict is probed.  Every answer is exact: floats only route the bisects.
+    between).  Every answer is exact: floats only route the bisects.  The
+    back-and-forth between Q and Q minus 0 keeps a _PairIndex of its own
+    (symbolic.BackAndForthMap), not a germ.
     """
 
     def __init__(self, limit: LimitStructure, pairs: Iterable[tuple] = ()):
@@ -1164,32 +1165,6 @@ class DloGerm(PartialAutomorphism):
         del self.mapping[x]
         j, i, *_ = self._index.gap(0, x, 0)
         self._index.delete(j, i)
-
-    def partner(self, v, inverse: bool = False):
-        """The image of v (with inverse, the point whose image v is), or
-        None while v is not paired."""
-        side = 1 if inverse else 0
-        j, i, f, _, hi = self._index.gap(side, v, 1 - side)
-        return hi if self._index.holds(side, j, i, f, v) else None
-
-    def place(self, v, choose, inverse: bool = False) -> tuple:
-        """(w, True) after pairing v, a point (with inverse, an image), with
-        w = choose(lo, hi), where lo and hi are the partners of v's nearest
-        committed neighbors (None at an end) and choose returns a partner
-        strictly between them, or None, and then nothing is committed.
-        (w, False) when v is paired already, w its partner: the bisect that
-        finds v's place finds v there, and choose is not called."""
-        side = 1 if inverse else 0
-        j, i, f, lo, hi = self._index.gap(side, v, 1 - side)
-        if self._index.holds(side, j, i, f, v):
-            return hi, False
-        w = choose(lo, hi)
-        if w is not None:
-            fw = _shadow(w)
-            x, y, fx, fy = (w, v, fw, f) if inverse else (v, w, f, fw)
-            self._index.insert(j, i, x, y, fx, fy)
-            self.mapping[x] = y
-        return w, True
 
 
 # ---------------------------------------------------------------------------

@@ -24,9 +24,15 @@ def calkin_wilf(n: int) -> Fraction:
 
 _DEPTH_CAP = 1 << 20
 
+# Tree levels within which enumeration positions are computed: a rational
+# further down has a position of at least 2^64 - 1, which no run of stages
+# enumerates.
+_POSITION_DEPTH = 62
 
-def _cw_index(a: int, b: int) -> int:
-    """Calkin-Wilf index of the positive rational a/b in lowest terms.
+
+def _cw_index(a: int, b: int, cap: int = _DEPTH_CAP) -> int | None:
+    """Calkin-Wilf index of the positive rational a/b in lowest terms, or
+    None when its tree path is longer than cap.
 
     The tree path, read leaf to root, is one run of equal bits per
     continued-fraction term; each run costs one division.
@@ -36,8 +42,8 @@ def _cw_index(a: int, b: int) -> int:
     while n != d:
         k, r = divmod(n, d) if n > d else divmod(d, n)
         k -= r == 0
-        if depth + k > _DEPTH_CAP:
-            raise ValueError(f"rational {Fraction(a, b)} is too deep in the enumeration")
+        if depth + k > cap:
+            return None
         if n > d:
             path |= ((1 << k) - 1) << depth
             n = r or d
@@ -51,7 +57,10 @@ def calkin_wilf_index(q: Fraction) -> int:
     """Inverse of calkin_wilf for positive rationals."""
     if q.numerator <= 0:
         raise ValueError("expected a positive rational")
-    return _cw_index(q.numerator, q.denominator)
+    k = _cw_index(q.numerator, q.denominator)
+    if k is None:
+        raise ValueError(f"rational {q} is too deep in the enumeration")
+    return k
 
 
 def rational_of_index(n: int) -> Fraction:
@@ -71,7 +80,16 @@ def index_of_rational(q: Fraction) -> int:
     return 2 * k + 1 if q > 0 else 2 * k + 2
 
 
-def _simplest(a: int, b: int, c: int, d: int) -> tuple[int, int]:
+def enumeration_position(q: Fraction, exclude_zero: bool = False) -> int | None:
+    """Position of q in the enumeration of Q, or of Q minus 0 with
+    exclude_zero (q nonzero then): index_of_rational(q) - exclude_zero, or
+    None when q lies more than _POSITION_DEPTH levels down the tree."""
+    if q and _cw_index(abs(q.numerator), q.denominator, _POSITION_DEPTH) is None:
+        return None
+    return index_of_rational(q) - exclude_zero
+
+
+def _simplest(a: int, b: int, c: int, d: int) -> tuple[int, int, int | None]:
     """Stern-Brocot simplest rational strictly between a/b >= 0 and c/d.
 
     d == 0 (with c == 1) stands for +infinity.  The descent keeps the bounds
@@ -79,24 +97,46 @@ def _simplest(a: int, b: int, c: int, d: int) -> tuple[int, int]:
     mediants at or below a/b form a run of right steps, those at or above
     c/d a run of left steps, and the first mediant strictly inside is the
     answer.  Runs alternate, so the loop turns once per continued-fraction
-    term of the answer.  Returns (numerator, denominator) in lowest terms.
+    term of the answer.  Returns (numerator, denominator, cw), the answer in
+    lowest terms and its Calkin-Wilf index, or None for cw past
+    _POSITION_DEPTH levels.  The descent builds the index as it goes: the
+    Stern-Brocot path from the root is the Calkin-Wilf path read leaf to
+    root, so a run of k right steps at depth t sets bits t..t+k-1.
     """
     ln, ld, hn, hd = 0, 1, 1, 0
+    path = depth = 0
     while True:
         mn, md = ln + hn, ld + hd
         if mn * b <= a * md:
             k = (a * ld - ln * b) // (hn * b - a * hd)
             ln, ld = ln + k * hn, ld + k * hd
+            if depth + k <= _POSITION_DEPTH:
+                path |= ((1 << k) - 1) << depth
+            depth += k
         elif mn * d >= c * md:
             k = (hn * d - c * hd) // (c * ld - ln * d)
             hn, hd = hn + k * ln, hd + k * ld
+            depth += k
         else:
-            return mn, md
+            return mn, md, (1 << depth | path) - 1 if depth <= _POSITION_DEPTH else None
 
 
-def least_enum_in_interval(lo: Fraction | None, hi: Fraction | None,
-                           exclude_zero: bool = False) -> Fraction | None:
-    """Enumeration-least rational strictly inside (lo, hi).
+def _precedes(pos: tuple, neg: tuple) -> bool:
+    """Whether _simplest's positive answer pos comes before the mirror of
+    its answer neg.  Positive rationals precede their negatives at equal
+    tree position, and an answer within the position cap precedes one past
+    it; two answers past it are told apart by their full indices."""
+    p, n = pos[2], neg[2]
+    if p is None and n is None:
+        return calkin_wilf_index(Fraction(*pos[:2])) <= calkin_wilf_index(Fraction(*neg[:2]))
+    return n is None or p is not None and p <= n
+
+
+def least_enum_with_position(lo: Fraction | None, hi: Fraction | None,
+                             exclude_zero: bool = False) -> tuple:
+    """(q, position): the enumeration-least rational q strictly inside
+    (lo, hi) and its enumeration_position, None past the cap; (None, None)
+    when the interval is empty.
 
     None bounds are infinite.  With exclude_zero the enumeration of Q minus 0
     is used; the relative order of nonzero rationals is the same.
@@ -105,26 +145,34 @@ def least_enum_in_interval(lo: Fraction | None, hi: Fraction | None,
     -1/0 and 1/0 for the infinite ones.  The positive side is the simplest
     rational in (max(lo, 0), hi), the negative side the mirror of the
     simplest one in (max(-hi, 0), -lo), both by the integer Stern-Brocot
-    descent; when both exist the Calkin-Wilf index decides.  The answer is
-    the only Fraction built.
+    descent, which gives their Calkin-Wilf indices; when both exist the
+    indices decide.  The answer is the only Fraction built.
     """
     a, b = (-1, 0) if lo is None else (lo.numerator, lo.denominator)
     c, d = (1, 0) if hi is None else (hi.numerator, hi.denominator)
     if b and d and a * d >= c * b:
-        return None
+        return None, None
     if a < 0 < c and not exclude_zero:
-        return Fraction(0)
+        return Fraction(0), 0
     pos = _simplest(max(a, 0), b if a > 0 else 1, c, d) if c > 0 else None
     neg = _simplest(max(-c, 0), d if c < 0 else 1, -a, b) if a < 0 else None
-    # Positive rationals precede their negatives at equal tree position.
-    if neg is None or pos is not None and _cw_index(*pos) <= _cw_index(*neg):
-        return Fraction(*pos)
-    return Fraction(-neg[0], neg[1])
+    if neg is None or pos is not None and _precedes(pos, neg):
+        n, m, k = pos
+        return Fraction(n, m), None if k is None else 2 * k + 1 - exclude_zero
+    n, m, k = neg
+    return Fraction(-n, m), None if k is None else 2 * k + 2 - exclude_zero
+
+
+def least_enum_in_interval(lo: Fraction | None, hi: Fraction | None,
+                           exclude_zero: bool = False) -> Fraction | None:
+    """Enumeration-least rational strictly inside (lo, hi), None bounds
+    being infinite, in the enumeration of Q minus 0 with exclude_zero: the
+    rational of least_enum_with_position."""
+    return least_enum_with_position(lo, hi, exclude_zero)[0]
 
 
 def format_rational(q: Fraction) -> str:
-    """Render as p/q, or bare p for integers."""
-    q = Fraction(q)
+    """Render an int or a Fraction as p/q, or bare p for integers."""
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"

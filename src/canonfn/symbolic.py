@@ -12,9 +12,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .errors import BudgetExhausted, TypeMismatch
-from .fraisse import DloLimit
-from .rationals import format_rational, least_enum_in_interval, rational_of_index
+from .errors import BudgetExhausted
+from .fraisse import _PairIndex, _shadow
+from .rationals import (
+    enumeration_position,
+    format_rational,
+    least_enum_in_interval,
+    least_enum_with_position,
+    rational_of_index,
+)
 
 
 @dataclass(frozen=True)
@@ -23,8 +29,12 @@ class ComputableDenseSet:
     back-and-forth runs on.
 
     Members are enumerated in the signed enumeration of Q with 0 skipped when
-    it is excluded; least_in is the enumeration-least member strictly inside
-    an open interval, computed through the Stern-Brocot tree.
+    it is excluded.  least_in(lo, hi) is (member, position): the
+    enumeration-least member strictly inside an open interval and its
+    position n, so that enumerate_member(n) gives it back, both computed by
+    one descent of the Stern-Brocot tree.  The position is None for a member
+    more than 62 levels down the tree, which no run of stages enumerates;
+    both are None when the interval holds no member.
     """
 
     name: str
@@ -36,8 +46,8 @@ class ComputableDenseSet:
     def enumerate_member(self, n: int) -> Fraction:
         return rational_of_index(n + self.exclude_zero)
 
-    def least_in(self, lo: Fraction | None, hi: Fraction | None) -> Fraction | None:
-        return least_enum_in_interval(lo, hi, self.exclude_zero)
+    def least_in(self, lo: Fraction | None, hi: Fraction | None) -> tuple:
+        return least_enum_with_position(lo, hi, self.exclude_zero)
 
 
 def rationals_set() -> ComputableDenseSet:
@@ -63,12 +73,17 @@ class BackAndForthMap:
     """The canonical order isomorphism between two dense sets, Q or Q minus 0.
 
     Stages alternate between the source and target enumerations; each stage
-    commits the least-enumerated uncommitted element on its side to the
+    commits the least-enumerated unpaired member on its side to the
     enumeration-least admissible partner.  The construction is deterministic
     given the two sets and the optional seed pairs, and every committed stage
-    is a finite order isomorphism, kept as a fraisse.DloGerm, whose pair
-    index gives partners both ways.  Not thread-safe: evaluation commits
-    stages.
+    is a finite order isomorphism.  Its pairs sit sorted in a
+    fraisse._PairIndex, which gives a member's place and its neighbors'
+    partners from either side, and in commit order in two flat columns,
+    points and images.  Each side keeps the positions of its members that
+    were paired before their turn (as partners, or as seeds within
+    enumeration_position's cap), so a stage skips them by position and
+    enumerates only the member it pairs.  Not thread-safe: evaluation
+    commits stages.
     """
 
     def __init__(self, source: ComputableDenseSet, target: ComputableDenseSet,
@@ -76,40 +91,56 @@ class BackAndForthMap:
         self.source = source
         self.target = target
         self.name = f"iso({source.name},{target.name})"
-        self._germ = DloLimit().germ()
-        self._next_source = 0
-        self._next_target = 0
+        self._sets = (source, target)
+        self._index = _PairIndex()
+        self._points: list = []    # commit order
+        self._images: list = []
+        self._next = [0, 0]        # per side, the next position to enumerate
+        self._held = (set(), set())    # per side, positions paired ahead of _next
         self._forth_turn = True
+        index = self._index
         for x, y in seeds:
             x, y = Fraction(x), Fraction(y)
             if not (source.contains(x) and target.contains(y)):
                 raise ValueError(f"seed pair ({x},{y}) leaves the sets")
-            try:
-                self._germ.commit(x, y)
-            except TypeMismatch:
-                raise ValueError(f"commitment ({x},{y}) breaks order preservation") from None
+            j, i, fx, lo, hi = index.gap(0, x, 1)
+            paired = index.holds(0, j, i, fx, x)
+            if paired and hi == y:
+                continue
+            if paired or not ((lo is None or lo < y) and (hi is None or y < hi)):
+                raise ValueError(f"commitment ({x},{y}) breaks order preservation")
+            self._commit(j, i, x, y, fx, _shadow(y))
+            for held, s, v in zip(self._held, self._sets, (x, y)):
+                position = enumeration_position(v, s.exclude_zero)
+                if position is not None:
+                    held.add(position)
 
     @property
     def committed(self) -> tuple:
-        return self._germ.pairs
+        return tuple(zip(self._points, self._images))
+
+    def _commit(self, j: int, i: int, x, y, fx: float, fy: float) -> None:
+        self._index.insert(j, i, x, y, fx, fy)
+        self._points.append(x)
+        self._images.append(y)
 
     def _stage(self) -> tuple:
         """Commit the next stage's pair (x, y) and return it."""
-        place = self._germ.place
-        if self._forth_turn:
-            new = False
-            while not new:
-                x = self.source.enumerate_member(self._next_source)
-                self._next_source += 1
-                y, new = place(x, self.target.least_in)
-        else:
-            new = False
-            while not new:
-                y = self.target.enumerate_member(self._next_target)
-                self._next_target += 1
-                x, new = place(y, self.source.least_in, inverse=True)
-        if x is None or y is None:
+        side = 0 if self._forth_turn else 1
+        held, n = self._held[side], self._next[side]
+        while n in held:
+            held.remove(n)
+            n += 1
+        self._next[side] = n + 1
+        v = self._sets[side].enumerate_member(n)
+        j, i, f, lo, hi = self._index.gap(side, v, 1 - side)
+        w, position = self._sets[1 - side].least_in(lo, hi)
+        if w is None:
             raise BudgetExhausted("empty partner interval")
+        if position is not None:
+            self._held[1 - side].add(position)
+        x, y, fx, fy = (v, w, f, _shadow(w)) if side == 0 else (w, v, _shadow(w), f)
+        self._commit(j, i, x, y, fx, fy)
         self._forth_turn = not self._forth_turn
         return x, y
 
@@ -117,30 +148,31 @@ class BackAndForthMap:
         for _ in range(count):
             self._stage()
 
-    def _reach(self, v: Fraction, side: ComputableDenseSet, inverse: bool) -> Fraction:
-        """v's partner, running stages until they commit v, a member of
-        side: each stage's new value on v's side is compared with v."""
-        if not side.contains(v):
-            raise ValueError(f"{v} is not in {side.name}")
-        w = self._germ.partner(v, inverse)
+    def _reach(self, v: Fraction, side: int) -> Fraction:
+        """v's partner, v a member of the source (side 0) or of the target
+        (side 1), running stages until they commit v: each stage's new value
+        on v's side is compared with v."""
+        if not self._sets[side].contains(v):
+            raise ValueError(f"{v} is not in {self._sets[side].name}")
+        j, i, f, _, hi = self._index.gap(side, v, 1 - side)
+        w = hi if self._index.holds(side, j, i, f, v) else None
         n, d = v.numerator, v.denominator
-        here = 1 if inverse else 0
         guard = 0
         while w is None:
             pair = self._stage()
             guard += 1
             if guard > _STAGE_CAP:
                 raise BudgetExhausted("back-and-forth did not reach the requested point")
-            u = pair[here]
+            u = pair[side]
             if u.numerator == n and u.denominator == d:
-                w = pair[1 - here]
+                w = pair[1 - side]
         return w
 
     def eval(self, x) -> Fraction:
-        return self._reach(Fraction(x), self.source, False)
+        return self._reach(Fraction(x), 0)
 
     def inverse(self, y) -> Fraction:
-        return self._reach(Fraction(y), self.target, True)
+        return self._reach(Fraction(y), 1)
 
     def __call__(self, x):
         return self.eval(x)

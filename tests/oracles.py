@@ -11,8 +11,10 @@ forbidden-substructure age, `substructure` and `is_isomorphic` are taken as
 the definitions of restriction and isomorphism.  The dense sets Q and
 Q minus 0 are checked by sampling their enumerations, and a back-and-forth
 partner is found by probing the enumeration for the first member inside the
-interval, and a germ of (Q;<) keeps its pairs in two flat sorted columns,
-found by plain bisect over the exact values.  verify_amalgamation is replayed by its pairwise loop: for each
+interval, its position being the probe's index, and a germ of (Q;<) keeps
+its pairs in two flat sorted columns, found by plain bisect over the exact
+values, against which a pair index's blocks are checked.
+verify_amalgamation is replayed by its pairwise loop: for each
 ordered pair of distinct extensions b1, b2 of a member, b1's extensions are
 searched afresh until one restricts to b2, and grown members are deduped.
 Type records are enumerated by the per-pattern loop: for each partition of
@@ -45,8 +47,10 @@ over an explicit enumeration prefix.
 
 import bisect
 import itertools
+import math
 from fractions import Fraction
 
+from canonfn import fraisse
 from canonfn.fraisse import (
     _FULL_ENUM_MAX,
     AgeOracle,
@@ -347,9 +351,9 @@ _PROBED: dict = {}    # exclude_zero -> (numerator, denominator) of the first me
 
 class ProbingDenseSet(ComputableDenseSet):
     """The same dense set, whose least member inside an open interval is the
-    first one among its first 2^22 members that lies there.  The members
-    probed so far are kept as integer pairs, and compared with the bounds
-    by cross-multiplication."""
+    first one among its first 2^22 members that lies there, given with its
+    probe index as its position.  The members probed so far are kept as
+    integer pairs, and compared with the bounds by cross-multiplication."""
 
     def least_in(self, lo, hi):
         a, b = (-1, 0) if lo is None else (lo.numerator, lo.denominator)
@@ -361,8 +365,8 @@ class ProbingDenseSet(ComputableDenseSet):
                 members.append((y.numerator, y.denominator))
             n, m = members[i]
             if n * b > a * m and n * d < c * m:
-                return Fraction(n, m)
-        return None
+                return Fraction(n, m), i
+        return None, None
 
 
 def probing(s):
@@ -421,6 +425,27 @@ class FlatColumnsGerm:
             x, y = (w, v) if inverse else (v, w)
             self.mapping[x] = y
         return w, True
+
+
+def _float(v) -> float:
+    try:
+        return float(v)
+    except OverflowError:
+        return math.inf if v > 0 else -math.inf
+
+
+def check_pair_index(index, dom, rng):
+    """A fraisse._PairIndex holds the sorted points dom and their images
+    rng, aligned, in blocks of at most 2 * fraisse._BLOCK, with the blocks'
+    float shadows and each block's last shadow in order."""
+    for side, column in ((0, list(dom)), (1, list(rng))):
+        values, shadows, lasts = index.values[side], index.shadows[side], index.lasts[side]
+        assert [v for block in values for v in block] == column
+        assert shadows == [[_float(v) for v in block] for block in values]
+        assert len(values) == len(lasts) and lasts[-1] == math.inf
+        assert lasts[:-1] == [block[-1] for block in shadows[:-1]]
+        assert all(values) or len(values) == 1
+        assert all(len(block) <= 2 * fraisse._BLOCK for block in values)
 
 
 # ---------------------------------------------------------------------------

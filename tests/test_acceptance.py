@@ -267,7 +267,7 @@ def test_criterion_07_pham_example():
 
 
 def test_criterion_07_back_and_forth_stages():
-    # A stage places one point by lookups in the germ's blocked pair index,
+    # A stage pairs one point by lookups in the map's blocked pair index,
     # so 100,000 stages stay near-linear; two flat sorted columns of
     # Fractions took 4.9-5.5 s on a shared 2-vCPU machine.
     started = time.monotonic()

@@ -1,6 +1,5 @@
 import copy
 import itertools
-import math
 from fractions import Fraction as F
 
 import pytest
@@ -44,6 +43,7 @@ from canonfn.fraisse import (
 from oracles import (
     FlatColumnsGerm,
     PredicateAge,
+    check_pair_index,
     count_set_partitions,
     count_weak_orders,
     forbidden_age,
@@ -570,13 +570,6 @@ INDEX_VALUES = st.one_of(
     st.tuples(st.integers(-10 ** 9, 10 ** 9), st.integers(1, 10 ** 9)).map(lambda t: F(*t)))
 
 
-def _float(v) -> float:
-    try:
-        return float(v)
-    except OverflowError:
-        return math.inf if v > 0 else -math.inf
-
-
 def _between(w, fallback):
     """A partner chooser: w when it lies in (lo, hi), else, with fallback, a
     point of the gap (its midpoint where bounded), else None."""
@@ -612,18 +605,38 @@ def index_steps(draw):
 
 
 def _check_index(germ, ref):
-    """The germ's pair index holds the reference's columns in blocks, with
-    the blocks' shadows and last shadows in order."""
-    index = germ._index
+    """The germ's pairs are the reference's, and its pair index holds the
+    reference's columns."""
     assert germ.pairs == tuple(ref.mapping.items())
-    for side, column in ((0, ref.dom), (1, ref.rng)):
-        values, shadows, lasts = index.values[side], index.shadows[side], index.lasts[side]
-        assert [v for block in values for v in block] == column
-        assert shadows == [[_float(v) for v in block] for block in values]
-        assert len(values) == len(lasts) and lasts[-1] == math.inf
-        assert lasts[:-1] == [block[-1] for block in shadows[:-1]]
-        assert all(values) or len(values) == 1
-        assert all(len(block) <= 2 * fraisse._BLOCK for block in values)
+    check_pair_index(germ._index, ref.dom, ref.rng)
+
+
+def _place(germ, v, choose, inverse=False):
+    """The back-and-forth's stage on the germ's pair index, for the
+    reference's place: (w, True) after pairing v, a point (with inverse, an
+    image), with w = choose(lo, hi), lo and hi the partners of v's nearest
+    paired neighbors, by one gap and one insert, mapping written; nothing is
+    paired when w is None.  (w, False) when v is paired already with w."""
+    index = germ._index
+    side = 1 if inverse else 0
+    j, i, f, lo, hi = index.gap(side, v, 1 - side)
+    if index.holds(side, j, i, f, v):
+        return hi, False
+    w = choose(lo, hi)
+    if w is not None:
+        fw = fraisse._shadow(w)
+        x, y, fx, fy = (w, v, fw, f) if inverse else (v, w, f, fw)
+        index.insert(j, i, x, y, fx, fy)
+        germ.mapping[x] = y
+    return w, True
+
+
+def _partner(germ, v, inverse=False):
+    """v's partner read off the germ's pair index, as a back-and-forth map
+    reads it, or None while v is not paired."""
+    side = 1 if inverse else 0
+    j, i, f, _, hi = germ._index.gap(side, v, 1 - side)
+    return hi if germ._index.holds(side, j, i, f, v) else None
 
 
 def _index_run(steps):
@@ -639,7 +652,7 @@ def _index_run(steps):
         elif kind in ("place", "inverse"):
             # A v paired already comes back with its partner, unchanged.
             inverse = kind == "inverse"
-            assert (germ.place(v, _between(*args), inverse)
+            assert (_place(germ, v, _between(*args), inverse)
                     == ref.place(v, _between(*args), inverse))
         elif kind == "uncommit":
             if ref.mapping:
@@ -647,8 +660,8 @@ def _index_run(steps):
                 germ.uncommit(x)
                 ref.uncommit(x)
         else:
-            assert germ.partner(v) == ref.mapping.get(v)
-            assert germ.partner(v, inverse=True) == dict(zip(ref.rng, ref.dom)).get(v)
+            assert _partner(germ, v) == ref.mapping.get(v)
+            assert _partner(germ, v, inverse=True) == dict(zip(ref.rng, ref.dom)).get(v)
             if v not in ref.mapping:
                 assert germ.images(v, args[0]) == ref.images(v, args[0])
                 assert germ.constraints(v) == ref.constraints(v)

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction as F
 
 import pytest
@@ -15,7 +16,7 @@ from canonfn import (
     rationals_set,
 )
 
-from oracles import check_dense, probing
+from oracles import ProbingDenseSet, check_dense, check_pair_index, probing
 
 
 class TestDenseSets:
@@ -120,18 +121,33 @@ class TestAutomorphismMoving:
 
 
 class TestPartnerSearchDifferential:
-    # Enough pairs for the germ's pair index to split its blocks three times.
+    # Enough pairs for the map's pair index to split its blocks three times.
     STAGES = 1100
 
     @pytest.mark.parametrize("source", [rationals_set, punctured_rationals])
     @pytest.mark.parametrize("target", [rationals_set, punctured_rationals])
-    def test_pairings_match_probe(self, source, target):
+    def test_pairings_match_probe(self, source, target, monkeypatch):
+        # Every slow stage takes its partner and the partner's position from
+        # the probe, so the descent's positions are checked too: both maps
+        # skip the same members, held at the same positions.
+        probes = []
+        probe = ProbingDenseSet.least_in
+
+        def counted(s, lo, hi):
+            probes.append((lo, hi))
+            return probe(s, lo, hi)
+
+        monkeypatch.setattr(ProbingDenseSet, "least_in", counted)
         fast = BackAndForthMap(source(), target())
         slow = BackAndForthMap(probing(source()), probing(target()))
         fast.run_stages(self.STAGES)
         slow.run_stages(self.STAGES)
+        assert len(probes) == self.STAGES
         assert fast.committed == slow.committed
-        assert len(fast._germ._index.lasts[0]) > 3
+        assert (fast._next, fast._held) == (slow._next, slow._held)
+        assert len(fast._index.lasts[0]) > 3
+        dom, rng = zip(*sorted(fast.committed))
+        check_pair_index(fast._index, dom, rng)
 
     @pytest.mark.parametrize("a, b", [(0, 0), (-1, 1), (1, -1), (F(1, 2), 3), (-2, F(-1, 3))])
     def test_seeded_automorphisms_match_probe(self, a, b):
@@ -141,6 +157,22 @@ class TestPartnerSearchDifferential:
         fast.run_stages(self.STAGES)
         slow.run_stages(self.STAGES)
         assert fast.committed == slow.committed
+        assert (fast._next, fast._held) == (slow._next, slow._held)
+
+    # Seeds too deep in the tree for an enumeration position, whose
+    # neighborhoods no probe reaches: the digests of their first 3,000
+    # stages were taken from the maps that found paired members by bisect.
+    @pytest.mark.parametrize("a, b, digest", [
+        (0, F(1, 10**12), "cfd400743f691c1814ec5d544969287c92f4d83a17a725b67f61ecf78bf345dd"),
+        (F(1, 10**9), F(-7, 3), "8f65881a1621afe5d134e707265ec7be35da070374018618df0becbaecd1f7c7"),
+    ])
+    def test_deep_seeds_match_pinned_stages(self, a, b, digest):
+        alpha = automorphism_moving(a, b)
+        alpha.run_stages(3000)
+        pairs = alpha.committed
+        assert len(pairs) == 3001 and pairs[0] == (a, b)
+        text = " ".join(f"{x}:{y}" for x, y in pairs)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestForcedCut:
