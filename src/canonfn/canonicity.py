@@ -731,7 +731,7 @@ def proposition_harness(f: FunctionOracle, g: GroupPresentation,
         raise PresentationError("the harness samples germs of aut(limit) sources")
     verdict, scan = _scanned(f, g, h, horizon, arity)
     # The seeds compare whole fragments, whose h-labels only tuples of least points fix.
-    least = max([2] + [s.arity for s in h.limit.age.signature.symbols])
+    least = max(2, h.limit.age.signature.max_arity)
     if arity < least:
         raise ValueError(f"the harness needs arity at least {least} on target {h!r}")
     if seeds is None:

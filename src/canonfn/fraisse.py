@@ -11,8 +11,11 @@ through eval_relation only for symbols of arity > 2.  Restricting a
 structure, reindexing a record and spreading a diagram over a pattern all
 pull atoms back along an index map through the one `_pullback`.  A limit's
 germ() is its finite type-preserving partial map (PartialAutomorphism),
-which canonize, the harness's clip and the back-and-forth grow; on (Q;<)
-it is a DloGerm, whose images are found by order position.
+which canonize and the harness's clip grow; it admits a pair when the new
+point's pair codes with the committed points equal its image's with their
+images, and it reads qf_type only for symbols of arity > 2 and in
+verify().  On (Q;<) it is a DloGerm, whose images are found by order
+position.
 """
 
 from __future__ import annotations
@@ -66,6 +69,9 @@ class Signature:
             if s.arity < 1:
                 raise ValueError(f"symbol {s.name} has arity {s.arity}")
         object.__setattr__(self, "_arities", {s.name: s.arity for s in self.symbols})
+        # The largest arity, 0 without symbols.  Above 2 the pair codes do
+        # not hold every atom: types are then read through eval_relation.
+        object.__setattr__(self, "max_arity", max(self._arities.values(), default=0))
 
     def __contains__(self, name: str) -> bool:
         return name in self._arities
@@ -310,7 +316,7 @@ class ForbiddenSubstructuresAge(AgeOracle):
         self._split: dict[tuple[int, int], tuple[list, list]] = {}
         self._verdicts: dict[tuple[int, int, int], bool] = {}   # (k, fixed, free) -> completable
         self.step_complete = (all(f.size for f in self.forbidden)
-                              and any(sym.arity >= 2 for sym in signature.symbols))
+                              and signature.max_arity >= 2)
 
     def contains(self, s: FiniteStructure) -> bool:
         atoms = s.atoms
@@ -940,11 +946,16 @@ class PartialAutomorphism:
 
     mapping holds the pairs in commit order; commit, extend and uncommit
     change it.  images(x, candidates) yields the candidates y, in their
-    order, with which the pairs stay type-preserving when (x, y) is added:
-    the qf_type test, with x's type computed once.  extend(x, candidates)
-    commits the first admissible candidate, so the germ is deterministic
-    given its seed pairs and the candidates, which are finite (an
-    enumeration prefix, say).  verify() recomputes the types from scratch.
+    order, with which the pairs stay type-preserving when (x, y) is added.
+    The committed pairs preserve types already, so that is the code test:
+    y's pair codes with the committed images (both ways, and its own
+    diagonal code) equal x's with the committed points, x's read once.  A
+    signature with a symbol of arity > 2 falls back to comparing the
+    qf_types of the points and the images, each with x or y added.
+    extend(x, candidates) stores the first admissible candidate, tested
+    once, so the germ is deterministic given its seed pairs and the
+    candidates, which are finite (an enumeration prefix, say); commit(x, y)
+    is extend(x, (y,)).  verify() recomputes the types from scratch.
     LimitStructure.germ makes a limit's germs.
     """
 
@@ -954,15 +965,13 @@ class PartialAutomorphism:
         for x, y in pairs:
             self.commit(x, y)
 
-    @property
-    def pairs(self) -> tuple:
-        return tuple(self.mapping.items())
-
     def images(self, x, candidates) -> Iterable:
-        qf_type = self.limit.qf_type
-        dom_type = qf_type(tuple(self.mapping) + (x,))
-        rng = tuple(self.mapping.values())
-        return (y for y in candidates if qf_type(rng + (y,)) == dom_type)
+        limit = self.limit
+        # A tuple's record, or on binary symbols its last point's codes with each point.
+        read = (limit.qf_type if limit.age.signature.max_arity > 2 else
+                lambda t: limit.code_reader(t)(len(t) - 1))
+        want, rng = read(tuple(self.mapping) + (x,)), tuple(self.mapping.values())
+        return (y for y in candidates if read(rng + (y,)) == want)
 
     def constraints(self, x) -> tuple:
         """The committed points whose pairs images(x, ...) reads, for an
@@ -971,13 +980,11 @@ class PartialAutomorphism:
 
     def commit(self, x, y) -> None:
         """Add the pair (x, y); TypeMismatch when it breaks the type."""
-        if x in self.mapping:
-            if self.mapping[x] != y:
-                raise TypeMismatch(f"conflicting images for {x}")
-            return
-        if y not in self.images(x, (y,)):
+        image = self.extend(x, (y,))
+        if image is None:
             raise TypeMismatch(f"pair {x} -> {y} breaks the type of the germ")
-        self.mapping[x] = y
+        if image != y:
+            raise TypeMismatch(f"conflicting images for {x}")
 
     def uncommit(self, x) -> None:
         """Take back the pair of x."""
@@ -985,12 +992,16 @@ class PartialAutomorphism:
 
     def extend(self, x, candidates):
         """The image of x: its committed one, else the first admissible
-        candidate, committed; None, committing nothing, when none is."""
+        candidate, stored; None, storing nothing, when none is."""
         if x not in self.mapping:
             for y in self.images(x, candidates):
-                self.commit(x, y)
+                self._store(x, y)
                 break
         return self.mapping.get(x)
+
+    def _store(self, x, y) -> None:
+        """Add the pair (x, y), which images admitted."""
+        self.mapping[x] = y
 
     def verify(self) -> bool:
         if not self.mapping:
@@ -1160,6 +1171,9 @@ class DloGerm(PartialAutomorphism):
             raise TypeMismatch(f"pair {x} -> {y} breaks the type of the germ")
         self._index.insert(j, i, x, y, f, _shadow(y))
         self.mapping[x] = y
+
+    # A stored pair goes into the index; the one gap of commit places it.
+    _store = commit
 
     def uncommit(self, x) -> None:
         del self.mapping[x]

@@ -280,9 +280,9 @@ class PointLabels:
         self._limit = g.limit
         self._shift = len(g.constants)
         self._anchor = tuple(range(self._shift))
-        symbols = self._limit.age.signature.symbols
-        self.binary = all(1 <= s.arity <= 2 for s in symbols)
-        self._width = len(symbols) + 1           # bits of one column's code
+        signature = self._limit.age.signature
+        self.binary = signature.max_arity <= 2
+        self._width = len(signature.symbols) + 1  # bits of one column's code
         self._columns: list[list] = [[] for _ in range(g.m)]
         self._codes: list[dict] = []             # [i][j]: the code of the pair (i, j)
         self._units: list = [None] * self._shift  # per point index, shifted past the constants

@@ -22,7 +22,8 @@ the positions, every member on its blocks (by the recursive table search)
 is pulled back to the positions by reading each atom over the positions
 through the pattern.
 A tuple's type record is read atom by atom through eval_relation, with no
-pair codes.  Orbit labels are read as the presentation's recursive structure:
+pair codes, and a germ admits an image when the records of its points and
+of their images, each with the new pair added, are equal.  Orbit labels are read as the presentation's recursive structure:
 a power splits a tuple into its columns and asks its base, a stabilizer
 extends a tuple by its constants and asks its base, and the n-th point of a
 power is found by listing the diagonals of N^m.
@@ -482,6 +483,15 @@ def qf_type(limit, elements):
                       for t in itertools.product(range(len(elements)), repeat=sym.arity)
                       if limit.eval_relation(sym.name, tuple(elements[i] for i in t)))
     return TupleTypeRecord(limit.age.signature, len(elements), pattern, atoms)
+
+
+def germ_images(limit, mapping, x, candidates):
+    """The candidates y, in their order, with which the pairs of mapping
+    and (x, y) preserve types, by definition: the record of the points with
+    x added equals the record of their images with y added."""
+    dom, rng = tuple(mapping), tuple(mapping.values())
+    want = qf_type(limit, dom + (x,))
+    return [y for y in candidates if qf_type(limit, rng + (y,)) == want]
 
 
 def orbit_label(g, t):

@@ -122,7 +122,7 @@ class TestPartialAutomorphisms:
 
     def test_empty_germ(self, dlo, aut_dlo):
         germ = automorphism_extending(aut_dlo, {})
-        assert germ.pairs == ()
+        assert germ.mapping == {}
         assert germ.extend(F(7), [dlo.element(i) for i in range(8)]) == F(0)
 
     def test_type_mismatch(self, aut_dlo):
@@ -136,8 +136,7 @@ class TestPartialAutomorphisms:
         for x in probes:
             assert germ.extend(x, prefix) is not None
         assert germ.verify()
-        dom = tuple(p[0] for p in germ.pairs)
-        rng = tuple(p[1] for p in germ.pairs)
+        dom, rng = tuple(germ.mapping), tuple(germ.mapping.values())
         assert qf_type(dlo, dom) == qf_type(dlo, rng)
 
     def test_extension_follows_the_limit_not_its_name(self, tmp_path):
